@@ -1,8 +1,5 @@
 //! Benches for the analysis-context build — the join+distance kernel
-//! that dominates pipeline wall time.
-//!
-//! Contrasts the PR 2 reference path (per-lookup hash join, scalar
-//! trigonometry per attack-participation) with the columnar substrate
+//! that dominates pipeline wall time — on the columnar substrate
 //! (sorted `BotTable` + CSR `SourceTable` + `dispersion_precomp`),
 //! serial and parallel.
 
@@ -16,9 +13,6 @@ fn bench_context(c: &mut Criterion) {
     let ds = &trace.dataset;
     let mut g = c.benchmark_group("context_build");
     g.sample_size(10);
-    g.bench_function("reference_pr2", |b| {
-        b.iter(|| black_box(AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT)))
-    });
     g.bench_function("columnar_serial", |b| {
         b.iter(|| black_box(AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false)))
     });

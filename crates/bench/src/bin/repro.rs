@@ -8,15 +8,9 @@
 //! repro --out DIR       # write each artifact to DIR/<id>.txt
 //! repro --list          # list experiment ids
 //! repro --pipeline-bench  # time pass pipeline vs pre-refactor baseline
-//! repro --ctx-bench     # time columnar context build vs PR 2 path,
-//!                       # emit BENCH_context.json
-//! repro --ctx-bench --smoke  # small trace, equivalence assertions only
 //! repro --epoch-bench   # time monolithic vs epoch-folded vs incremental,
 //!                       # emit BENCH_epochs.json
 //! repro --epoch-bench --smoke  # same on the small trace (CI mode)
-//! repro --pass-bench    # time each pass body reference vs chunked-kernel,
-//!                       # emit BENCH_passes.json
-//! repro --pass-bench --smoke  # same on the small trace (CI mode)
 //! repro --ingest-bench  # time v1 serial vs framed v2 decode and serial
 //!                       # vs chunked CSV parse, emit BENCH_ingest.json
 //! repro --ingest-bench --smoke  # same on the small trace (CI mode)
@@ -32,11 +26,7 @@
 //! repro --soak N --soak-full --scale 1.0  # weekly paper-scale soak
 //! ```
 
-use ddos_analytics::collab::concurrent::CollabAnalysis;
-use ddos_analytics::{
-    passes, Analysis, AnalysisContext, AnalysisReport, IncrementalPipeline, KernelPolicy,
-    PipelineOptions, StreamFold,
-};
+use ddos_analytics::{Analysis, AnalysisReport, IncrementalPipeline, PipelineOptions, StreamFold};
 use ddos_obs::Obs;
 use ddos_report::{compare, paper_comparisons, render, EXPERIMENTS};
 use ddos_schema::{codec, csv, framed, Seconds};
@@ -48,9 +38,7 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut emit_md = false;
     let mut pipeline_bench = false;
-    let mut ctx_bench = false;
     let mut epoch_bench = false;
-    let mut pass_bench = false;
     let mut ingest_bench = false;
     let mut serve_bench = false;
     let mut smoke = false;
@@ -77,9 +65,7 @@ fn main() {
             }
             "--md" => emit_md = true,
             "--pipeline-bench" => pipeline_bench = true,
-            "--ctx-bench" => ctx_bench = true,
             "--epoch-bench" => epoch_bench = true,
-            "--pass-bench" => pass_bench = true,
             "--ingest-bench" => ingest_bench = true,
             "--serve-bench" => serve_bench = true,
             "--smoke" => smoke = true,
@@ -111,16 +97,8 @@ fn main() {
         }
     }
 
-    if ctx_bench {
-        run_ctx_bench(scale, smoke);
-        return;
-    }
     if epoch_bench {
         run_epoch_bench(scale, smoke);
-        return;
-    }
-    if pass_bench {
-        run_pass_bench(scale, smoke);
         return;
     }
     if ingest_bench {
@@ -261,133 +239,6 @@ fn run_pipeline_bench(scale: f64) {
         "speedup:                        {:>8.2}x",
         base_s / pipe_s.min(serial_s)
     );
-}
-
-/// Times the context build across its three implementations — the PR 2
-/// reference path (hash join + scalar trig), the columnar serial build,
-/// and the columnar parallel build — asserts all three are
-/// analysis-equivalent (dispersion series bit-identical) and the final
-/// reports byte-identical, then writes `BENCH_context.json`.
-///
-/// With `--smoke` the run uses the small simulated trace, performs only
-/// the equivalence assertions plus a single timed round, and writes no
-/// file — the CI-friendly mode.
-fn run_ctx_bench(scale: f64, smoke: bool) {
-    let cfg = if smoke {
-        SimConfig::small()
-    } else {
-        SimConfig {
-            scale,
-            ..SimConfig::default()
-        }
-    };
-    eprintln!("generating trace (scale {})...", cfg.scale);
-    let trace = generate(&cfg);
-    let ds = &trace.dataset;
-    let participations: usize = ds.attacks().iter().map(|a| a.sources.len()).sum();
-    eprintln!(
-        "generated {} attacks, {} bot records, {} participations",
-        ds.attacks().len(),
-        ds.bots().len(),
-        participations
-    );
-
-    // Correctness first: the columnar builds must carry the exact
-    // analysis inputs of the reference build, bit for bit.
-    let reference = AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT);
-    let serial = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-    let parallel = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, true);
-    serial.assert_same_analysis(&reference);
-    serial.assert_same_analysis(&parallel);
-    drop((reference, serial, parallel));
-    eprintln!("context equivalence: reference == columnar serial == columnar parallel");
-
-    // And the reports the builds feed must serialize identically.
-    let parallel_report = AnalysisReport::run(ds);
-    let serial_report = Analysis::new(ds).parallel(false).run();
-    let pj = serde_json::to_string(&parallel_report).expect("report serializes");
-    let sj = serde_json::to_string(&serial_report).expect("report serializes");
-    assert_eq!(pj, sj, "parallel and serial context reports diverged");
-    drop((serial_report, pj, sj));
-    eprintln!("report equivalence: parallel == serial");
-
-    // Interleaved rounds (reference, serial, parallel per round) with
-    // best-of-N per variant: systematic drift (thermal, noisy-neighbor)
-    // hits every variant alike instead of whichever ran last, and the
-    // context drop happens outside the timed region.
-    let rounds = if smoke { 1 } else { 5 };
-    let mut reference_s = f64::MAX;
-    let mut serial_s = f64::MAX;
-    let mut parallel_s = f64::MAX;
-    for _ in 0..rounds {
-        let t = std::time::Instant::now();
-        let ctx = AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT);
-        reference_s = reference_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(ctx));
-
-        let t = std::time::Instant::now();
-        let ctx = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-        serial_s = serial_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(ctx));
-
-        let t = std::time::Instant::now();
-        let ctx = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, true);
-        parallel_s = parallel_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(ctx));
-    }
-    let mut pipeline_s = f64::MAX;
-    for _ in 0..rounds {
-        let t = std::time::Instant::now();
-        let report = AnalysisReport::run(ds);
-        pipeline_s = pipeline_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(report));
-    }
-
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("context build (best of {rounds}):");
-    println!("  reference (PR 2 path):   {reference_s:>8.3} s");
-    println!("  columnar serial:         {serial_s:>8.3} s");
-    println!("  columnar parallel:       {parallel_s:>8.3} s  ({threads} threads)");
-    println!(
-        "  speedup (parallel/ref):  {:>8.2}x",
-        reference_s / parallel_s
-    );
-    println!(
-        "  resolves/sec (parallel): {:>12.0}",
-        participations as f64 / parallel_s
-    );
-    println!("full pipeline (parallel):  {pipeline_s:>8.3} s");
-
-    if smoke {
-        println!("smoke mode: skipping BENCH_context.json");
-        return;
-    }
-    let json = format!(
-        "{{\n  \"trace\": {{\n    \"scale\": {},\n    \"attacks\": {},\n    \
-         \"bot_records\": {},\n    \"participations\": {}\n  }},\n  \
-         \"context_build\": {{\n    \"reference_s\": {:.6},\n    \
-         \"columnar_serial_s\": {:.6},\n    \"columnar_parallel_s\": {:.6},\n    \
-         \"speedup_serial_vs_reference\": {:.3},\n    \
-         \"speedup_parallel_vs_reference\": {:.3},\n    \
-         \"resolves_per_sec_parallel\": {:.0}\n  }},\n  \
-         \"full_pipeline_parallel_s\": {:.6},\n  \"threads\": {},\n  \
-         \"rounds\": {}\n}}\n",
-        cfg.scale,
-        ds.attacks().len(),
-        ds.bots().len(),
-        participations,
-        reference_s,
-        serial_s,
-        parallel_s,
-        reference_s / serial_s,
-        reference_s / parallel_s,
-        participations as f64 / parallel_s,
-        pipeline_s,
-        threads,
-        rounds,
-    );
-    std::fs::write("BENCH_context.json", &json).expect("writing BENCH_context.json");
-    eprintln!("wrote BENCH_context.json");
 }
 
 /// Times the epoch-sharded engine against the monolithic rebuild —
@@ -549,241 +400,6 @@ fn run_epoch_bench(scale: f64, smoke: bool) {
     );
     std::fs::write("BENCH_epochs.json", &out).expect("writing BENCH_epochs.json");
     eprintln!("wrote BENCH_epochs.json");
-}
-
-/// The PR 6 baseline for the end-to-end parallel pipeline at paper
-/// scale: `full_pipeline_parallel_s` from `BENCH_context.json` as
-/// committed by the PR 6 epoch-engine change (`git show
-/// 39da03f:BENCH_context.json`), produced by this binary's
-/// `--ctx-bench` on this container. The pass-bench asserts the current
-/// kernel pipeline beats it by >= 1.5x. (The in-binary reference
-/// policy is a weaker baseline: it reruns PR 6's gated algorithms but
-/// inherits PR 7's ungated infrastructure wins, so it understates the
-/// release-over-release delta.)
-const PR6_PIPELINE_PARALLEL_S: f64 = 0.308603;
-
-/// Times every registered pass body under the [`KernelPolicy::Reference`]
-/// path (the PR 6 algorithms, bit for bit) against the chunked-kernel
-/// path, plus the end-to-end pipeline under both policies, and writes
-/// `BENCH_passes.json` (in smoke mode too, flagged `"smoke": true`).
-///
-/// Correctness gates run before any timing, in smoke mode too:
-/// the serialized report must be byte-identical across the reference,
-/// auto, and forced-chunked policies, and the sort-sweep concurrent
-/// collaboration detector must reproduce the pairwise scan exactly.
-/// In full mode the run additionally asserts the end-to-end speedup
-/// target (>= 1.5x vs the committed PR 6 baseline, and no regression
-/// vs the in-binary reference policy) and that the sweep scales
-/// sub-quadratically (half-trace vs full-trace timing ratio).
-fn run_pass_bench(scale: f64, smoke: bool) {
-    let cfg = if smoke {
-        SimConfig::small()
-    } else {
-        SimConfig {
-            scale,
-            ..SimConfig::default()
-        }
-    };
-    eprintln!("generating trace (scale {})...", cfg.scale);
-    let trace = generate(&cfg);
-    let ds = &trace.dataset;
-    eprintln!("generated {} attacks", ds.len());
-
-    // Correctness first: the chunked kernels must not move a single
-    // report byte, under any chunking.
-    let json = |r: &AnalysisReport| serde_json::to_string(r).expect("report serializes");
-    let run_with =
-        |kernels: KernelPolicy| Analysis::new(ds).telemetry(false).kernels(kernels).run();
-    let want = json(&run_with(KernelPolicy::Reference));
-    for policy in [
-        KernelPolicy::Auto,
-        KernelPolicy::Chunked(1),
-        KernelPolicy::Chunked(3),
-    ] {
-        assert_eq!(
-            json(&run_with(policy)),
-            want,
-            "{policy:?} report diverged from the reference policy"
-        );
-    }
-    eprintln!("report equivalence: reference == auto == chunked(1) == chunked(3)");
-
-    // The sweep detector must reproduce the pairwise scan exactly —
-    // same pairs, same events, same histogram maps.
-    let kernel_ctx = AnalysisContext::build(ds, ArimaSpec::DEFAULT);
-    let reference_ctx =
-        AnalysisContext::build(ds, ArimaSpec::DEFAULT).with_kernels(KernelPolicy::Reference);
-    let sweep = serde_json::to_string(&CollabAnalysis::compute_ctx(&kernel_ctx))
-        .expect("collab serializes");
-    let pairwise = serde_json::to_string(&CollabAnalysis::compute_ctx_reference(&kernel_ctx))
-        .expect("collab serializes");
-    assert_eq!(
-        sweep, pairwise,
-        "sort-sweep diverged from the pairwise scan"
-    );
-    eprintln!("collaboration equivalence: sort-sweep == pairwise scan");
-
-    // Per-pass timings: run every registered pass body against a fully
-    // populated partial report (so dependency slots are present), under
-    // both policies, interleaved best-of-N.
-    let obs = Obs::disabled();
-    let partial = passes::execute(&kernel_ctx, false, &obs);
-    let rounds = if smoke { 1 } else { 5 };
-    let n = passes::REGISTRY.len();
-    let mut reference_mins = vec![f64::MAX; n];
-    let mut kernel_mins = vec![f64::MAX; n];
-    for _ in 0..rounds {
-        for (i, pass) in passes::REGISTRY.iter().enumerate() {
-            let t = std::time::Instant::now();
-            let out = (pass.run)(&reference_ctx, &partial, &obs);
-            reference_mins[i] = reference_mins[i].min(t.elapsed().as_secs_f64());
-            drop(std::hint::black_box(out));
-
-            let t = std::time::Instant::now();
-            let out = (pass.run)(&kernel_ctx, &partial, &obs);
-            kernel_mins[i] = kernel_mins[i].min(t.elapsed().as_secs_f64());
-            drop(std::hint::black_box(out));
-        }
-    }
-
-    // End to end: two baselines. The in-binary one pins the pipeline to
-    // the reference policy — PR 6's gated algorithms, but sharing PR 7's
-    // ungated infrastructure (fused resolver scheduling, scratch reuse),
-    // so it understates the release-over-release delta; it is the
-    // bit-identity anchor for the per-pass table above. The asserted
-    // baseline is PR 6's committed end-to-end figure (see
-    // `PR6_PIPELINE_PARALLEL_S`), measured by this same binary's
-    // `--ctx-bench` on this container at the PR 6 commit.
-    let _ = run_with(KernelPolicy::Reference);
-    let _ = run_with(KernelPolicy::Auto);
-    let mut baseline_s = f64::MAX;
-    let mut pipeline_s = f64::MAX;
-    for _ in 0..rounds {
-        let t = std::time::Instant::now();
-        let r = run_with(KernelPolicy::Reference);
-        baseline_s = baseline_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(r));
-
-        let t = std::time::Instant::now();
-        let r = run_with(KernelPolicy::Auto);
-        pipeline_s = pipeline_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(r));
-    }
-    let end_to_end = baseline_s / pipeline_s;
-    let vs_pr6 = PR6_PIPELINE_PARALLEL_S / pipeline_s;
-
-    // Scaling check: the sweep's cost on a half-size trace versus the
-    // full trace. A quadratic detector doubles its ratio with size; the
-    // sweep must stay near-linear in the per-target slice lengths.
-    let half_trace = generate(&SimConfig {
-        scale: cfg.scale * 0.5,
-        ..cfg
-    });
-    let half_ctx = AnalysisContext::build(&half_trace.dataset, ArimaSpec::DEFAULT);
-    let mut half_s = f64::MAX;
-    let mut full_s = f64::MAX;
-    for _ in 0..rounds {
-        let t = std::time::Instant::now();
-        let c = CollabAnalysis::compute_ctx(&half_ctx);
-        half_s = half_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(c));
-
-        let t = std::time::Instant::now();
-        let c = CollabAnalysis::compute_ctx(&kernel_ctx);
-        full_s = full_s.min(t.elapsed().as_secs_f64());
-        drop(std::hint::black_box(c));
-    }
-    let n_half = half_trace.dataset.len();
-    let n_full = ds.len();
-    let size_ratio = n_full as f64 / n_half as f64;
-    let time_ratio = full_s / half_s;
-
-    println!("pass kernels (best of {rounds}):");
-    println!(
-        "  {:<22} {:>12} {:>12} {:>9}",
-        "pass", "reference_us", "kernel_us", "speedup"
-    );
-    for (i, pass) in passes::REGISTRY.iter().enumerate() {
-        println!(
-            "  {:<22} {:>12.1} {:>12.1} {:>8.2}x",
-            pass.name,
-            reference_mins[i] * 1e6,
-            kernel_mins[i] * 1e6,
-            reference_mins[i] / kernel_mins[i]
-        );
-    }
-    println!("end to end:");
-    println!("  reference policy (in-binary): {baseline_s:>8.3} s");
-    println!("  chunked kernels (auto):       {pipeline_s:>8.3} s");
-    println!("  speedup (in-binary):          {end_to_end:>8.2}x");
-    println!("  PR 6 committed baseline:      {PR6_PIPELINE_PARALLEL_S:>8.3} s");
-    println!("  speedup vs PR 6:              {vs_pr6:>8.2}x  (want >= 1.5)");
-    println!("collaboration sweep scaling:");
-    println!("  half trace ({n_half} attacks):  {:>10.6} s", half_s);
-    println!("  full trace ({n_full} attacks):  {:>10.6} s", full_s);
-    println!(
-        "  time ratio {time_ratio:.2} for size ratio {size_ratio:.2} \
-         (quadratic would give {:.2})",
-        size_ratio * size_ratio
-    );
-    if !smoke {
-        assert!(
-            vs_pr6 >= 1.5,
-            "end-to-end speedup vs the PR 6 baseline is {vs_pr6:.2}x \
-             ({pipeline_s:.3} s vs {PR6_PIPELINE_PARALLEL_S:.3} s), under the 1.5x target"
-        );
-        assert!(
-            end_to_end >= 1.0,
-            "chunked kernels regressed below the in-binary reference policy \
-             ({pipeline_s:.3} s vs {baseline_s:.3} s)"
-        );
-        assert!(
-            time_ratio < size_ratio * size_ratio * 0.75,
-            "sweep time ratio {time_ratio:.2} for size ratio {size_ratio:.2} \
-             is not clearly sub-quadratic"
-        );
-    }
-
-    let mut rows = String::new();
-    for (i, pass) in passes::REGISTRY.iter().enumerate() {
-        rows.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"reference_s\": {:.6}, \"kernel_s\": {:.6}, \
-             \"speedup\": {:.3} }}{}\n",
-            pass.name,
-            reference_mins[i],
-            kernel_mins[i],
-            reference_mins[i] / kernel_mins[i],
-            if i + 1 == n { "" } else { "," }
-        ));
-    }
-    let out = format!(
-        "{{\n  \"smoke\": {},\n  \"trace\": {{\n    \"scale\": {},\n    \
-         \"attacks\": {}\n  }},\n  \"rounds\": {},\n  \"passes\": [\n{}  ],\n  \
-         \"end_to_end\": {{\n    \"reference_policy_s\": {:.6},\n    \
-         \"kernel_policy_s\": {:.6},\n    \"speedup_in_binary\": {:.3},\n    \
-         \"pr6_baseline_s\": {:.6},\n    \"speedup_vs_pr6\": {:.3}\n  }},\n  \
-         \"collab_scaling\": {{\n    \"half_attacks\": {},\n    \
-         \"full_attacks\": {},\n    \"half_s\": {:.6},\n    \"full_s\": {:.6},\n    \
-         \"size_ratio\": {:.3},\n    \"time_ratio\": {:.3}\n  }}\n}}\n",
-        smoke,
-        cfg.scale,
-        n_full,
-        rounds,
-        rows,
-        baseline_s,
-        pipeline_s,
-        end_to_end,
-        PR6_PIPELINE_PARALLEL_S,
-        vs_pr6,
-        n_half,
-        n_full,
-        half_s,
-        full_s,
-        size_ratio,
-        time_ratio,
-    );
-    std::fs::write("BENCH_passes.json", &out).expect("writing BENCH_passes.json");
-    eprintln!("wrote BENCH_passes.json");
 }
 
 /// Times trace ingest across the v1 serial codec, the framed v2

@@ -1,13 +1,11 @@
 //! The unified entry point: one builder for every way to run the
 //! pipeline.
 //!
-//! [`Analysis`] replaces the twelve historical `run_*`/`try_run_*`
-//! associated functions on [`AnalysisReport`] (now thin `#[deprecated]`
-//! shims). A builder names a source (a [`Dataset`], or a prebuilt
+//! A builder names a source (a [`Dataset`], or a prebuilt
 //! [`AnalysisContext`] via [`Analysis::over`]), optionally selects an
 //! engine (monolithic by default; [`Analysis::epochs`] for the sharded
 //! fold, [`Analysis::incremental`] for one-epoch-at-a-time appends,
-//! [`Analysis::baseline`] for the pre-refactor reference), tunes
+//! [`Analysis::baseline`] for the dataset-scan oracle), tunes
 //! [`PipelineOptions`] through the same setter names, and runs:
 //!
 //! ```ignore
@@ -20,9 +18,10 @@
 //!     .try_run()?;
 //! ```
 //!
-//! Every spelling serializes byte-identically — the conformance suite
-//! and the builder-equivalence tests in ddos-testkit pin each legacy
-//! entry point against its builder form.
+//! Every spelling serializes byte-identically — the golden-report suite
+//! runs the testkit's variant lattice of engines, schedulers, job
+//! lengths and ingest paths against one committed digest.
+//! [`AnalysisReport::run`] stays as the shorthand for the default run.
 
 use ddos_obs::Obs;
 use ddos_schema::{Dataset, Seconds};
@@ -55,8 +54,8 @@ enum Mode {
     Folded,
     /// One-epoch-at-a-time appends through [`IncrementalPipeline`].
     Incremental,
-    /// The pre-refactor reference pipeline (ignores the scheduler,
-    /// telemetry, and kernel axes by construction).
+    /// The dataset-scan oracle (ignores the scheduler, telemetry, and
+    /// kernel axes by construction).
     Baseline,
 }
 
@@ -83,8 +82,8 @@ impl<'d> Analysis<'d> {
     }
 
     /// Starts a builder that runs the pass scheduler over a context
-    /// built elsewhere (the conformance suite feeds the same passes a
-    /// columnar and a reference-built context this way). Engine
+    /// built elsewhere (the conformance suite feeds the passes a serial
+    /// build and a streamed epoch fold this way). Engine
     /// selectors ([`Analysis::epochs`], [`Analysis::incremental`],
     /// [`Analysis::baseline`]) are incompatible with a prebuilt context
     /// and panic at [`Analysis::try_run`]. Without [`Analysis::obs`] no
@@ -129,8 +128,9 @@ impl<'d> Analysis<'d> {
         self
     }
 
-    /// Sets the kernel policy for the pass bodies. Report bytes are
-    /// identical for every policy.
+    /// Sets the job length of the monolithic context build's per-family
+    /// resolution (see [`KernelPolicy`]). Report bytes are identical for
+    /// every policy.
     pub fn kernels(mut self, kernels: KernelPolicy) -> Analysis<'d> {
         self.opts = self.opts.kernels(kernels);
         self
@@ -166,10 +166,11 @@ impl<'d> Analysis<'d> {
         self
     }
 
-    /// Selects the pre-refactor monolithic reference pipeline (every
-    /// analysis rescans the dataset for itself). Honors only the ARIMA
-    /// spec; the scheduler, telemetry, and kernel axes don't exist on
-    /// this path.
+    /// Selects the pre-refactor monolithic pipeline, where every
+    /// analysis rescans the dataset for itself and shares no body with
+    /// the pass pipeline — the one independent oracle the equivalence
+    /// tests compare against. Honors only the ARIMA spec; the scheduler,
+    /// telemetry, and kernel axes don't exist on this path.
     pub fn baseline(mut self) -> Analysis<'d> {
         self.mode = Mode::Baseline;
         self
@@ -278,7 +279,7 @@ mod tests {
         assert_eq!(batch, json(&Analysis::new(&ds).baseline().run()));
         assert_eq!(
             batch,
-            json(&Analysis::new(&ds).kernels(KernelPolicy::Reference).run())
+            json(&Analysis::new(&ds).kernels(KernelPolicy::Chunked(1)).run())
         );
     }
 

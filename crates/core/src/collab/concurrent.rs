@@ -14,8 +14,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use ddos_schema::{AttackRecord, CountryCode, Dataset, Family, IpAddr4, Timestamp};
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::KernelPolicy;
-
 /// Start-time window of the rule (seconds).
 pub const START_WINDOW_S: i64 = 60;
 /// Duration window of the rule (seconds).
@@ -69,38 +67,24 @@ impl CollabAnalysis {
         Self::detect(attacks, targets.iter().map(|(_, idxs)| idxs.as_slice()))
     }
 
-    /// Context-based variant of [`CollabAnalysis::compute`]: consumes
-    /// the per-target timelines already grouped and sorted in the
-    /// analysis context. Under any policy but
-    /// [`KernelPolicy::Reference`] it runs the sort-sweep kernel
-    /// ([`CollabAnalysis::detect_sweep`]); the CI smoke gate and the
-    /// pass bench hard-assert the two stay byte-identical.
+    /// Context-based variant of [`CollabAnalysis::compute`]: runs the
+    /// sort-sweep detector ([`CollabAnalysis::detect_sweep`]) over the
+    /// per-target timelines already grouped and sorted in the analysis
+    /// context. `tests/kernels.rs` holds it byte-identical to the
+    /// pairwise scan on arbitrary traces.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> CollabAnalysis {
-        if ctx.kernels.is_reference() {
-            return Self::compute_ctx_reference(ctx);
-        }
         let lists: Vec<&[usize]> = ctx
             .target_timelines
             .iter()
             .map(|t| t.attacks.as_slice())
             .collect();
-        Self::detect_sweep(ctx.dataset.attacks(), &lists, ctx.kernels)
+        Self::detect_sweep(ctx.dataset.attacks(), &lists)
     }
 
-    /// The reference pairwise detection over the context's timelines —
-    /// exposed so benches and the CI smoke gate can pit the sweep
-    /// kernel against the scan it replaced.
-    pub fn compute_ctx_reference(ctx: &crate::context::AnalysisContext) -> CollabAnalysis {
-        Self::detect(
-            ctx.dataset.attacks(),
-            ctx.target_timelines.iter().map(|t| t.attacks.as_slice()),
-        )
-    }
-
-    /// The detection rule over per-target attack-index lists. The lists
-    /// must arrive sorted by target IP with indices ascending — both
-    /// providers guarantee it, which is what keeps the two entry points
-    /// byte-identical.
+    /// The pairwise detection rule over per-target attack-index lists.
+    /// The lists must arrive sorted by target IP with indices ascending,
+    /// as the sweep's timelines are — which is what keeps the two
+    /// detectors byte-identical.
     fn detect<'t>(
         attacks: &[AttackRecord],
         per_target: impl Iterator<Item = &'t [usize]>,
@@ -187,26 +171,18 @@ impl CollabAnalysis {
         }
     }
 
-    /// The sort-sweep detection kernel. Per target the attack list is
-    /// already sorted by start (global trace order), so a sliding
-    /// window frontier `hi` — monotone because start gaps grow with the
-    /// left endpoint — enumerates exactly the pairs the pairwise scan's
+    /// The sort-sweep detector. Per target the attack list is already
+    /// sorted by start (global trace order), so a sliding window
+    /// frontier `hi` — monotone because start gaps grow with the left
+    /// endpoint — enumerates exactly the pairs the pairwise scan's
     /// `break` kept, in the same order. Components use an arena
     /// union-find over local positions (no hashing, no recursion), and
     /// members are gathered by one ascending position sweep, so each
-    /// event's attack list comes out sorted without the reference's
-    /// per-component re-sort.
-    ///
-    /// Chunking is over the per-target lists: pair runs concatenate in
-    /// chunk order (equal to sequential order), per-chunk Table VI maps
-    /// merge by addition, and events get one final total sort on their
-    /// least attack index — the same sort the reference needs anyway —
-    /// so any chunking is byte-identical.
-    fn detect_sweep(
-        attacks: &[AttackRecord],
-        per_target: &[&[usize]],
-        policy: KernelPolicy,
-    ) -> CollabAnalysis {
+    /// event's attack list comes out sorted without the pairwise scan's
+    /// per-component re-sort. Events get one final sort on their least
+    /// attack index — the same sort [`CollabAnalysis::detect`] ends
+    /// with — so the output is byte-identical.
+    fn detect_sweep(attacks: &[AttackRecord], per_target: &[&[usize]]) -> CollabAnalysis {
         let mut pairs = Vec::new();
         let mut events: Vec<CollabEvent> = Vec::new();
         let mut intra_pairs: BTreeMap<Family, usize> = BTreeMap::new();
@@ -226,104 +202,94 @@ impl CollabAnalysis {
         let mut in_pair: Vec<bool> = Vec::new();
         let mut comp_of: Vec<u32> = Vec::new();
 
-        for range in policy.chunks(per_target.len()) {
-            let mut chunk_intra: BTreeMap<Family, usize> = BTreeMap::new();
-            let mut chunk_inter: BTreeMap<Family, usize> = BTreeMap::new();
-            for &idxs in &per_target[range] {
-                let m = idxs.len();
-                if m < 2 {
-                    continue;
-                }
-                parent.clear();
-                parent.extend(0..m as u32);
-                in_pair.clear();
-                in_pair.resize(m, false);
-                let mut target_has_pairs = false;
+        for &idxs in per_target {
+            let m = idxs.len();
+            if m < 2 {
+                continue;
+            }
+            parent.clear();
+            parent.extend(0..m as u32);
+            in_pair.clear();
+            in_pair.resize(m, false);
+            let mut target_has_pairs = false;
 
-                let mut hi = 1usize;
-                for k in 0..m {
-                    let ai = &attacks[idxs[k]];
-                    if hi <= k {
-                        hi = k + 1;
-                    }
-                    while hi < m && (attacks[idxs[hi]].start - ai.start).get() <= START_WINDOW_S {
-                        hi += 1;
-                    }
-                    for p in k + 1..hi {
-                        let aj = &attacks[idxs[p]];
-                        if ai.botnet == aj.botnet {
-                            continue;
-                        }
-                        let ddur = (ai.duration().get() - aj.duration().get()).abs();
-                        if ddur > DURATION_WINDOW_S {
-                            continue;
-                        }
-                        pairs.push(CollabPair {
-                            a: idxs[k],
-                            b: idxs[p],
-                        });
-                        let (fa, fb) = (ai.family, aj.family);
-                        if fa == fb {
-                            *chunk_intra.entry(fa).or_default() += 1;
-                        } else {
-                            *chunk_inter.entry(fa).or_default() += 1;
-                            *chunk_inter.entry(fb).or_default() += 1;
-                        }
-                        in_pair[k] = true;
-                        in_pair[p] = true;
-                        target_has_pairs = true;
-                        let (rk, rp) = (find(&mut parent, k as u32), find(&mut parent, p as u32));
-                        if rk != rp {
-                            parent[rk as usize] = rp;
-                        }
-                    }
+            let mut hi = 1usize;
+            for k in 0..m {
+                let ai = &attacks[idxs[k]];
+                if hi <= k {
+                    hi = k + 1;
                 }
-
-                if !target_has_pairs {
-                    continue;
+                while hi < m && (attacks[idxs[hi]].start - ai.start).get() <= START_WINDOW_S {
+                    hi += 1;
                 }
-                // One ascending sweep assigns component ids in
-                // first-member order and gathers members pre-sorted.
-                const UNASSIGNED: u32 = u32::MAX;
-                comp_of.clear();
-                comp_of.resize(m, UNASSIGNED);
-                let first_event = events.len();
-                for p in 0..m {
-                    if !in_pair[p] {
+                for p in k + 1..hi {
+                    let aj = &attacks[idxs[p]];
+                    if ai.botnet == aj.botnet {
                         continue;
                     }
-                    let root = find(&mut parent, p as u32) as usize;
-                    let event = if comp_of[root] == UNASSIGNED {
-                        comp_of[root] = (events.len() - first_event) as u32;
-                        events.push(CollabEvent {
-                            attacks: Vec::new(),
-                            botnets: 0,
-                            families: Vec::new(),
-                        });
-                        events.last_mut().unwrap()
+                    let ddur = (ai.duration().get() - aj.duration().get()).abs();
+                    if ddur > DURATION_WINDOW_S {
+                        continue;
+                    }
+                    pairs.push(CollabPair {
+                        a: idxs[k],
+                        b: idxs[p],
+                    });
+                    let (fa, fb) = (ai.family, aj.family);
+                    if fa == fb {
+                        *intra_pairs.entry(fa).or_default() += 1;
                     } else {
-                        &mut events[first_event + comp_of[root] as usize]
-                    };
-                    event.attacks.push(idxs[p]);
-                }
-                for event in &mut events[first_event..] {
-                    let mut botnets: Vec<_> =
-                        event.attacks.iter().map(|&i| attacks[i].botnet).collect();
-                    botnets.sort_unstable();
-                    botnets.dedup();
-                    event.botnets = botnets.len();
-                    let mut families: Vec<Family> =
-                        event.attacks.iter().map(|&i| attacks[i].family).collect();
-                    families.sort_unstable();
-                    families.dedup();
-                    event.families = families;
+                        *inter_pairs.entry(fa).or_default() += 1;
+                        *inter_pairs.entry(fb).or_default() += 1;
+                    }
+                    in_pair[k] = true;
+                    in_pair[p] = true;
+                    target_has_pairs = true;
+                    let (rk, rp) = (find(&mut parent, k as u32), find(&mut parent, p as u32));
+                    if rk != rp {
+                        parent[rk as usize] = rp;
+                    }
                 }
             }
-            for (f, n) in chunk_intra {
-                *intra_pairs.entry(f).or_default() += n;
+
+            if !target_has_pairs {
+                continue;
             }
-            for (f, n) in chunk_inter {
-                *inter_pairs.entry(f).or_default() += n;
+            // One ascending sweep assigns component ids in first-member
+            // order and gathers members pre-sorted.
+            const UNASSIGNED: u32 = u32::MAX;
+            comp_of.clear();
+            comp_of.resize(m, UNASSIGNED);
+            let first_event = events.len();
+            for p in 0..m {
+                if !in_pair[p] {
+                    continue;
+                }
+                let root = find(&mut parent, p as u32) as usize;
+                let event = if comp_of[root] == UNASSIGNED {
+                    comp_of[root] = (events.len() - first_event) as u32;
+                    events.push(CollabEvent {
+                        attacks: Vec::new(),
+                        botnets: 0,
+                        families: Vec::new(),
+                    });
+                    events.last_mut().unwrap()
+                } else {
+                    &mut events[first_event + comp_of[root] as usize]
+                };
+                event.attacks.push(idxs[p]);
+            }
+            for event in &mut events[first_event..] {
+                let mut botnets: Vec<_> =
+                    event.attacks.iter().map(|&i| attacks[i].botnet).collect();
+                botnets.sort_unstable();
+                botnets.dedup();
+                event.botnets = botnets.len();
+                let mut families: Vec<Family> =
+                    event.attacks.iter().map(|&i| attacks[i].family).collect();
+                families.sort_unstable();
+                families.dedup();
+                event.families = families;
             }
         }
         events.sort_by_key(|e| e.attacks[0]);
@@ -458,7 +424,7 @@ impl PairFocus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overview::test_support::{attack, dataset};
+    use crate::overview::test_support::{attack, chunked_contexts, dataset};
     use ddos_schema::BotnetId;
 
     #[test]
@@ -566,14 +532,7 @@ mod tests {
         let ds = dataset(attacks_v);
         let expect = CollabAnalysis::compute(&ds);
         assert!(!expect.pairs.is_empty(), "fixture must exercise pairs");
-        for policy in [
-            KernelPolicy::Reference,
-            KernelPolicy::Auto,
-            KernelPolicy::Chunked(1),
-            KernelPolicy::Chunked(2),
-            KernelPolicy::Chunked(100),
-        ] {
-            let ctx = crate::context::AnalysisContext::new(&ds).with_kernels(policy);
+        for (policy, ctx) in chunked_contexts(&ds) {
             assert_eq!(CollabAnalysis::compute_ctx(&ctx), expect, "{policy:?}");
         }
     }

@@ -15,9 +15,8 @@
 //! the per-snapshot dispersion runs through the `*_precomp` kernels of
 //! `ddos-geo` that read cached `sin`/`cos` instead of recomputing each
 //! bot's trigonometry per attack-participation, and the per-family
-//! resolution fans out on scoped threads in deterministic chunks.
-//! [`AnalysisContext::build_reference`] keeps the pre-columnar serial
-//! path as the equivalence/benchmark baseline.
+//! resolution fans out on scoped threads in deterministic jobs whose
+//! length [`KernelPolicy`] sets.
 //!
 //! # Invariants
 //!
@@ -36,17 +35,19 @@
 //!   [`FamilyDispersion::compute`] produces; its `weekly_bots` maps hold
 //!   exactly the resolvable `(bot, country)` participations per window
 //!   week.
-//! * Parallel and serial builds are **bit-identical**: chunks merge in
-//!   (family, chunk) order, and the precomp kernels evaluate the exact
-//!   scalar expressions (see `ddos_geo::trig`). The pipeline-equivalence
-//!   suite enforces this against [`AnalysisContext::build_reference`].
+//! * Serial, parallel, and any-job-length builds are **bit-identical**:
+//!   jobs merge in (family, job) order, and the precomp kernels evaluate
+//!   the exact scalar expressions (see `ddos_geo::trig`). The
+//!   pipeline-equivalence suite enforces this with
+//!   [`AnalysisContext::assert_same_analysis`]; the unit tests below hold
+//!   the dispersion series and the weekly bot maps to the dataset scans.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ddos_geo::{
-    dispersion, dispersion_precomp_indexed_counted, dispersion_precomp_indexed_presummed,
-    CenterSum, KernelCounters,
+    dispersion_precomp_indexed_counted, dispersion_precomp_indexed_presummed, CenterSum,
+    KernelCounters,
 };
 use ddos_obs::Obs;
 use ddos_schema::{CountryCode, Dataset, Family, IpAddr4, Timestamp};
@@ -57,7 +58,7 @@ use crate::columnar::{
 };
 use crate::kernels::KernelPolicy;
 use crate::source::dispersion::FamilyDispersion;
-use crate::util::{BotIndex, IpMap};
+use crate::util::IpMap;
 
 /// One target's attack history: indices into `Dataset::attacks()`,
 /// ascending (therefore in start order).
@@ -104,18 +105,14 @@ pub struct AnalysisContext<'a> {
     pub all_starts: Vec<Timestamp>,
     /// Per-target attack histories, sorted by target IP.
     pub target_timelines: Vec<TargetTimeline>,
-    /// Which pass-body kernels the passes run against this context
-    /// (reference algorithms vs chunked partial-merge kernels — the
-    /// report bytes are identical either way; see [`crate::kernels`]).
-    pub kernels: KernelPolicy,
     /// Per-family precomputation in [`Family::ACTIVE`] order.
     families: Vec<FamilyContext>,
 }
 
 /// A reusable last-seen-week stamp buffer, one slot per dictionary id.
 ///
-/// Each chunk gets a fresh, disjoint tag range (`tag_base + week`), so
-/// the buffer is valid across chunks without re-zeroing — a worker
+/// Each job gets a fresh, disjoint tag range (`tag_base + week`), so
+/// the buffer is valid across jobs without re-zeroing — a worker
 /// allocates it once instead of clearing `dict_len` slots per family.
 #[derive(Default)]
 struct WeekStamp {
@@ -124,7 +121,7 @@ struct WeekStamp {
 }
 
 impl WeekStamp {
-    /// Starts a new chunk: sizes the buffer on first use and claims an
+    /// Starts a new job: sizes the buffer on first use and claims an
     /// unused tag range. Tag 0 is reserved as "never stamped".
     fn begin(&mut self, dict_len: usize, num_weeks: usize) -> u32 {
         if self.tags.len() < dict_len {
@@ -145,8 +142,8 @@ impl WeekStamp {
     }
 }
 
-/// One chunk's share of a family's resolution: everything the merge
-/// needs, accumulated in the chunk's attack order.
+/// One job's share of a family's resolution: everything the merge
+/// needs, accumulated in the job's attack order.
 struct FamilyChunk {
     starts: Vec<Timestamp>,
     series: Vec<(Timestamp, f64)>,
@@ -156,117 +153,24 @@ struct FamilyChunk {
     weekly: Vec<IpMap<CountryCode>>,
 }
 
-/// Resolves one chunk of a family's attacks through the columnar
-/// substrate: dictionary ids → bot rows, then the indexed dispersion
-/// kernel reads the shared trig column in place through the row list —
-/// no per-snapshot gather copy. Mirrors the scalar loop of
-/// [`AnalysisContext::build_reference`] expression for expression.
+/// Resolves one job of a family's attacks through the columnar
+/// substrate in a single sweep: dictionary ids → bot rows, with the
+/// weekly stamp dedup and the dispersion snapshot fed from the same walk
+/// over each attack's id slice. For the common fully-resolved attack
+/// one loop both stamps the weekly dedup and folds the dispersion
+/// center sum (a resolved id *is* its trig row). The center fold pushes
+/// in id order and [`dispersion_precomp_indexed_presummed`] finishes
+/// with the one-call kernel's exact expressions, so every series value
+/// is bit-identical to the scalar dispersion of the dataset scan
+/// ([`FamilyDispersion::compute`]). At paper scale this is the context
+/// build's hottest loop.
+///
+/// The weekly stamp sweep records each week's first sighting of a bot
+/// flat, and the maps then build in one tight pass reserved at exactly
+/// their final size. `ids_of(i)` mirrors `attacks[i].sources`
+/// one-to-one, so a first-of-the-week record reads its IP from the
+/// attack's own list rather than through the dictionary column.
 fn resolve_family_chunk(
-    dataset: &Dataset,
-    bots: &BotTable,
-    sources: &SourceTable,
-    attack_indices: &[u32],
-    num_weeks: usize,
-    stamp: &mut WeekStamp,
-    kernel: &KernelCounters,
-) -> FamilyChunk {
-    let window = dataset.window();
-    let attacks = dataset.attacks();
-    let mut out = FamilyChunk {
-        starts: Vec::with_capacity(attack_indices.len()),
-        series: Vec::with_capacity(attack_indices.len()),
-        days: Vec::new(),
-        weekly: vec![IpMap::default(); num_weeks],
-    };
-    // Weekly pass — one stamp sweep dedups each week's participants
-    // (bots recur across many attacks of a week) and records the firsts
-    // flat; the maps then build in one tight pass, reserved at exactly
-    // their final size. Insertion order differs from the reference
-    // loop's attack-interleaved order, but the recorded (ip, country)
-    // set cannot — and a map's content is order-free.
-    //
-    // `ids_of(i)` mirrors `attacks[i].sources` one-to-one, so a
-    // first-of-the-week record reads its IP from the attack's own list
-    // rather than through the dictionary column.
-    let tag_base = stamp.begin(sources.dict_len(), num_weeks);
-    let tags = &mut stamp.tags[..];
-    let mut per_week = vec![0usize; num_weeks];
-    let mut firsts: Vec<(IpAddr4, CountryCode, u32)> = Vec::new();
-    for &ai in attack_indices {
-        let a = &attacks[ai as usize];
-        let Some(w) = window.week_index(a.start) else {
-            continue;
-        };
-        let tag = tag_base + w as u32;
-        for (k, &id) in sources.ids_of(ai as usize).iter().enumerate() {
-            if tags[id as usize] == tag {
-                continue;
-            }
-            tags[id as usize] = tag;
-            let row = sources.bot_row(id);
-            if row != NO_BOT {
-                per_week[w] += 1;
-                firsts.push((a.sources[k], bots.country(row), w as u32));
-            }
-        }
-    }
-    for (w, &n) in per_week.iter().enumerate() {
-        out.weekly[w].reserve(n);
-    }
-    for &(ip, country, w) in &firsts {
-        out.weekly[w as usize].insert(ip, country);
-    }
-    // Dispersion pass — a resolved id *is* its row (`bot_row` is an
-    // identity below `bots_len`), so the common all-resolved attack
-    // feeds its id slice to the kernel as the row list directly, with
-    // no per-id scan at all; only an attack with unresolvable sources
-    // filters its ids into the scratch buffer.
-    let mut rows: Vec<u32> = Vec::new();
-    for &ai in attack_indices {
-        let a = &attacks[ai as usize];
-        out.starts.push(a.start);
-        let ids = sources.ids_of(ai as usize);
-        let row_list: &[u32] = if sources.unresolved_in(ai as usize) == 0 {
-            ids
-        } else {
-            rows.clear();
-            rows.extend(
-                ids.iter()
-                    .copied()
-                    .filter(|&id| sources.bot_row(id) != NO_BOT),
-            );
-            &rows
-        };
-        let Some(d) = dispersion_precomp_indexed_counted(bots.trigs(), row_list, kernel) else {
-            continue;
-        };
-        if let Some(day) = window.day_index(a.start) {
-            // Attacks arrive in start order, so days are nondecreasing:
-            // dedup against the last push (the merge treats `days` as a
-            // set, so only the distinct values matter).
-            if out.days.last() != Some(&day) {
-                out.days.push(day);
-            }
-        }
-        out.series.push((a.start, d.value()));
-    }
-    out
-}
-
-/// The fused variant of [`resolve_family_chunk`]: one sweep over the
-/// chunk's attacks drives both substreams — the weekly stamp dedup and
-/// the dispersion snapshot — instead of two, and for the common fully-
-/// resolved attack the sweep fuses element-for-element: one loop over
-/// the id slice both stamps the weekly dedup and folds the dispersion
-/// center sum (a resolved id *is* its trig row), so each id slice is
-/// walked once instead of twice. The center fold pushes in id order
-/// and [`dispersion_precomp_indexed_presummed`] finishes with the
-/// one-call kernel's exact expressions, so every output bit matches
-/// the two-sweep resolver; the context equivalence suite and the
-/// kernel proptests pin that. Selected by any non-`Reference`
-/// [`KernelPolicy`]; at paper scale this is the context build's
-/// hottest loop.
-fn resolve_family_chunk_fused(
     dataset: &Dataset,
     bots: &BotTable,
     sources: &SourceTable,
@@ -295,9 +199,8 @@ fn resolve_family_chunk_fused(
         out.starts.push(a.start);
         let d = if sources.unresolved_in(ai as usize) == 0 {
             // Fully resolved: ids are the kernel's row list, so one
-            // fused loop stamps the weekly dedup and folds the center
-            // sum together. Every id resolves, so the two-sweep pass's
-            // `bot_row(id) != NO_BOT` check is vacuous here.
+            // loop stamps the weekly dedup and folds the center sum
+            // together, with no `bot_row(id) != NO_BOT` check.
             let mut sum = CenterSum::default();
             if let Some(w) = window.week_index(a.start) {
                 let tag = tag_base + w as u32;
@@ -316,8 +219,8 @@ fn resolve_family_chunk_fused(
             }
             dispersion_precomp_indexed_presummed(trigs, ids, sum, kernel)
         } else {
-            // Unresolvable sources present: fall back to the two
-            // substreams of the two-sweep pass, verbatim.
+            // Unresolvable sources present: stamp only the resolvable
+            // ids, and filter the rows the kernel reads.
             if let Some(w) = window.week_index(a.start) {
                 let tag = tag_base + w as u32;
                 for (k, &id) in ids.iter().enumerate() {
@@ -344,6 +247,9 @@ fn resolve_family_chunk_fused(
             continue;
         };
         if let Some(day) = window.day_index(a.start) {
+            // Attacks arrive in start order, so days are nondecreasing:
+            // dedup against the last push (the merge treats `days` as a
+            // set, so only the distinct values matter).
             if out.days.last() != Some(&day) {
                 out.days.push(day);
             }
@@ -377,9 +283,9 @@ impl<'a> AnalysisContext<'a> {
     /// distinct bot), (2) the [`SourceTable`] CSR join (data-parallel
     /// over disjoint output slices when `parallel`), (3) the global
     /// per-attack vectors and target timelines, (4) per-family source
-    /// resolution — each family's attack list is cut into chunks that
-    /// scoped worker threads drain from a shared queue, and the chunk
-    /// results merge in (family, chunk) order, so the output is
+    /// resolution — each family's attack list is cut into jobs that
+    /// scoped worker threads drain from a shared queue, and the job
+    /// results merge in (family, job) order, so the output is
     /// bit-identical to the serial build.
     pub fn build_opts(
         dataset: &'a Dataset,
@@ -391,7 +297,7 @@ impl<'a> AnalysisContext<'a> {
 
     /// [`AnalysisContext::build_opts`] with the build stages telemetered
     /// into `obs`: one `context/<stage>` span per phase, gauges for the
-    /// table sizes, a `context/chunk_us` histogram of per-chunk
+    /// table sizes, a `context/chunk_us` histogram of per-job
     /// resolution time, and `geo/dispersion_*` counters of kernel work.
     /// Recording is relaxed-atomic handles on the worker paths, so the
     /// built context is bit-identical with telemetry on, off, serial,
@@ -405,14 +311,9 @@ impl<'a> AnalysisContext<'a> {
         Self::build_kernels(dataset, spec, parallel, KernelPolicy::Auto, obs)
     }
 
-    /// [`AnalysisContext::build_obs`] with an explicit [`KernelPolicy`].
-    ///
-    /// The policy selects the family resolver (`Reference` keeps the
-    /// two-sweep PR 6 resolver; `Auto`/`Chunked` run the fused
-    /// single-sweep variant), overrides the chunk granularity of the
-    /// family jobs when `Chunked`, and is recorded on the context so
-    /// the gated pass bodies pick their kernels accordingly. Every
-    /// policy builds a bit-identical context and report.
+    /// [`AnalysisContext::build_obs`] with an explicit [`KernelPolicy`]:
+    /// the length of the per-family resolution jobs. Every policy builds
+    /// a bit-identical context. This is the only reader of the policy.
     pub fn build_kernels(
         dataset: &'a Dataset,
         spec: ArimaSpec,
@@ -473,37 +374,29 @@ impl<'a> AnalysisContext<'a> {
 
         let num_weeks = window.num_weeks();
 
-        // Per-family fan-out with chunked intra-family resolution: the
-        // big families split into enough chunks to keep every worker
-        // busy; a shared counter hands out chunks dynamically.
+        // Per-family fan-out: the big families split into enough jobs to
+        // keep every worker busy; a shared counter hands them out.
         let family_span = obs.span("context/family_resolution");
         let kernel = KernelCounters::default();
         let chunk_hist = obs.histogram("context/chunk_us");
-        let pieces = if parallel { worker_count() } else { 1 };
         let mut jobs: Vec<(usize, &[u32])> = Vec::new();
         for (slot, family) in Family::ACTIVE.into_iter().enumerate() {
             let indices = dataset.attack_indices_of(family);
-            let ranges = match policy {
-                // A forced chunk length overrides the per-worker cut —
-                // the proptests force degenerate chunkings through it.
-                KernelPolicy::Chunked(_) => policy.chunks(indices.len()),
-                _ => chunk_ranges(indices.len(), pieces),
+            let pieces = match policy {
+                KernelPolicy::Auto if parallel => worker_count(),
+                KernelPolicy::Auto => 1,
+                KernelPolicy::Chunked(len) => indices.len().div_ceil(len.max(1)),
             };
-            for r in ranges {
+            for r in chunk_ranges(indices.len(), pieces) {
                 jobs.push((slot, &indices[r]));
             }
         }
         // Each worker owns one reusable week-stamp buffer across all the
-        // chunks it drains ([`WeekStamp`] hands every chunk a fresh tag
-        // range, so no re-zeroing between chunks).
-        let resolver = if policy.is_reference() {
-            resolve_family_chunk
-        } else {
-            resolve_family_chunk_fused
-        };
+        // jobs it drains ([`WeekStamp`] hands every job a fresh tag
+        // range, so no re-zeroing between jobs).
         let run_job = |&(slot, indices): &(usize, &[u32]), stamp: &mut WeekStamp| {
             let t0 = obs.now_us();
-            let chunk = resolver(
+            let chunk = resolve_family_chunk(
                 dataset, &bot_table, &sources, indices, num_weeks, stamp, &kernel,
             );
             chunk_hist.record(obs.now_us().saturating_sub(t0));
@@ -558,7 +451,7 @@ impl<'a> AnalysisContext<'a> {
         };
 
         // Deterministic merge: jobs are slot-major and sorted by job id,
-        // so each family's chunks concatenate in its trace order.
+        // so each family's jobs concatenate in its trace order.
         let mut families: Vec<FamilyContext> = Family::ACTIVE
             .into_iter()
             .map(|family| FamilyContext {
@@ -604,89 +497,6 @@ impl<'a> AnalysisContext<'a> {
             durations,
             all_starts,
             target_timelines,
-            kernels: policy,
-            families,
-        }
-    }
-
-    /// The pre-columnar build: per-lookup hash join through
-    /// [`BotIndex`], scalar trigonometry per attack-participation,
-    /// serial per-family loop. Kept as the reference the equivalence
-    /// suite holds the columnar build bit-equal to, and as the baseline
-    /// of `repro --ctx-bench`. (The columnar tables are still attached
-    /// so the context stays fully functional for every pass.)
-    pub fn build_reference(dataset: &'a Dataset, spec: ArimaSpec) -> AnalysisContext<'a> {
-        let bots = BotIndex::build(dataset);
-        let bot_table = BotTable::build(dataset);
-        let sources = SourceTable::build(dataset, &bot_table, false);
-        let window = dataset.window();
-        let attacks = dataset.attacks();
-
-        let mut durations = Vec::with_capacity(attacks.len());
-        let mut all_starts = Vec::with_capacity(attacks.len());
-        let mut by_target: IpMap<Vec<usize>> = IpMap::default();
-        for (i, a) in attacks.iter().enumerate() {
-            durations.push(a.duration().as_f64());
-            all_starts.push(a.start);
-            by_target.entry(a.target_ip).or_default().push(i);
-        }
-        let mut target_timelines: Vec<TargetTimeline> = by_target
-            .into_iter()
-            .map(|(target, attacks)| TargetTimeline { target, attacks })
-            .collect();
-        target_timelines.sort_by_key(|t| t.target);
-
-        let num_weeks = window.num_weeks();
-        let families = Family::ACTIVE
-            .into_iter()
-            .map(|family| {
-                let mut starts = Vec::new();
-                let mut series = Vec::new();
-                let mut days = HashSet::new();
-                let mut weekly: Vec<IpMap<CountryCode>> = vec![IpMap::default(); num_weeks];
-                for a in dataset.attacks_of(family) {
-                    starts.push(a.start);
-                    let week = window.week_index(a.start);
-                    let mut coords = Vec::with_capacity(a.sources.len());
-                    for &ip in &a.sources {
-                        let Some((cc, c)) = bots.lookup(ip) else {
-                            continue;
-                        };
-                        coords.push(c);
-                        if let Some(w) = week {
-                            weekly[w].insert(ip, cc);
-                        }
-                    }
-                    let Some(d) = dispersion(&coords) else {
-                        continue;
-                    };
-                    if let Some(day) = window.day_index(a.start) {
-                        days.insert(day);
-                    }
-                    series.push((a.start, d.value()));
-                }
-                FamilyContext {
-                    family,
-                    starts,
-                    dispersion: FamilyDispersion {
-                        family,
-                        series,
-                        active_days: days.len(),
-                    },
-                    weekly_bots: weekly,
-                }
-            })
-            .collect();
-
-        AnalysisContext {
-            dataset,
-            spec,
-            bot_table,
-            sources,
-            durations,
-            all_starts,
-            target_timelines,
-            kernels: KernelPolicy::Reference,
             families,
         }
     }
@@ -715,18 +525,8 @@ impl<'a> AnalysisContext<'a> {
             durations,
             all_starts,
             target_timelines,
-            kernels: KernelPolicy::Auto,
             families,
         }
-    }
-
-    /// Sets the pass-body kernel policy (builder style) — the epoch
-    /// fold's exit points assemble contexts through
-    /// [`AnalysisContext::from_parts`] and stamp the pipeline's policy
-    /// on afterwards.
-    pub fn with_kernels(mut self, kernels: KernelPolicy) -> AnalysisContext<'a> {
-        self.kernels = kernels;
-        self
     }
 
     /// The per-family slots, in [`Family::ACTIVE`] order.
@@ -752,8 +552,8 @@ impl<'a> AnalysisContext<'a> {
 
     /// Asserts that `self` and `other` carry the same analysis inputs,
     /// with the dispersion series compared **bit-for-bit**. Used by the
-    /// equivalence suite and `repro --ctx-bench --smoke` to hold the
-    /// parallel and reference builds to the serial columnar build.
+    /// equivalence suites to hold the parallel, forced-job-length, and
+    /// epoch-folded builds to the serial build.
     ///
     /// # Panics
     ///
@@ -806,6 +606,7 @@ mod tests {
     use crate::overview::test_support::{attack, dataset};
     use crate::source::dispersion::qualifying_families;
     use crate::source::shift::ShiftAnalysis;
+    use crate::util::BotIndex;
 
     #[test]
     fn vectors_follow_trace_order() {
@@ -874,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_serial_and_reference_builds_agree() {
+    fn parallel_serial_and_chunked_builds_agree() {
         let ds = dataset(vec![
             attack(Family::Dirtjumper, 1, 100, 600, 1),
             attack(Family::Dirtjumper, 2, 150, 600, 1),
@@ -884,9 +685,18 @@ mod tests {
         ]);
         let serial = AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, false);
         let parallel = AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, true);
-        let reference = AnalysisContext::build_reference(&ds, ArimaSpec::DEFAULT);
         serial.assert_same_analysis(&parallel);
-        serial.assert_same_analysis(&reference);
+        // One job per attack, and one job per family.
+        for policy in [KernelPolicy::Chunked(1), KernelPolicy::Chunked(100)] {
+            let chunked = AnalysisContext::build_kernels(
+                &ds,
+                ArimaSpec::DEFAULT,
+                true,
+                policy,
+                &Obs::disabled(),
+            );
+            serial.assert_same_analysis(&chunked);
+        }
     }
 
     #[test]
@@ -917,7 +727,7 @@ mod tests {
             t.metrics.gauge("context/participations"),
             Some(instrumented.sources.participations() as u64)
         );
-        // Every chunk landed in the histogram, and the kernel tallied
+        // Every job landed in the histogram, and the kernel tallied
         // one snapshot per series point (plus any degenerate ones).
         let jobs = t.metrics.gauge("context/family_jobs").unwrap();
         let hist = t

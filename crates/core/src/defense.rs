@@ -79,89 +79,17 @@ impl BlacklistSim {
     /// sorting on the attack index.
     ///
     /// Runs entirely on the context's [`SourceTable`] dictionary ids: a
-    /// per-id generation stamp (the timeline index that last
-    /// blacklisted the id) replaces the per-target hash set, so the
-    /// replay does no hashing and no per-target allocation. Coverage is
-    /// identical to the IP-based replay because each attack's id slice
-    /// mirrors its source list one-to-one, duplicates included.
+    /// per-id stamp (the timeline index that last blacklisted the id)
+    /// replaces the per-target hash set, so the replay does no hashing
+    /// and no per-target allocation. Each attack takes two passes over
+    /// its ids — count the ones already stamped by this target, then
+    /// stamp them all — so duplicates within one attack never score
+    /// against themselves. Coverage is identical to the IP-based replay
+    /// because each attack's id slice mirrors its source list
+    /// one-to-one, duplicates included.
     ///
     /// [`SourceTable`]: crate::columnar::SourceTable
     pub fn run_ctx(ctx: &crate::context::AnalysisContext) -> BlacklistSim {
-        // The fused sweep measured slower than the two-pass reference
-        // replay (BENCH_passes.json, 0.92x), so Auto routes here too;
-        // only an explicit Chunked(_) forces the fused kernel on.
-        if !ctx.kernels.forced_chunked() {
-            return Self::run_ctx_reference(ctx);
-        }
-        let attacks = ctx.dataset.attacks();
-        let sources = &ctx.sources;
-        const NEVER: u32 = u32::MAX;
-        debug_assert!((attacks.len() as u64) < u64::from(NEVER));
-        // The fused kernel folds the count pass and the stamp pass into
-        // one sweep per attack. Each id's stamp holds the attack index
-        // of its *first* touch by whichever target touched it last; the
-        // small `target_of` side table recovers that attack's target,
-        // keeping the dictionary-sized stamp array at four bytes per id
-        // (the replay's working set is this array, randomly indexed —
-        // halving it versus a packed owner|round u64 is what makes the
-        // fused sweep beat the two-pass reference scan). An occurrence
-        // is pre-blocked iff its target owns the stamp from a different
-        // (hence strictly earlier, since a timeline replays in round
-        // order) attack — so duplicates within one attack score exactly
-        // like the two-pass scan, never against themselves — and stamps
-        // are only written on ownership change, preserving first touch.
-        // Targets read only their own stamps, so chunking the timeline
-        // list leaves every coverage untouched; the final sort on
-        // attack index restores trace order for any chunking.
-        let mut target_of: Vec<u32> = vec![0; attacks.len()];
-        for (t, tl) in ctx.target_timelines.iter().enumerate() {
-            for &i in &tl.attacks {
-                target_of[i] = t as u32;
-            }
-        }
-        let mut stamp: Vec<u32> = vec![NEVER; sources.dict_len()];
-        let mut indexed: Vec<(usize, BlacklistHit)> = Vec::new();
-        for range in ctx.kernels.chunks(ctx.target_timelines.len()) {
-            for t in range {
-                let tl = &ctx.target_timelines[t];
-                let t32 = t as u32;
-                for (round, &i) in tl.attacks.iter().enumerate() {
-                    let i32 = i as u32;
-                    let ids = sources.ids_of(i);
-                    let mut known = 0usize;
-                    for &id in ids {
-                        let e = &mut stamp[id as usize];
-                        if *e != NEVER && target_of[*e as usize] == t32 {
-                            known += usize::from(*e != i32);
-                        } else {
-                            *e = i32;
-                        }
-                    }
-                    if round > 0 && !ids.is_empty() {
-                        indexed.push((
-                            i,
-                            BlacklistHit {
-                                target: tl.target,
-                                round,
-                                coverage: known as f64 / ids.len() as f64,
-                                family: attacks[i].family,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        BlacklistSim {
-            hits: indexed.into_iter().map(|(_, h)| h).collect(),
-        }
-    }
-
-    /// The reference id-stamp replay ([`KernelPolicy::Reference`]): a
-    /// count pass then a stamp pass per attack.
-    ///
-    /// [`KernelPolicy::Reference`]: crate::kernels::KernelPolicy::Reference
-    fn run_ctx_reference(ctx: &crate::context::AnalysisContext) -> BlacklistSim {
         let attacks = ctx.dataset.attacks();
         let sources = &ctx.sources;
         const NEVER: u32 = u32::MAX;
@@ -383,19 +311,6 @@ mod tests {
         let ds = dataset(vec![a1, a2, a3, a4]);
         let ctx = crate::context::AnalysisContext::new(&ds);
         assert_eq!(BlacklistSim::run(&ds), BlacklistSim::run_ctx(&ctx));
-        // The fused packed-stamp kernel and the two-pass reference scan
-        // agree for every chunking, duplicate occurrences included.
-        use crate::kernels::KernelPolicy;
-        let expect = BlacklistSim::run_ctx_reference(&ctx);
-        for policy in [
-            KernelPolicy::Auto,
-            KernelPolicy::Chunked(1),
-            KernelPolicy::Chunked(2),
-            KernelPolicy::Chunked(100),
-        ] {
-            let forced = crate::context::AnalysisContext::new(&ds).with_kernels(policy);
-            assert_eq!(BlacklistSim::run_ctx(&forced), expect, "{policy:?}");
-        }
     }
 
     #[test]

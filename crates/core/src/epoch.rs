@@ -48,7 +48,6 @@ use crate::columnar::{
     SourceTable, NO_BOT,
 };
 use crate::context::{AnalysisContext, FamilyContext, TargetTimeline};
-use crate::kernels::KernelPolicy;
 use crate::source::dispersion::FamilyDispersion;
 use crate::util::IpMap;
 
@@ -140,31 +139,6 @@ fn snap_of(
         scratch
     };
     dispersion_precomp_indexed_counted(bots.trigs(), row_list, kernel).map(|d| d.value())
-}
-
-/// The chunked snapshot kernel: dispersion snapshot of every covered
-/// attack, computed as per-chunk partials over the columnar tables and
-/// written back in chunk order. Inactive-family attacks stay `None`
-/// without ever reaching the kernel (so its counters see exactly the
-/// serial build's call sequence), and each element depends only on its
-/// own attack — any chunking of the range is bit-identical.
-fn dispersion_snapshots(
-    sources: &SourceTable,
-    bots: &BotTable,
-    family_slot: &[u8],
-    policy: KernelPolicy,
-    rows: &mut Vec<u32>,
-    kernel: &KernelCounters,
-) -> Vec<Option<f64>> {
-    let mut out = vec![None; family_slot.len()];
-    for range in policy.chunks(family_slot.len()) {
-        for local in range {
-            if family_slot[local] != NO_SLOT {
-                out[local] = snap_of(sources, bots, local, rows, kernel);
-            }
-        }
-    }
-    out
 }
 
 impl EpochContext {
@@ -278,14 +252,6 @@ impl EpochContext {
                 weekly: vec![IpMap::default(); num_weeks],
             })
             .collect();
-        let snaps = dispersion_snapshots(
-            &sources,
-            &bots,
-            &family_slot,
-            KernelPolicy::Auto,
-            &mut ws.rows,
-            &kernel,
-        );
         for (local, a) in attacks.iter().enumerate() {
             let slot_id = family_slot[local];
             if slot_id == NO_SLOT {
@@ -293,7 +259,8 @@ impl EpochContext {
             }
             let slot = &mut slots[slot_id as usize];
             slot.indices.push((attack_base + local) as u32);
-            slot.snaps.push(snaps[local]);
+            slot.snaps
+                .push(snap_of(&sources, &bots, local, &mut ws.rows, &kernel));
             if let Some(w) = window.week_index(a.start) {
                 for (k, &id) in sources.ids_of(local).iter().enumerate() {
                     let row = sources.bot_row(id);
@@ -670,61 +637,5 @@ impl StreamFold {
     /// no batch was pushed).
     pub fn finish(self) -> Option<EpochContext> {
         self.acc
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ddos_sim::{generate, SimConfig};
-
-    /// The snapshot kernel is chunking-invariant — chunk size 1,
-    /// uneven chunks, and chunks wider than the input all reproduce the
-    /// reference scan bit-for-bit, counters included (inactive-family
-    /// attacks never reach the kernel on any path).
-    #[test]
-    fn snapshot_kernel_is_chunking_invariant() {
-        let cfg = SimConfig {
-            scale: 0.004,
-            ..SimConfig::small()
-        };
-        let trace = generate(&cfg);
-        let ds = &trace.dataset;
-        let bots = BotTable::build(ds);
-        let sources = SourceTable::build(ds, &bots, false);
-        let family_slot: Vec<u8> = ds
-            .attacks()
-            .iter()
-            .map(|a| {
-                if a.family.is_active() {
-                    a.family.index() as u8
-                } else {
-                    NO_SLOT
-                }
-            })
-            .collect();
-        assert!(!family_slot.is_empty(), "sim trace must cover attacks");
-
-        let run = |policy: KernelPolicy| {
-            let kernel = KernelCounters::default();
-            let mut rows = Vec::new();
-            let snaps =
-                dispersion_snapshots(&sources, &bots, &family_slot, policy, &mut rows, &kernel);
-            (
-                snaps,
-                kernel.snapshots(),
-                kernel.points(),
-                kernel.degenerate(),
-            )
-        };
-        let reference = run(KernelPolicy::Reference);
-        for chunk in [1, 7, ds.len() + 5] {
-            assert_eq!(
-                run(KernelPolicy::Chunked(chunk)),
-                reference,
-                "chunk={chunk}"
-            );
-        }
-        assert_eq!(run(KernelPolicy::Auto), reference);
     }
 }

@@ -1,9 +1,10 @@
 //! Pipeline-level fault surface.
 //!
-//! [`PipelineError`] is what the fallible `try_*` entry points on
-//! [`crate::pipeline::AnalysisReport`] and the scheduler's
-//! [`crate::passes::try_execute_filtered`] return when a named
-//! failpoint (see `ddos-failpoints`) injects a failure mid-run. The
+//! [`PipelineError`] is what the fallible entry points —
+//! [`crate::Analysis::try_run`], the incremental and streaming `try_*`
+//! methods, and the scheduler's [`crate::passes::try_execute_filtered`] —
+//! return when a named failpoint (see `ddos-failpoints`) injects a
+//! failure mid-run. The
 //! crate-internal [`check`] shim consults the seam and counts every
 //! injection on the [`ddos_obs::names::FAULTS_INJECTED`] counter, so
 //! fault tests can assert the error they saw was the one they

@@ -1,79 +1,27 @@
-//! Kernel execution policy for the data-parallel pass bodies.
+//! The context build's job-length knob, and the dense country slots the
+//! grid-based passes share.
 //!
-//! PR 7 makes the heavy pass bodies *chunked*: a gated pass computes
-//! per-chunk partials over the columnar substrate and merges them
-//! deterministically in chunk order, so the report stays byte-identical
-//! to the serial algorithms for any chunk size (DESIGN.md §12 states
-//! the contract). [`KernelPolicy`] selects which body runs:
-//!
-//! * [`KernelPolicy::Reference`] — the pre-kernel (PR 6) algorithms,
-//!   kept verbatim as the in-binary baseline the equivalence suite and
-//!   `repro --pass-bench` hold the kernels bit-equal to.
-//! * [`KernelPolicy::Auto`] — chunked kernels, one chunk per available
-//!   worker (the default). Two passes are exceptions: `blacklist` and
-//!   `interval_stats` measured *slower* chunked than reference
-//!   (BENCH_passes.json, 0.92x), so under `Auto` those route to their
-//!   reference bodies and are never a regression.
-//! * [`KernelPolicy::Chunked`] — chunked kernels with a fixed chunk
-//!   length, the override the proptests use to force degenerate
-//!   chunkings (size 1, size larger than the input). Forces the
-//!   chunked body on for every gated pass, including the two `Auto`
-//!   routes back to reference.
+//! Every analysis pass has exactly one body (DESIGN.md §12). The one
+//! loop in the pipeline that really spreads chunks over threads is the
+//! context build's per-family source resolution, and [`KernelPolicy`]
+//! sets the length of its jobs. Every policy builds a bit-identical
+//! context, so the report bytes never depend on it.
 
-use std::ops::Range;
-
-use crate::columnar::{chunk_ranges, worker_count};
 use ddos_schema::CountryCode;
 
-/// How the gated pass kernels execute. See the module docs.
+/// How [`AnalysisContext::build_kernels`] cuts each family's attacks
+/// into resolution jobs for its scoped workers.
+///
+/// [`AnalysisContext::build_kernels`]: crate::context::AnalysisContext::build_kernels
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
-    /// The pre-kernel reference algorithms (PR 6 pass bodies).
-    Reference,
-    /// Chunked kernels, one chunk per available worker.
+    /// One job per available worker per family (the default).
     #[default]
     Auto,
-    /// Chunked kernels with a fixed chunk length (clamped to ≥ 1).
+    /// Jobs of a fixed number of attacks (clamped to ≥ 1). Tests use it
+    /// to force multi-job merges on any core count: length 1 makes every
+    /// attack its own job.
     Chunked(usize),
-}
-
-impl KernelPolicy {
-    /// Whether this policy selects the reference pass bodies.
-    pub fn is_reference(self) -> bool {
-        matches!(self, KernelPolicy::Reference)
-    }
-
-    /// Whether chunked execution was explicitly forced on. Passes whose
-    /// chunked kernel measured slower than its reference body
-    /// (`blacklist`, `interval_stats`) run the reference body unless
-    /// this is true, so `Auto` is never slower than `Reference` on any
-    /// pass while `Chunked(_)` still exercises every kernel for the
-    /// equivalence suites.
-    pub fn forced_chunked(self) -> bool {
-        matches!(self, KernelPolicy::Chunked(_))
-    }
-
-    /// The contiguous chunk ranges this policy cuts an input of `len`
-    /// elements into. Ranges cover `0..len` exactly, in order; an empty
-    /// input yields no ranges. `Reference` never consults this (the
-    /// reference bodies are unchunked); it chunks like `Auto` so helper
-    /// code can call it unconditionally.
-    pub fn chunks(self, len: usize) -> Vec<Range<usize>> {
-        match self {
-            KernelPolicy::Reference | KernelPolicy::Auto => chunk_ranges(len, worker_count()),
-            KernelPolicy::Chunked(c) => {
-                let c = c.max(1);
-                let mut out = Vec::with_capacity(len.div_ceil(c));
-                let mut lo = 0;
-                while lo < len {
-                    let hi = (lo + c).min(len);
-                    out.push(lo..hi);
-                    lo = hi;
-                }
-                out
-            }
-        }
-    }
 }
 
 /// Number of dense [`cc_slot`] values (26 × 26 two-letter codes).
@@ -81,7 +29,7 @@ pub(crate) const CC_SLOTS: usize = 26 * 26;
 
 /// Dense array slot of a country code: both bytes are ASCII uppercase
 /// by `CountryCode`'s invariant, so codes index `[0, 26 * 26)` — the
-/// chunked shift kernel trades its per-week hash sets for flat arrays.
+/// shift and country passes count on flat grids instead of hash maps.
 #[inline]
 pub(crate) fn cc_slot(cc: CountryCode) -> usize {
     let b = cc.as_str().as_bytes();
@@ -99,34 +47,6 @@ pub(crate) fn cc_of_slot(slot: usize) -> CountryCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunks_cover_exactly_for_every_policy() {
-        for policy in [
-            KernelPolicy::Reference,
-            KernelPolicy::Auto,
-            KernelPolicy::Chunked(0),
-            KernelPolicy::Chunked(1),
-            KernelPolicy::Chunked(3),
-            KernelPolicy::Chunked(100),
-        ] {
-            for len in [0usize, 1, 2, 7, 64] {
-                let ranges = policy.chunks(len);
-                let covered: usize = ranges.iter().map(|r| r.len()).sum();
-                assert_eq!(covered, len, "{policy:?} over {len}");
-                assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
-                if len > 0 {
-                    assert_eq!(ranges.first().unwrap().start, 0);
-                    assert_eq!(ranges.last().unwrap().end, len);
-                } else {
-                    assert!(ranges.is_empty());
-                }
-            }
-        }
-        // A fixed chunk length cuts exactly ceil(len / c) ranges.
-        assert_eq!(KernelPolicy::Chunked(3).chunks(7).len(), 3);
-        assert_eq!(KernelPolicy::Chunked(100).chunks(7).len(), 1);
-    }
 
     #[test]
     fn cc_slots_are_dense_and_distinct() {

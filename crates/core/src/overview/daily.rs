@@ -24,30 +24,6 @@ impl DailyDistribution {
         Self::compute_filtered(ds, Some(family))
     }
 
-    /// Context-based variant of [`DailyDistribution::compute`]: buckets
-    /// the context's precomputed start vector as per-chunk count
-    /// partials. Bucket increments are integer adds into disjoint
-    /// per-day cells, so any chunking merges to exactly the sequential
-    /// counts.
-    pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> DailyDistribution {
-        if ctx.kernels.is_reference() {
-            return Self::compute(ctx.dataset);
-        }
-        let window = ctx.dataset.window();
-        let mut counts = vec![0usize; window.num_days()];
-        for range in ctx.kernels.chunks(ctx.all_starts.len()) {
-            for &t in &ctx.all_starts[range] {
-                if let Some(d) = window.day_index(t) {
-                    counts[d] += 1;
-                }
-            }
-        }
-        DailyDistribution {
-            counts,
-            first_day: window.start,
-        }
-    }
-
     fn compute_filtered(ds: &Dataset, family: Option<Family>) -> DailyDistribution {
         let window = ds.window();
         let mut counts = vec![0usize; window.num_days()];
@@ -126,28 +102,6 @@ mod tests {
         assert_eq!(d.counts[2], 0);
         assert_eq!(d.peak(), Some((0, 2)));
         assert!((d.mean_per_day() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ctx_kernel_matches_dataset_scan_for_every_chunking() {
-        use crate::kernels::KernelPolicy;
-        let ds = dataset(vec![
-            attack(Family::Dirtjumper, 1, 100, 60, 1),
-            attack(Family::Dirtjumper, 2, 1_000, 60, 1),
-            attack(Family::Pandora, 3, 86_400 + 5, 60, 2),
-            attack(Family::Yzf, 4, 3 * 86_400, 60, 3),
-        ]);
-        let expect = DailyDistribution::compute(&ds);
-        for policy in [
-            KernelPolicy::Reference,
-            KernelPolicy::Auto,
-            KernelPolicy::Chunked(1),
-            KernelPolicy::Chunked(3),
-            KernelPolicy::Chunked(100),
-        ] {
-            let ctx = crate::context::AnalysisContext::new(&ds).with_kernels(policy);
-            assert_eq!(DailyDistribution::compute_ctx(&ctx), expect, "{policy:?}");
-        }
     }
 
     #[test]

@@ -4,8 +4,6 @@ use ddos_schema::{Dataset, Family, Timestamp};
 use ddos_stats::{descriptive, Ecdf};
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::KernelPolicy;
-
 /// Duration analysis over a trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DurationAnalysis {
@@ -35,7 +33,8 @@ impl DurationAnalysis {
 
     /// Context-based variant of [`DurationAnalysis::compute`]: reuses
     /// the start and duration vectors precomputed in the analysis
-    /// context (both in trace order, so the series is identical).
+    /// context (both in trace order, so the series is identical), and
+    /// sorts the duration sample once for both quantiles.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> Option<DurationAnalysis> {
         let series: Vec<(Timestamp, f64)> = ctx
             .all_starts
@@ -43,11 +42,7 @@ impl DurationAnalysis {
             .copied()
             .zip(ctx.durations.iter().copied())
             .collect();
-        if ctx.kernels.is_reference() {
-            Self::from_series(series)
-        } else {
-            Self::from_series_kernel(series, ctx.kernels)
-        }
+        Self::from_series_one_sort(series)
     }
 
     fn compute_filtered(ds: &Dataset, family: Option<Family>) -> Option<DurationAnalysis> {
@@ -74,23 +69,16 @@ impl DurationAnalysis {
         })
     }
 
-    /// Kernel variant of [`DurationAnalysis::from_series`]: the duration
-    /// sample is extracted as per-chunk runs concatenated in chunk order
-    /// (identical to the sequential extraction), the mean and deviation
-    /// read it in that original order, and one shared sort feeds both
-    /// quantiles — the reference sorts the same sample with the same
-    /// comparator twice, so every statistic is bit-identical.
-    fn from_series_kernel(
-        series: Vec<(Timestamp, f64)>,
-        policy: KernelPolicy,
-    ) -> Option<DurationAnalysis> {
+    /// [`DurationAnalysis::from_series`] with one sort instead of two:
+    /// the mean and deviation read the sample in its original order,
+    /// then one sort feeds both quantiles. `from_series` sorts the same
+    /// sample with the same comparator twice, so every statistic is
+    /// bit-identical.
+    fn from_series_one_sort(series: Vec<(Timestamp, f64)>) -> Option<DurationAnalysis> {
         if series.is_empty() {
             return None;
         }
-        let mut xs: Vec<f64> = Vec::with_capacity(series.len());
-        for range in policy.chunks(series.len()) {
-            xs.extend(series[range].iter().map(|&(_, d)| d));
-        }
+        let mut xs: Vec<f64> = series.iter().map(|&(_, d)| d).collect();
         let mean = descriptive::mean(&xs)?;
         let std_dev = descriptive::std_dev_population(&xs)?;
         xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in duration sample"));
@@ -121,7 +109,7 @@ impl DurationAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overview::test_support::{attack, dataset};
+    use crate::overview::test_support::{attack, chunked_contexts, dataset};
 
     #[test]
     fn statistics_over_known_durations() {
@@ -153,22 +141,20 @@ mod tests {
 
     #[test]
     fn kernel_statistics_match_reference_for_every_chunking() {
-        let series: Vec<(Timestamp, f64)> = [100.0, 200.0, 200.0, 600.0, 50.0, 13_882.0]
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (Timestamp(i as i64 * 10), d))
-            .collect();
-        let expect = DurationAnalysis::from_series(series.clone()).unwrap();
-        for policy in [
-            KernelPolicy::Auto,
-            KernelPolicy::Chunked(1),
-            KernelPolicy::Chunked(4),
-            KernelPolicy::Chunked(100),
-        ] {
-            let got = DurationAnalysis::from_series_kernel(series.clone(), policy).unwrap();
-            assert_eq!(got, expect, "{policy:?}");
+        // Repeated durations, and an even count so the median averages.
+        let ds = dataset(
+            [100, 200, 200, 600, 50, 13_882]
+                .into_iter()
+                .enumerate()
+                .map(|(i, d)| attack(Family::Dirtjumper, i as u64 + 1, i as i64 * 10, d, 1))
+                .collect(),
+        );
+        let expect = DurationAnalysis::compute(&ds);
+        assert!(expect.is_some());
+        for (policy, ctx) in chunked_contexts(&ds) {
+            assert_eq!(DurationAnalysis::compute_ctx(&ctx), expect, "{policy:?}");
         }
-        assert!(DurationAnalysis::from_series_kernel(vec![], KernelPolicy::Auto).is_none());
+        assert!(DurationAnalysis::from_series_one_sort(vec![]).is_none());
     }
 
     #[test]

@@ -6,8 +6,6 @@ use ddos_schema::{Dataset, Family, Timestamp};
 use ddos_stats::{descriptive, Ecdf};
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::KernelPolicy;
-
 /// Inter-attack intervals of one family, in chronological order of the
 /// family's attacks (seconds; zero = simultaneous).
 pub fn family_intervals(ds: &Dataset, family: Family) -> Vec<i64> {
@@ -70,46 +68,6 @@ impl IntervalStats {
             p80: descriptive::quantile(&xs, 0.8)?,
             max: xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
             concurrent_fraction: zeros as f64 / xs.len() as f64,
-        })
-    }
-
-    /// The chunked interval kernel: per-chunk partials for the f64
-    /// sample, the zero count, and the maximum — sample runs concatenate
-    /// in chunk order, counts add, and `max` over the NaN-free sample is
-    /// associative, so every chunking reproduces
-    /// [`IntervalStats::compute`] bit-for-bit. The percentile sorts the
-    /// merged sample in place (same comparator as
-    /// [`descriptive::quantile`], after the order-sensitive mean and
-    /// standard deviation are taken on the original order), skipping the
-    /// reference path's clone of the sample.
-    pub(crate) fn compute_kernel(intervals: &[i64], policy: KernelPolicy) -> Option<IntervalStats> {
-        if intervals.is_empty() {
-            return None;
-        }
-        let mut xs: Vec<f64> = Vec::with_capacity(intervals.len());
-        let mut zeros = 0usize;
-        let mut max = f64::NEG_INFINITY;
-        for range in policy.chunks(intervals.len()) {
-            let chunk = &intervals[range];
-            xs.extend(chunk.iter().map(|&v| v as f64));
-            zeros += chunk.iter().filter(|&&v| v == 0).count();
-            let chunk_max = chunk
-                .iter()
-                .map(|&v| v as f64)
-                .fold(f64::NEG_INFINITY, f64::max);
-            max = max.max(chunk_max);
-        }
-        let count = xs.len();
-        let mean = descriptive::mean(&xs)?;
-        let std_dev = descriptive::std_dev_population(&xs)?;
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in interval sample"));
-        Some(IntervalStats {
-            count,
-            mean,
-            std_dev,
-            p80: descriptive::quantile_sorted(&xs, 0.8),
-            max,
-            concurrent_fraction: zeros as f64 / count as f64,
         })
     }
 }
@@ -330,22 +288,6 @@ mod tests {
         assert_eq!(s.max, 300.0);
         assert_eq!(s.mean, 100.0);
         assert!(IntervalStats::compute(&[]).is_none());
-    }
-
-    #[test]
-    fn kernel_stats_match_reference_for_every_chunking() {
-        let intervals = vec![0, 0, 30, 400, 2_000, 8_000, 90_000, 0, 7];
-        let expect = IntervalStats::compute(&intervals).unwrap();
-        for policy in [
-            KernelPolicy::Auto,
-            KernelPolicy::Chunked(1),
-            KernelPolicy::Chunked(4),
-            KernelPolicy::Chunked(100),
-        ] {
-            let got = IntervalStats::compute_kernel(&intervals, policy).unwrap();
-            assert_eq!(got, expect, "{policy:?}");
-        }
-        assert!(IntervalStats::compute_kernel(&[], KernelPolicy::Auto).is_none());
     }
 
     #[test]

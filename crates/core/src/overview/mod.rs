@@ -11,11 +11,16 @@ pub mod protocols;
 pub(crate) mod test_support {
     //! Hand-built miniature datasets for overview unit tests.
 
+    use ddos_obs::Obs;
     use ddos_schema::record::Location;
     use ddos_schema::{
         Asn, AttackRecord, BotnetId, CityId, Dataset, DatasetBuilder, DdosId, Family, IpAddr4,
         LatLon, OrgId, Protocol, Timestamp, Window,
     };
+    use ddos_stats::ArimaSpec;
+
+    use crate::context::AnalysisContext;
+    use crate::kernels::KernelPolicy;
 
     /// Window of 10 days starting at the epoch.
     pub fn window() -> Window {
@@ -58,5 +63,29 @@ pub(crate) mod test_support {
         let mut b = DatasetBuilder::new(window());
         b.extend_attacks(attacks).unwrap();
         b.build().unwrap()
+    }
+
+    /// The context of `ds` under every family-resolution job length:
+    /// one job per worker, one per attack, three attacks per job, and
+    /// one per family. A pass body must match its dataset scan on each.
+    pub fn chunked_contexts(ds: &Dataset) -> Vec<(KernelPolicy, AnalysisContext<'_>)> {
+        [
+            KernelPolicy::Auto,
+            KernelPolicy::Chunked(1),
+            KernelPolicy::Chunked(3),
+            KernelPolicy::Chunked(100),
+        ]
+        .into_iter()
+        .map(|policy| {
+            let ctx = AnalysisContext::build_kernels(
+                ds,
+                ArimaSpec::DEFAULT,
+                true,
+                policy,
+                &Obs::disabled(),
+            );
+            (policy, ctx)
+        })
+        .collect()
     }
 }

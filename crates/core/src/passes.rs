@@ -9,6 +9,16 @@
 //! dependencies, the parallel schedule produces a report byte-identical
 //! to the serial one; only the recorded telemetry differs.
 //!
+//! Each pass has exactly one body. Most bodies read the context's
+//! shared joins where the dataset scans behind
+//! [`crate::Analysis::baseline`] rebuild them, and some run a faster
+//! algorithm than their scan (the dense shift and country grids, the
+//! sorted-gap recurrence scorer, the collaboration sort-sweep, the
+//! single-sort duration statistics, the id-stamp blacklist replay); the
+//! rest *are* the dataset scan. The baseline report is the one
+//! independent oracle every body that differs from its scan is tested
+//! against.
+//!
 //! Observability: [`execute`] records one `passes/<name>` span per pass
 //! and one `scheduler/stage<i>` span per dependency stage into the
 //! [`Obs`] it is handed, plus a `scheduler/wait_us` histogram of
@@ -166,21 +176,10 @@ pub struct PassSpec {
     /// the superset.
     pub reads: &'static [CtxPart],
     /// The pass body. Must be a pure function of the context and the
-    /// declared dependencies' slots in the partial report; the observer
-    /// is for `kernels/*` telemetry only and never changes the output.
+    /// declared dependencies' slots in the partial report. The observer
+    /// lets a body record its own metrics; none does today, and
+    /// recording may never change the output.
     pub run: fn(&AnalysisContext, &PartialReport, &Obs) -> PassOutput,
-}
-
-/// Records one gated pass body's kernel telemetry: how many chunks its
-/// policy splits `items` into (`kernels/chunks`), skipped under
-/// [`KernelPolicy::Reference`] where no chunked kernel runs.
-///
-/// [`KernelPolicy::Reference`]: crate::kernels::KernelPolicy::Reference
-fn record_kernel_chunks(ctx: &AnalysisContext, obs: &Obs, items: usize) {
-    if !ctx.kernels.is_reference() {
-        obs.histogram("kernels/chunks")
-            .record(ctx.kernels.chunks(items).len() as u64);
-    }
 }
 
 fn pass_protocols(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
@@ -195,58 +194,39 @@ fn pass_summary(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOut
     PassOutput::Summary(SummaryComparison::compute(ctx.dataset))
 }
 
-fn pass_daily(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/daily");
-    record_kernel_chunks(ctx, obs, ctx.all_starts.len());
-    PassOutput::Daily(DailyDistribution::compute_ctx(ctx))
+fn pass_daily(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
+    PassOutput::Daily(DailyDistribution::compute(ctx.dataset))
 }
 
-fn pass_interval_stats(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/interval_stats");
+fn pass_interval_stats(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::IntervalStats(
         ctx.families()
             .iter()
             .map(|fc| {
-                let ivs = starts_to_intervals(&fc.starts);
-                // The scalar interval fold measured slower chunked than
-                // reference, so Auto routes to the reference body; only
-                // an explicit Chunked(_) forces the kernel on.
-                let stats = if ctx.kernels.forced_chunked() {
-                    record_kernel_chunks(ctx, obs, ivs.len());
-                    IntervalStats::compute_kernel(&ivs, ctx.kernels)
-                } else {
-                    IntervalStats::compute(&ivs)
-                };
-                (fc.family, stats)
+                (
+                    fc.family,
+                    IntervalStats::compute(&starts_to_intervals(&fc.starts)),
+                )
             })
             .collect(),
     )
 }
 
-fn pass_all_interval_stats(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/all_interval_stats");
-    let ivs = starts_to_intervals(&ctx.all_starts);
-    record_kernel_chunks(ctx, obs, ivs.len());
-    PassOutput::AllIntervalStats(if ctx.kernels.is_reference() {
-        IntervalStats::compute(&ivs)
-    } else {
-        IntervalStats::compute_kernel(&ivs, ctx.kernels)
-    })
+fn pass_all_interval_stats(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
+    PassOutput::AllIntervalStats(IntervalStats::compute(&starts_to_intervals(
+        &ctx.all_starts,
+    )))
 }
 
 fn pass_concurrency(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Concurrency(ConcurrencyAnalysis::compute_ctx(ctx))
 }
 
-fn pass_durations(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/durations");
-    record_kernel_chunks(ctx, obs, ctx.durations.len());
+fn pass_durations(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Durations(DurationAnalysis::compute_ctx(ctx))
 }
 
-fn pass_shifts(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/shifts");
-    record_kernel_chunks(ctx, obs, ctx.dataset.window().num_weeks());
+fn pass_shifts(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Shifts(ShiftAnalysis::compute_ctx(ctx))
 }
 
@@ -258,21 +238,15 @@ fn pass_prediction(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> Pass
     PassOutput::Prediction(PredictionAnalysis::compute_ctx(ctx))
 }
 
-fn pass_target_countries(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/target_countries");
-    record_kernel_chunks(ctx, obs, ctx.dataset.len());
+fn pass_target_countries(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::TargetCountries(all_profiles_ctx(ctx))
 }
 
-fn pass_overall_targets(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/overall_targets");
-    record_kernel_chunks(ctx, obs, ctx.dataset.len());
+fn pass_overall_targets(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::OverallTargets(overall_top_countries_ctx(ctx, 5))
 }
 
-fn pass_collaborations(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/collaborations");
-    record_kernel_chunks(ctx, obs, ctx.target_timelines.len());
+fn pass_collaborations(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Collaborations(CollabAnalysis::compute_ctx(ctx))
 }
 
@@ -297,20 +271,11 @@ fn pass_activity(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOu
     PassOutput::Activity(activity_levels(ctx.dataset))
 }
 
-fn pass_recurrence(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/recurrence");
-    record_kernel_chunks(ctx, obs, ctx.target_timelines.len());
+fn pass_recurrence(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Recurrence(RecurrenceAnalysis::compute_ctx(ctx))
 }
 
-fn pass_blacklist(ctx: &AnalysisContext, _: &PartialReport, obs: &Obs) -> PassOutput {
-    let _k = obs.span("kernels/blacklist");
-    // Auto routes this pass to the reference replay (see
-    // `BlacklistSim::run_ctx`), so only a forced chunking runs — and
-    // records — the fused kernel.
-    if ctx.kernels.forced_chunked() {
-        record_kernel_chunks(ctx, obs, ctx.target_timelines.len());
-    }
+fn pass_blacklist(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Blacklist(BlacklistSim::run_ctx(ctx))
 }
 
@@ -444,9 +409,8 @@ pub const REGISTRY: &[PassSpec] = &[
     },
 ];
 
-/// What one pass run yields: `(name, output, start_us, end_us)`, or the
-/// injected fault that stopped it.
-type PassRun = Result<(&'static str, PassOutput, u64, u64), PipelineError>;
+/// What one pass run yields: `(name, output, start_us, end_us)`.
+type PassRun = (&'static str, PassOutput, u64, u64);
 
 /// Runs one pass, stamping its start/end offsets off the observer's
 /// clock (offsets are recorded by the driver after the join, so worker
@@ -457,10 +421,9 @@ fn run_pass(
     partial: &PartialReport,
     obs: &Obs,
 ) -> PassRun {
-    fault::check(fault::SCHEDULER_PASS, obs)?;
     let start_us = obs.now_us();
     let out = (pass.run)(ctx, partial, obs);
-    Ok((pass.name, out, start_us, obs.now_us()))
+    (pass.name, out, start_us, obs.now_us())
 }
 
 /// The set of passes whose inputs a change to `parts` invalidates.
@@ -540,13 +503,13 @@ pub fn execute_filtered(
 }
 
 /// Fallible [`execute_filtered`]: the `scheduler/pass` failpoint is
-/// consulted once per pass (in registry order on the serial path), and
-/// an injection surfaces as `Err` with the whole stage's other outputs
-/// discarded — `partial` keeps the slots of every *completed* stage but
-/// none from the failed one, so a caller either finishes cleanly or
-/// throws the partial away. Error selection is deterministic: within a
-/// failing stage the error of the earliest pass in registry order wins,
-/// regardless of thread interleaving.
+/// consulted once per pass, on the calling thread and in registry
+/// order, before any pass of its stage runs. An injection surfaces as
+/// `Err` before the stage starts — `partial` keeps the slots of every
+/// *completed* stage but none from the failed one, so a caller either
+/// finishes cleanly or throws the partial away. Because no worker
+/// thread consults the seam, the failing pass and its hit index never
+/// depend on thread interleaving.
 pub fn try_execute_filtered(
     ctx: &AnalysisContext,
     parallel: bool,
@@ -573,9 +536,14 @@ pub fn try_execute_filtered(
             "pass registry has a dependency cycle or an unknown dep name"
         );
         remaining = rest;
+        // One consult per pass, here on the scheduling thread, before
+        // anything spawns (see the doc comment above).
+        for _ in &stage {
+            fault::check(fault::SCHEDULER_PASS, obs)?;
+        }
         let stage_start = obs.now_us();
         let threaded = parallel && stage.len() > 1;
-        let mut results: Vec<PassRun> = if threaded {
+        let results: Vec<PassRun> = if threaded {
             let partial_ref: &PartialReport = partial;
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = stage
@@ -594,14 +562,7 @@ pub fn try_execute_filtered(
                 .map(|&p| run_pass(p, ctx, partial, obs))
                 .collect()
         };
-        // Surface the earliest failure (stage order == registry order)
-        // before applying anything: a failed stage contributes no
-        // slots, so `partial` never mixes outputs with an error.
-        if let Some(i) = results.iter().position(|r| r.is_err()) {
-            return Err(results.swap_remove(i).expect_err("position said Err"));
-        }
-        for r in results {
-            let (name, out, start_us, end_us) = r.expect("stage errors handled above");
+        for (name, out, start_us, end_us) in results {
             if threaded {
                 // Spawn-to-start latency: how long the pass sat between
                 // the stage opening and its thread actually running it.

@@ -5,9 +5,9 @@
 //! pipeline: it builds the shared [`AnalysisContext`] once, executes the
 //! [`crate::passes::REGISTRY`] through the dependency-aware scheduler
 //! (in parallel by default), and assembles the report from the pass
-//! outputs. [`AnalysisReport::run_baseline`] preserves the original
-//! monolithic path — every analysis rescanning the dataset for itself —
-//! as the reference for equivalence tests and the pipeline benchmark.
+//! outputs. [`Analysis::baseline`] runs the original monolithic path —
+//! every analysis rescanning the dataset for itself — which stays as the
+//! one independent oracle the equivalence tests hold every pass body to.
 //!
 //! Every run carries a [`RunTelemetry`]: hierarchical spans per build
 //! stage and per pass, plus scheduler/kernel metrics, recorded through
@@ -51,7 +51,7 @@ use crate::util::BotIndex;
 /// Non-exhaustive so future flags don't break downstream construction:
 /// build one with [`PipelineOptions::new`] (or `default()`) and the
 /// builder-style setters, e.g.
-/// `PipelineOptions::new().parallel(false).kernels(KernelPolicy::Reference)`.
+/// `PipelineOptions::new().parallel(false).telemetry(false)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct PipelineOptions {
@@ -66,11 +66,10 @@ pub struct PipelineOptions {
     /// code runs and the report bytes are identical (the conformance
     /// suite asserts this); only the telemetry artifact is empty.
     pub telemetry: bool,
-    /// Which pass-body kernels to run: the chunked partial-merge
-    /// kernels (`Auto`, the default; `Chunked` forces a chunk length)
-    /// or the pre-kernel reference algorithms (`Reference`). Report
-    /// bytes are identical for every policy — the golden suite and the
-    /// kernel proptests pin this.
+    /// The job length of the monolithic context build's per-family
+    /// resolution (see [`KernelPolicy`]); the epoch engines never read
+    /// it. Report bytes are identical for every policy — the golden
+    /// suite and the kernel proptests pin this.
     pub kernels: KernelPolicy,
 }
 
@@ -112,7 +111,7 @@ impl PipelineOptions {
         self
     }
 
-    /// Sets the kernel policy for the pass bodies.
+    /// Sets the context build's job-length policy.
     pub fn kernels(mut self, kernels: KernelPolicy) -> PipelineOptions {
         self.kernels = kernels;
         self
@@ -166,14 +165,14 @@ pub struct AnalysisReport {
     /// Spans and metrics of the run (machine-dependent metadata —
     /// never serialized, so parallel and serial reports stay
     /// byte-identical). Empty when telemetry was off or the report
-    /// came from [`AnalysisReport::run_baseline`].
+    /// came from [`Analysis::baseline`].
     #[serde(skip)]
     pub telemetry: RunTelemetry,
 }
 
 /// The monolithic engine: one context build, one pass-scheduler run,
 /// recording into `obs`. The body behind `Analysis::try_run` (batch
-/// mode) and the legacy `run_opts`/`run_obs` shims.
+/// mode).
 pub(crate) fn run_monolithic(
     ds: &Dataset,
     opts: PipelineOptions,
@@ -193,8 +192,7 @@ pub(crate) fn run_monolithic(
 }
 
 /// Runs the pass scheduler over a context built elsewhere, recording
-/// into `obs`. The body behind `Analysis::over(..).try_run()` and the
-/// legacy `run_on` shim.
+/// into `obs`. The body behind `Analysis::over(..).try_run()`.
 pub(crate) fn run_over(
     ctx: &AnalysisContext,
     parallel: bool,
@@ -211,7 +209,7 @@ pub(crate) fn run_over(
 /// threads when `opts.parallel`), and the contexts fold pairwise into
 /// one — which the merge laws guarantee is bit-identical to the
 /// monolithic [`AnalysisContext::build`]. The body behind
-/// `Analysis::epochs(..).try_run()` and the legacy `run_epochs` shims.
+/// `Analysis::epochs(..).try_run()`.
 pub(crate) fn run_folded(
     ds: &Dataset,
     opts: PipelineOptions,
@@ -284,9 +282,7 @@ pub(crate) fn run_folded(
         .expect("a dataset always has at least one shard");
     let ctx = {
         let _span = obs.span("context");
-        folded
-            .into_context(ds, opts.spec)
-            .with_kernels(opts.kernels)
+        folded.into_context(ds, opts.spec)
     };
     let partial = passes::try_execute(&ctx, opts.parallel, obs)?;
     let mut report = {
@@ -299,12 +295,12 @@ pub(crate) fn run_folded(
 
 /// The pre-refactor monolithic pipeline: every analysis rescans the
 /// dataset for itself (the dispersion join runs twice, the shift join a
-/// third time, four analyses regroup the per-target index). Kept as the
-/// reference implementation — the equivalence tests assert the
-/// pass-based pipeline serializes identically, and the
-/// `repro --pipeline-bench` flag measures the speedup against it. The
-/// body behind `Analysis::baseline()` and the legacy `run_baseline`
-/// shim.
+/// third time, four analyses regroup the per-target index). It shares
+/// no pass body with the context path, which makes it the one
+/// independent oracle: the equivalence tests assert the pass-based
+/// pipeline serializes identically, and `repro --pipeline-bench`
+/// measures the speedup against it. The body behind
+/// `Analysis::baseline()`.
 pub(crate) fn baseline_report(ds: &Dataset, spec: ArimaSpec) -> AnalysisReport {
     let bots = BotIndex::build(ds);
     let collaborations = CollabAnalysis::compute(ds);
@@ -346,146 +342,6 @@ impl AnalysisReport {
     /// [`Analysis::new`]`(ds).run()`.
     pub fn run(ds: &Dataset) -> AnalysisReport {
         Analysis::new(ds).run()
-    }
-
-    /// Runs the full pipeline with a chosen ARIMA order.
-    #[deprecated(note = "use the `Analysis` builder: `Analysis::new(ds).spec(spec).run()`")]
-    pub fn run_with(ds: &Dataset, spec: ArimaSpec) -> AnalysisReport {
-        Analysis::new(ds).spec(spec).run()
-    }
-
-    /// Opens a binary trace file (`DDTL` v1 or v2 — memory-mapped, with
-    /// framed v2 inputs decoded in parallel) and runs the full pipeline
-    /// on it with default options.
-    #[deprecated(note = "open the trace with `Dataset::open` and run `Analysis::new(&ds).run()`")]
-    pub fn run_path(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<AnalysisReport, ddos_schema::SchemaError> {
-        Ok(Analysis::new(&Dataset::open(path)?).run())
-    }
-
-    /// Runs the pass-based pipeline with explicit options. The
-    /// `parallel` flag governs both the context build (chunked
-    /// per-family fan-out over the columnar substrate) and the pass
-    /// scheduler; the serialized report is identical either way.
-    #[deprecated(note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).run()`")]
-    pub fn run_opts(ds: &Dataset, opts: PipelineOptions) -> AnalysisReport {
-        Analysis::new(ds).options(opts).run()
-    }
-
-    /// Fallible `run_opts`: surfaces a `scheduler/pass` fault injection
-    /// as `Err` instead of panicking. The pipeline holds no cross-run
-    /// state, so retrying the same call without the fault plan
-    /// reproduces the golden report.
-    #[deprecated(note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).try_run()`")]
-    pub fn try_run_opts(
-        ds: &Dataset,
-        opts: PipelineOptions,
-    ) -> Result<AnalysisReport, PipelineError> {
-        Analysis::new(ds).options(opts).try_run()
-    }
-
-    /// Like `run_opts`, but records into a caller-supplied [`Obs`].
-    /// Loaders use this to land their ingest telemetry in the same
-    /// [`RunTelemetry`] as the analysis spans; `opts.telemetry` is
-    /// ignored in favour of the recorder's own enabled state.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).obs(obs).run()`"
-    )]
-    pub fn run_obs(ds: &Dataset, opts: PipelineOptions, obs: &Obs) -> AnalysisReport {
-        Analysis::new(ds).options(opts).obs(obs).run()
-    }
-
-    /// Fallible `run_obs` — see the `try_run_opts` error contract.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).obs(obs).try_run()`"
-    )]
-    pub fn try_run_obs(
-        ds: &Dataset,
-        opts: PipelineOptions,
-        obs: &Obs,
-    ) -> Result<AnalysisReport, PipelineError> {
-        Analysis::new(ds).options(opts).obs(obs).try_run()
-    }
-
-    /// Runs the pass scheduler over a context built elsewhere (the
-    /// conformance suite uses this to feed the same passes a columnar
-    /// and a reference-built context). No telemetry is recorded — the
-    /// context build, where most of it lives, already happened.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::over(ctx).parallel(parallel).run()`"
-    )]
-    pub fn run_on(ctx: &AnalysisContext, parallel: bool) -> AnalysisReport {
-        Analysis::over(ctx).parallel(parallel).run()
-    }
-
-    /// Runs the pipeline through the epoch-sharded engine — see
-    /// [`Analysis::epochs`].
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).epochs(len).run()`"
-    )]
-    pub fn run_epochs(ds: &Dataset, opts: PipelineOptions, epoch_len: Seconds) -> AnalysisReport {
-        Analysis::new(ds).options(opts).epochs(epoch_len).run()
-    }
-
-    /// Fallible `run_epochs`: the `epoch/merge` failpoint is consulted
-    /// before every pairwise merge of the fold (and `scheduler/pass`
-    /// before every pass), so an injected mid-fold abort surfaces as
-    /// `Err` with all intermediate contexts dropped. Retrying rebuilds
-    /// every shard from the dataset and reproduces the golden report.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).epochs(len).try_run()`"
-    )]
-    pub fn try_run_epochs(
-        ds: &Dataset,
-        opts: PipelineOptions,
-        epoch_len: Seconds,
-    ) -> Result<AnalysisReport, PipelineError> {
-        Analysis::new(ds).options(opts).epochs(epoch_len).try_run()
-    }
-
-    /// Runs the pipeline by appending epochs one at a time through an
-    /// [`IncrementalPipeline`] — see [`Analysis::incremental`].
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).epochs(len).incremental().run()`"
-    )]
-    pub fn run_incremental(
-        ds: &Dataset,
-        opts: PipelineOptions,
-        epoch_len: Seconds,
-    ) -> AnalysisReport {
-        Analysis::new(ds)
-            .options(opts)
-            .epochs(epoch_len)
-            .incremental()
-            .run()
-    }
-
-    /// Fallible `run_incremental` — see
-    /// [`IncrementalPipeline::try_append_epoch`] for the per-append
-    /// error contract.
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).options(opts).epochs(len).incremental().try_run()`"
-    )]
-    pub fn try_run_incremental(
-        ds: &Dataset,
-        opts: PipelineOptions,
-        epoch_len: Seconds,
-    ) -> Result<AnalysisReport, PipelineError> {
-        Analysis::new(ds)
-            .options(opts)
-            .epochs(epoch_len)
-            .incremental()
-            .try_run()
-    }
-
-    /// The pre-refactor monolithic pipeline — see
-    /// [`Analysis::baseline`].
-    #[deprecated(
-        note = "use the `Analysis` builder: `Analysis::new(ds).spec(spec).baseline().run()`"
-    )]
-    pub fn run_baseline(ds: &Dataset, spec: ArimaSpec) -> AnalysisReport {
-        Analysis::new(ds).spec(spec).baseline().run()
     }
 }
 
@@ -530,7 +386,7 @@ impl ObsSlot<'_> {
 /// sections keep their slots. After the last epoch the accumulator
 /// covers the whole trace — the merge laws make it bit-identical to the
 /// monolithic build — so [`IncrementalPipeline::into_report`] is
-/// byte-identical to [`AnalysisReport::run_opts`].
+/// byte-identical to the batch pipeline's report.
 ///
 /// Mid-stream caveat: passes read `ctx.dataset` for the raw records, so
 /// between the first and last append a re-run pass sees the *full*
@@ -807,9 +663,7 @@ impl<'a> IncrementalPipeline<'a> {
         };
         let ctx = {
             let _span = self.obs.get().span("epoch/materialize");
-            acc_ref
-                .to_context(dataset, self.opts.spec)
-                .with_kernels(self.opts.kernels)
+            acc_ref.to_context(dataset, self.opts.spec)
         };
         passes::try_execute_filtered(
             &ctx,

@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 use ddos_schema::{CountryCode, Dataset, Family, IpAddr4};
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::{cc_slot, KernelPolicy, CC_SLOTS};
+use crate::kernels::{cc_slot, CC_SLOTS};
 use crate::util::BotIndex;
 
 /// One week's aggregated shift counts (Fig. 8's stacked bars).
@@ -62,16 +62,13 @@ impl ShiftAnalysis {
 
     /// Context-based variant of [`ShiftAnalysis::compute`]: consumes the
     /// weekly bot maps already built (from the context's single
-    /// geolocation join) instead of resolving every attack source again.
+    /// geolocation join) instead of resolving every attack source again,
+    /// and classifies them on a dense count grid.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> ShiftAnalysis {
         let num_weeks = ctx.dataset.window().num_weeks();
         let mut weeks = Self::empty_weeks(num_weeks);
         for fc in ctx.families() {
-            if ctx.kernels.is_reference() {
-                Self::classify_family(&mut weeks, &fc.weekly_bots);
-            } else {
-                Self::classify_family_dense(&mut weeks, &fc.weekly_bots, ctx.kernels);
-            }
+            Self::classify_family_dense(&mut weeks, &fc.weekly_bots);
         }
         ShiftAnalysis { weeks }
     }
@@ -113,26 +110,21 @@ impl ShiftAnalysis {
         }
     }
 
-    /// The chunked shift kernel: same classification as
-    /// [`ShiftAnalysis::classify_family`], restated over a dense
-    /// per-(week, country) count grid. One chunked pass over the weekly
-    /// maps (the expensive hash iteration) accumulates the grid — pure
-    /// integer adds into disjoint `(week, country)` cells, so any
-    /// chunking merges to the same counts — and the classification then
-    /// runs on the grid alone: a country's bots count as "new" exactly
-    /// in its first active week, which is the set-based rule restated.
+    /// The same classification as [`ShiftAnalysis::classify_family`],
+    /// restated over a dense per-(week, country) count grid. One pass
+    /// over the weekly maps (the expensive hash iteration) accumulates
+    /// the grid, and the classification then runs on the grid alone: a
+    /// country's bots count as "new" exactly in its first active week,
+    /// which is the set-based rule restated.
     fn classify_family_dense<S: std::hash::BuildHasher>(
         weeks: &mut [WeekShift],
         weekly: &[HashMap<IpAddr4, CountryCode, S>],
-        policy: KernelPolicy,
     ) {
         let mut counts = vec![0u32; weekly.len() * CC_SLOTS];
-        for range in policy.chunks(weekly.len()) {
-            for w in range {
-                let row = &mut counts[w * CC_SLOTS..(w + 1) * CC_SLOTS];
-                for &cc in weekly[w].values() {
-                    row[cc_slot(cc)] += 1;
-                }
+        for (w, bots_this_week) in weekly.iter().enumerate() {
+            let row = &mut counts[w * CC_SLOTS..(w + 1) * CC_SLOTS];
+            for &cc in bots_this_week.values() {
+                row[cc_slot(cc)] += 1;
             }
         }
         const UNSEEN: u32 = u32::MAX;
@@ -185,7 +177,7 @@ impl ShiftAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overview::test_support::{attack, dataset};
+    use crate::overview::test_support::{attack, chunked_contexts, dataset};
     use ddos_schema::record::{BotRecord, Location};
     use ddos_schema::{Asn, BotnetId, CityId, DatasetBuilder, LatLon, OrgId, Timestamp};
 
@@ -268,15 +260,15 @@ mod tests {
         ];
         let mut expect = ShiftAnalysis::empty_weeks(weekly.len());
         ShiftAnalysis::classify_family(&mut expect, &weekly);
-        for policy in [
-            KernelPolicy::Auto,
-            KernelPolicy::Chunked(1),
-            KernelPolicy::Chunked(3),
-            KernelPolicy::Chunked(100),
-        ] {
-            let mut got = ShiftAnalysis::empty_weeks(weekly.len());
-            ShiftAnalysis::classify_family_dense(&mut got, &weekly, policy);
-            assert_eq!(got, expect, "{policy:?}");
+        let mut got = ShiftAnalysis::empty_weeks(weekly.len());
+        ShiftAnalysis::classify_family_dense(&mut got, &weekly);
+        assert_eq!(got, expect);
+        // End to end: the weekly maps every job length builds classify
+        // exactly like the dataset scan.
+        let ds = shift_dataset();
+        let expect = ShiftAnalysis::compute(&ds, &BotIndex::build(&ds));
+        for (policy, ctx) in chunked_contexts(&ds) {
+            assert_eq!(ShiftAnalysis::compute_ctx(&ctx), expect, "{policy:?}");
         }
     }
 

@@ -71,25 +71,18 @@ pub fn overall_top_countries(ds: &Dataset, k: usize) -> Vec<(CountryCode, usize)
     ranked
 }
 
-/// The chunked profile kernel behind [`all_profiles`]: one scan over
-/// the trace accumulates a dense `(family, country)` count grid as
-/// per-chunk integer partials (disjoint cells, so any chunking merges
-/// to the same counts), replacing the reference path's one full-trace
-/// scan *per family*. Ranking then runs on the grid alone, with the
-/// same total order as [`all_profiles`] — identical profiles.
+/// The context path of [`all_profiles`]: one scan over the trace
+/// accumulates a dense `(family, country)` count grid, replacing the
+/// dataset path's one full-trace scan *per family*. Ranking then runs
+/// on the grid alone, with the same total order as [`all_profiles`] —
+/// identical profiles.
 pub fn all_profiles_ctx(ctx: &crate::context::AnalysisContext) -> Vec<FamilyCountryProfile> {
-    if ctx.kernels.is_reference() {
-        return all_profiles(ctx.dataset);
-    }
-    let attacks = ctx.dataset.attacks();
     // `Family::ACTIVE` lists the variants in discriminant order, so the
     // discriminant doubles as the row index.
     let mut grid = vec![0u32; Family::ACTIVE.len() * CC_SLOTS];
-    for range in ctx.kernels.chunks(attacks.len()) {
-        for a in &attacks[range] {
-            if a.family.is_active() {
-                grid[(a.family as usize) * CC_SLOTS + cc_slot(a.target.country)] += 1;
-            }
+    for a in ctx.dataset.attacks() {
+        if a.family.is_active() {
+            grid[(a.family as usize) * CC_SLOTS + cc_slot(a.target.country)] += 1;
         }
     }
     Family::ACTIVE
@@ -106,21 +99,15 @@ pub fn all_profiles_ctx(ctx: &crate::context::AnalysisContext) -> Vec<FamilyCoun
         .collect()
 }
 
-/// The chunked kernel behind [`overall_top_countries`]: the same dense
-/// count grid over a single country row.
+/// The context path of [`overall_top_countries`]: the same dense count
+/// grid over a single country row.
 pub fn overall_top_countries_ctx(
     ctx: &crate::context::AnalysisContext,
     k: usize,
 ) -> Vec<(CountryCode, usize)> {
-    if ctx.kernels.is_reference() {
-        return overall_top_countries(ctx.dataset, k);
-    }
-    let attacks = ctx.dataset.attacks();
     let mut row = vec![0u32; CC_SLOTS];
-    for range in ctx.kernels.chunks(attacks.len()) {
-        for a in &attacks[range] {
-            row[cc_slot(a.target.country)] += 1;
-        }
+    for a in ctx.dataset.attacks() {
+        row[cc_slot(a.target.country)] += 1;
     }
     let mut ranked = rank_dense(&row);
     ranked.truncate(k);
@@ -150,7 +137,7 @@ fn rank_dense(row: &[u32]) -> Vec<(CountryCode, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overview::test_support::{attack, dataset};
+    use crate::overview::test_support::{attack, chunked_contexts, dataset};
 
     #[test]
     fn profile_counts_and_ranks() {
@@ -182,7 +169,6 @@ mod tests {
 
     #[test]
     fn dense_kernels_match_hash_ranking_for_every_chunking() {
-        use crate::kernels::KernelPolicy;
         // Ties (two countries with one attack each) exercise the
         // comparator's country-code tiebreak.
         let ds = dataset(vec![
@@ -194,14 +180,7 @@ mod tests {
         ]);
         let expect_profiles = serde_json::to_string(&all_profiles(&ds)).unwrap();
         let expect_top = overall_top_countries(&ds, 3);
-        for policy in [
-            KernelPolicy::Reference,
-            KernelPolicy::Auto,
-            KernelPolicy::Chunked(1),
-            KernelPolicy::Chunked(2),
-            KernelPolicy::Chunked(100),
-        ] {
-            let ctx = crate::context::AnalysisContext::new(&ds).with_kernels(policy);
+        for (policy, ctx) in chunked_contexts(&ds) {
             assert_eq!(
                 serde_json::to_string(&all_profiles_ctx(&ctx)).unwrap(),
                 expect_profiles,

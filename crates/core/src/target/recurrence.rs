@@ -13,8 +13,6 @@ use ddos_stats::descriptive::{median, quantile_sorted};
 use ddos_stats::ecdf::Ecdf;
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::KernelPolicy;
-
 /// Minimum attacks a target needs before it forms a train.
 pub const MIN_TRAIN_LEN: usize = 4;
 
@@ -103,7 +101,8 @@ impl RecurrenceAnalysis {
 
     /// Context-based variant of [`RecurrenceAnalysis::compute`] over the
     /// whole window: builds the trains from the per-target timelines
-    /// already grouped in the analysis context.
+    /// already grouped in the analysis context, and scores them with the
+    /// sorted-gap walk ([`score_trains_sorted`]).
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> RecurrenceAnalysis {
         let attacks = ctx.dataset.attacks();
         let mut trains: Vec<TargetTrain> = ctx
@@ -131,11 +130,7 @@ impl RecurrenceAnalysis {
             })
             .collect();
         trains.sort_by(|a, b| b.len().cmp(&a.len()).then(a.target.cmp(&b.target)));
-        let outcomes = if ctx.kernels.is_reference() {
-            score_trains(&trains)
-        } else {
-            score_trains_kernel(&trains, ctx.kernels)
-        };
+        let outcomes = score_trains_sorted(&trains);
         RecurrenceAnalysis { trains, outcomes }
     }
 
@@ -201,41 +196,36 @@ fn score_trains(trains: &[TargetTrain]) -> Vec<PredictionOutcome> {
     outcomes
 }
 
-/// The chunked prediction kernel: scores the same walk as
-/// [`score_trains`] but keeps the gap prefix in one incrementally
-/// maintained sorted buffer instead of re-cloning and re-sorting it at
-/// every step. The reference's `median(&gaps[..i-1])` reads values by
-/// rank from the ascending prefix multiset; insertion by
+/// Scores the same walk as [`score_trains`] but keeps the gap prefix in
+/// one incrementally maintained sorted buffer instead of re-cloning and
+/// re-sorting it at every step. `score_trains`'s `median(&gaps[..i-1])`
+/// reads values by rank from the ascending prefix multiset; insertion by
 /// `partition_point` maintains exactly that multiset, so every median
-/// (duplicates included) is bit-identical. Trains are independent, so
-/// per-chunk outcome runs concatenated in chunk order reproduce the
-/// sequential outcome order for any chunking.
-fn score_trains_kernel(trains: &[TargetTrain], policy: KernelPolicy) -> Vec<PredictionOutcome> {
+/// (duplicates included) is bit-identical.
+fn score_trains_sorted(trains: &[TargetTrain]) -> Vec<PredictionOutcome> {
     let mut outcomes = Vec::new();
     let mut sorted: Vec<f64> = Vec::new();
-    for range in policy.chunks(trains.len()) {
-        for train in &trains[range] {
-            sorted.clear();
-            let starts = &train.starts;
-            for i in (MIN_TRAIN_LEN - 1)..starts.len() {
-                while sorted.len() < i - 1 {
-                    let j = sorted.len();
-                    let gap = (starts[j + 1].0 - starts[j].0) as f64;
-                    let pos = sorted.partition_point(|&x| x < gap);
-                    sorted.insert(pos, gap);
-                }
-                let median_gap = quantile_sorted(&sorted, 0.5);
-                let predicted = Timestamp(starts[i - 1].0 + median_gap.round() as i64);
-                let actual = starts[i];
-                let abs_error_s = (actual.0 - predicted.0).abs() as f64;
-                outcomes.push(PredictionOutcome {
-                    target: train.target,
-                    predicted,
-                    actual,
-                    abs_error_s,
-                    relative_error: abs_error_s / median_gap.max(1.0),
-                });
+    for train in trains {
+        sorted.clear();
+        let starts = &train.starts;
+        for i in (MIN_TRAIN_LEN - 1)..starts.len() {
+            while sorted.len() < i - 1 {
+                let j = sorted.len();
+                let gap = (starts[j + 1].0 - starts[j].0) as f64;
+                let pos = sorted.partition_point(|&x| x < gap);
+                sorted.insert(pos, gap);
             }
+            let median_gap = quantile_sorted(&sorted, 0.5);
+            let predicted = Timestamp(starts[i - 1].0 + median_gap.round() as i64);
+            let actual = starts[i];
+            let abs_error_s = (actual.0 - predicted.0).abs() as f64;
+            outcomes.push(PredictionOutcome {
+                target: train.target,
+                predicted,
+                actual,
+                abs_error_s,
+                relative_error: abs_error_s / median_gap.max(1.0),
+            });
         }
     }
     outcomes
@@ -244,7 +234,7 @@ fn score_trains_kernel(trains: &[TargetTrain], policy: KernelPolicy) -> Vec<Pred
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overview::test_support::{attack, dataset};
+    use crate::overview::test_support::{attack, chunked_contexts, dataset};
 
     fn periodic_ds() -> Dataset {
         // Target 1: attacked every 1000 s, 6 times — perfectly
@@ -304,24 +294,22 @@ mod tests {
     fn kernel_scorer_matches_reference_for_every_chunking() {
         // Irregular gaps (duplicates, zero gaps, mixed magnitudes)
         // across trains of different lengths.
-        let train = |target: u8, starts: Vec<i64>| TargetTrain {
-            target: IpAddr4::from_octets(192, 0, 2, target),
-            starts: starts.into_iter().map(Timestamp).collect(),
-            families: vec![Family::Dirtjumper],
-        };
-        let trains = vec![
-            train(1, vec![0, 10, 10, 35, 36, 90, 90, 1_000]),
-            train(2, vec![5, 1_005, 2_005, 3_200, 3_200]),
-            train(3, vec![0, 1, 2, 3]),
+        let trains: [(u8, &[i64]); 3] = [
+            (1, &[0, 10, 10, 35, 36, 90, 90, 1_000]),
+            (2, &[5, 1_005, 2_005, 3_200, 3_200]),
+            (3, &[0, 1, 2, 3]),
         ];
-        let expect = serde_json::to_string(&score_trains(&trains)).unwrap();
-        for policy in [
-            KernelPolicy::Auto,
-            KernelPolicy::Chunked(1),
-            KernelPolicy::Chunked(2),
-            KernelPolicy::Chunked(100),
-        ] {
-            let got = serde_json::to_string(&score_trains_kernel(&trains, policy)).unwrap();
+        let mut attacks = Vec::new();
+        for (target, starts) in trains {
+            for &start in starts {
+                let id = attacks.len() as u64 + 1;
+                attacks.push(attack(Family::Dirtjumper, id, start, 60, target));
+            }
+        }
+        let ds = dataset(attacks);
+        let expect = serde_json::to_string(&RecurrenceAnalysis::compute(&ds, None)).unwrap();
+        for (policy, ctx) in chunked_contexts(&ds) {
+            let got = serde_json::to_string(&RecurrenceAnalysis::compute_ctx(&ctx)).unwrap();
             assert_eq!(got, expect, "{policy:?}");
         }
     }

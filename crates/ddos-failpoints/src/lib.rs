@@ -13,22 +13,28 @@
 //!   and seed. `fail_nth` arms fire on an exact hit index; probability
 //!   arms hash `(seed, name, hit)` so the same plan replays the same
 //!   schedule on every run and platform.
-//! * **Serialized** — [`FailPlan::install`] takes a process-wide gate,
-//!   so concurrently running `cargo test` threads that inject faults
-//!   queue up instead of observing each other's plans. The returned
-//!   [`FailScope`] clears the plan on drop (including on panic).
+//! * **Thread-scoped** — [`FailPlan::install`] installs the plan for
+//!   the calling thread only, so concurrently running `cargo test`
+//!   threads never observe each other's plans. The returned
+//!   [`FailScope`] restores the thread's previous plan on drop
+//!   (including on panic). Code that fans work out to scoped worker
+//!   threads takes a [`Handoff`] of its own thread's plan and enters it
+//!   in each worker, so a plan reaches exactly the operation under test.
 //! * **Release-inert** — [`ACTIVE`] is `cfg!(debug_assertions)`; in
-//!   release builds [`check`] is a constant-folded `None` and the seam
-//!   costs nothing, even when the `failpoints` cargo feature is unified
-//!   into a release graph by a test-only dependent. The `const` assert
-//!   below makes "injection compiled out of release binaries" a
-//!   compile-time guarantee rather than a convention.
+//!   release builds [`check`] is a constant-folded `None`, [`Handoff`]
+//!   is zero-sized, and the seam costs nothing, even when the
+//!   `failpoints` cargo feature is unified into a release graph by a
+//!   test-only dependent. The `const` assert below makes "injection
+//!   compiled out of release binaries" a compile-time guarantee rather
+//!   than a convention.
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Whether the injection machinery is live in this build. Constant
 /// `false` outside debug builds: every [`check`] call folds to `None`.
@@ -61,8 +67,8 @@ pub mod names {
     /// Before each epoch-context merge (pairwise fold, incremental
     /// append, stream push) — checked before any state is consumed.
     pub const EPOCH_MERGE: &str = "epoch/merge";
-    /// Per-pass body in the scheduler, hit in registry order on the
-    /// serial path.
+    /// Once per pass in the scheduler, on the scheduling thread in
+    /// registry order, before the pass's stage runs.
     pub const SCHEDULER_PASS: &str = "scheduler/pass";
 
     /// Every failpoint threaded through the workspace.
@@ -218,32 +224,37 @@ impl FailPlan {
         self.arm(name, Rule::Probability(p))
     }
 
-    /// Install the plan process-wide and return the guard that keeps it
-    /// active. Serializes against every other installed plan: a second
-    /// `install` blocks until the first scope drops, so parallel test
-    /// threads cannot observe each other's faults. In release builds
-    /// the plan installs but [`check`] never consults it ([`ACTIVE`]).
+    /// Install the plan on the calling thread and return the guard that
+    /// keeps it active. Other threads are unaffected: a clean run on
+    /// another thread never consumes an armed fault. Worker threads of
+    /// the operation under test see the plan only through a
+    /// [`Handoff`]. In release builds the plan installs but [`check`]
+    /// never consults it ([`ACTIVE`]).
     pub fn install(self) -> FailScope {
-        let gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
         let state = Arc::new(PlanState {
             seed: self.seed,
             arms: self.arms,
         });
-        *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&state));
-        INSTALLED.store(true, Ordering::Release);
-        FailScope { state, _gate: gate }
+        let prev = PLAN.with(|p| p.replace(Some(Arc::clone(&state))));
+        FailScope {
+            state,
+            prev,
+            _thread: PhantomData,
+        }
     }
 }
 
-static GATE: Mutex<()> = Mutex::new(());
-static PLAN: RwLock<Option<Arc<PlanState>>> = RwLock::new(None);
-static INSTALLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static PLAN: RefCell<Option<Arc<PlanState>>> = const { RefCell::new(None) };
+}
 
-/// Keeps a [`FailPlan`] active; dropping it (normally or during a
-/// panic unwind) clears the plan and releases the process-wide gate.
+/// Keeps a [`FailPlan`] active on its thread; dropping it (normally or
+/// during a panic unwind) restores the thread's previous plan. Not
+/// `Send`: the scope belongs to the thread that installed it.
 pub struct FailScope {
     state: Arc<PlanState>,
-    _gate: MutexGuard<'static, ()>,
+    prev: Option<Arc<PlanState>>,
+    _thread: PhantomData<*const ()>,
 }
 
 impl FailScope {
@@ -257,26 +268,83 @@ impl FailScope {
 
 impl Drop for FailScope {
     fn drop(&mut self) {
-        INSTALLED.store(false, Ordering::Release);
-        *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
+        let prev = self.prev.take();
+        PLAN.with(|p| *p.borrow_mut() = prev);
     }
 }
 
-/// Consult the failpoint `name`. Returns `Some` when the installed
-/// plan schedules a failure for this hit; the caller maps it into its
-/// own error type and returns `Err`. Constant-folds to `None` in
-/// release builds and costs one relaxed atomic load in debug builds
-/// with no plan installed.
+/// The calling thread's plan, captured to hand to scoped worker threads:
+/// take it with [`Handoff::current`] before spawning and
+/// [`enter`](Handoff::enter) it in each worker, so the workers consult
+/// the same plan — and the same hit counters — as the thread that
+/// installed it. Zero-sized in release builds, where both calls compile
+/// to nothing.
+pub struct Handoff {
+    #[cfg(debug_assertions)]
+    plan: Option<Arc<PlanState>>,
+}
+
+impl Handoff {
+    /// Captures the calling thread's installed plan, if any.
+    #[inline]
+    pub fn current() -> Handoff {
+        Handoff {
+            #[cfg(debug_assertions)]
+            plan: PLAN.with(|p| p.borrow().clone()),
+        }
+    }
+
+    /// Installs the captured plan on the calling (worker) thread until
+    /// the returned guard drops.
+    #[inline]
+    pub fn enter(&self) -> Entered {
+        Entered {
+            #[cfg(debug_assertions)]
+            prev: PLAN.with(|p| p.replace(self.plan.clone())),
+            _thread: PhantomData,
+        }
+    }
+}
+
+// Release builds must not pay for the hand-off (see `ACTIVE`).
+#[cfg(not(debug_assertions))]
+const _: () = assert!(std::mem::size_of::<Handoff>() == 0);
+
+/// Keeps a [`Handoff`] entered on a worker thread; dropping it restores
+/// the worker's previous plan.
+pub struct Entered {
+    #[cfg(debug_assertions)]
+    prev: Option<Arc<PlanState>>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for Entered {
+    #[inline]
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            let prev = self.prev.take();
+            PLAN.with(|p| *p.borrow_mut() = prev);
+        }
+    }
+}
+
+/// Consult the failpoint `name`. Returns `Some` when the plan installed
+/// on (or handed to) the calling thread schedules a failure for this
+/// hit; the caller maps it into its own error type and returns `Err`.
+/// Constant-folds to `None` in release builds and costs one
+/// thread-local read in debug builds with no plan installed.
 #[inline]
 pub fn check(name: &str) -> Option<Injected> {
-    if !ACTIVE || !INSTALLED.load(Ordering::Acquire) {
+    if !ACTIVE {
         return None;
     }
-    let plan = PLAN.read().unwrap_or_else(|e| e.into_inner()).clone()?;
-    plan.decide(name)
+    PLAN.with(|p| p.borrow().as_ref()?.decide(name))
 }
 
-#[cfg(test)]
+// The seam is compiled out of release builds, so these tests only run
+// where it is live.
+#[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
 
@@ -341,6 +409,37 @@ mod tests {
             assert!(check(names::EPOCH_MERGE).is_some());
         }
         assert_eq!(check(names::EPOCH_MERGE), None);
+    }
+
+    #[test]
+    fn plans_stay_on_their_thread_unless_handed_off() {
+        let scope = FailPlan::new().fail_always(names::EPOCH_MERGE).install();
+        std::thread::scope(|s| {
+            // A thread of its own sees no plan...
+            s.spawn(|| assert_eq!(check(names::EPOCH_MERGE), None));
+            // ...until it enters a hand-off of this thread's plan, and
+            // only while the entered guard lives.
+            let handoff = Handoff::current();
+            s.spawn(move || {
+                {
+                    let _plan = handoff.enter();
+                    assert!(check(names::EPOCH_MERGE).is_some());
+                }
+                assert_eq!(check(names::EPOCH_MERGE), None);
+            });
+        });
+        // The worker's hit counted on the shared plan.
+        assert_eq!(scope.hits(names::EPOCH_MERGE), 1);
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_plan() {
+        let _outer = FailPlan::new().fail_always(names::INGEST_OPEN).install();
+        {
+            let _inner = FailPlan::new().install();
+            assert_eq!(check(names::INGEST_OPEN), None);
+        }
+        assert!(check(names::INGEST_OPEN).is_some());
     }
 
     #[test]

@@ -115,11 +115,14 @@ pub fn attacks_from_csv_chunked_with(
     }
     let chunk_len = data.len().div_ceil(workers);
     let chunks: Vec<&[(usize, &str)]> = data.chunks(chunk_len).collect();
+    let plan = crate::fail::Handoff::current();
     let parsed: Vec<Result<Vec<AttackRecord>, SchemaError>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .iter()
             .map(|&chunk| {
+                let plan = &plan;
                 scope.spawn(move |_| {
+                    let _plan = plan.enter();
                     crate::fail::check(crate::fail::INGEST_CSV_CHUNK)?;
                     let mut out = Vec::with_capacity(chunk.len());
                     let mut fields: Vec<&str> = Vec::with_capacity(14);

@@ -45,3 +45,26 @@ pub(crate) fn check(name: &str) -> Result<(), SchemaError> {
 pub(crate) fn check(_name: &str) -> Result<(), SchemaError> {
     Ok(())
 }
+
+/// The calling thread's fault plan, handed to scoped decode workers so
+/// their [`check`] calls see it (see `ddos_failpoints::Handoff`).
+#[cfg(feature = "failpoints")]
+pub(crate) use ddos_failpoints::Handoff;
+
+/// Feature-off stub of the plan hand-off: zero-sized, compiles to
+/// nothing.
+#[cfg(not(feature = "failpoints"))]
+pub(crate) struct Handoff;
+
+#[cfg(not(feature = "failpoints"))]
+impl Handoff {
+    #[inline(always)]
+    pub(crate) fn current() -> Handoff {
+        Handoff
+    }
+
+    #[inline(always)]
+    pub(crate) fn enter(&self) -> Handoff {
+        Handoff
+    }
+}

@@ -398,11 +398,13 @@ pub fn decode_with_workers(
         let mut slots: Vec<Option<Result<FramePayload, SchemaError>>> =
             metas.iter().map(|_| None).collect();
         let next = AtomicUsize::new(0);
+        let plan = crate::fail::Handoff::current();
         crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let (next, metas) = (&next, &metas);
+                    let (next, metas, plan) = (&next, &metas, &plan);
                     scope.spawn(move |_| {
+                        let _plan = plan.enter();
                         let mut done = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);

@@ -55,10 +55,7 @@ pub fn inject_and_recover(name: &str, ds: &Dataset) -> Result<(), String> {
     }
     match name {
         names::INGEST_OPEN => {
-            let path = std::env::temp_dir().join(format!(
-                "ddos-testkit-fault-open-{}.ddtl",
-                std::process::id()
-            ));
+            let path = crate::temp_trace_path("fault-open");
             std::fs::write(&path, framed::encode(ds)).map_err(|e| e.to_string())?;
             let clean = codec::encode(&Dataset::open(&path).map_err(|e| e.to_string())?);
             {

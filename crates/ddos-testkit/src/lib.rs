@@ -1,16 +1,17 @@
 //! Correctness tooling for the ddos workspace: the differential
 //! conformance driver and the fault-injection harness.
 //!
-//! The workspace has accumulated many ways to compute the same report —
-//! serial vs crossbeam scheduling, `Reference` vs `Chunked` kernels,
+//! The workspace computes the same report in several ways — serial vs
+//! crossbeam scheduling, different job lengths in the context build,
 //! monolithic vs epoch-folded vs incremental vs streamed builds, v1 vs
-//! framed-v2 vs memory-mapped ingest. The paper's findings only hold if
+//! framed-v2 vs memory-mapped ingest, and the dataset-scan baseline that
+//! shares no pass body with the rest. The paper's findings only hold if
 //! every combination agrees byte for byte. This crate makes that a
 //! first-class, reusable check instead of point-wise suites:
 //!
 //! * [`variant`] — the lattice itself: a [`Cell`] names one point
 //!   (ingest × build × scheduler × kernels), [`matrix`] enumerates the
-//!   curated ≥24-cell coverage set, [`matrix_full`] the exhaustive
+//!   curated 19-cell coverage set, [`matrix_full`] the exhaustive
 //!   cross product for soak runs.
 //! * [`conformance`] — digest plumbing ([`report_digest`], the
 //!   committed [`golden_digest`]), the shared small trace, and the
@@ -45,4 +46,17 @@ pub use conformance::{
 pub use faults::inject_and_recover;
 pub use serve::check_serve_conformance;
 pub use soak::{run_soak, SoakFailure, SoakOptions, SoakRound, SoakSummary};
-pub use variant::{matrix, matrix_full, Build, Cell, CellError, Ingest, Kernels, Scheduler};
+pub use variant::{matrix, matrix_full, Build, Cell, CellError, Ingest, Scheduler};
+
+/// A fresh temp-file path for a trace: unique per process *and* per
+/// call, so tests running concurrently in one process never write, or
+/// truncate under a live memory map, the same file.
+pub(crate) fn temp_trace_path(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "ddos-testkit-{tag}-{}-{}.ddtl",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ))
+}

@@ -2,17 +2,18 @@
 //!
 //! A [`Cell`] fixes one point on four axes — how the dataset is
 //! ingested, how the analysis context is built, how the pass scheduler
-//! runs, and which kernel policy the pass bodies use. [`Cell::run`]
-//! executes that exact combination; the conformance driver then
-//! asserts every cell of a matrix serializes to the same bytes.
+//! runs, and which job-length [`KernelPolicy`] the monolithic context
+//! build uses. [`Cell::run`] executes that exact combination; the
+//! conformance driver then asserts every cell of a matrix serializes to
+//! the same bytes.
 //!
-//! [`matrix`] is the curated coverage set (every axis value exercised,
-//! ≥24 cells) pinned against the committed golden digest by
-//! `crates/ddos-testkit/tests/matrix_golden.rs`; [`matrix_full`] is
-//! the exhaustive cross product the soak loop can opt into.
+//! [`matrix`] is the curated coverage set (every axis value exercised)
+//! that `tests/golden_report.rs` pins against the committed golden
+//! digest; [`matrix_full`] is the exhaustive cross product the soak
+//! loop can opt into. Only the monolithic build reads the kernel
+//! policy, so no other build is crossed with it.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ddos_analytics::{Analysis, AnalysisReport, KernelPolicy, PipelineError, StreamFold};
 use ddos_obs::Obs;
@@ -44,8 +45,8 @@ pub enum Ingest {
 pub enum Build {
     /// One-shot context build (the `Analysis` builder's default).
     Monolithic,
-    /// The pre-refactor monolithic reference (`Analysis::baseline`);
-    /// ignores the scheduler and kernel axes by construction.
+    /// The dataset-scan oracle (`Analysis::baseline`); ignores the
+    /// scheduler and kernel axes by construction.
     Baseline,
     /// Epoch-sharded batch fold (`Analysis::epochs`).
     EpochFolded {
@@ -73,28 +74,6 @@ pub enum Scheduler {
     Parallel,
 }
 
-/// Kernel policy for the pass bodies (mirrors
-/// [`ddos_analytics::KernelPolicy`] so cells print compactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernels {
-    /// The PR 6 reference bodies.
-    Reference,
-    /// Per-pass heuristic choice.
-    Auto,
-    /// Chunked kernels with a fixed chunk size.
-    Chunked(usize),
-}
-
-impl Kernels {
-    fn policy(self) -> KernelPolicy {
-        match self {
-            Kernels::Reference => KernelPolicy::Reference,
-            Kernels::Auto => KernelPolicy::Auto,
-            Kernels::Chunked(n) => KernelPolicy::Chunked(n),
-        }
-    }
-}
-
 /// One point of the variant lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
@@ -104,8 +83,8 @@ pub struct Cell {
     pub build: Build,
     /// Scheduler axis.
     pub scheduler: Scheduler,
-    /// Kernel-policy axis.
-    pub kernels: Kernels,
+    /// Job-length axis of the monolithic context build.
+    pub kernels: KernelPolicy,
 }
 
 /// What a cell run can fail with: the ingest layer's error or the
@@ -162,12 +141,7 @@ impl fmt::Display for Cell {
             Scheduler::Serial => "serial",
             Scheduler::Parallel => "parallel",
         };
-        let kernels = match self.kernels {
-            Kernels::Reference => "reference".to_string(),
-            Kernels::Auto => "auto".to_string(),
-            Kernels::Chunked(n) => format!("chunked({n})"),
-        };
-        write!(f, "{ingest} | {build} | {sched} | {kernels}")
+        write!(f, "{ingest} | {build} | {sched} | {:?}", self.kernels)
     }
 }
 
@@ -200,12 +174,7 @@ impl Cell {
                 &ingested
             }
             Ingest::V2Mmap => {
-                static SEQ: AtomicU64 = AtomicU64::new(0);
-                let path = std::env::temp_dir().join(format!(
-                    "ddos-testkit-{}-{}.ddtl",
-                    std::process::id(),
-                    SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
+                let path = crate::temp_trace_path("mmap");
                 std::fs::write(&path, framed::encode(ds))
                     .map_err(|e| SchemaError::Io(format!("{}: {e}", path.display())))?;
                 let opened = Dataset::open(&path);
@@ -215,13 +184,9 @@ impl Cell {
             }
         };
         let parallel = matches!(self.scheduler, Scheduler::Parallel);
-        let base = || {
-            Analysis::new(ds)
-                .parallel(parallel)
-                .kernels(self.kernels.policy())
-        };
+        let base = || Analysis::new(ds).parallel(parallel);
         let report = match self.build {
-            Build::Monolithic => base().try_run()?,
+            Build::Monolithic => base().kernels(self.kernels).try_run()?,
             Build::Baseline => Analysis::new(ds).baseline().try_run()?,
             Build::EpochFolded { epoch_len_s } => base().epochs(Seconds(epoch_len_s)).try_run()?,
             Build::Incremental { epoch_len_s } => base()
@@ -237,8 +202,7 @@ impl Cell {
                 let ctx = fold
                     .finish()
                     .expect("a dataset always yields at least one epoch batch")
-                    .into_context(ds, ArimaSpec::DEFAULT)
-                    .with_kernels(self.kernels.policy());
+                    .into_context(ds, ArimaSpec::DEFAULT);
                 Analysis::over(&ctx).parallel(parallel).try_run()?
             }
         };
@@ -251,7 +215,7 @@ pub const NATIVE_PARALLEL: Cell = Cell {
     ingest: Ingest::Native,
     build: Build::Monolithic,
     scheduler: Scheduler::Parallel,
-    kernels: Kernels::Auto,
+    kernels: KernelPolicy::Auto,
 };
 
 const WEEK_S: i64 = 7 * 24 * 3600;
@@ -272,11 +236,12 @@ const BUILDS: [Build; 4] = [
     },
 ];
 
-const KERNELS: [Kernels; 4] = [
-    Kernels::Reference,
-    Kernels::Auto,
-    Kernels::Chunked(1),
-    Kernels::Chunked(3),
+/// The job lengths the monolithic build runs under: one job per worker,
+/// one per attack, and a length that divides nothing evenly.
+const KERNELS: [KernelPolicy; 3] = [
+    KernelPolicy::Auto,
+    KernelPolicy::Chunked(1),
+    KernelPolicy::Chunked(3),
 ];
 
 const INGESTS: [Ingest; 4] = [
@@ -292,29 +257,41 @@ const INGESTS: [Ingest; 4] = [
     Ingest::V2Mmap,
 ];
 
-/// The curated coverage matrix: ≥24 cells touching every value of
-/// every axis, cheap enough for `cargo test` on every push.
+/// A native-ingest cell.
+fn native(build: Build, scheduler: Scheduler, kernels: KernelPolicy) -> Cell {
+    Cell {
+        ingest: Ingest::Native,
+        build,
+        scheduler,
+        kernels,
+    }
+}
+
+/// The curated coverage matrix: 19 cells touching every value of every
+/// axis, cheap enough for `cargo test` on every push.
 ///
-/// * every build × every kernel policy (scheduler alternating so both
-///   modes cover each axis value) on the native dataset — 16 cells;
+/// * the monolithic build under every job length (scheduler
+///   alternating), and every other build under both schedulers, on the
+///   native dataset — 9 cells;
 /// * every non-native ingest × both schedulers on the default
 ///   build/kernels — 8 cells;
-/// * the monolithic baseline and a ragged epoch length — 2 more.
+/// * the dataset-scan baseline and a ragged epoch length — 2 more.
 pub fn matrix() -> Vec<Cell> {
     let mut cells = Vec::new();
-    for (i, &build) in BUILDS.iter().enumerate() {
-        for (j, &kernels) in KERNELS.iter().enumerate() {
-            let scheduler = if (i + j) % 2 == 0 {
-                Scheduler::Parallel
-            } else {
-                Scheduler::Serial
-            };
-            cells.push(Cell {
-                ingest: Ingest::Native,
-                build,
-                scheduler,
-                kernels,
-            });
+    for build in BUILDS {
+        if build == Build::Monolithic {
+            for (j, &kernels) in KERNELS.iter().enumerate() {
+                let scheduler = if j % 2 == 0 {
+                    Scheduler::Serial
+                } else {
+                    Scheduler::Parallel
+                };
+                cells.push(native(build, scheduler, kernels));
+            }
+        } else {
+            for scheduler in [Scheduler::Serial, Scheduler::Parallel] {
+                cells.push(native(build, scheduler, KernelPolicy::Auto));
+            }
         }
     }
     for &ingest in &INGESTS {
@@ -323,30 +300,29 @@ pub fn matrix() -> Vec<Cell> {
                 ingest,
                 build: Build::Monolithic,
                 scheduler,
-                kernels: Kernels::Auto,
+                kernels: KernelPolicy::Auto,
             });
         }
     }
-    cells.push(Cell {
-        ingest: Ingest::Native,
-        build: Build::Baseline,
-        scheduler: Scheduler::Serial,
-        kernels: Kernels::Reference,
-    });
-    cells.push(Cell {
-        ingest: Ingest::Native,
-        build: Build::EpochFolded {
+    cells.push(native(
+        Build::Baseline,
+        Scheduler::Serial,
+        KernelPolicy::Auto,
+    ));
+    cells.push(native(
+        Build::EpochFolded {
             epoch_len_s: ODD_EPOCH_S,
         },
-        scheduler: Scheduler::Serial,
-        kernels: Kernels::Auto,
-    });
+        Scheduler::Serial,
+        KernelPolicy::Auto,
+    ));
     cells
 }
 
 /// The exhaustive lattice: every ingest × every build × both
-/// schedulers × every kernel policy (plus one baseline per ingest).
-/// Soak rounds opt into this; it is too slow for per-push CI.
+/// schedulers, with the monolithic build also × every job length (plus
+/// one baseline per ingest). Soak rounds opt into this; it is too slow
+/// for per-push CI.
 pub fn matrix_full() -> Vec<Cell> {
     let mut cells = Vec::new();
     let ingests = [Ingest::Native]
@@ -355,8 +331,13 @@ pub fn matrix_full() -> Vec<Cell> {
         .collect::<Vec<_>>();
     for &ingest in &ingests {
         for &build in &BUILDS {
+            let kernels: &[KernelPolicy] = if build == Build::Monolithic {
+                &KERNELS
+            } else {
+                &[KernelPolicy::Auto]
+            };
             for scheduler in [Scheduler::Serial, Scheduler::Parallel] {
-                for &kernels in &KERNELS {
+                for &kernels in kernels {
                     cells.push(Cell {
                         ingest,
                         build,
@@ -370,7 +351,7 @@ pub fn matrix_full() -> Vec<Cell> {
             ingest,
             build: Build::Baseline,
             scheduler: Scheduler::Serial,
-            kernels: Kernels::Reference,
+            kernels: KernelPolicy::Auto,
         });
     }
     cells
@@ -383,7 +364,7 @@ mod tests {
     #[test]
     fn matrix_meets_the_coverage_floor() {
         let cells = matrix();
-        assert!(cells.len() >= 24, "matrix has {} cells", cells.len());
+        assert!(cells.len() >= 19, "matrix has {} cells", cells.len());
         // Every axis value appears somewhere.
         assert!(cells.iter().any(|c| c.ingest == Ingest::Native));
         assert!(cells.iter().any(|c| c.ingest == Ingest::V1RoundTrip));
@@ -399,8 +380,15 @@ mod tests {
         }
         assert!(cells.iter().any(|c| c.build == Build::Baseline));
         for kernels in KERNELS {
-            assert!(cells.iter().any(|c| c.kernels == kernels));
+            assert!(cells
+                .iter()
+                .any(|c| c.build == Build::Monolithic && c.kernels == kernels));
         }
+        // Cells differing only in a policy their build never reads
+        // would just run the same pipeline twice.
+        assert!(cells
+            .iter()
+            .all(|c| c.build == Build::Monolithic || c.kernels == KernelPolicy::Auto));
         for scheduler in [Scheduler::Serial, Scheduler::Parallel] {
             assert!(cells.iter().any(|c| c.scheduler == scheduler));
         }
@@ -413,6 +401,18 @@ mod tests {
 
     #[test]
     fn full_matrix_is_a_superset_scale() {
-        assert!(matrix_full().len() > matrix().len() * 4);
+        let full = matrix_full();
+        // Every curated cell except the ragged epoch length is in the
+        // exhaustive lattice, and the lattice is several times larger.
+        for cell in matrix() {
+            if cell.build
+                != (Build::EpochFolded {
+                    epoch_len_s: ODD_EPOCH_S,
+                })
+            {
+                assert!(full.contains(&cell), "full lattice lacks `{cell}`");
+            }
+        }
+        assert!(full.len() > matrix().len() * 3);
     }
 }

@@ -7,6 +7,8 @@
 //! the release-inertness test at the bottom pins from both sides.
 #![cfg(debug_assertions)]
 
+use std::sync::Barrier;
+
 use ddos_analytics::{Analysis, IncrementalPipeline, PipelineError, PipelineOptions, StreamFold};
 use ddos_obs::Obs;
 use ddos_schema::{framed, Seconds};
@@ -124,23 +126,56 @@ fn stream_fold_resumes_after_push_fault() {
 }
 
 /// Parallel scheduling under a pass fault: deterministic `Err`, no
-/// panic, and the earliest pass in registry order wins error
-/// attribution regardless of thread interleaving.
+/// panic, and the first pass in registry order fails on its first hit,
+/// because the scheduler consults the seam before any stage spawns.
 #[test]
 fn parallel_scheduler_fault_is_deterministic() {
     let ds = small_dataset();
-    let mut seen = None;
     for _ in 0..3 {
         let _scope = FailPlan::new().fail_always(names::SCHEDULER_PASS).install();
         let err = Analysis::new(ds)
             .try_run()
             .expect_err("always-fail plan must error");
-        let msg = err.to_string();
-        match &seen {
-            None => seen = Some(msg),
-            Some(first) => assert_eq!(&msg, first, "error attribution varied across runs"),
-        }
+        assert_eq!(
+            err.to_string(),
+            "injected fault at scheduler/pass (hit 0)",
+            "error attribution varied across runs"
+        );
     }
+}
+
+/// A plan belongs to the thread that installed it: a clean run that
+/// overlaps an always-fail plan on another thread (held installed by
+/// the barriers for the whole run) decodes with workers, runs the
+/// parallel pipeline, and reproduces the golden report.
+#[test]
+fn clean_run_beside_an_always_fail_plan_succeeds() {
+    let ds = small_dataset();
+    let bytes = framed::encode_with(ds, 64);
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let plan = names::ALL
+                .into_iter()
+                .fold(FailPlan::new(), FailPlan::fail_always);
+            let _scope = plan.install();
+            barrier.wait();
+            let decoded = framed::decode_with_workers(&bytes, 4);
+            let ran = Analysis::new(ds).try_run();
+            barrier.wait();
+            // Assert only after the last wait, so a failure cannot leave
+            // the other thread blocked on the barrier.
+            decoded.expect_err("always-fail plan must error");
+            ran.expect_err("always-fail plan must error");
+        });
+        barrier.wait();
+        let report = framed::decode_with_workers(&bytes, 4)
+            .map_err(|e| e.to_string())
+            .and_then(|(decoded, _)| Analysis::new(&decoded).try_run().map_err(|e| e.to_string()));
+        barrier.wait();
+        let report = report.expect("clean decode and run");
+        assert_eq!(report_digest(&report), golden_digest());
+    });
 }
 
 /// Injections are counted on the `faults/injected` counter, so fault

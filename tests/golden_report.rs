@@ -3,12 +3,13 @@
 //! `tests/golden/report_small.digest` pins the FNV-1a 64 digest of the
 //! canonical small-trace report (`SimConfig::small`, the same trace the
 //! rest of the integration suite analyzes). The variant enumeration —
-//! schedulers, kernel policies, context builds (batch fold, incremental
+//! schedulers, job lengths, context builds (batch fold, incremental
 //! append, streaming feed replay), ingest round-trips, and the
-//! pre-refactor monolithic baseline — lives in `ddos_testkit::matrix`;
-//! this suite pins every cell of it, plus the variants the lattice
-//! cannot express (telemetry off, a pre-built context handed straight
-//! to the scheduler), to the committed digest byte for byte.
+//! dataset-scan baseline — lives in `ddos_testkit::matrix`; this suite
+//! is the one place tier-1 runs it, pinning every cell, plus the
+//! variants the lattice cannot express (telemetry off, a pre-built
+//! context handed straight to the scheduler), to the committed digest
+//! byte for byte.
 //!
 //! If a change *intends* to alter report output, regenerate the file:
 //!
@@ -21,7 +22,8 @@
 //! on arbitrary sim configurations, recording telemetry never perturbs
 //! report bytes.
 
-use ddos_analytics::{Analysis, AnalysisContext, AnalysisReport};
+use ddos_analytics::{Analysis, AnalysisContext, AnalysisReport, KernelPolicy};
+use ddos_obs::Obs;
 use ddos_sim::{generate, SimConfig};
 use ddos_stats::ArimaSpec;
 use ddos_testkit::{
@@ -36,25 +38,31 @@ fn every_pipeline_variant_matches_the_golden_digest() {
 
 /// The variants the lattice cannot express: telemetry switched off, and
 /// a context built outside the pipeline then handed to the scheduler
-/// (columnar serial build under the parallel schedule, reference build
+/// (serial build under the parallel schedule, one-attack-per-job build
 /// under the serial one).
 #[test]
 fn off_lattice_variants_match_the_golden_digest() {
     let ds = small_dataset();
-    let columnar_serial = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-    let reference = AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT);
+    let serial = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
+    let per_attack = AnalysisContext::build_kernels(
+        ds,
+        ArimaSpec::DEFAULT,
+        true,
+        KernelPolicy::Chunked(1),
+        &Obs::disabled(),
+    );
     let variants: Vec<(&str, AnalysisReport)> = vec![
         (
             "parallel, telemetry off",
             Analysis::new(ds).telemetry(false).run(),
         ),
         (
-            "scheduler over columnar serial context",
-            Analysis::over(&columnar_serial).parallel(true).run(),
+            "scheduler over serial context",
+            Analysis::over(&serial).parallel(true).run(),
         ),
         (
-            "scheduler over reference-built context",
-            Analysis::over(&reference).parallel(false).run(),
+            "scheduler over one-attack-per-job context",
+            Analysis::over(&per_attack).parallel(false).run(),
         ),
     ];
     let want = golden_digest();

@@ -10,6 +10,8 @@
 //!   directories, and overlapping frame offsets are reported as
 //!   `Err(SchemaError)`, never a panic or a silently wrong dataset.
 
+use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use ddos_schema::{codec, csv, framed, Dataset, SchemaError};
@@ -84,11 +86,12 @@ fn small_v2() -> bytes::Bytes {
         .clone()
 }
 
-/// Payload byte offset of the first frame, read from the directory the
-/// same way the decoder does (header, then frame count and payload
-/// length varints, then `n` directory entries).
-fn payload_start(bytes: &[u8]) -> usize {
-    fn varint(bytes: &[u8], pos: &mut usize) -> u64 {
+/// Reads the frame directory the same way the decoder does (header,
+/// then frame count and payload length varints, then `n` directory
+/// entries). Returns the payload's byte offset and, per frame, its
+/// section kind and its absolute byte range in `bytes`.
+fn directory(bytes: &[u8]) -> (usize, Vec<(u8, Range<usize>)>) {
+    fn varint(bytes: &[u8], pos: &mut usize) -> usize {
         let mut v = 0u64;
         let mut shift = 0;
         loop {
@@ -96,7 +99,7 @@ fn payload_start(bytes: &[u8]) -> usize {
             *pos += 1;
             v |= u64::from(b & 0x7F) << shift;
             if b & 0x80 == 0 {
-                return v;
+                return v as usize;
             }
             shift += 7;
         }
@@ -104,28 +107,45 @@ fn payload_start(bytes: &[u8]) -> usize {
     let mut pos = 4 + 2 + 16;
     let n_frames = varint(bytes, &mut pos);
     let _payload_len = varint(bytes, &mut pos);
+    let mut frames = Vec::with_capacity(n_frames);
     for _ in 0..n_frames {
+        let kind = bytes[pos];
         pos += 2; // kind, family
-        varint(bytes, &mut pos);
-        varint(bytes, &mut pos);
-        varint(bytes, &mut pos);
+        let _count = varint(bytes, &mut pos);
+        let offset = varint(bytes, &mut pos);
+        let len = varint(bytes, &mut pos);
         pos += 8; // checksum
+        frames.push((kind, offset..offset + len));
     }
-    pos
+    for (_, range) in &mut frames {
+        *range = pos + range.start..pos + range.end;
+    }
+    (pos, frames)
 }
 
 #[test]
 fn corrupt_payload_bytes_error_never_panic() {
-    let clean = small_v2();
-    let start = payload_start(&clean);
-    // Flipping any payload byte must trip exactly one frame checksum.
-    for i in (start..clean.len()).step_by(211) {
+    // A small trace in small frames keeps the debug-build decode cheap
+    // while still giving every section kind several frames.
+    let ds = generate(&SimConfig {
+        scale: 0.002,
+        ..SimConfig::small()
+    })
+    .dataset;
+    let clean = framed::encode_with(&ds, 16);
+    let (_, frames) = directory(&clean);
+    let kinds: BTreeSet<u8> = frames.iter().map(|(kind, _)| *kind).collect();
+    assert_eq!(kinds.len(), 4, "trace must cover every section kind");
+    // Flipping a byte of any frame must trip that frame's checksum.
+    for (kind, range) in &frames {
+        assert!(!range.is_empty(), "kind {kind}: empty frame");
+        let i = range.start + range.len() / 2;
         let mut bad = clean.to_vec();
         bad[i] ^= 0x40;
         let err = framed::decode(&bad).expect_err("corrupt payload accepted");
         assert!(
             err.to_string().contains("checksum mismatch"),
-            "byte {i}: unexpected error {err}"
+            "kind {kind}, byte {i}: unexpected error {err}"
         );
     }
 }
@@ -133,7 +153,7 @@ fn corrupt_payload_bytes_error_never_panic() {
 #[test]
 fn truncated_directory_errors_never_panic() {
     let clean = small_v2();
-    let start = payload_start(&clean);
+    let (start, _) = directory(&clean);
     // Every prefix that cuts the header or directory short must error.
     for len in 0..start {
         let err = framed::decode(&clean[..len]);

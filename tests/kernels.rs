@@ -1,18 +1,18 @@
-//! Kernel-equivalence property suite (DESIGN.md §12).
+//! Pass-body equivalence property suite (DESIGN.md §12).
 //!
-//! PR 7's chunked pass kernels promise byte-identical reports to the
-//! reference (PR 6) pass bodies for *any* chunking. The golden-report
-//! suite pins that on the canonical trace; this suite extends it to
-//! arbitrary simulated traces and adversarial chunk sizes — size 1
-//! (every element its own chunk), a size that never divides the input
-//! evenly, and a size larger than any input (one chunk, exercising the
-//! single-partial merge path).
+//! Every pass has one body over the shared context, and the dataset-scan
+//! pipeline behind `Analysis::baseline()` shares none of them: it is the
+//! one independent oracle. The golden-report suite pins the two together
+//! on the canonical trace; this suite extends that to arbitrary simulated
+//! traces and adversarial job lengths in the context build — length 1
+//! (every attack its own job), a length that never divides the input
+//! evenly, and a length larger than any input (one job per family).
 //!
-//! Equivalence is asserted on serialized report bytes, so it covers
-//! every kernel at once — the snapshot scans (dispersion, weekly
-//! shifts), the sort-sweep collaboration detector, the overview
-//! histogram merges, the dense country rankings, and the fused
-//! blacklist replay — including each one's f64 ordering contract.
+//! Equivalence is asserted on serialized report bytes, so it covers every
+//! body at once — the snapshot scans (dispersion, weekly shifts), the
+//! sort-sweep collaboration detector, the dense country rankings, the
+//! sorted-gap recurrence scorer, and the id-stamp blacklist replay —
+//! including each one's f64 ordering contract.
 
 use ddos_analytics::collab::concurrent::CollabAnalysis;
 use ddos_analytics::{Analysis, AnalysisContext, KernelPolicy};
@@ -32,13 +32,13 @@ fn report_json(ds: &ddos_schema::Dataset, kernels: KernelPolicy, parallel: bool)
 proptest! {
     // Trace generation and six full pipeline runs per case dominate the
     // cost; a handful of configurations across seeds, scales, and
-    // injection toggles covers the kernels' merge paths (the unit tests
-    // in each module already sweep chunk sizes on crafted fixtures).
+    // injection toggles covers the bodies (the unit tests in each module
+    // already pin crafted fixtures against their dataset scans).
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Every kernel policy — reference, auto, and forced chunk sizes
-    /// including 1 and one larger than the trace — produces the same
-    /// report bytes, serial and parallel.
+    /// The default report and every forced job length — including 1 and
+    /// one larger than the trace — serialize to the baseline report's
+    /// bytes, serial and parallel.
     #[test]
     fn chunked_kernels_match_reference_bytes_for_any_config(
         seed in 0u64..(1u64 << 48),
@@ -59,24 +59,24 @@ proptest! {
         };
         let trace = generate(&cfg);
         let ds = &trace.dataset;
-        let want = report_json(ds, KernelPolicy::Reference, true);
+        let want = serde_json::to_string(&Analysis::new(ds).baseline().run())
+            .expect("report serializes");
         for policy in [
             KernelPolicy::Auto,
             KernelPolicy::Chunked(chunk),
             KernelPolicy::Chunked(1),
-            // Larger than any input slice: one chunk per kernel, so the
-            // partial-merge path degenerates to a single partial.
-            KernelPolicy::Chunked(ds.len() + ds.bots().len() + 1),
+            // Larger than any family: one job per family.
+            KernelPolicy::Chunked(ds.len() + 1),
         ] {
             let got = report_json(ds, policy, true);
-            prop_assert!(got == want, "{policy:?} parallel diverged from the reference bytes");
+            prop_assert!(got == want, "{policy:?} parallel diverged from the baseline bytes");
         }
-        // Serial scheduling must not interact with chunking either.
+        // Serial scheduling must not interact with the job length either.
         prop_assert_eq!(&report_json(ds, KernelPolicy::Chunked(chunk), false), &want);
     }
 
     /// The sort-sweep concurrent-attack detector reproduces the
-    /// pairwise reference scan exactly on arbitrary traces (the unit
+    /// pairwise dataset scan exactly on arbitrary traces (the unit
     /// suite pins crafted chain/window fixtures; this covers simulated
     /// collaboration injection).
     #[test]
@@ -95,7 +95,7 @@ proptest! {
         let trace = generate(&cfg);
         let ctx = AnalysisContext::build(&trace.dataset, ArimaSpec::DEFAULT);
         let sweep = CollabAnalysis::compute_ctx(&ctx);
-        let pairwise = CollabAnalysis::compute_ctx_reference(&ctx);
+        let pairwise = CollabAnalysis::compute(&trace.dataset);
         prop_assert_eq!(
             serde_json::to_string(&sweep).expect("collab serializes"),
             serde_json::to_string(&pairwise).expect("collab serializes")

@@ -1,16 +1,17 @@
-//! The pass-based pipeline's contract: every cell of the testkit's
-//! variant matrix — schedulers, kernel policies, context builds, ingest
-//! round-trips, and the pre-refactor baseline — serializes to the exact
-//! same report, on simulated traces and on arbitrary small datasets.
-//! Likewise for the context build underneath: the columnar parallel
-//! build, the columnar serial build, and the pre-columnar reference
-//! build carry bit-identical analysis inputs.
+//! The pass-based pipeline's contract off the golden trace: every cell
+//! of the testkit's variant matrix — schedulers, job lengths, context
+//! builds, ingest round-trips, and the dataset-scan baseline —
+//! serializes to the exact same report on arbitrary small datasets (the
+//! golden suite runs the matrix on the canonical trace). Likewise for the
+//! context build underneath: the parallel build, the serial build, and a
+//! one-attack-per-job build carry bit-identical analysis inputs.
 //!
 //! The variant enumeration itself lives in `ddos_testkit::matrix` (one
 //! definition shared with the golden suite and the soak loop); this
 //! suite only owns the dataset shapes it runs the matrix against.
 
-use ddos_analytics::AnalysisContext;
+use ddos_analytics::{AnalysisContext, KernelPolicy};
+use ddos_obs::Obs;
 use ddos_schema::record::{AttackRecord, BotRecord, Location};
 use ddos_schema::{
     Asn, BotnetId, CityId, CountryCode, Dataset, DatasetBuilder, DdosId, Family, IpAddr4, LatLon,
@@ -29,14 +30,15 @@ use proptest::prelude::*;
 fn assert_context_builds_agree(ds: &Dataset) {
     let serial = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
     let parallel = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, true);
-    let reference = AnalysisContext::build_reference(ds, ArimaSpec::DEFAULT);
+    let per_attack = AnalysisContext::build_kernels(
+        ds,
+        ArimaSpec::DEFAULT,
+        true,
+        KernelPolicy::Chunked(1),
+        &Obs::disabled(),
+    );
     serial.assert_same_analysis(&parallel);
-    serial.assert_same_analysis(&reference);
-}
-
-#[test]
-fn simulated_trace_reports_are_byte_identical() {
-    assert_cells_agree(small_dataset(), &matrix());
+    serial.assert_same_analysis(&per_attack);
 }
 
 #[test]
