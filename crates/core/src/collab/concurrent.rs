@@ -78,7 +78,7 @@ impl CollabAnalysis {
             .iter()
             .map(|t| t.attacks.as_slice())
             .collect();
-        Self::detect_sweep(ctx.dataset.attacks(), &lists)
+        Self::detect_sweep(ctx.attacks, &lists)
     }
 
     /// The pairwise detection rule over per-target attack-index lists.
@@ -370,7 +370,16 @@ impl PairFocus {
         a: Family,
         b: Family,
     ) -> Option<PairFocus> {
-        let attacks = ds.attacks();
+        Self::of_attacks(ds.attacks(), analysis, a, b)
+    }
+
+    /// [`PairFocus::compute`] over the attack slice `analysis` indexes.
+    pub fn of_attacks(
+        attacks: &[AttackRecord],
+        analysis: &CollabAnalysis,
+        a: Family,
+        b: Family,
+    ) -> Option<PairFocus> {
         let mut series = Vec::new();
         let mut targets = HashSet::new();
         let mut countries = HashSet::new();

@@ -18,14 +18,26 @@
 //! resolution fans out on scoped threads in deterministic jobs whose
 //! length [`KernelPolicy`] sets.
 //!
+//! # The covered records
+//!
+//! A context covers a *prefix* of the trace: the monolithic build covers
+//! all of it, and an epoch fold ([`crate::epoch::EpochContext`]) covers
+//! the epochs appended so far. Pass bodies read raw records only through
+//! [`AnalysisContext::attacks`], a slice borrowed from the dataset's
+//! attack list that ends where the covered prefix ends, and Table III
+//! only through [`AnalysisContext::summary`]. The dataset itself is a
+//! private field, so no pass can reach records past the prefix: a fold
+//! at any watermark answers exactly like a fresh build over the same
+//! epochs, with no copy of the prefix made.
+//!
 //! # Invariants
 //!
-//! The context is *read-only* and derived purely from the dataset (plus
-//! the chosen ARIMA order), which is what lets the scheduler run passes
-//! against it from multiple threads:
+//! The context is *read-only* and derived purely from the covered
+//! records (plus the chosen ARIMA order), which is what lets the
+//! scheduler run passes against it from multiple threads:
 //!
-//! * `durations[i]` and `all_starts[i]` describe `dataset.attacks()[i]`;
-//!   both vectors share the dataset's trace order (sorted by start time).
+//! * `durations[i]` and `all_starts[i]` describe `attacks[i]`; all three
+//!   share the dataset's trace order (sorted by start time).
 //! * `target_timelines` is sorted by target IP; each timeline's attack
 //!   indices are ascending, hence in start order.
 //! * The per-family slots ([`FamilyContext`]) follow [`Family::ACTIVE`]
@@ -50,7 +62,9 @@ use ddos_geo::{
     KernelCounters,
 };
 use ddos_obs::Obs;
-use ddos_schema::{CountryCode, Dataset, Family, IpAddr4, Timestamp};
+use ddos_schema::{
+    AttackRecord, CountryCode, Dataset, DatasetSummary, Family, IpAddr4, Timestamp, Window,
+};
 use ddos_stats::ArimaSpec;
 
 use crate::columnar::{
@@ -60,8 +74,9 @@ use crate::kernels::KernelPolicy;
 use crate::source::dispersion::FamilyDispersion;
 use crate::util::IpMap;
 
-/// One target's attack history: indices into `Dataset::attacks()`,
-/// ascending (therefore in start order).
+/// One target's attack history: indices into the context's
+/// [`attacks`](AnalysisContext::attacks), ascending (therefore in start
+/// order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetTimeline {
     /// The victim IP.
@@ -86,11 +101,20 @@ pub struct FamilyContext {
     pub weekly_bots: Vec<IpMap<CountryCode>>,
 }
 
-/// Everything the analysis passes share, built once per dataset.
+/// Everything the analysis passes share, built once per covered prefix.
 #[derive(Debug)]
 pub struct AnalysisContext<'a> {
-    /// The dataset under analysis.
-    pub dataset: &'a Dataset,
+    /// The dataset the covered records are borrowed from. Private: a
+    /// fold's dataset holds records past the covered prefix.
+    dataset: &'a Dataset,
+    /// The covered attacks, in trace order: all of `dataset.attacks()`
+    /// for a monolithic build, the appended epochs' prefix of it for a
+    /// fold.
+    pub attacks: &'a [AttackRecord],
+    /// Table III's counts when the builder already has them (an epoch
+    /// fold merges them per epoch); `None` has [`AnalysisContext::summary`]
+    /// scan the dataset instead.
+    summary: Option<DatasetSummary>,
     /// ARIMA order for the prediction pass.
     pub spec: ArimaSpec,
     /// The `Botlist` as a columnar table: sorted IPs, countries, and
@@ -491,6 +515,8 @@ impl<'a> AnalysisContext<'a> {
 
         AnalysisContext {
             dataset,
+            attacks,
+            summary: None,
             spec,
             bot_table,
             sources,
@@ -502,13 +528,16 @@ impl<'a> AnalysisContext<'a> {
     }
 
     /// Assembles a context from precomputed parts — the exit point of
-    /// the epoch fold ([`crate::epoch::EpochContext`]). Callers are
-    /// responsible for upholding the module invariants; the epoch
-    /// equivalence suite pins the fold's output bit-equal to
-    /// [`AnalysisContext::build`].
+    /// the epoch fold ([`crate::epoch::EpochContext`]), covering the
+    /// first `attacks` records of `dataset` with Table III's counts
+    /// already merged. Callers are responsible for upholding the module
+    /// invariants; the epoch equivalence suite pins the fold's output
+    /// bit-equal to [`AnalysisContext::build`] over the same records.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         dataset: &'a Dataset,
+        attacks: usize,
+        summary: DatasetSummary,
         spec: ArimaSpec,
         bot_table: BotTable,
         sources: SourceTable,
@@ -519,6 +548,8 @@ impl<'a> AnalysisContext<'a> {
     ) -> AnalysisContext<'a> {
         AnalysisContext {
             dataset,
+            attacks: &dataset.attacks()[..attacks],
+            summary: Some(summary),
             spec,
             bot_table,
             sources,
@@ -527,6 +558,19 @@ impl<'a> AnalysisContext<'a> {
             target_timelines,
             families,
         }
+    }
+
+    /// The trace window. Day and week bucketing is always against the
+    /// whole trace's window, whatever prefix the context covers.
+    pub fn window(&self) -> Window {
+        self.dataset.window()
+    }
+
+    /// Table III's distinct counts over the covered records: the fold's
+    /// merged counts, or for a monolithic build a scan of the dataset
+    /// ([`Dataset::summary`]) run when the `summary` pass asks.
+    pub fn summary(&self) -> DatasetSummary {
+        self.summary.unwrap_or_else(|| self.dataset.summary())
     }
 
     /// The per-family slots, in [`Family::ACTIVE`] order.
@@ -559,6 +603,8 @@ impl<'a> AnalysisContext<'a> {
     ///
     /// Panics with a description of the first divergence.
     pub fn assert_same_analysis(&self, other: &AnalysisContext<'_>) {
+        assert_eq!(self.attacks, other.attacks, "covered attacks diverged");
+        assert_eq!(self.summary(), other.summary(), "Table III diverged");
         assert_eq!(self.durations, other.durations, "durations diverged");
         assert_eq!(self.all_starts, other.all_starts, "all_starts diverged");
         assert_eq!(

@@ -90,7 +90,7 @@ impl BlacklistSim {
     ///
     /// [`SourceTable`]: crate::columnar::SourceTable
     pub fn run_ctx(ctx: &crate::context::AnalysisContext) -> BlacklistSim {
-        let attacks = ctx.dataset.attacks();
+        let attacks = ctx.attacks;
         let sources = &ctx.sources;
         const NEVER: u32 = u32::MAX;
         debug_assert!((ctx.target_timelines.len() as u64) < u64::from(NEVER));

@@ -2,8 +2,9 @@
 //!
 //! [`EpochContext`] is one epoch's share of an [`AnalysisContext`]: the
 //! epoch's bot and source tables, per-attack vectors, per-target
-//! timelines (with stable *global* attack indices), and per-family
-//! aggregates (dispersion snapshots and weekly bot maps). Epochs build
+//! timelines (with stable *global* attack indices), per-family
+//! aggregates (dispersion snapshots and weekly bot maps), and Table
+//! III's distinct sets ([`SummarySets`]). Epochs build
 //! independently — from a borrowed [`DatasetShard`] or an owned
 //! [`EpochBatch`] a feed streams in — and [`EpochContext::merge`] folds
 //! two adjacent epochs into one.
@@ -27,6 +28,14 @@
 //!   against the merged tables, restoring the invariant that each
 //!   context's aggregates equal a fresh build against its own tables —
 //!   which is also why the merge is associative.
+//! * Table III's sets merge by union. An epoch counts its own attacks
+//!   and only the bot records whose clamped first-seen epoch it is. A
+//!   valid bot record lands in every epoch its `[first_seen,
+//!   last_seen]` span meets, the first of them included, so each record
+//!   is counted in exactly one epoch. The union over the epochs below a
+//!   watermark `w` therefore counts exactly the records of
+//!   [`Dataset::epoch_prefix`]`(len, w)`: its attacks, and the bot
+//!   records first seen before epoch `w`.
 //!
 //! The `tests/epochs.rs` property suite proves equivalence and
 //! associativity over arbitrary partitions (empty epochs and
@@ -38,8 +47,8 @@ use std::collections::HashSet;
 use ddos_geo::{dispersion_precomp_indexed_counted, KernelCounters};
 use ddos_obs::Obs;
 use ddos_schema::{
-    AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, EpochBatch, Family, Timestamp,
-    Window,
+    AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, EpochBatch, Family, SummarySets,
+    Timestamp, Window,
 };
 use ddos_stats::ArimaSpec;
 
@@ -87,6 +96,10 @@ pub struct MergeDelta {
     pub appended_attacks: usize,
     /// Bot rows the right epoch added to the merged table.
     pub appended_bots: usize,
+    /// Whether the right epoch's first-seen bot records grew Table
+    /// III's attacker-side sets. A record that only repeats a known IP
+    /// with a new city appends no bot row but still moves the table.
+    pub attackers_grew: bool,
     /// Merged-local indices of attacks re-resolved against the merged
     /// tables (duplicate-IP arbitration or extra promotion), ascending.
     pub reresolved: Vec<u32>,
@@ -115,6 +128,9 @@ pub struct EpochContext {
     sources: SourceTable,
     /// One slot per [`Family::ACTIVE`] entry.
     slots: Vec<EpochSlot>,
+    /// Table III's distinct sets over the covered attacks and the bot
+    /// records first seen in the covered span.
+    summary: SummarySets,
 }
 
 /// Dispersion snapshot of one covered attack against the given tables —
@@ -199,6 +215,19 @@ impl EpochContext {
         ws: &mut FoldScratch,
     ) -> EpochContext {
         let _span = obs.span("epoch/build");
+        let bot_records: Vec<(u32, &BotRecord)> = bot_records.into_iter().collect();
+        // A record belongs to the epoch holding its clamped first
+        // sighting: this one when first seen inside the span, or any
+        // earlier record when this is the first epoch.
+        let first_epoch = span.start <= window.start;
+        let first_seen_here = |b: &&BotRecord| first_epoch || b.first_seen >= span.start;
+        let mut summary = SummarySets::default();
+        for b in bot_records.iter().map(|&(_, b)| b).filter(first_seen_here) {
+            summary.insert_bot(b);
+        }
+        for a in attacks {
+            summary.insert_attack(a);
+        }
         let bots = BotTable::from_records_with(bot_records, &mut ws.radix);
         let sources = SourceTable::build_slice(attacks, &bots, false);
 
@@ -287,6 +316,7 @@ impl EpochContext {
             bots,
             sources,
             slots,
+            summary,
         }
     }
 
@@ -355,6 +385,8 @@ impl EpochContext {
         );
 
         let appended_attacks = b.len();
+        let mut summary = a.summary;
+        let attackers_grew = summary.union(b.summary);
         let (bots, ra, rb) = merge_bot_tables(&a.bots, &b.bots);
         let appended_bots = bots.len() - a.bots.len();
         let (sources, affected) = merge_source_tables(&a.sources, &b.sources, &bots, &ra, &rb);
@@ -453,10 +485,12 @@ impl EpochContext {
                 bots,
                 sources,
                 slots,
+                summary,
             },
             MergeDelta {
                 appended_attacks,
                 appended_bots,
+                attackers_grew,
                 reresolved: affected,
             },
         )
@@ -516,10 +550,14 @@ impl EpochContext {
         assert_eq!(self.attack_base, 0, "fold must start at the first epoch");
         assert_eq!(self.len(), dataset.len(), "fold must cover every attack");
         assert_eq!(self.window, dataset.window(), "fold from another trace");
+        let covered = self.len();
+        let summary = self.summary.summary(covered);
         let families =
             Self::families_from_slots(self.window, self.attack_base, &self.starts, self.slots);
         AnalysisContext::from_parts(
             dataset,
+            covered,
+            summary,
             spec,
             self.bots,
             self.sources,
@@ -531,13 +569,21 @@ impl EpochContext {
     }
 
     /// Clones a (possibly partial, but prefix-anchored) fold into an
-    /// analysis context so passes can run mid-stream. The context's
-    /// vectors cover the folded prefix; `ctx.dataset` remains the full
-    /// trace, so mid-stream pass outputs that read the dataset directly
-    /// see ahead — the incremental pipeline documents this and the
-    /// *final* report is exact.
+    /// analysis context so passes can run mid-stream. The context covers
+    /// exactly the folded prefix: its attack slice is borrowed from
+    /// `dataset` and ends with the last appended epoch, and Table III
+    /// comes from the fold's merged sets. Passes over it therefore
+    /// answer exactly like a fresh build over
+    /// [`Dataset::epoch_prefix`] of the same epochs, with no copy of the
+    /// prefix's records made.
+    ///
+    /// # Panics
+    ///
+    /// If the fold does not start at the first epoch or comes from
+    /// another trace.
     pub fn to_context<'a>(&self, dataset: &'a Dataset, spec: ArimaSpec) -> AnalysisContext<'a> {
         assert_eq!(self.attack_base, 0, "fold must start at the first epoch");
+        assert_eq!(self.window, dataset.window(), "fold from another trace");
         let families = Self::families_from_slots(
             self.window,
             self.attack_base,
@@ -546,6 +592,8 @@ impl EpochContext {
         );
         AnalysisContext::from_parts(
             dataset,
+            self.len(),
+            self.summary.summary(self.len()),
             spec,
             self.bots.clone(),
             self.sources.clone(),

@@ -7,8 +7,10 @@
 //! 1/3 of the period."* This module quantifies exactly that, plus the
 //! population curves visible in the feed's hourly snapshots.
 
-use ddos_schema::{Dataset, Family, Timestamp};
+use ddos_schema::{Dataset, Family, Timestamp, Window};
 use serde::{Deserialize, Serialize};
+
+use crate::context::AnalysisContext;
 
 /// Activity profile of one family over the window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -33,38 +35,61 @@ pub struct FamilyActivity {
 /// (attack volume) first.
 pub fn activity_levels(ds: &Dataset) -> Vec<FamilyActivity> {
     let window = ds.window();
-    let total_days = window.num_days().max(1);
-    let mut out: Vec<FamilyActivity> = Family::ACTIVE
-        .into_iter()
-        .map(|family| {
-            let mut days = std::collections::HashSet::new();
-            let mut attacks = 0usize;
-            let mut first = None;
-            let mut last = None;
-            for a in ds.attacks_of(family) {
-                attacks += 1;
-                if let Some(d) = window.day_index(a.start) {
-                    days.insert(d);
-                    first = Some(first.map_or(d, |f: usize| f.min(d)));
-                    last = Some(last.map_or(d, |l: usize| l.max(d)));
-                }
-            }
-            let active_days = days.len();
-            FamilyActivity {
-                family,
-                attacks,
-                active_days,
-                first_day: first,
-                last_day: last,
-                attacks_per_active_day: if active_days > 0 {
-                    attacks as f64 / active_days as f64
-                } else {
-                    0.0
-                },
-                duty_cycle: active_days as f64 / total_days as f64,
-            }
-        })
-        .collect();
+    ranked(
+        Family::ACTIVE
+            .into_iter()
+            .map(|family| profile(window, family, ds.attacks_of(family).map(|a| a.start)))
+            .collect(),
+    )
+}
+
+/// [`activity_levels`] over the context's per-family start columns.
+pub fn activity_levels_ctx(ctx: &AnalysisContext) -> Vec<FamilyActivity> {
+    let window = ctx.window();
+    ranked(
+        ctx.families()
+            .iter()
+            .map(|fc| profile(window, fc.family, fc.starts.iter().copied()))
+            .collect(),
+    )
+}
+
+/// One family's profile from its attack start times.
+fn profile(
+    window: Window,
+    family: Family,
+    starts: impl Iterator<Item = Timestamp>,
+) -> FamilyActivity {
+    let mut days = std::collections::HashSet::new();
+    let mut attacks = 0usize;
+    let mut first = None;
+    let mut last = None;
+    for start in starts {
+        attacks += 1;
+        if let Some(d) = window.day_index(start) {
+            days.insert(d);
+            first = Some(first.map_or(d, |f: usize| f.min(d)));
+            last = Some(last.map_or(d, |l: usize| l.max(d)));
+        }
+    }
+    let active_days = days.len();
+    FamilyActivity {
+        family,
+        attacks,
+        active_days,
+        first_day: first,
+        last_day: last,
+        attacks_per_active_day: if active_days > 0 {
+            attacks as f64 / active_days as f64
+        } else {
+            0.0
+        },
+        duty_cycle: active_days as f64 / window.num_days().max(1) as f64,
+    }
+}
+
+/// Sorts profiles by attack volume, most aggressive first.
+fn ranked(mut out: Vec<FamilyActivity>) -> Vec<FamilyActivity> {
     out.sort_by(|a, b| b.attacks.cmp(&a.attacks).then(a.family.cmp(&b.family)));
     out
 }

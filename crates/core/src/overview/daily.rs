@@ -1,6 +1,6 @@
 //! Fig. 2 — the daily attack distribution.
 
-use ddos_schema::{Dataset, Family, Timestamp};
+use ddos_schema::{AttackRecord, Dataset, Family, Timestamp, Window};
 use serde::{Deserialize, Serialize};
 
 /// Daily attack counts over the observation window.
@@ -16,18 +16,27 @@ pub struct DailyDistribution {
 impl DailyDistribution {
     /// Buckets attack start times by window day.
     pub fn compute(ds: &Dataset) -> DailyDistribution {
-        Self::compute_filtered(ds, None)
+        Self::of_attacks(ds.window(), ds.attacks())
+    }
+
+    /// [`DailyDistribution::compute`] over an attack slice, bucketed by
+    /// the days of `window`.
+    pub fn of_attacks(window: Window, attacks: &[AttackRecord]) -> DailyDistribution {
+        Self::filtered(window, attacks, None)
     }
 
     /// Same, restricted to one family.
     pub fn compute_for(ds: &Dataset, family: Family) -> DailyDistribution {
-        Self::compute_filtered(ds, Some(family))
+        Self::filtered(ds.window(), ds.attacks(), Some(family))
     }
 
-    fn compute_filtered(ds: &Dataset, family: Option<Family>) -> DailyDistribution {
-        let window = ds.window();
+    fn filtered(
+        window: Window,
+        attacks: &[AttackRecord],
+        family: Option<Family>,
+    ) -> DailyDistribution {
         let mut counts = vec![0usize; window.num_days()];
-        for a in ds.attacks() {
+        for a in attacks {
             if family.is_some_and(|f| f != a.family) {
                 continue;
             }

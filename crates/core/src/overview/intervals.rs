@@ -170,7 +170,7 @@ impl ConcurrencyAnalysis {
     /// `BTreeMap` regrouping and yields the exact same events in the
     /// exact same order.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> ConcurrencyAnalysis {
-        let attacks = ctx.dataset.attacks();
+        let attacks = ctx.attacks;
         let mut single = Vec::new();
         let mut multi = Vec::new();
         let mut i = 0;

@@ -1,6 +1,6 @@
 //! Fig. 1 / Table II — attack transport popularity.
 
-use ddos_schema::{Dataset, Family, Protocol};
+use ddos_schema::{AttackRecord, Dataset, Family, Protocol};
 use serde::{Deserialize, Serialize};
 
 /// Attack counts per protocol across the whole trace (Fig. 1).
@@ -14,8 +14,13 @@ pub struct ProtocolPopularity {
 impl ProtocolPopularity {
     /// Counts attacks per protocol.
     pub fn compute(ds: &Dataset) -> ProtocolPopularity {
+        Self::of_attacks(ds.attacks())
+    }
+
+    /// [`ProtocolPopularity::compute`] over an attack slice.
+    pub fn of_attacks(attacks: &[AttackRecord]) -> ProtocolPopularity {
         let mut counts = [0usize; Protocol::ALL.len()];
-        for a in ds.attacks() {
+        for a in attacks {
             counts[a.category.index()] += 1;
         }
         let mut counts: Vec<(Protocol, usize)> = Protocol::ALL
@@ -65,8 +70,13 @@ pub struct ProtocolFamilyRow {
 /// Rows are grouped by protocol in the paper's order, families
 /// alphabetical within a protocol, zero rows omitted.
 pub fn protocol_preferences(ds: &Dataset) -> Vec<ProtocolFamilyRow> {
+    protocol_preferences_of(ds.attacks())
+}
+
+/// [`protocol_preferences`] over an attack slice.
+pub fn protocol_preferences_of(attacks: &[AttackRecord]) -> Vec<ProtocolFamilyRow> {
     let mut counts = [[0usize; Family::ALL.len()]; Protocol::ALL.len()];
-    for a in ds.attacks() {
+    for a in attacks {
         counts[a.category.index()][a.family.index()] += 1;
     }
     let mut rows = Vec::new();

@@ -15,9 +15,14 @@
 //! algorithm than their scan (the dense shift and country grids, the
 //! sorted-gap recurrence scorer, the collaboration sort-sweep, the
 //! single-sort duration statistics, the id-stamp blacklist replay); the
-//! rest *are* the dataset scan. The baseline report is the one
-//! independent oracle every body that differs from its scan is tested
-//! against.
+//! rest run the dataset scan's own loop over the context's borrowed
+//! attack slice. The baseline report is the one independent oracle
+//! every body that differs from its scan is tested against.
+//!
+//! A body reads raw records only through `ctx.attacks` and Table III
+//! only through `ctx.summary()`, never through the dataset: a context
+//! covers a prefix of the trace (all of it, or an epoch fold's appended
+//! epochs), and those two views end where the prefix ends.
 //!
 //! Observability: [`execute`] records one `passes/<name>` span per pass
 //! and one `scheduler/stage<i>` span per dependency stage into the
@@ -45,11 +50,11 @@ use crate::collab::multistage::MultistageAnalysis;
 use crate::context::AnalysisContext;
 use crate::defense::{latency_sweep_from_durations, BlacklistSim, LatencyPoint};
 use crate::fault::{self, PipelineError};
-use crate::overview::activity::{activity_levels, FamilyActivity};
+use crate::overview::activity::{activity_levels_ctx, FamilyActivity};
 use crate::overview::daily::DailyDistribution;
 use crate::overview::duration::DurationAnalysis;
 use crate::overview::intervals::{starts_to_intervals, ConcurrencyAnalysis, IntervalStats};
-use crate::overview::protocols::{protocol_preferences, ProtocolFamilyRow, ProtocolPopularity};
+use crate::overview::protocols::{protocol_preferences_of, ProtocolFamilyRow, ProtocolPopularity};
 use crate::source::dispersion::{qualifying_families_ctx, FamilyDispersion};
 use crate::source::prediction::PredictionAnalysis;
 use crate::source::shift::ShiftAnalysis;
@@ -68,10 +73,14 @@ pub const LATENCY_GRID_S: &[f64] = &[60.0, 600.0, 3_600.0, 4.0 * 3_600.0, 86_400
 /// re-runs only the passes whose inputs moved ([`passes_dirtied_by`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtxPart {
-    /// The attack records themselves (`ctx.dataset.attacks()`,
-    /// `ctx.all_starts`, and everything derived per-attack on the fly).
+    /// The covered attack records themselves (`ctx.attacks`,
+    /// `ctx.all_starts`, the victim side of `ctx.summary()`, and
+    /// everything derived per-attack on the fly). Changes whenever an
+    /// epoch appends attacks.
     Attacks,
-    /// The bot roster (`ctx.dataset.bots()`, `ctx.bot_table`).
+    /// The bot roster: `ctx.bot_table` and the attacker side of
+    /// `ctx.summary()`. Changes whenever an epoch appends bot rows or
+    /// its first-seen bot records grow Table III's attacker sets.
     Bots,
     /// The per-attack duration column (`ctx.durations`).
     Durations,
@@ -183,19 +192,19 @@ pub struct PassSpec {
 }
 
 fn pass_protocols(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Protocols(ProtocolPopularity::compute(ctx.dataset))
+    PassOutput::Protocols(ProtocolPopularity::of_attacks(ctx.attacks))
 }
 
 fn pass_protocol_rows(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::ProtocolRows(protocol_preferences(ctx.dataset))
+    PassOutput::ProtocolRows(protocol_preferences_of(ctx.attacks))
 }
 
 fn pass_summary(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Summary(SummaryComparison::compute(ctx.dataset))
+    PassOutput::Summary(SummaryComparison::of(ctx.summary()))
 }
 
 fn pass_daily(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Daily(DailyDistribution::compute(ctx.dataset))
+    PassOutput::Daily(DailyDistribution::of_attacks(ctx.window(), ctx.attacks))
 }
 
 fn pass_interval_stats(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
@@ -255,8 +264,8 @@ fn pass_flagship_pair(ctx: &AnalysisContext, partial: &PartialReport, _obs: &Obs
         .collaborations
         .as_ref()
         .expect("scheduler ran flagship_pair before its collaborations dependency");
-    PassOutput::FlagshipPair(PairFocus::compute(
-        ctx.dataset,
+    PassOutput::FlagshipPair(PairFocus::of_attacks(
+        ctx.attacks,
         collab,
         Family::Dirtjumper,
         Family::Pandora,
@@ -268,7 +277,7 @@ fn pass_multistage(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> Pass
 }
 
 fn pass_activity(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Activity(activity_levels(ctx.dataset))
+    PassOutput::Activity(activity_levels_ctx(ctx))
 }
 
 fn pass_recurrence(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
@@ -386,7 +395,7 @@ pub const REGISTRY: &[PassSpec] = &[
     PassSpec {
         name: "activity",
         deps: &[],
-        reads: &[CtxPart::Attacks],
+        reads: &[CtxPart::Families],
         run: pass_activity,
     },
     PassSpec {

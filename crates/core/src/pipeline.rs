@@ -383,38 +383,25 @@ impl ObsSlot<'_> {
 /// accumulator, maps the [`crate::epoch::MergeDelta`] to dirty
 /// [`CtxPart`]s, and re-executes the dirtied passes
 /// ([`passes::passes_dirtied_by`]) against the folded context; clean
-/// sections keep their slots. After the last epoch the accumulator
-/// covers the whole trace — the merge laws make it bit-identical to the
-/// monolithic build — so [`IncrementalPipeline::into_report`] is
-/// byte-identical to the batch pipeline's report.
+/// sections keep their slots.
 ///
-/// Mid-stream caveat: passes read `ctx.dataset` for the raw records, so
-/// between the first and last append a re-run pass sees the *full*
-/// trace's records alongside the folded prefix's context. Intermediate
-/// slots are therefore not exact prefix reports; only the final report
-/// is pinned. Context-derived indices are always in range, so partial
-/// materialization never panics. [`IncrementalPipeline::prefix_exact`]
-/// lifts the caveat: passes then materialize against the epoch-prefix
-/// dataset, making every intermediate state an exact prefix report
-/// ([`IncrementalPipeline::snapshot_report`]).
+/// Every watermark is an exact prefix report. The folded context
+/// borrows the appended epochs' slice of the attack list and carries
+/// Table III as merged distinct sets ([`EpochContext::to_context`]), so
+/// after each clean append the partial report is byte-identical to a
+/// fresh monolithic run over [`Dataset::epoch_prefix`] of the same
+/// epochs ([`IncrementalPipeline::snapshot_report`]), and no append
+/// copies the prefix's records. After the last epoch the accumulator
+/// covers the whole trace, so [`IncrementalPipeline::into_report`] is
+/// byte-identical to the batch pipeline's report.
 pub struct IncrementalPipeline<'a> {
     ds: &'a Dataset,
     opts: PipelineOptions,
     obs: ObsSlot<'a>,
-    epoch_len: Seconds,
     shards: Vec<DatasetShard<'a>>,
     next: usize,
     acc: Option<EpochContext>,
     partial: PartialReport,
-    /// When set, passes re-run against [`Dataset::epoch_prefix`] of the
-    /// appended epochs instead of the full trace, so the partial report
-    /// after each clean append is byte-identical to a monolithic run
-    /// over that prefix — the invariant the serve layer's snapshot
-    /// queries rely on.
-    prefix_exact: bool,
-    /// The materialized prefix dataset (prefix-exact mode only),
-    /// rebuilt whenever an append grows the raw record prefix.
-    prefix: Option<Dataset>,
     /// Passes dirtied by appended epochs but not yet successfully
     /// re-run. Normally drained within the same append; it only
     /// carries over when a `scheduler/pass` fault aborted the re-run,
@@ -463,35 +450,13 @@ impl<'a> IncrementalPipeline<'a> {
             ds,
             opts,
             obs,
-            epoch_len,
             shards: ds.shards(epoch_len),
             next: 0,
             acc: None,
             partial: PartialReport::default(),
-            prefix_exact: false,
-            prefix: None,
             pending: HashSet::new(),
             scratch: FoldScratch::default(),
         }
-    }
-
-    /// Switches the pipeline into prefix-exact mode (before the first
-    /// append): every pass re-run materializes against the
-    /// [`Dataset::epoch_prefix`] of the appended epochs, so after each
-    /// clean append the partial report is byte-identical to a
-    /// monolithic run over exactly those epochs' records — the
-    /// invariant behind [`IncrementalPipeline::snapshot_report`].
-    ///
-    /// Costs a prefix-dataset rebuild on every append that grows the
-    /// raw record prefix; the final report is unchanged (the last
-    /// prefix *is* the full trace).
-    pub fn prefix_exact(mut self) -> Self {
-        assert_eq!(
-            self.next, 0,
-            "prefix_exact must be set before the first append"
-        );
-        self.prefix_exact = true;
-        self
     }
 
     /// Total number of epochs in the slicing.
@@ -512,18 +477,17 @@ impl<'a> IncrementalPipeline<'a> {
     }
 
     /// An exact prefix report at the current watermark, or `None` when
-    /// one isn't available: the pipeline is not in
-    /// [`prefix_exact`](IncrementalPipeline::prefix_exact) mode, no
-    /// epoch has been appended yet, or a `scheduler/pass` fault left
-    /// dirtied passes pending (the state is mid-repair; the next clean
-    /// append flushes them).
+    /// one isn't available: no epoch has been appended yet, or a
+    /// `scheduler/pass` fault left dirtied passes pending (the state is
+    /// mid-repair; the next clean append flushes them).
     ///
     /// The returned report is byte-identical to a monolithic run over
-    /// `ds.epoch_prefix(epoch_len, watermark())` — the serve
-    /// conformance suite pins this. Telemetry is empty (it is run
+    /// the dataset's first [`watermark`](IncrementalPipeline::watermark)
+    /// epochs ([`Dataset::epoch_prefix`]) — the epoch and serve suites
+    /// pin this at every watermark. Telemetry is empty (it is run
     /// metadata, not part of the snapshot).
     pub fn snapshot_report(&self) -> Option<AnalysisReport> {
-        if !self.prefix_exact || self.next == 0 || !self.pending.is_empty() {
+        if self.next == 0 || !self.pending.is_empty() {
             return None;
         }
         Some(assemble(self.partial.clone()))
@@ -568,16 +532,6 @@ impl<'a> IncrementalPipeline<'a> {
         self.next += 1;
         let built = EpochContext::build_scratch(shard, self.obs.get(), &mut self.scratch);
         let attacks = built.len();
-        // Prefix-exact mode: the raw-record prefix grows whenever the
-        // epoch carries attacks or bot records first seen inside it
-        // (re-observations of earlier bots are already in the prefix).
-        // Passes that read the raw roster (`summary`) declare
-        // `CtxPart::Bots`, so dirtying it covers a roster-only growth
-        // that appends no folded rows.
-        let new_bot_records = self.prefix_exact
-            && shard
-                .bots()
-                .any(|(_, b)| b.first_seen >= shard.span().start);
         let mut parts: Vec<CtxPart> = Vec::new();
         let acc = match self.acc.take() {
             // The first epoch seeds every part: all slots must fill.
@@ -606,7 +560,10 @@ impl<'a> IncrementalPipeline<'a> {
                         CtxPart::Sources,
                     ]);
                 }
-                if delta.appended_bots > 0 || new_bot_records {
+                // A first-seen record that only repeats a known IP with
+                // new attributes appends no row, but still moves Table
+                // III's attacker column.
+                if delta.appended_bots > 0 || delta.attackers_grew {
                     parts.push(CtxPart::Bots);
                 }
                 if !delta.reresolved.is_empty() {
@@ -629,14 +586,6 @@ impl<'a> IncrementalPipeline<'a> {
         // re-run: a pass fault then leaves a consistent context with
         // the un-run passes still queued in `pending`.
         self.acc = Some(acc);
-        if self.prefix_exact && (epoch == 0 || attacks > 0 || new_bot_records) {
-            // Rebuild the prefix dataset alongside the committed
-            // accumulator, also before the fallible re-run: a pass
-            // fault then leaves prefix and fold consistent with each
-            // other, and the retry materializes against them as-is.
-            let _span = self.obs.get().span("epoch/prefix");
-            self.prefix = Some(self.ds.epoch_prefix(self.epoch_len, self.next));
-        }
         self.try_flush()?;
         Ok(Some(AppendStats {
             epoch,
@@ -655,15 +604,9 @@ impl<'a> IncrementalPipeline<'a> {
             .acc
             .as_ref()
             .expect("pending passes imply an appended epoch");
-        // Prefix-exact runs see exactly the appended epochs' records;
-        // the default mode keeps the documented full-trace view.
-        let dataset = match &self.prefix {
-            Some(prefix) if self.prefix_exact => prefix,
-            _ => self.ds,
-        };
         let ctx = {
             let _span = self.obs.get().span("epoch/materialize");
-            acc_ref.to_context(dataset, self.opts.spec)
+            acc_ref.to_context(self.ds, self.opts.spec)
         };
         passes::try_execute_filtered(
             &ctx,

@@ -65,7 +65,7 @@ impl ShiftAnalysis {
     /// geolocation join) instead of resolving every attack source again,
     /// and classifies them on a dense count grid.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> ShiftAnalysis {
-        let num_weeks = ctx.dataset.window().num_weeks();
+        let num_weeks = ctx.window().num_weeks();
         let mut weeks = Self::empty_weeks(num_weeks);
         for fc in ctx.families() {
             Self::classify_family_dense(&mut weeks, &fc.weekly_bots);

@@ -1,8 +1,10 @@
 //! Table III — the workload summary.
 //!
-//! The distinct-count machinery lives in [`ddos_schema::Dataset::summary`];
-//! this module wraps it with the paper's reference values so reports and
-//! tests can show paper-vs-measured side by side.
+//! The distinct-count machinery lives in [`ddos_schema::SummarySets`]:
+//! [`ddos_schema::Dataset::summary`] fills one set per column in a scan,
+//! and the epoch fold fills them per epoch and merges them by union.
+//! This module wraps the counts with the paper's reference values so
+//! reports and tests can show paper-vs-measured side by side.
 
 use ddos_schema::{Dataset, DatasetSummary};
 use serde::{Deserialize, Serialize};
@@ -43,8 +45,13 @@ pub struct SummaryComparison {
 impl SummaryComparison {
     /// Computes the measured summary and pairs it with the reference.
     pub fn compute(ds: &Dataset) -> SummaryComparison {
+        Self::of(ds.summary())
+    }
+
+    /// Pairs an already-counted summary with the reference.
+    pub fn of(measured: DatasetSummary) -> SummaryComparison {
         SummaryComparison {
-            measured: ds.summary(),
+            measured,
             paper: PAPER_TABLE_III,
         }
     }

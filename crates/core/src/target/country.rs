@@ -80,7 +80,7 @@ pub fn all_profiles_ctx(ctx: &crate::context::AnalysisContext) -> Vec<FamilyCoun
     // `Family::ACTIVE` lists the variants in discriminant order, so the
     // discriminant doubles as the row index.
     let mut grid = vec![0u32; Family::ACTIVE.len() * CC_SLOTS];
-    for a in ctx.dataset.attacks() {
+    for a in ctx.attacks {
         if a.family.is_active() {
             grid[(a.family as usize) * CC_SLOTS + cc_slot(a.target.country)] += 1;
         }
@@ -106,7 +106,7 @@ pub fn overall_top_countries_ctx(
     k: usize,
 ) -> Vec<(CountryCode, usize)> {
     let mut row = vec![0u32; CC_SLOTS];
-    for a in ctx.dataset.attacks() {
+    for a in ctx.attacks {
         row[cc_slot(a.target.country)] += 1;
     }
     let mut ranked = rank_dense(&row);

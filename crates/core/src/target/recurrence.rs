@@ -104,7 +104,7 @@ impl RecurrenceAnalysis {
     /// already grouped in the analysis context, and scores them with the
     /// sorted-gap walk ([`score_trains_sorted`]).
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> RecurrenceAnalysis {
-        let attacks = ctx.dataset.attacks();
+        let attacks = ctx.attacks;
         let mut trains: Vec<TargetTrain> = ctx
             .target_timelines
             .iter()

@@ -7,6 +7,7 @@
 //! snapshot series.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
@@ -17,7 +18,8 @@ use crate::geo::CountryCode;
 use crate::hashing::{fast_set, FastSet};
 use crate::ids::{Asn, BotnetId, CityId, OrgId};
 use crate::ip::IpAddr4;
-use crate::record::{AttackRecord, BotRecord, BotnetRecord};
+use crate::protocol::Protocol;
+use crate::record::{AttackRecord, BotRecord, BotnetRecord, Location};
 use crate::snapshot::SnapshotSeries;
 use crate::time::Window;
 
@@ -52,6 +54,134 @@ pub struct DatasetSummary {
     pub traffic_types: usize,
 }
 
+/// The distinct sets behind one [`SideSummary`].
+#[derive(Debug, Clone, Default)]
+struct SideSets {
+    ips: FastSet<IpAddr4>,
+    cities: FastSet<CityId>,
+    countries: FastSet<CountryCode>,
+    orgs: FastSet<OrgId>,
+    asns: FastSet<Asn>,
+}
+
+impl SideSets {
+    /// Sets pre-sized for `n` insertions (countries never exceed the
+    /// registry's couple of hundred codes).
+    fn with_capacity(n: usize) -> SideSets {
+        SideSets {
+            ips: fast_set(n),
+            cities: fast_set(n),
+            countries: fast_set(256),
+            orgs: fast_set(n),
+            asns: fast_set(n),
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, ip: IpAddr4, at: &Location) {
+        self.ips.insert(ip);
+        self.cities.insert(at.city);
+        self.countries.insert(at.country);
+        self.orgs.insert(at.org);
+        self.asns.insert(at.asn);
+    }
+
+    /// Unions `other` into `self`; whether any set grew.
+    fn union(&mut self, other: SideSets) -> bool {
+        let mut grew = union_into(&mut self.ips, other.ips);
+        grew |= union_into(&mut self.cities, other.cities);
+        grew |= union_into(&mut self.countries, other.countries);
+        grew |= union_into(&mut self.orgs, other.orgs);
+        grew |= union_into(&mut self.asns, other.asns);
+        grew
+    }
+
+    fn counts(&self) -> SideSummary {
+        SideSummary {
+            ips: self.ips.len(),
+            cities: self.cities.len(),
+            countries: self.countries.len(),
+            organizations: self.orgs.len(),
+            asns: self.asns.len(),
+        }
+    }
+}
+
+/// Inserts the smaller of two sets into the larger, leaving the union
+/// in `acc`; whether it ended up larger than `acc` was.
+fn union_into<T: Eq + Hash>(acc: &mut FastSet<T>, mut other: FastSet<T>) -> bool {
+    let before = acc.len();
+    if acc.len() < other.len() {
+        std::mem::swap(acc, &mut other);
+    }
+    acc.extend(other);
+    acc.len() > before
+}
+
+/// Table III's twelve distinct sets: ip, city, country, organization
+/// and AS on the attacker side (over bot records) and on the victim
+/// side (over attack targets), plus the victims' traffic types and
+/// botnet ids. Sets filled from two record lists merge by union
+/// ([`SummarySets::union`]), so a fold over epochs counts exactly what
+/// one scan over the same records counts.
+#[derive(Debug, Clone, Default)]
+pub struct SummarySets {
+    attackers: SideSets,
+    victims: SideSets,
+    protocols: FastSet<Protocol>,
+    botnets: FastSet<BotnetId>,
+}
+
+impl SummarySets {
+    /// Empty sets pre-sized for `bots` bot records and `attacks` attack
+    /// records.
+    pub(crate) fn with_capacity(bots: usize, attacks: usize) -> SummarySets {
+        SummarySets {
+            attackers: SideSets::with_capacity(bots),
+            victims: SideSets::with_capacity(attacks),
+            protocols: fast_set(16),
+            botnets: fast_set(attacks),
+        }
+    }
+
+    /// Counts one bot record on the attacker side.
+    #[inline]
+    pub fn insert_bot(&mut self, bot: &BotRecord) {
+        self.attackers.insert(bot.ip, &bot.location);
+    }
+
+    /// Counts one attack record on the victim side.
+    #[inline]
+    pub fn insert_attack(&mut self, attack: &AttackRecord) {
+        self.victims.insert(attack.target_ip, &attack.target);
+        self.protocols.insert(attack.category);
+        self.botnets.insert(attack.botnet);
+    }
+
+    /// Unions `other` into `self`, each set inserting the smaller side
+    /// into the larger. Returns whether an attacker-side set grew —
+    /// whether the bot records `other` counted changed Table III's
+    /// attacker column.
+    pub fn union(&mut self, other: SummarySets) -> bool {
+        self.victims.union(other.victims);
+        union_into(&mut self.protocols, other.protocols);
+        union_into(&mut self.botnets, other.botnets);
+        self.attackers.union(other.attackers)
+    }
+
+    /// The distinct counts, with `attacks` as the attack total (the sets
+    /// count distinct values, not records).
+    pub fn summary(&self, attacks: usize) -> DatasetSummary {
+        DatasetSummary {
+            attackers: self.attackers.counts(),
+            victims: self.victims.counts(),
+            attacks,
+            botnets: self.botnets.len(),
+            traffic_types: self.protocols.len(),
+        }
+    }
+}
+
 /// The joined, indexed trace.
 ///
 /// Construction goes through [`DatasetBuilder`], which validates every
@@ -71,9 +201,6 @@ pub struct Dataset {
     /// Sorted distinct target IPs, built on first [`Dataset::targets`]
     /// call and reset whenever the indexes are rebuilt.
     targets: OnceLock<Vec<IpAddr4>>,
-    /// Table III distinct counts, built on first [`Dataset::summary`]
-    /// call and reset whenever the indexes are rebuilt.
-    summary: OnceLock<DatasetSummary>,
 }
 
 /// Wire representation of [`Dataset`]: the records without the indexes.
@@ -123,7 +250,6 @@ impl<'de> Deserialize<'de> for Dataset {
             by_target: HashMap::new(),
             by_botnet: HashMap::new(),
             targets: OnceLock::new(),
-            summary: OnceLock::new(),
         };
         ds.attacks.sort_by_key(|a| (a.start, a.id));
         ds.rebuild_indexes();
@@ -238,66 +364,18 @@ impl Dataset {
     /// Computes the Table III style summary over the whole trace.
     ///
     /// Attacker-side counts are taken over the bot records (the `Botlist`
-    /// join), victim-side counts over the attack targets. Computed on
-    /// first call and cached for the lifetime of the dataset (the record
-    /// set is immutable after construction); the incremental epoch
-    /// pipeline re-runs the `summary` pass on every bot-roster change,
-    /// so repeat calls must not rescan the trace.
+    /// join), victim-side counts over the attack targets. Every call is a
+    /// full scan of both record lists; the epoch engines count the same
+    /// sets per epoch and merge them instead ([`SummarySets`]).
     pub fn summary(&self) -> DatasetSummary {
-        *self.summary.get_or_init(|| self.compute_summary())
-    }
-
-    /// The uncached Table III scan behind [`Dataset::summary`].
-    fn compute_summary(&self) -> DatasetSummary {
-        // Distinct counting over millions of small copy keys: pre-sized
-        // FastHasher sets, not SipHash.
-        let mut a_ips = fast_set(self.bots.len());
-        let mut a_city = fast_set(self.bots.len());
-        let mut a_cc = fast_set(256);
-        let mut a_org = fast_set(self.bots.len());
-        let mut a_asn = fast_set(self.bots.len());
+        let mut sets = SummarySets::with_capacity(self.bots.len(), self.attacks.len());
         for bot in &self.bots {
-            a_ips.insert(bot.ip);
-            a_city.insert(bot.location.city);
-            a_cc.insert(bot.location.country);
-            a_org.insert(bot.location.org);
-            a_asn.insert(bot.location.asn);
+            sets.insert_bot(bot);
         }
-        let mut v_ips: FastSet<IpAddr4> = fast_set(self.attacks.len());
-        let mut v_city: FastSet<CityId> = fast_set(self.attacks.len());
-        let mut v_cc: FastSet<CountryCode> = fast_set(256);
-        let mut v_org: FastSet<OrgId> = fast_set(self.attacks.len());
-        let mut v_asn: FastSet<Asn> = fast_set(self.attacks.len());
-        let mut protocols = fast_set(16);
-        let mut botnet_ids = fast_set(self.attacks.len());
         for atk in &self.attacks {
-            v_ips.insert(atk.target_ip);
-            v_city.insert(atk.target.city);
-            v_cc.insert(atk.target.country);
-            v_org.insert(atk.target.org);
-            v_asn.insert(atk.target.asn);
-            protocols.insert(atk.category);
-            botnet_ids.insert(atk.botnet);
+            sets.insert_attack(atk);
         }
-        DatasetSummary {
-            attackers: SideSummary {
-                ips: a_ips.len(),
-                cities: a_city.len(),
-                countries: a_cc.len(),
-                organizations: a_org.len(),
-                asns: a_asn.len(),
-            },
-            victims: SideSummary {
-                ips: v_ips.len(),
-                cities: v_city.len(),
-                countries: v_cc.len(),
-                organizations: v_org.len(),
-                asns: v_asn.len(),
-            },
-            attacks: self.attacks.len(),
-            botnets: botnet_ids.len(),
-            traffic_types: protocols.len(),
-        }
+        sets.summary(self.attacks.len())
     }
 
     /// Rebuilds the (serde-skipped) indexes; used after deserialization.
@@ -306,7 +384,6 @@ impl Dataset {
         self.by_target.clear();
         self.by_botnet.clear();
         self.targets = OnceLock::new();
-        self.summary = OnceLock::new();
         for (i, atk) in self.attacks.iter().enumerate() {
             let i = i as u32;
             self.by_family.entry(atk.family).or_default().push(i);
@@ -464,7 +541,6 @@ impl DatasetBuilder {
             by_target: HashMap::new(),
             by_botnet: HashMap::new(),
             targets: OnceLock::new(),
-            summary: OnceLock::new(),
         };
         ds.attacks.sort_by_key(|a| (a.start, a.id));
         ds.rebuild_indexes();
@@ -556,6 +632,50 @@ mod tests {
         assert_eq!(s.botnets, 1);
         // No bot records were added, so attacker side is empty.
         assert_eq!(s.attackers.ips, 0);
+    }
+
+    #[test]
+    fn summary_sets_union_counts_what_one_scan_counts() {
+        let mut b = DatasetBuilder::new(window());
+        for id in 1..=3u64 {
+            let mut a = attack(id, id as i64 * 1_000);
+            a.target_ip = IpAddr4::from_octets(198, 51, 100, id as u8 % 2);
+            a.target.city = CityId(id as u32);
+            b.push_attack(a).unwrap();
+        }
+        // The third record repeats the first IP with a new city; the
+        // fourth repeats the first record outright.
+        for (last, city) in [(1, 1), (2, 2), (1, 3), (1, 1)] {
+            b.push_bot(BotRecord {
+                ip: IpAddr4::from_octets(203, 0, 113, last),
+                botnet: BotnetId(7),
+                family: Family::Dirtjumper,
+                location: Location {
+                    city: CityId(city),
+                    ..crate::record::test_fixtures::location()
+                },
+                first_seen: Timestamp(0),
+                last_seen: Timestamp(10),
+            })
+            .unwrap();
+        }
+        let ds = b.build().unwrap();
+        let (bots, attacks) = (ds.bots(), ds.attacks());
+        // Whether the right side grows the left's attacker sets, per
+        // bot split point.
+        let grows = [true, true, true, false, false];
+        for (split, &want_grew) in grows.iter().enumerate() {
+            let mut left = SummarySets::default();
+            let mut right = SummarySets::with_capacity(4, 4);
+            bots[..split].iter().for_each(|b| left.insert_bot(b));
+            bots[split..].iter().for_each(|b| right.insert_bot(b));
+            attacks[..1].iter().for_each(|a| left.insert_attack(a));
+            attacks[1..].iter().for_each(|a| right.insert_attack(a));
+            assert_eq!(left.union(right), want_grew, "split {split}");
+            assert_eq!(left.summary(ds.len()), ds.summary(), "split {split}");
+        }
+        assert_eq!(ds.summary().attackers.ips, 2);
+        assert_eq!(ds.summary().attackers.cities, 3);
     }
 
     #[test]

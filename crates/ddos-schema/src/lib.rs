@@ -56,7 +56,7 @@ pub mod snapshot;
 pub mod time;
 pub(crate) mod wire;
 
-pub use dataset::{Dataset, DatasetBuilder, DatasetSummary};
+pub use dataset::{Dataset, DatasetBuilder, DatasetSummary, SummarySets};
 pub use error::SchemaError;
 pub use family::Family;
 pub use framed::IngestStats;

@@ -161,9 +161,11 @@ impl Dataset {
     /// with the original partition.
     ///
     /// With `epochs` equal to the shard count the result is equivalent
-    /// to the original dataset. The incremental engine's prefix-exact
-    /// mode materializes passes against this to make every intermediate
-    /// report an exact prefix report.
+    /// to the original dataset. This is the test oracle of the
+    /// incremental engine: a fresh run over `epoch_prefix(len, w)` is
+    /// what the engine's report at watermark `w` must equal byte for
+    /// byte. The engine itself never materializes a prefix — its passes
+    /// borrow the covered slice of the attack list instead.
     ///
     /// # Panics
     ///

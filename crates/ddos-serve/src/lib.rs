@@ -21,6 +21,14 @@
 //!    (`epoch/merge`, `scheduler/pass`) leaves the published snapshot
 //!    untouched; the next clean append converges to the golden report.
 //!
+//! The writer never copies the prefix it has folded. Every watermark of
+//! an [`IncrementalPipeline`] is an exact prefix report: its passes
+//! read a borrowed view of the fold (the appended epochs' slice of the
+//! attack list, and Table III as distinct sets merged per epoch), so an
+//! append pays for the epoch's build and merge plus the passes it
+//! dirtied. A replaced snapshot is freed after the publication lock is
+//! released, so readers never wait on the free.
+//!
 //! Writer-side progress is observable through `ddos-obs` under the
 //! `serve/*` names: `serve/append` spans, the `serve/watermark` gauge,
 //! the `serve/append_faults` counter, and `serve/append_us` latencies.
@@ -105,7 +113,7 @@ impl<'d> AnalysisService<'d> {
         epoch_len: Seconds,
         obs: &'d Obs,
     ) -> AnalysisService<'d> {
-        let pipeline = IncrementalPipeline::with_obs(ds, opts, epoch_len, obs).prefix_exact();
+        let pipeline = IncrementalPipeline::with_obs(ds, opts, epoch_len, obs);
         let epochs = pipeline.epochs();
         AnalysisService {
             writer: Mutex::new(pipeline),
@@ -158,7 +166,12 @@ impl<'d> AnalysisService<'d> {
                         self.obs
                             .gauge(names::SERVE_WATERMARK)
                             .set(snap.watermark as u64);
-                        *self.published.write() = Some(snap);
+                        // The guard is a temporary of this statement, so
+                        // the replaced snapshot is freed below, after
+                        // the write lock is released, and readers never
+                        // wait on the free.
+                        let replaced = self.published.write().replace(snap);
+                        drop(replaced);
                     }
                 }
             }

@@ -5,7 +5,10 @@
 //! boundary-straddling attacks, duplicate bot records arbitrated across
 //! epochs, and sources that only resolve against another epoch's bots.
 //! `EpochContext::merge` must also be associative, so a streaming fold,
-//! a balanced tree fold, and an incremental append all agree.
+//! a balanced tree fold, and an incremental append all agree. And every
+//! intermediate watermark of the incremental engine must answer exactly
+//! like a fresh run over the same epoch prefix (`Dataset::epoch_prefix`,
+//! the oracle).
 
 use ddos_analytics::{
     Analysis, AnalysisContext, AnalysisReport, EpochContext, IncrementalPipeline, PipelineOptions,
@@ -19,6 +22,7 @@ use ddos_schema::{
 };
 use ddos_sim::{generate, SimConfig};
 use ddos_stats::ArimaSpec;
+use ddos_testkit::report_digest;
 use proptest::prelude::*;
 
 fn fold_shards(ds: &Dataset, epoch_len: Seconds) -> EpochContext {
@@ -41,6 +45,34 @@ fn assert_fold_equals_build(ds: &Dataset, epoch_len: Seconds) {
             .expect("report serializes")
     };
     assert_eq!(json(&built), json(&folded), "report bytes diverged");
+}
+
+/// Appends every epoch of `ds` through a plain incremental pipeline and
+/// asserts each watermark's snapshot digests equal to a fresh run over
+/// the same epoch prefix. Returns the per-append stats.
+fn assert_every_watermark_is_a_prefix_report(
+    ds: &Dataset,
+    epoch_len: Seconds,
+) -> Vec<ddos_analytics::AppendStats> {
+    let opts = PipelineOptions::new().telemetry(false);
+    let mut inc = IncrementalPipeline::new(ds, opts, epoch_len);
+    assert!(
+        inc.snapshot_report().is_none(),
+        "snapshot before any append"
+    );
+    let mut stats = Vec::new();
+    while let Some(s) = inc.append_epoch() {
+        let w = inc.watermark();
+        let got = report_digest(&inc.snapshot_report().expect("clean append"));
+        let fresh = report_digest(
+            &Analysis::new(&ds.epoch_prefix(epoch_len, w))
+                .options(opts)
+                .run(),
+        );
+        assert_eq!(got, fresh, "watermark {w} of {} diverged", inc.epochs());
+        stats.push(s);
+    }
+    stats
 }
 
 fn location(cc: &str, city: u32, lat: f64) -> Location {
@@ -115,6 +147,40 @@ fn edge_case_dataset() -> Dataset {
     b.push_attack(attack(Family::Optima, 5, 9 * day, 400, vec![2, 1]))
         .unwrap();
     b.build().unwrap()
+}
+
+/// A 10-day trace in which the only new bot record of days 6–7 repeats
+/// a known IP with a different city: under two-day epochs the fourth
+/// epoch appends no attack and no bot row, re-resolves nothing, and
+/// still moves Table III's attacker column.
+fn repeated_ip_dataset() -> Dataset {
+    let day = 86_400;
+    let window = Window::new(Timestamp(0), Timestamp(10 * day)).unwrap();
+    let mut b = DatasetBuilder::new(window);
+    b.push_bot(bot(1, "US", 40.0, 0, 9)).unwrap();
+    b.push_bot(bot(2, "RU", 55.0, 0, 1)).unwrap();
+    // IP 2 again, never sourced by an attack, with another city.
+    let mut moved = bot(2, "RU", 55.0, 6, 7);
+    moved.location.city = CityId(6);
+    b.push_bot(moved).unwrap();
+    b.push_attack(attack(Family::Pandora, 1, 1_000, 600, vec![1]))
+        .unwrap();
+    b.push_attack(attack(Family::Dirtjumper, 2, 3 * day, 900, vec![1]))
+        .unwrap();
+    b.push_attack(attack(Family::Pandora, 3, 9 * day, 400, vec![1]))
+        .unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn a_first_seen_record_of_a_known_ip_reruns_summary() {
+    let ds = repeated_ip_dataset();
+    let stats = assert_every_watermark_is_a_prefix_report(&ds, Seconds::days(2));
+    assert_eq!(stats.len(), 5);
+    assert_eq!(stats[3].attacks, 0);
+    assert_eq!(stats[3].reran, vec!["summary"], "a new city went unnoticed");
+    // Days 4–5 carry no attack and no first-seen record: nothing moves.
+    assert!(stats[2].reran.is_empty(), "an idle epoch re-ran passes");
 }
 
 #[test]
@@ -310,6 +376,24 @@ proptest! {
     // Trace generation dominates the cost; a handful of random
     // partitions across seeds and scales covers the merge paths.
     #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every watermark of a plain incremental pipeline over an arbitrary
+    /// sim trace is byte-identical to a fresh run over the same epochs.
+    #[test]
+    fn every_incremental_watermark_is_an_exact_prefix_report(
+        seed in 0u64..(1u64 << 48),
+        scale in 0.002f64..0.004,
+        epoch_days in 3i64..=40,
+    ) {
+        let cfg = SimConfig {
+            seed,
+            scale,
+            snapshots: false,
+            ..SimConfig::small()
+        };
+        let trace = generate(&cfg);
+        assert_every_watermark_is_a_prefix_report(&trace.dataset, Seconds::days(epoch_days));
+    }
 
     /// An arbitrary epoch partition of an arbitrary sim trace folds to
     /// a context bit-identical to the monolithic build.
