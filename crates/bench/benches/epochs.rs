@@ -73,7 +73,7 @@ fn bench_epochs(c: &mut Criterion) {
     });
     // The marginal epoch: everything-but-the-last pre-folded, so the
     // routine times clone + shard build + merge — the incremental
-    // pipeline's steady-state append work (minus the dirty-pass rerun,
+    // pipeline's steady-state append work (minus the pass re-run,
     // which `incremental_total` above covers in aggregate).
     if shards.len() > 1 {
         let last_shard = shards.last().unwrap();

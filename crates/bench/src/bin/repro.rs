@@ -346,7 +346,7 @@ fn run_epoch_bench(scale: f64, smoke: bool) {
 
         // The marginal epoch: fold everything but the last epoch
         // untimed, then time appending the final one (context build,
-        // merge, and the dirty-pass re-run included).
+        // merge, and the re-run of every pass included).
         let mut inc = IncrementalPipeline::new(ds, opts, epoch_len);
         while inc.appended() + 1 < inc.epochs() {
             inc.append_epoch();
@@ -408,10 +408,10 @@ fn run_epoch_bench(scale: f64, smoke: bool) {
 ///
 /// Correctness gates run before any timing, in smoke mode too: the v1
 /// decode, the v2 decode (auto and forced multi-worker), and the
-/// memory-mapped [`Dataset::open`] of both on-disk formats must all
-/// yield bit-identical datasets (pinned by re-encoding through the v1
-/// codec), and the chunked CSV parse must match the serial parse row
-/// for row. In full mode the run additionally hard-asserts the framed
+/// memory-mapped [`ddos_schema::Dataset::open`] of both on-disk formats
+/// must all yield bit-identical datasets (pinned by re-encoding through
+/// the v1 codec), and the chunked CSV parse must match the serial parse
+/// row for row. In full mode the run additionally hard-asserts the framed
 /// v2 decode beats the v1 serial decode by >= 2x.
 fn run_ingest_bench(scale: f64, smoke: bool) {
     let cfg = if smoke {

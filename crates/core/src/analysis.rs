@@ -158,9 +158,9 @@ impl<'d> Analysis<'d> {
     }
 
     /// Selects the incremental engine: epochs append one at a time
-    /// through an [`IncrementalPipeline`] and only dirtied passes
-    /// re-run per append. Uses the [`Analysis::epochs`] length if one
-    /// was set, else one-week epochs.
+    /// through an [`IncrementalPipeline`], and every pass re-runs after
+    /// each append that changed the fold. Uses the [`Analysis::epochs`]
+    /// length if one was set, else one-week epochs.
     pub fn incremental(mut self) -> Analysis<'d> {
         self.mode = Mode::Incremental;
         self

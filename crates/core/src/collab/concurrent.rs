@@ -68,7 +68,7 @@ impl CollabAnalysis {
     }
 
     /// Context-based variant of [`CollabAnalysis::compute`]: runs the
-    /// sort-sweep detector ([`CollabAnalysis::detect_sweep`]) over the
+    /// sort-sweep detector (`CollabAnalysis::detect_sweep`) over the
     /// per-target timelines already grouped and sorted in the analysis
     /// context. `tests/kernels.rs` holds it byte-identical to the
     /// pairwise scan on arbitrary traces.

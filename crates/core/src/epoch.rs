@@ -18,12 +18,12 @@
 //!   assigned by start time, so each shard's attacks are a contiguous
 //!   global index range and per-attack vectors simply concatenate.
 //! * Duplicate bot IPs across epochs arbitrate by global record
-//!   position (see [`crate::columnar::merge_bot_tables`]) — the winner
-//!   is exactly the record the monolithic last-wins build keeps, and
-//!   its cached trig bits are copied verbatim.
+//!   position (see `columnar::merge_bot_tables`) — the winner is
+//!   exactly the record the monolithic last-wins build keeps, and its
+//!   cached trig bits are copied verbatim.
 //! * A merged source table is a pure function of the merged bot table
-//!   ([`crate::columnar::merge_source_tables`]); sources that resolve
-//!   only against the other epoch's bots are *promoted* in the merge.
+//!   (`columnar::merge_source_tables`); sources that resolve only
+//!   against the other epoch's bots are *promoted* in the merge.
 //! * Every attack touched by an arbitration or promotion is re-resolved
 //!   against the merged tables, restoring the invariant that each
 //!   context's aggregates equal a fresh build against its own tables —
@@ -88,8 +88,9 @@ struct EpochSlot {
     weekly: Vec<IpMap<CountryCode>>,
 }
 
-/// What a merge appended or re-resolved — drives the incremental
-/// pipeline's pass dirtiness.
+/// What a merge appended or re-resolved. The incremental pipeline
+/// re-runs every pass after a merge whose delta is not
+/// [empty](MergeDelta::is_empty), and none after one that is.
 #[derive(Debug, Clone)]
 pub struct MergeDelta {
     /// Attacks contributed by the right epoch.
@@ -103,6 +104,18 @@ pub struct MergeDelta {
     /// Merged-local indices of attacks re-resolved against the merged
     /// tables (duplicate-IP arbitration or extra promotion), ascending.
     pub reresolved: Vec<u32>,
+}
+
+impl MergeDelta {
+    /// Whether the merge left the fold's analysis inputs as they were:
+    /// no attack or bot row appended, no Table III attacker set grown,
+    /// and no attack re-resolved.
+    pub fn is_empty(&self) -> bool {
+        self.appended_attacks == 0
+            && self.appended_bots == 0
+            && !self.attackers_grew
+            && self.reresolved.is_empty()
+    }
 }
 
 /// One epoch's mergeable share of the analysis context.

@@ -2,13 +2,12 @@
 //!
 //! [`PipelineError`] is what the fallible entry points —
 //! [`crate::Analysis::try_run`], the incremental and streaming `try_*`
-//! methods, and the scheduler's [`crate::passes::try_execute_filtered`] —
-//! return when a named failpoint (see `ddos-failpoints`) injects a
-//! failure mid-run. The
-//! crate-internal [`check`] shim consults the seam and counts every
-//! injection on the [`ddos_obs::names::FAULTS_INJECTED`] counter, so
-//! fault tests can assert the error they saw was the one they
-//! scheduled. With the `failpoints` feature off (or in release
+//! methods, and the scheduler's [`crate::passes::try_execute`] — return
+//! when a named failpoint (see `ddos-failpoints`) injects a failure
+//! mid-run. The crate-internal `check` shim consults the seam and
+//! counts every injection on the [`ddos_obs::names::FAULTS_INJECTED`]
+//! counter, so fault tests can assert the error they saw was the one
+//! they scheduled. With the `failpoints` feature off (or in release
 //! builds), `check` compiles to `Ok(())`.
 
 use std::fmt;

@@ -24,6 +24,12 @@
 //! covers a prefix of the trace (all of it, or an epoch fold's appended
 //! epochs), and those two views end where the prefix ends.
 //!
+//! Every caller runs the whole registry through [`try_execute`]: the
+//! batch engines once, and the incremental pipeline after every append
+//! that changed its fold. No pass is skipped on its own, because on real
+//! traces every epoch brings attacks and every pass reads something
+//! derived from them.
+//!
 //! Observability: [`execute`] records one `passes/<name>` span per pass
 //! and one `scheduler/stage<i>` span per dependency stage into the
 //! [`Obs`] it is handed, plus a `scheduler/wait_us` histogram of
@@ -65,33 +71,6 @@ use crate::target::recurrence::RecurrenceAnalysis;
 /// The detection-latency grid of the report (§III-D: 1 min, 10 min,
 /// 1 h, 4 h, 1 day).
 pub const LATENCY_GRID_S: &[f64] = &[60.0, 600.0, 3_600.0, 4.0 * 3_600.0, 86_400.0];
-
-/// One independently-invalidated part of the [`AnalysisContext`].
-///
-/// Every pass declares which parts it reads ([`PassSpec::reads`]); the
-/// incremental pipeline tracks which parts an epoch append changed and
-/// re-runs only the passes whose inputs moved ([`passes_dirtied_by`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CtxPart {
-    /// The covered attack records themselves (`ctx.attacks`,
-    /// `ctx.all_starts`, the victim side of `ctx.summary()`, and
-    /// everything derived per-attack on the fly). Changes whenever an
-    /// epoch appends attacks.
-    Attacks,
-    /// The bot roster: `ctx.bot_table` and the attacker side of
-    /// `ctx.summary()`. Changes whenever an epoch appends bot rows or
-    /// its first-seen bot records grow Table III's attacker sets.
-    Bots,
-    /// The per-attack duration column (`ctx.durations`).
-    Durations,
-    /// The per-target attack timelines (`ctx.target_timelines`).
-    Timelines,
-    /// The per-family contexts: starts, dispersion series, weekly bot
-    /// maps (`ctx.families()`).
-    Families,
-    /// The attack→source join (`ctx.sources`).
-    Sources,
-}
 
 /// The output of one pass — one report section.
 #[derive(Debug, Clone)]
@@ -179,11 +158,6 @@ pub struct PassSpec {
     pub name: &'static str,
     /// Names of the passes whose output this pass reads.
     pub deps: &'static [&'static str],
-    /// The context parts this pass reads. The incremental pipeline
-    /// re-runs the pass only when one of them changed; an understated
-    /// list here silently serves stale sections, so when in doubt list
-    /// the superset.
-    pub reads: &'static [CtxPart],
     /// The pass body. Must be a pure function of the context and the
     /// declared dependencies' slots in the partial report. The observer
     /// lets a body record its own metrics; none does today, and
@@ -299,121 +273,101 @@ pub const REGISTRY: &[PassSpec] = &[
     PassSpec {
         name: "protocols",
         deps: &[],
-        reads: &[CtxPart::Attacks],
         run: pass_protocols,
     },
     PassSpec {
         name: "protocol_rows",
         deps: &[],
-        reads: &[CtxPart::Attacks],
         run: pass_protocol_rows,
     },
     PassSpec {
         name: "summary",
         deps: &[],
-        reads: &[CtxPart::Attacks, CtxPart::Bots],
         run: pass_summary,
     },
     PassSpec {
         name: "daily",
         deps: &[],
-        reads: &[CtxPart::Attacks],
         run: pass_daily,
     },
     PassSpec {
         name: "interval_stats",
         deps: &[],
-        reads: &[CtxPart::Families],
         run: pass_interval_stats,
     },
     PassSpec {
         name: "all_interval_stats",
         deps: &[],
-        reads: &[CtxPart::Attacks],
         run: pass_all_interval_stats,
     },
     PassSpec {
         name: "concurrency",
         deps: &[],
-        reads: &[CtxPart::Attacks, CtxPart::Timelines],
         run: pass_concurrency,
     },
     PassSpec {
         name: "durations",
         deps: &[],
-        reads: &[CtxPart::Attacks, CtxPart::Durations],
         run: pass_durations,
     },
     PassSpec {
         name: "shifts",
         deps: &[],
-        reads: &[CtxPart::Families],
         run: pass_shifts,
     },
     PassSpec {
         name: "dispersion",
         deps: &[],
-        reads: &[CtxPart::Families],
         run: pass_dispersion,
     },
     PassSpec {
         name: "prediction",
         deps: &[],
-        reads: &[CtxPart::Families],
         run: pass_prediction,
     },
     PassSpec {
         name: "target_countries",
         deps: &[],
-        reads: &[CtxPart::Attacks],
         run: pass_target_countries,
     },
     PassSpec {
         name: "overall_targets",
         deps: &[],
-        reads: &[CtxPart::Attacks],
         run: pass_overall_targets,
     },
     PassSpec {
         name: "collaborations",
         deps: &[],
-        reads: &[CtxPart::Attacks, CtxPart::Timelines],
         run: pass_collaborations,
     },
     PassSpec {
         name: "flagship_pair",
         deps: &["collaborations"],
-        reads: &[CtxPart::Attacks],
         run: pass_flagship_pair,
     },
     PassSpec {
         name: "multistage",
         deps: &[],
-        reads: &[CtxPart::Attacks, CtxPart::Timelines],
         run: pass_multistage,
     },
     PassSpec {
         name: "activity",
         deps: &[],
-        reads: &[CtxPart::Families],
         run: pass_activity,
     },
     PassSpec {
         name: "recurrence",
         deps: &[],
-        reads: &[CtxPart::Attacks, CtxPart::Timelines],
         run: pass_recurrence,
     },
     PassSpec {
         name: "blacklist",
         deps: &[],
-        reads: &[CtxPart::Attacks, CtxPart::Sources, CtxPart::Timelines],
         run: pass_blacklist,
     },
     PassSpec {
         name: "latency",
         deps: &[],
-        reads: &[CtxPart::Durations],
         run: pass_latency,
     },
 ];
@@ -435,32 +389,6 @@ fn run_pass(
     (pass.name, out, start_us, obs.now_us())
 }
 
-/// The set of passes whose inputs a change to `parts` invalidates.
-///
-/// A pass is dirtied directly when one of its [`PassSpec::reads`] parts
-/// changed, and transitively when one of its `deps` is dirtied (its
-/// input *report slots* moved even if its context parts did not). The
-/// closure is computed to a fixpoint, so chains of dependencies any
-/// length re-run together.
-pub fn passes_dirtied_by(parts: &[CtxPart]) -> HashSet<&'static str> {
-    let mut dirty: HashSet<&'static str> = REGISTRY
-        .iter()
-        .filter(|p| p.reads.iter().any(|r| parts.contains(r)))
-        .map(|p| p.name)
-        .collect();
-    loop {
-        let before = dirty.len();
-        for p in REGISTRY {
-            if p.deps.iter().any(|d| dirty.contains(d)) {
-                dirty.insert(p.name);
-            }
-        }
-        if dirty.len() == before {
-            return dirty;
-        }
-    }
-}
-
 /// Runs the whole registry against a context, recording telemetry into
 /// `obs` (hand it [`Obs::disabled`] for an uninstrumented run).
 ///
@@ -475,71 +403,29 @@ pub fn execute(ctx: &AnalysisContext, parallel: bool, obs: &Obs) -> PartialRepor
     fault::infallible(try_execute(ctx, parallel, obs))
 }
 
-/// Fallible [`execute`]: returns `Err` instead of panicking when the
-/// `scheduler/pass` failpoint injects a failure mid-run. On `Err` the
-/// partially filled report is discarded; re-running without the fault
-/// plan reproduces the golden report (the scheduler holds no state
-/// across calls).
+/// Fallible [`execute`]: the `scheduler/pass` failpoint is consulted
+/// once per pass, on the calling thread and in registry order, before
+/// any pass of its stage runs. An injection surfaces as `Err` before
+/// the stage starts and the partially filled report is discarded;
+/// re-running without the fault plan reproduces the golden report (the
+/// scheduler holds no state across calls). Because no worker thread
+/// consults the seam, the failing pass and its hit index never depend
+/// on thread interleaving.
 pub fn try_execute(
     ctx: &AnalysisContext,
     parallel: bool,
     obs: &Obs,
 ) -> Result<PartialReport, PipelineError> {
-    let mut partial = PartialReport::default();
-    let include: HashSet<&'static str> = REGISTRY.iter().map(|p| p.name).collect();
-    try_execute_filtered(ctx, parallel, obs, &mut partial, &include)?;
-    Ok(partial)
-}
-
-/// Runs only the passes named in `include` against a context, updating
-/// `partial` in place and leaving every other slot untouched.
-///
-/// This is [`execute`] restricted to a subset: the incremental pipeline
-/// hands it the dirty set after each epoch append, so clean sections
-/// keep their previous output. A dependency of an included pass counts
-/// as satisfied when it has either run in this call or is *not*
-/// included (its slot still holds the previous — clean — output).
-/// Telemetry shape is unchanged: one `passes/<name>` span per pass run,
-/// one `scheduler/stage<i>` span per stage.
-pub fn execute_filtered(
-    ctx: &AnalysisContext,
-    parallel: bool,
-    obs: &Obs,
-    partial: &mut PartialReport,
-    include: &HashSet<&'static str>,
-) {
-    fault::infallible(try_execute_filtered(ctx, parallel, obs, partial, include))
-}
-
-/// Fallible [`execute_filtered`]: the `scheduler/pass` failpoint is
-/// consulted once per pass, on the calling thread and in registry
-/// order, before any pass of its stage runs. An injection surfaces as
-/// `Err` before the stage starts — `partial` keeps the slots of every
-/// *completed* stage but none from the failed one, so a caller either
-/// finishes cleanly or throws the partial away. Because no worker
-/// thread consults the seam, the failing pass and its hit index never
-/// depend on thread interleaving.
-pub fn try_execute_filtered(
-    ctx: &AnalysisContext,
-    parallel: bool,
-    obs: &Obs,
-    partial: &mut PartialReport,
-    include: &HashSet<&'static str>,
-) -> Result<(), PipelineError> {
     let wait_hist = obs.histogram("scheduler/wait_us");
     let stage_counter = obs.counter("scheduler/stages");
+    let mut partial = PartialReport::default();
     let mut done: HashSet<&'static str> = HashSet::new();
-    let mut remaining: Vec<&'static PassSpec> = REGISTRY
-        .iter()
-        .filter(|p| include.contains(p.name))
-        .collect();
+    let mut remaining: Vec<&'static PassSpec> = REGISTRY.iter().collect();
     let mut stage_idx = 0usize;
     while !remaining.is_empty() {
-        let (stage, rest): (Vec<_>, Vec<_>) = remaining.into_iter().partition(|p| {
-            p.deps
-                .iter()
-                .all(|d| done.contains(d) || !include.contains(d))
-        });
+        let (stage, rest): (Vec<_>, Vec<_>) = remaining
+            .into_iter()
+            .partition(|p| p.deps.iter().all(|d| done.contains(d)));
         assert!(
             !stage.is_empty(),
             "pass registry has a dependency cycle or an unknown dep name"
@@ -553,7 +439,7 @@ pub fn try_execute_filtered(
         let stage_start = obs.now_us();
         let threaded = parallel && stage.len() > 1;
         let results: Vec<PassRun> = if threaded {
-            let partial_ref: &PartialReport = partial;
+            let partial_ref = &partial;
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = stage
                     .iter()
@@ -568,7 +454,7 @@ pub fn try_execute_filtered(
         } else {
             stage
                 .iter()
-                .map(|&p| run_pass(p, ctx, partial, obs))
+                .map(|&p| run_pass(p, ctx, &partial, obs))
                 .collect()
         };
         for (name, out, start_us, end_us) in results {
@@ -589,62 +475,13 @@ pub fn try_execute_filtered(
         stage_counter.inc();
         stage_idx += 1;
     }
-    Ok(())
+    Ok(partial)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::overview::test_support::{attack, dataset};
-
-    #[test]
-    fn every_pass_declares_its_reads() {
-        for p in REGISTRY {
-            assert!(!p.reads.is_empty(), "{} declares no context reads", p.name);
-        }
-    }
-
-    #[test]
-    fn dirtiness_propagates_through_pass_deps() {
-        // flagship_pair reads only Attacks, but depends on
-        // collaborations, which reads Timelines: a Timelines-only
-        // change must re-run both.
-        let dirty = passes_dirtied_by(&[CtxPart::Timelines]);
-        assert!(dirty.contains("collaborations"));
-        assert!(dirty.contains("flagship_pair"));
-        assert!(!dirty.contains("protocols"));
-        // A Durations-only change touches exactly the duration readers.
-        let dirty = passes_dirtied_by(&[CtxPart::Durations]);
-        assert_eq!(
-            dirty,
-            HashSet::from(["durations", "latency"]),
-            "unexpected Durations readers"
-        );
-        assert!(passes_dirtied_by(&[]).is_empty());
-    }
-
-    #[test]
-    fn execute_filtered_reruns_only_the_included_passes() {
-        let ds = dataset(vec![
-            attack(Family::Dirtjumper, 1, 100, 600, 1),
-            attack(Family::Pandora, 2, 120, 700, 1),
-        ]);
-        let ctx = AnalysisContext::new(&ds);
-        let mut partial = execute(&ctx, false, &Obs::disabled());
-        let stale_summary = partial.summary;
-        partial.daily = None; // sentinel: not included, must stay None
-        let obs = Obs::enabled();
-        let include = HashSet::from(["flagship_pair", "protocols"]);
-        execute_filtered(&ctx, false, &obs, &mut partial, &include);
-        let t = obs.finish(false);
-        assert_eq!(t.spans_under("passes").count(), include.len());
-        assert!(t.span("passes/flagship_pair").is_some());
-        assert!(partial.daily.is_none(), "excluded pass ran");
-        assert_eq!(partial.summary, stale_summary, "excluded slot changed");
-        // flagship_pair's collaborations dep was satisfied by the
-        // existing slot, not re-run.
-        assert!(t.span("passes/collaborations").is_none());
-    }
 
     #[test]
     fn registry_names_are_unique_and_deps_resolve() {

@@ -15,7 +15,6 @@
 //! the report field — so its presence (or absence, see
 //! [`PipelineOptions::telemetry`]) never changes report bytes.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ddos_obs::{Obs, RunTelemetry};
@@ -37,7 +36,7 @@ use crate::overview::daily::DailyDistribution;
 use crate::overview::duration::DurationAnalysis;
 use crate::overview::intervals::{self, ConcurrencyAnalysis, IntervalStats};
 use crate::overview::protocols::{protocol_preferences, ProtocolFamilyRow, ProtocolPopularity};
-use crate::passes::{self, CtxPart, PartialReport, LATENCY_GRID_S};
+use crate::passes::{self, PartialReport, LATENCY_GRID_S};
 use crate::source::dispersion::{qualifying_families, FamilyDispersion};
 use crate::source::prediction::PredictionAnalysis;
 use crate::source::shift::ShiftAnalysis;
@@ -353,8 +352,9 @@ pub struct AppendStats {
     /// Attacks the epoch contributed.
     pub attacks: usize,
     /// Names of the passes re-run after this append, in registry
-    /// order. Empty when the epoch changed nothing a pass reads (e.g.
-    /// an epoch with no attacks and no new bots).
+    /// order: the whole registry when the merge changed the fold (or no
+    /// report stood before it), empty when the epoch changed nothing a
+    /// pass reads (e.g. an epoch with no attacks and no new bots).
     pub reran: Vec<&'static str>,
 }
 
@@ -377,13 +377,14 @@ impl ObsSlot<'_> {
 }
 
 /// The incremental pipeline: epochs append one at a time, and after
-/// each append only the passes whose context inputs changed re-run.
+/// each append that changed the fold the whole registry re-runs.
 ///
-/// Each append builds the epoch's [`EpochContext`], merges it into the
-/// accumulator, maps the [`crate::epoch::MergeDelta`] to dirty
-/// [`CtxPart`]s, and re-executes the dirtied passes
-/// ([`passes::passes_dirtied_by`]) against the folded context; clean
-/// sections keep their slots.
+/// Each append builds the epoch's [`EpochContext`] and merges it into
+/// the accumulator. When the [`crate::epoch::MergeDelta`] is not
+/// [empty](crate::epoch::MergeDelta::is_empty), every pass re-runs
+/// against the folded context through [`passes::try_execute`], the
+/// scheduler a batch run uses; an epoch that changed nothing keeps the
+/// previous report and re-runs nothing.
 ///
 /// Every watermark is an exact prefix report. The folded context
 /// borrows the appended epochs' slice of the attack list and carries
@@ -401,13 +402,13 @@ pub struct IncrementalPipeline<'a> {
     shards: Vec<DatasetShard<'a>>,
     next: usize,
     acc: Option<EpochContext>,
-    partial: PartialReport,
-    /// Passes dirtied by appended epochs but not yet successfully
-    /// re-run. Normally drained within the same append; it only
-    /// carries over when a `scheduler/pass` fault aborted the re-run,
-    /// so the next append (or the final flush in
-    /// [`IncrementalPipeline::try_into_report`]) retries them.
-    pending: HashSet<&'static str>,
+    /// The pass outputs at the current watermark. `None` before the
+    /// first append, and from an append whose merge changed the fold
+    /// until a pass run over the new fold succeeds: a `scheduler/pass`
+    /// fault leaves it `None`, so the next append (or the final flush
+    /// in [`IncrementalPipeline::try_into_report`]) runs the registry
+    /// again.
+    partial: Option<PartialReport>,
     /// Radix workspace and fix-up buffers, reused across appends so the
     /// steady-state append allocates no fresh sort scratch.
     scratch: FoldScratch,
@@ -453,8 +454,7 @@ impl<'a> IncrementalPipeline<'a> {
             shards: ds.shards(epoch_len),
             next: 0,
             acc: None,
-            partial: PartialReport::default(),
-            pending: HashSet::new(),
+            partial: None,
             scratch: FoldScratch::default(),
         }
     }
@@ -478,8 +478,9 @@ impl<'a> IncrementalPipeline<'a> {
 
     /// An exact prefix report at the current watermark, or `None` when
     /// one isn't available: no epoch has been appended yet, or a
-    /// `scheduler/pass` fault left dirtied passes pending (the state is
-    /// mid-repair; the next clean append flushes them).
+    /// `scheduler/pass` fault aborted the pass run over the current
+    /// fold (no report until a pass run succeeds; the next clean append
+    /// runs the registry again).
     ///
     /// The returned report is byte-identical to a monolithic run over
     /// the dataset's first [`watermark`](IncrementalPipeline::watermark)
@@ -487,10 +488,7 @@ impl<'a> IncrementalPipeline<'a> {
     /// pin this at every watermark. Telemetry is empty (it is run
     /// metadata, not part of the snapshot).
     pub fn snapshot_report(&self) -> Option<AnalysisReport> {
-        if self.next == 0 || !self.pending.is_empty() {
-            return None;
-        }
-        Some(assemble(self.partial.clone()))
+        self.partial.clone().map(assemble)
     }
 
     /// Whether every epoch has been appended.
@@ -498,8 +496,8 @@ impl<'a> IncrementalPipeline<'a> {
         self.next == self.shards.len()
     }
 
-    /// Appends the next epoch and re-runs the dirtied passes. Returns
-    /// `None` once every epoch has been appended.
+    /// Appends the next epoch and, if it changed the fold, re-runs every
+    /// pass. Returns `None` once every epoch has been appended.
     pub fn append_epoch(&mut self) -> Option<AppendStats> {
         fault::infallible(self.try_append_epoch())
     }
@@ -511,20 +509,22 @@ impl<'a> IncrementalPipeline<'a> {
     ///   `try_append_epoch` again retries the *same* epoch (the fault
     ///   suite pins that the in-place retry still reaches the golden
     ///   report).
-    /// * A `scheduler/pass` injection aborts the pass re-run after the
-    ///   epoch was merged; the dirtied passes stay queued in the
-    ///   pending set and the next successful append (or the final
-    ///   flush in [`try_into_report`]) re-runs them, so the pipeline
-    ///   still converges to the golden report.
+    /// * A `scheduler/pass` injection aborts the pass run after the
+    ///   epoch was merged and leaves no report
+    ///   ([`snapshot_report`] is `None`); the next successful append,
+    ///   idle or not (or the final flush in [`try_into_report`]), runs
+    ///   the whole registry over the fold, so the pipeline still
+    ///   converges to the golden report.
     ///
     /// [`append_epoch`]: IncrementalPipeline::append_epoch
+    /// [`snapshot_report`]: IncrementalPipeline::snapshot_report
     /// [`try_into_report`]: IncrementalPipeline::try_into_report
     pub fn try_append_epoch(&mut self) -> Result<Option<AppendStats>, PipelineError> {
         let epoch = self.next;
         let Some(shard) = self.shards.get(epoch) else {
-            // Every epoch is in; flush anything a faulted re-run left
-            // pending so a recovered pipeline converges without a
-            // trailing `try_into_report`.
+            // Every epoch is in; re-run the registry if a faulted pass
+            // run left no report, so a recovered pipeline converges
+            // without a trailing `try_into_report`.
             self.try_flush()?;
             return Ok(None);
         };
@@ -532,59 +532,26 @@ impl<'a> IncrementalPipeline<'a> {
         self.next += 1;
         let built = EpochContext::build_scratch(shard, self.obs.get(), &mut self.scratch);
         let attacks = built.len();
-        let mut parts: Vec<CtxPart> = Vec::new();
         let acc = match self.acc.take() {
-            // The first epoch seeds every part: all slots must fill.
-            None => {
-                parts.extend([
-                    CtxPart::Attacks,
-                    CtxPart::Bots,
-                    CtxPart::Durations,
-                    CtxPart::Timelines,
-                    CtxPart::Families,
-                    CtxPart::Sources,
-                ]);
-                built
-            }
+            // The first epoch has no report yet: the flush fills it.
+            None => built,
             Some(prev) => {
                 let (merged, delta) = {
                     let _span = self.obs.get().span("epoch/merge");
                     prev.merge_scratch(built, &mut self.scratch)
                 };
-                if delta.appended_attacks > 0 {
-                    parts.extend([
-                        CtxPart::Attacks,
-                        CtxPart::Durations,
-                        CtxPart::Timelines,
-                        CtxPart::Families,
-                        CtxPart::Sources,
-                    ]);
-                }
-                // A first-seen record that only repeats a known IP with
-                // new attributes appends no row, but still moves Table
-                // III's attacker column.
-                if delta.appended_bots > 0 || delta.attackers_grew {
-                    parts.push(CtxPart::Bots);
-                }
-                if !delta.reresolved.is_empty() {
-                    // Re-resolution means bot attributes moved under
-                    // resolved ids (arbitration) or extras promoted:
-                    // the join, the family aggregates, and the bot
-                    // roster views all changed.
-                    parts.extend([CtxPart::Bots, CtxPart::Families, CtxPart::Sources]);
+                if !delta.is_empty() {
+                    self.partial = None;
                 }
                 merged
             }
         };
-        self.pending.extend(passes::passes_dirtied_by(&parts));
-        let reran: Vec<&'static str> = passes::REGISTRY
-            .iter()
-            .map(|p| p.name)
-            .filter(|n| self.pending.contains(n))
-            .collect();
-        // Commit the merged accumulator before the fallible pass
-        // re-run: a pass fault then leaves a consistent context with
-        // the un-run passes still queued in `pending`.
+        let reran: Vec<&'static str> = match self.partial {
+            Some(_) => Vec::new(),
+            None => passes::REGISTRY.iter().map(|p| p.name).collect(),
+        };
+        // Commit the merged accumulator before the fallible pass run: a
+        // pass fault then leaves a consistent fold with no report.
         self.acc = Some(acc);
         self.try_flush()?;
         Ok(Some(AppendStats {
@@ -594,28 +561,25 @@ impl<'a> IncrementalPipeline<'a> {
         }))
     }
 
-    /// Re-runs any pending dirtied passes against the current fold.
-    /// No-op when nothing is pending.
+    /// Runs the registry over the current fold when no report stands
+    /// for it. No-op otherwise.
     fn try_flush(&mut self) -> Result<(), PipelineError> {
-        if self.pending.is_empty() {
+        if self.partial.is_some() {
             return Ok(());
         }
         let acc_ref = self
             .acc
             .as_ref()
-            .expect("pending passes imply an appended epoch");
+            .expect("a flush follows an appended epoch");
         let ctx = {
             let _span = self.obs.get().span("epoch/materialize");
             acc_ref.to_context(self.ds, self.opts.spec)
         };
-        passes::try_execute_filtered(
+        self.partial = Some(passes::try_execute(
             &ctx,
             self.opts.parallel,
             self.obs.get(),
-            &mut self.partial,
-            &self.pending,
-        )?;
-        self.pending.clear();
+        )?);
         Ok(())
     }
 
@@ -626,17 +590,17 @@ impl<'a> IncrementalPipeline<'a> {
     }
 
     /// Fallible [`into_report`]: drives the remaining appends through
-    /// [`try_append_epoch`] and flushes any passes a previous faulted
-    /// append left pending before assembling.
+    /// [`try_append_epoch`], whose final call re-runs the registry if a
+    /// previous faulted append left no report, then assembles.
     ///
     /// [`into_report`]: IncrementalPipeline::into_report
     /// [`try_append_epoch`]: IncrementalPipeline::try_append_epoch
     pub fn try_into_report(mut self) -> Result<AnalysisReport, PipelineError> {
         while self.try_append_epoch()?.is_some() {}
-        // The final `Ok(None)` append flushed anything pending.
+        let partial = self.partial.expect("the final append flushed the report");
         let mut report = {
             let _span = self.obs.get().span("assemble");
-            assemble(self.partial)
+            assemble(partial)
         };
         report.telemetry = self.obs.get().finish(self.opts.parallel);
         Ok(report)

@@ -102,7 +102,7 @@ impl RecurrenceAnalysis {
     /// Context-based variant of [`RecurrenceAnalysis::compute`] over the
     /// whole window: builds the trains from the per-target timelines
     /// already grouped in the analysis context, and scores them with the
-    /// sorted-gap walk ([`score_trains_sorted`]).
+    /// sorted-gap walk (`score_trains_sorted`).
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> RecurrenceAnalysis {
         let attacks = ctx.attacks;
         let mut trains: Vec<TargetTrain> = ctx

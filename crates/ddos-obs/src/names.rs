@@ -28,7 +28,7 @@ pub const SOAK_ROUNDS: &str = "soak/rounds";
 /// Histogram: wall micros one variant cell took inside a soak round.
 pub const SOAK_CELL_US: &str = "soak/cell_us";
 /// Span covering one epoch append on the serve writer path (epoch
-/// build + merge + dirtied-pass re-run + snapshot publish).
+/// build + merge + pass re-run + snapshot publish).
 pub const SERVE_APPEND: &str = "serve/append";
 /// Span covering one snapshot query on the serve read path.
 pub const SERVE_QUERY: &str = "serve/query";

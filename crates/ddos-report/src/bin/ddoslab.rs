@@ -158,32 +158,35 @@ fn load(path: &str) -> Result<Dataset, String> {
     load_obs(path, &Obs::disabled()).map(|(ds, _)| ds)
 }
 
+/// Parses the count after `--epochs`; a following flag is no count.
+fn epoch_count(value: Option<&String>) -> Result<usize, String> {
+    value
+        .filter(|v| !v.starts_with("--"))
+        .ok_or("--epochs takes a count")?
+        .parse()
+        .map_err(|e| format!("bad epoch count: {e}"))
+}
+
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("analyze requires a trace file")?;
-    let json = args.iter().any(|a| a == "--json");
-    let timings = args.iter().any(|a| a == "--timings");
-    let telemetry_out = args
-        .iter()
-        .position(|a| a == "--telemetry-json")
-        .map(|i| {
-            args.get(i + 1)
-                .filter(|a| !a.starts_with("--"))
-                .cloned()
-                .ok_or("--telemetry-json takes a file")
-        })
-        .transpose()?;
-    let epochs: Option<usize> = args
-        .iter()
-        .position(|a| a == "--epochs")
-        .map(|i| {
-            args.get(i + 1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or("--epochs takes a count")?
-                .parse::<usize>()
-                .map_err(|e| format!("bad epoch count: {e}"))
-        })
-        .transpose()?
-        .filter(|&n| n > 0);
+    let mut it = args.iter();
+    let path = it.next().ok_or("analyze requires a trace file")?;
+    let mut json = false;
+    let mut timings = false;
+    let mut telemetry_out: Option<String> = None;
+    let mut epochs: Option<usize> = None;
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--json" => json = true,
+            "--timings" => timings = true,
+            "--telemetry-json" => {
+                let out = it.next().filter(|v| !v.starts_with("--"));
+                telemetry_out = Some(out.ok_or("--telemetry-json takes a file")?.clone());
+            }
+            "--epochs" => epochs = Some(epoch_count(it.next())?),
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    let epochs = epochs.filter(|&n| n > 0);
     let obs = Obs::enabled();
     let (ds, _) = load_obs(path, &obs)?;
     // Both paths share the recorder with the load above, so the
@@ -259,21 +262,18 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// time, answering a query after each publish so the output shows the
 /// watermark advancing, then a final snapshot summary.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("serve requires a trace file")?;
-    let timings = args.iter().any(|a| a == "--timings");
-    let epochs: usize = args
-        .iter()
-        .position(|a| a == "--epochs")
-        .map(|i| {
-            args.get(i + 1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or("--epochs takes a count")?
-                .parse::<usize>()
-                .map_err(|e| format!("bad epoch count: {e}"))
-        })
-        .transpose()?
-        .filter(|&n| n > 0)
-        .unwrap_or(8);
+    let mut it = args.iter();
+    let path = it.next().ok_or("serve requires a trace file")?;
+    let mut timings = false;
+    let mut epochs: Option<usize> = None;
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--timings" => timings = true,
+            "--epochs" => epochs = Some(epoch_count(it.next())?),
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    let epochs = epochs.filter(|&n| n > 0).unwrap_or(8);
     let obs = Obs::enabled();
     let (ds, _) = load_obs(path, &obs)?;
     // Ceiling-divide the window so N epochs tile it exactly.

@@ -22,7 +22,7 @@
 //! per-record encoding but splits sections into independently-decodable
 //! frames; [`decode_any`] dispatches on the header version so callers
 //! can read either. The record decoders here are generic over
-//! [`WireBuf`] so v1 keeps its `Bytes` reference path while v2 reads
+//! `WireBuf` so v1 keeps its `Bytes` reference path while v2 reads
 //! zero-copy slices.
 
 use bytes::{BufMut, Bytes, BytesMut};

@@ -26,7 +26,7 @@
 //! self-delimited run of whole records, so workers on scoped threads
 //! (`crossbeam`, the same work-stealing pattern as the pass scheduler)
 //! pull frame indices from an atomic counter, verify the frame
-//! checksum, and decode through a zero-copy [`SliceReader`] cursor over
+//! checksum, and decode through a zero-copy `SliceReader` cursor over
 //! the input — typically a memory-mapped file, so pages fault in as
 //! the cursors reach them and nothing is buffered up front. Results
 //! are spliced in frame order and the first error in frame order wins,

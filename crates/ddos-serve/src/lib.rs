@@ -25,9 +25,10 @@
 //! an [`IncrementalPipeline`] is an exact prefix report: its passes
 //! read a borrowed view of the fold (the appended epochs' slice of the
 //! attack list, and Table III as distinct sets merged per epoch), so an
-//! append pays for the epoch's build and merge plus the passes it
-//! dirtied. A replaced snapshot is freed after the publication lock is
-//! released, so readers never wait on the free.
+//! append pays for the epoch's build and merge plus one run of every
+//! pass, or none when the epoch changed nothing. A replaced snapshot is
+//! freed after the publication lock is released, so readers never wait
+//! on the free.
 //!
 //! Writer-side progress is observable through `ddos-obs` under the
 //! `serve/*` names: `serve/append` spans, the `serve/watermark` gauge,
@@ -153,9 +154,9 @@ impl<'d> AnalysisService<'d> {
         let result = writer.try_append_epoch();
         match &result {
             Ok(_) => {
-                // `snapshot_report` returns `None` while a fault left
-                // re-runs pending, so a half-folded state can never
-                // reach `published`.
+                // `snapshot_report` returns `None` until a pass run over
+                // the current fold succeeds, so a half-folded state can
+                // never reach `published`.
                 if writer.watermark() > self.watermark() {
                     if let Some(report) = writer.snapshot_report() {
                         let snap = Arc::new(Snapshot {

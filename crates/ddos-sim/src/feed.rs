@@ -8,10 +8,11 @@
 //!
 //! This module reconstructs that report stream from a trace: a bot is
 //! listed in the report at hour `t` when it participated in an attack in
-//! `(t − 24h, t]`. [`report_population`] computes the whole population
-//! curve with a sliding window; [`report_at`] materializes one report
-//! (full-scale streams would hold hundreds of millions of entries, so
-//! whole-stream materialization is deliberately not offered).
+//! `(t − 24h, t]`. [`ActivityLog::report_population`] computes the whole
+//! population curve with a sliding window; [`ActivityLog::report_at`]
+//! materializes one report (full-scale streams would hold hundreds of
+//! millions of entries, so whole-stream materialization is deliberately
+//! not offered).
 
 use std::collections::HashMap;
 

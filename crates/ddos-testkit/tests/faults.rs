@@ -80,9 +80,9 @@ fn incremental_append_retries_in_place_after_merge_fault() {
     assert_eq!(report_digest(&pipe.into_report()), golden_digest());
 }
 
-/// A `scheduler/pass` fault mid-append leaves the dirtied passes
-/// queued; the pipeline re-runs them on the next drive and still
-/// reaches the golden report.
+/// A `scheduler/pass` fault mid-append leaves no report; the pipeline
+/// re-runs every pass on the next drive and still reaches the golden
+/// report.
 #[test]
 fn incremental_pipeline_recovers_from_pass_fault() {
     let ds = small_dataset();

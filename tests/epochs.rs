@@ -8,11 +8,13 @@
 //! a balanced tree fold, and an incremental append all agree. And every
 //! intermediate watermark of the incremental engine must answer exactly
 //! like a fresh run over the same epoch prefix (`Dataset::epoch_prefix`,
-//! the oracle).
+//! the oracle), re-running every pass after an append that changed the
+//! fold and none after one that did not.
 
+use ddos_analytics::passes::REGISTRY;
 use ddos_analytics::{
-    Analysis, AnalysisContext, AnalysisReport, EpochContext, IncrementalPipeline, PipelineOptions,
-    StreamFold,
+    Analysis, AnalysisContext, AnalysisReport, EpochContext, IncrementalPipeline, MergeDelta,
+    PipelineOptions, StreamFold,
 };
 use ddos_obs::Obs;
 use ddos_schema::record::Location;
@@ -22,23 +24,33 @@ use ddos_schema::{
 };
 use ddos_sim::{generate, SimConfig};
 use ddos_stats::ArimaSpec;
+use ddos_testkit::failpoints::{self, names, FailPlan};
 use ddos_testkit::report_digest;
 use proptest::prelude::*;
 
-fn fold_shards(ds: &Dataset, epoch_len: Seconds) -> EpochContext {
+/// Folds the trace's epochs left to right. Returns the fold and the
+/// delta of each merge: `deltas[i]` is epoch `i + 1`'s.
+fn fold_shards(ds: &Dataset, epoch_len: Seconds) -> (EpochContext, Vec<MergeDelta>) {
     let obs = Obs::disabled();
-    ds.shards(epoch_len)
-        .iter()
-        .map(|s| EpochContext::build(s, &obs))
-        .reduce(|a, b| a.merge(b).0)
-        .expect("a dataset always has at least one shard")
+    let shards = ds.shards(epoch_len);
+    let mut ctxs = shards.iter().map(|s| EpochContext::build(s, &obs));
+    let first = ctxs
+        .next()
+        .expect("a dataset always has at least one shard");
+    ctxs.fold((first, Vec::new()), |(acc, mut deltas), next| {
+        let (merged, delta) = acc.merge(next);
+        deltas.push(delta);
+        (merged, deltas)
+    })
 }
 
 /// Folding the trace epoch by epoch matches the monolithic build on
 /// every analysis input, and the report serializes byte-identically.
 fn assert_fold_equals_build(ds: &Dataset, epoch_len: Seconds) {
     let built = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-    let folded = fold_shards(ds, epoch_len).into_context(ds, ArimaSpec::DEFAULT);
+    let folded = fold_shards(ds, epoch_len)
+        .0
+        .into_context(ds, ArimaSpec::DEFAULT);
     built.assert_same_analysis(&folded);
     let json = |ctx: &AnalysisContext| {
         serde_json::to_string(&Analysis::over(ctx).parallel(false).run())
@@ -172,15 +184,91 @@ fn repeated_ip_dataset() -> Dataset {
     b.build().unwrap()
 }
 
+/// A 10-day trace in which the only new bot record of days 6–7 repeats
+/// a sourced IP with other coordinates and the same city, country, org
+/// and AS: under two-day epochs the fourth epoch appends no attack and
+/// no bot row and leaves Table III as it was, yet re-resolves the
+/// attacks that used the IP.
+fn moved_coords_dataset() -> Dataset {
+    let day = 86_400;
+    let window = Window::new(Timestamp(0), Timestamp(10 * day)).unwrap();
+    let mut b = DatasetBuilder::new(window);
+    b.push_bot(bot(1, "RU", 55.0, 0, 9)).unwrap();
+    b.push_bot(bot(2, "US", 40.0, 0, 9)).unwrap();
+    b.push_bot(bot(1, "RU", 57.0, 6, 7)).unwrap();
+    b.push_attack(attack(Family::Pandora, 1, 1_000, 600, vec![1, 2]))
+        .unwrap();
+    b.push_attack(attack(Family::Pandora, 2, 3 * day, 600, vec![1, 2]))
+        .unwrap();
+    b.push_attack(attack(Family::Pandora, 3, 9 * day, 600, vec![1, 2]))
+        .unwrap();
+    b.build().unwrap()
+}
+
 #[test]
-fn a_first_seen_record_of_a_known_ip_reruns_summary() {
+fn a_first_seen_record_of_a_known_ip_reruns_every_pass() {
     let ds = repeated_ip_dataset();
     let stats = assert_every_watermark_is_a_prefix_report(&ds, Seconds::days(2));
     assert_eq!(stats.len(), 5);
     assert_eq!(stats[3].attacks, 0);
-    assert_eq!(stats[3].reran, vec!["summary"], "a new city went unnoticed");
+    assert_eq!(
+        stats[3].reran.len(),
+        REGISTRY.len(),
+        "a new city went unnoticed"
+    );
     // Days 4–5 carry no attack and no first-seen record: nothing moves.
     assert!(stats[2].reran.is_empty(), "an idle epoch re-ran passes");
+}
+
+#[test]
+fn an_epoch_that_only_reresolves_reruns_every_pass() {
+    let ds = moved_coords_dataset();
+    let len = Seconds::days(2);
+    let (_, deltas) = fold_shards(&ds, len);
+    let moved = &deltas[2];
+    assert!(!moved.reresolved.is_empty(), "no attack re-resolved");
+    assert_eq!(moved.appended_attacks, 0);
+    assert_eq!(moved.appended_bots, 0);
+    assert!(!moved.attackers_grew, "Table III's attacker side moved");
+    let stats = assert_every_watermark_is_a_prefix_report(&ds, len);
+    assert_eq!(
+        stats[3].reran.len(),
+        REGISTRY.len(),
+        "a re-resolution went unnoticed"
+    );
+}
+
+#[test]
+fn a_pass_fault_leaves_no_report_until_the_next_append_reruns_every_pass() {
+    if !failpoints::ACTIVE {
+        return;
+    }
+    let ds = repeated_ip_dataset();
+    let len = Seconds::days(2);
+    let opts = PipelineOptions::new().telemetry(false);
+    let mut inc = IncrementalPipeline::new(&ds, opts, len);
+    inc.append_epoch().expect("the first epoch appends");
+    {
+        let _scope = FailPlan::new().fail_nth(names::SCHEDULER_PASS, 0).install();
+        inc.try_append_epoch()
+            .expect_err("the second append must hit the pass fault");
+    }
+    assert!(
+        inc.snapshot_report().is_none(),
+        "a faulted pass run left a report"
+    );
+    // Days 4–5 are idle, but no report stands for the fold.
+    let idle = inc.append_epoch().expect("the third epoch appends");
+    assert_eq!(idle.attacks, 0);
+    assert_eq!(idle.reran.len(), REGISTRY.len());
+    let fresh = Analysis::new(&ds.epoch_prefix(len, 3)).options(opts).run();
+    assert_eq!(
+        report_digest(
+            &inc.snapshot_report()
+                .expect("the idle append ran the registry")
+        ),
+        report_digest(&fresh)
+    );
 }
 
 #[test]
@@ -326,7 +414,7 @@ fn epoch_engine_report_matches_the_batch_pipeline() {
 }
 
 #[test]
-fn incremental_pipeline_matches_batch_and_skips_clean_passes() {
+fn incremental_pipeline_matches_batch_and_reruns_every_pass() {
     let ds = edge_case_dataset();
     let opts = PipelineOptions::new().parallel(false).telemetry(false);
     let mut inc = IncrementalPipeline::new(&ds, opts, Seconds::days(2));
@@ -339,13 +427,18 @@ fn incremental_pipeline_matches_batch_and_skips_clean_passes() {
     assert_eq!(inc.appended(), 5);
     assert_eq!(stats.len(), 5);
     // The first append must fill every slot.
-    assert_eq!(stats[0].reran.len(), ddos_analytics::passes::REGISTRY.len());
+    assert_eq!(stats[0].reran.len(), REGISTRY.len());
     // The third epoch (days 4–5) holds no attacks, only the never-
-    // sourced CN bot: just the roster readers re-run.
+    // sourced CN bot: its bot row changes the fold, so every pass
+    // re-runs.
     assert_eq!(stats[2].attacks, 0);
-    assert_eq!(stats[2].reran, vec!["summary"], "bot-only epoch over-ran");
-    // Epochs contributing attacks re-run the attack readers.
-    assert!(stats[1].reran.len() > 1);
+    assert_eq!(
+        stats[2].reran.len(),
+        REGISTRY.len(),
+        "bot-only epoch skipped"
+    );
+    // Epochs contributing attacks re-run every pass too.
+    assert_eq!(stats[1].reran.len(), REGISTRY.len());
     let final_report = inc.into_report();
     let batch = Analysis::new(&ds).options(opts).run();
     let json = |r: &AnalysisReport| serde_json::to_string(r).unwrap();
