@@ -1,6 +1,7 @@
-//! Benches for the epoch-sharded engine: per-shard context builds, the
-//! fold, and the marginal cost of appending one epoch incrementally —
-//! against the monolithic context build and pipeline they replace.
+//! Benches for the epoch-sharded engine: appending every epoch to an
+//! empty fold, and the marginal cost of appending one epoch to a grown
+//! fold — against the monolithic context build and pipeline they
+//! replace.
 
 use bench::bench_trace;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -14,42 +15,23 @@ fn bench_epochs(c: &mut Criterion) {
     let ds = &trace.dataset;
     let epoch_len = Seconds::WEEK;
     let opts = PipelineOptions::new().telemetry(false);
+    let obs = Obs::disabled();
+    let shards = ds.shards(epoch_len);
 
     let mut g = c.benchmark_group("epoch_context");
     g.sample_size(10);
     g.bench_function("monolithic_build", |b| {
         b.iter(|| black_box(AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false)))
     });
-    g.bench_function("shard_build_fold", |b| {
+    g.bench_function("append_all", |b| {
         b.iter(|| {
-            let obs = Obs::disabled();
-            let folded = ds
-                .shards(epoch_len)
-                .iter()
-                .map(|s| EpochContext::build(s, &obs))
-                .reduce(|a, x| a.merge(x).0)
-                .unwrap();
-            black_box(folded)
+            let mut fold = EpochContext::new(ds.window());
+            for shard in &shards {
+                fold.append(shard, &obs);
+            }
+            black_box(fold)
         })
     });
-    // The merge alone: pre-built halves of the trace, cloned per iter.
-    let obs = Obs::disabled();
-    let shards = ds.shards(epoch_len);
-    let mid = shards.len() / 2;
-    let left = shards[..mid.max(1)]
-        .iter()
-        .map(|s| EpochContext::build(s, &obs))
-        .reduce(|a, x| a.merge(x).0)
-        .unwrap();
-    let right = shards[mid.max(1)..]
-        .iter()
-        .map(|s| EpochContext::build(s, &obs))
-        .reduce(|a, x| a.merge(x).0);
-    if let Some(right) = right {
-        g.bench_function("merge_halves", |b| {
-            b.iter(|| black_box(left.clone().merge(right.clone()).0))
-        });
-    }
     g.finish();
 
     let mut g = c.benchmark_group("epoch_pipeline");
@@ -71,21 +53,22 @@ fn bench_epochs(c: &mut Criterion) {
             )
         })
     });
-    // The marginal epoch: everything-but-the-last pre-folded, so the
-    // routine times clone + shard build + merge — the incremental
-    // pipeline's steady-state append work (minus the pass re-run,
-    // which `incremental_total` above covers in aggregate).
-    if shards.len() > 1 {
-        let last_shard = shards.last().unwrap();
-        let prefix = shards[..shards.len() - 1]
-            .iter()
-            .map(|s| EpochContext::build(s, &obs))
-            .reduce(|a, x| a.merge(x).0)
-            .unwrap();
+    // The marginal epoch: everything but the last pre-appended, so the
+    // routine times the incremental pipeline's steady-state append work
+    // (minus the pass re-run, which `incremental_total` above covers in
+    // aggregate). Each iteration appends to its own copy of the prefix
+    // fold, so the time includes that copy; the `epoch/*` spans of a
+    // traced perfbench run time the append alone.
+    if let Some((last, prefix)) = shards.split_last() {
+        let mut fold = EpochContext::new(ds.window());
+        for shard in prefix {
+            fold.append(shard, &obs);
+        }
         g.bench_function("append_last_epoch", |b| {
             b.iter(|| {
-                let built = EpochContext::build(last_shard, &obs);
-                black_box(prefix.clone().merge(built).0)
+                let mut grown = fold.clone();
+                black_box(grown.append(last, &obs));
+                grown
             })
         });
     }

@@ -345,8 +345,8 @@ fn run_epoch_bench(scale: f64, smoke: bool) {
         drop(std::hint::black_box(r));
 
         // The marginal epoch: fold everything but the last epoch
-        // untimed, then time appending the final one (context build,
-        // merge, and the re-run of every pass included).
+        // untimed, then time appending the final one (the append and
+        // the re-run of every pass included).
         let mut inc = IncrementalPipeline::new(ds, opts, epoch_len);
         while inc.appended() + 1 < inc.epochs() {
             inc.append_epoch();

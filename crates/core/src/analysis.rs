@@ -146,9 +146,9 @@ impl<'d> Analysis<'d> {
     }
 
     /// Selects the epoch-sharded fold engine with the given epoch
-    /// length: shards build per epoch (on scoped threads when
-    /// parallel) and fold pairwise into one context that the merge
-    /// laws make bit-identical to the monolithic build.
+    /// length: shards append one by one to a fold that grows in place
+    /// and that the append rules make bit-identical to the monolithic
+    /// build.
     /// [`Analysis::incremental`] afterwards keeps the length but
     /// switches to one-at-a-time appends.
     pub fn epochs(mut self, epoch_len: Seconds) -> Analysis<'d> {

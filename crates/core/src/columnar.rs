@@ -13,19 +13,22 @@
 //! * [`SourceTable`] — the attack→source join in CSR form: every
 //!   distinct source IP is interned into a dictionary once and each
 //!   attack's source list becomes a dense `u32` id slice. The id space
-//!   *is* the join — ids below the bot count are `BotTable` rows
-//!   verbatim — so a single compare replaces the per-lookup hash probe.
-//!   Downstream passes (dispersion, shift, weekly bot maps, the
-//!   defense blacklist replay) work on row ids and cached triples.
+//!   *is* the join — a per-id row column maps each id to its bot row, a
+//!   resolved id's row being the id itself — so a single load replaces
+//!   the per-lookup hash probe. Downstream passes (dispersion, shift,
+//!   weekly bot maps, the defense blacklist replay) work on row ids and
+//!   cached triples.
 //!
-//! Both tables are derived purely from the dataset, and the CSR fill is
-//! data-parallel over disjoint output slices, so a parallel build is
-//! trivially deterministic — the context build exploits this.
+//! The monolithic build derives both tables purely from the dataset, and
+//! the CSR fill is data-parallel over disjoint output slices, so a
+//! parallel build is trivially deterministic — the context build
+//! exploits this. The epoch fold ([`crate::epoch::EpochContext`]) grows
+//! a [`SourceTable`] in place instead, interning ids in arrival order.
 
 use std::ops::Range;
 
 use ddos_geo::PointTrig;
-use ddos_schema::{AttackRecord, BotRecord, CountryCode, Dataset, IpAddr4, LatLon};
+use ddos_schema::{CountryCode, Dataset, IpAddr4, LatLon};
 
 /// Sentinel "row" for source IPs absent from the `Botlist`.
 pub const NO_BOT: u32 = u32::MAX;
@@ -99,39 +102,16 @@ impl IpBuckets {
     }
 }
 
-/// Reusable workspace for [`radix_sort_by_ip_with`]: the scatter
-/// buffer plus both digit-histogram arrays (~512 KiB once sized). The
-/// epoch fold sorts a roster per epoch build, so reusing one workspace
-/// across appends removes the dominant allocation of the hot path.
-#[derive(Debug, Default)]
-pub(crate) struct RadixScratch {
-    scratch: Vec<u64>,
-    lo_counts: Vec<u32>,
-    hi_counts: Vec<u32>,
-}
-
 /// Stable LSD radix sort of `(ip << 32) | position` keys by the IP
 /// half: two 16-bit digit passes, each a counting sort. Equal IPs keep
 /// their relative (position) order, and two linear passes beat a
 /// comparison sort's `n log n` at roster scale.
 pub(crate) fn radix_sort_by_ip(order: &mut Vec<u64>) {
-    radix_sort_by_ip_with(order, &mut RadixScratch::default());
-}
-
-/// [`radix_sort_by_ip`] against a caller-owned workspace. The workspace
-/// contents are ignored on entry (resized and refilled here), so one
-/// scratch serves any sequence of sorts.
-pub(crate) fn radix_sort_by_ip_with(order: &mut Vec<u64>, ws: &mut RadixScratch) {
-    let n = order.len();
-    // The scatter buffer must be exactly `n` long: `mem::swap` makes it
-    // the output, and a stale longer buffer would change `order.len()`.
-    ws.scratch.clear();
-    ws.scratch.resize(n, 0);
-    ws.lo_counts.clear();
-    ws.lo_counts.resize((1 << 16) + 1, 0);
-    ws.hi_counts.clear();
-    ws.hi_counts.resize((1 << 16) + 1, 0);
-    let (scratch, lo_counts, hi_counts) = (&mut ws.scratch, &mut ws.lo_counts, &mut ws.hi_counts);
+    // The scatter buffer must be exactly as long as `order`:
+    // `mem::swap` makes it the output.
+    let mut scratch = vec![0u64; order.len()];
+    let mut lo_counts = vec![0u32; (1 << 16) + 1];
+    let mut hi_counts = vec![0u32; (1 << 16) + 1];
     // Both digit histograms in one read pass, then two stable scatters.
     for &key in order.iter() {
         lo_counts[((key >> 32) as u16 as usize) + 1] += 1;
@@ -141,13 +121,13 @@ pub(crate) fn radix_sort_by_ip_with(order: &mut Vec<u64>, ws: &mut RadixScratch)
         lo_counts[d + 1] += lo_counts[d];
         hi_counts[d + 1] += hi_counts[d];
     }
-    for (shift, counts) in [(32u32, &mut *lo_counts), (48, hi_counts)] {
+    for (shift, counts) in [(32u32, &mut lo_counts), (48, &mut hi_counts)] {
         for &key in order.iter() {
             let slot = &mut counts[(key >> shift) as u16 as usize];
             scratch[*slot as usize] = key;
             *slot += 1;
         }
-        std::mem::swap(order, scratch);
+        std::mem::swap(order, &mut scratch);
     }
 }
 
@@ -164,11 +144,6 @@ pub struct BotTable {
     countries: Vec<CountryCode>,
     coords: Vec<LatLon>,
     trig: Vec<PointTrig>,
-    /// Global position (`Dataset::bots` row) of each surviving record —
-    /// the arbiter for last-wins when epoch shards merge: the winner of
-    /// a duplicate IP across two shards is the record with the greater
-    /// original position, exactly the record the monolithic build keeps.
-    positions: Vec<u32>,
     buckets: IpBuckets,
 }
 
@@ -177,43 +152,23 @@ impl BotTable {
     /// collapse duplicates last-wins, precompute each survivor's
     /// trigonometry exactly once.
     pub fn build(ds: &Dataset) -> BotTable {
-        Self::from_records(ds.bots().iter().enumerate().map(|(i, b)| (i as u32, b)))
-    }
-
-    /// Builds the table from `(global position, record)` pairs with
-    /// ascending positions — the epoch-shard build path. Equivalent to
-    /// [`BotTable::build`] when handed the whole roster.
-    pub(crate) fn from_records<'r>(
-        records: impl IntoIterator<Item = (u32, &'r BotRecord)>,
-    ) -> BotTable {
-        Self::from_records_with(records, &mut RadixScratch::default())
-    }
-
-    /// [`BotTable::from_records`] against a caller-owned radix
-    /// workspace, so repeated epoch builds stop re-allocating it.
-    pub(crate) fn from_records_with<'r>(
-        records: impl IntoIterator<Item = (u32, &'r BotRecord)>,
-        ws: &mut RadixScratch,
-    ) -> BotTable {
-        let records: Vec<(u32, &BotRecord)> = records.into_iter().collect();
-        debug_assert!(records.windows(2).all(|w| w[0].0 < w[1].0));
-        // (ip, local sequence) packed into one u64 so the sort never
+        let records = ds.bots();
+        // (ip, roster position) packed into one u64 so the sort never
         // touches the records themselves. A stable LSD radix sort over
         // the IP half (two 16-bit digits) keeps the *last* record of an
-        // IP's run last — the positions arrive ascending and stability
+        // IP's run last — the positions start ascending and stability
         // preserves that — matching the hash map overwrite semantics.
         let mut order: Vec<u64> = records
             .iter()
             .enumerate()
-            .map(|(seq, (_, b))| (u64::from(b.ip.value()) << 32) | seq as u64)
+            .map(|(seq, b)| (u64::from(b.ip.value()) << 32) | seq as u64)
             .collect();
-        radix_sort_by_ip_with(&mut order, ws);
+        radix_sort_by_ip(&mut order);
 
         let mut ips = Vec::with_capacity(order.len());
         let mut countries = Vec::with_capacity(order.len());
         let mut coords = Vec::with_capacity(order.len());
         let mut trig = Vec::with_capacity(order.len());
-        let mut positions = Vec::with_capacity(order.len());
         let mut run = 0;
         while run < order.len() {
             let ip = IpAddr4((order[run] >> 32) as u32);
@@ -221,12 +176,11 @@ impl BotTable {
             while last + 1 < order.len() && (order[last + 1] >> 32) as u32 == ip.value() {
                 last += 1;
             }
-            let (pos, bot) = records[order[last] as u32 as usize];
+            let bot = &records[order[last] as u32 as usize];
             ips.push(ip);
             countries.push(bot.location.country);
             coords.push(bot.location.coords);
             trig.push(PointTrig::new(bot.location.coords));
-            positions.push(pos);
             run = last + 1;
         }
         let buckets = IpBuckets::build(&ips);
@@ -235,7 +189,6 @@ impl BotTable {
             countries,
             coords,
             trig,
-            positions,
             buckets,
         }
     }
@@ -305,115 +258,26 @@ impl BotTable {
     }
 }
 
-/// How one side's rows map into a merged [`BotTable`]: `rows[old]` is
-/// the merged row, `changed[old]` flags rows whose country or
-/// coordinates differ in the merged table (the side's record lost a
-/// duplicate-IP arbitration), so derived per-attack aggregates must be
-/// recomputed.
-#[derive(Debug, Clone)]
-pub(crate) struct BotRemap {
-    pub(crate) rows: Vec<u32>,
-    pub(crate) changed: Vec<bool>,
-}
-
-/// Merges two bot tables by a single two-pointer pass over their sorted
-/// IP columns. A duplicate IP keeps the record with the greater global
-/// position — the record the monolithic last-wins build keeps — and the
-/// winner's cached trig bits are copied verbatim ([`PointTrig::new`] is
-/// deterministic, so either side's cache holds identical bits for
-/// identical coordinates).
-pub(crate) fn merge_bot_tables(a: &BotTable, b: &BotTable) -> (BotTable, BotRemap, BotRemap) {
-    let cap = a.len() + b.len();
-    let mut ips = Vec::with_capacity(cap);
-    let mut countries = Vec::with_capacity(cap);
-    let mut coords = Vec::with_capacity(cap);
-    let mut trig = Vec::with_capacity(cap);
-    let mut positions = Vec::with_capacity(cap);
-    let mut ra = BotRemap {
-        rows: vec![0; a.len()],
-        changed: vec![false; a.len()],
-    };
-    let mut rb = BotRemap {
-        rows: vec![0; b.len()],
-        changed: vec![false; b.len()],
-    };
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let next = ips.len() as u32;
-        let from_a = j >= b.len() || (i < a.len() && a.ips[i] <= b.ips[j]);
-        let dup = i < a.len() && j < b.len() && a.ips[i] == b.ips[j];
-        if dup {
-            // Same record observed from both shards has equal positions
-            // and identical attributes; a genuine duplicate pair is
-            // arbitrated by position, and the loser's side only needs a
-            // recompute when the attributes actually differ.
-            let differ = a.countries[i] != b.countries[j]
-                || a.coords[i].lat.to_bits() != b.coords[j].lat.to_bits()
-                || a.coords[i].lon.to_bits() != b.coords[j].lon.to_bits();
-            let (src, k) = if a.positions[i] >= b.positions[j] {
-                rb.changed[j] = differ;
-                (a, i)
-            } else {
-                ra.changed[i] = differ;
-                (b, j)
-            };
-            ips.push(src.ips[k]);
-            countries.push(src.countries[k]);
-            coords.push(src.coords[k]);
-            trig.push(src.trig[k]);
-            positions.push(src.positions[k]);
-            ra.rows[i] = next;
-            rb.rows[j] = next;
-            i += 1;
-            j += 1;
-        } else {
-            let (src, k) = if from_a {
-                ra.rows[i] = next;
-                i += 1;
-                (a, i - 1)
-            } else {
-                rb.rows[j] = next;
-                j += 1;
-                (b, j - 1)
-            };
-            ips.push(src.ips[k]);
-            countries.push(src.countries[k]);
-            coords.push(src.coords[k]);
-            trig.push(src.trig[k]);
-            positions.push(src.positions[k]);
-        }
-    }
-    let buckets = IpBuckets::build(&ips);
-    (
-        BotTable {
-            ips,
-            countries,
-            coords,
-            trig,
-            positions,
-            buckets,
-        },
-        ra,
-        rb,
-    )
-}
-
 /// The trace-wide attack→source join in CSR form.
 ///
 /// Every distinct source IP (resolvable through the `Botlist` or not)
 /// is interned into a dictionary; attack `i`'s source list is the id
 /// slice [`SourceTable::ids_of`]`(i)`, in original source order. The id
-/// space *is* the join: ids below `bots_len` are [`BotTable`] rows
-/// verbatim, ids at or above it index the sorted run of unresolvable
-/// sources — so [`SourceTable::bot_row`] is a single compare, and after
-/// the build no pass ever hashes or searches an IP again.
-#[derive(Debug, Clone, Default)]
+/// space *is* the join: [`SourceTable::bot_row`] is one load from a
+/// per-id row column, and a resolved id's row is the id itself, so
+/// after the build no pass ever hashes or searches an IP again.
+///
+/// Two layouts fill the columns. The monolithic [`SourceTable::build`]
+/// numbers the [`BotTable`] rows first, then the sorted unresolvable
+/// sources. The epoch fold interns every IP it meets, bot or source, in
+/// arrival order and never renumbers one, promoting a source-only id in
+/// place when its bot record arrives.
+#[derive(Debug, Clone)]
 pub struct SourceTable {
-    /// Bot IPs in row order, then the sorted distinct unresolvable
-    /// source IPs; indexed directly by dictionary id.
+    /// The IP of each dictionary id.
     dict: Vec<IpAddr4>,
-    /// Ids below this are bot rows; ids at or above index the extras.
-    bots_len: u32,
+    /// The bot row of each dictionary id (the id itself), or [`NO_BOT`].
+    rows: Vec<u32>,
     offsets: Vec<u32>,
     ids: Vec<u32>,
     /// Unresolvable sources per attack. Zero (the overwhelmingly common
@@ -421,22 +285,25 @@ pub struct SourceTable {
     unresolved: Vec<u32>,
 }
 
+impl Default for SourceTable {
+    /// The empty table an epoch fold grows.
+    fn default() -> SourceTable {
+        SourceTable {
+            dict: Vec::new(),
+            rows: Vec::new(),
+            offsets: vec![0],
+            ids: Vec::new(),
+            unresolved: Vec::new(),
+        }
+    }
+}
+
 impl SourceTable {
     /// Builds the join. With `parallel` set, the unresolved-IP sweep and
     /// the CSR id fill run chunked on scoped threads over disjoint
     /// output slices; the result is identical either way.
     pub fn build(ds: &Dataset, bots: &BotTable, parallel: bool) -> SourceTable {
-        Self::build_slice(ds.attacks(), bots, parallel)
-    }
-
-    /// [`SourceTable::build`] over an attack slice — the epoch-shard
-    /// build path, joining one epoch's attacks against that epoch's
-    /// bot table.
-    pub(crate) fn build_slice(
-        attacks: &[AttackRecord],
-        bots: &BotTable,
-        parallel: bool,
-    ) -> SourceTable {
+        let attacks = ds.attacks();
         let mut offsets = Vec::with_capacity(attacks.len() + 1);
         let mut total: u64 = 0;
         offsets.push(0u32);
@@ -548,9 +415,11 @@ impl SourceTable {
         let mut dict = Vec::with_capacity(bots.len() + extras.len());
         dict.extend_from_slice(bots.ips());
         dict.extend_from_slice(&extras);
+        let mut rows: Vec<u32> = (0..bots_len).collect();
+        rows.resize(dict.len(), NO_BOT);
         SourceTable {
             dict,
-            bots_len,
+            rows,
             offsets,
             ids,
             unresolved,
@@ -573,15 +442,10 @@ impl SourceTable {
         &self.ids[self.offsets[attack] as usize..self.offsets[attack + 1] as usize]
     }
 
-    /// The [`BotTable`] row of a dictionary id, or [`NO_BOT`]. A single
-    /// compare: ids below the bot count *are* rows.
+    /// The bot row of a dictionary id — the id itself — or [`NO_BOT`].
     #[inline]
     pub fn bot_row(&self, id: u32) -> u32 {
-        if id < self.bots_len {
-            id
-        } else {
-            NO_BOT
-        }
+        self.rows[id as usize]
     }
 
     /// The IP behind a dictionary id.
@@ -603,112 +467,45 @@ impl SourceTable {
     pub fn unresolved_total(&self) -> u64 {
         self.unresolved.iter().map(|&n| u64::from(n)).sum()
     }
-}
 
-/// Merges two source tables built against the two sides of a
-/// [`merge_bot_tables`] call, producing the table [`SourceTable::build_slice`]
-/// would build for the concatenated attack slice against `merged_bots`.
-///
-/// The merged extras dictionary is the sorted distinct union of both
-/// sides' extras minus those now resolvable in `merged_bots` (an IP
-/// unresolvable on one side may resolve against a bot the other side
-/// contributed — a *promotion*). Returns the merged table plus the
-/// ascending merged-local indices of *affected* attacks: attacks
-/// containing a bot row whose attributes changed in the merge or an
-/// extra that got promoted. Their derived per-attack aggregates
-/// (dispersion snapshot, weekly country pairs) must be recomputed
-/// against the merged table.
-pub(crate) fn merge_source_tables(
-    a: &SourceTable,
-    b: &SourceTable,
-    merged_bots: &BotTable,
-    ra: &BotRemap,
-    rb: &BotRemap,
-) -> (SourceTable, Vec<u32>) {
-    let merged_len = merged_bots.len() as u32;
-    let ea = &a.dict[a.bots_len as usize..];
-    let eb = &b.dict[b.bots_len as usize..];
-    // Sorted-union sweep over the two extras runs: each candidate either
-    // resolves in the merged bots (promotion — its new id is the bot
-    // row) or joins the kept extras after the merged bot id range.
-    let mut kept: Vec<IpAddr4> = Vec::with_capacity(ea.len() + eb.len());
-    let mut map_a = vec![0u32; ea.len()];
-    let mut map_b = vec![0u32; eb.len()];
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ea.len() || j < eb.len() {
-        let take_a = j >= eb.len() || (i < ea.len() && ea[i] <= eb[j]);
-        let ip = if take_a { ea[i] } else { eb[j] };
-        let new_id = match merged_bots.resolve(ip) {
-            Some(row) => row,
-            None => {
-                kept.push(ip);
-                merged_len + (kept.len() - 1) as u32
-            }
-        };
-        if i < ea.len() && ea[i] == ip {
-            map_a[i] = new_id;
-            i += 1;
-        }
-        if j < eb.len() && eb[j] == ip {
-            map_b[j] = new_id;
-            j += 1;
-        }
+    /// Interns `ip` as the next dictionary id, a bot row when `bot`.
+    pub(crate) fn intern(&mut self, ip: IpAddr4, bot: bool) -> u32 {
+        let id = self.dict.len() as u32;
+        assert!(id < NO_BOT, "trace exceeds u32 dictionary ids");
+        self.dict.push(ip);
+        self.rows.push(if bot { id } else { NO_BOT });
+        id
     }
-    assert!(
-        merged_bots.len() + kept.len() < NO_BOT as usize,
-        "trace exceeds u32 dictionary ids"
-    );
 
-    // Rewrite both id columns through the remaps, recount unresolved,
-    // and flag affected attacks in one pass per side.
-    let na = a.unresolved.len();
-    let mut ids = Vec::with_capacity(a.ids.len() + b.ids.len());
-    let mut unresolved = Vec::with_capacity(na + b.unresolved.len());
-    let mut affected = Vec::new();
-    let mut rewrite = |side: &SourceTable, remap: &BotRemap, map: &[u32], base: usize| {
-        for k in 0..side.unresolved.len() {
-            let slice = &side.ids[side.offsets[k] as usize..side.offsets[k + 1] as usize];
-            let mut hit = false;
-            let mut un = 0u32;
-            for &old in slice {
-                let new = if old < side.bots_len {
-                    hit |= remap.changed[old as usize];
-                    remap.rows[old as usize]
-                } else {
-                    let new = map[(old - side.bots_len) as usize];
-                    // A promoted extra now resolves to a bot row.
-                    hit |= new < merged_len;
-                    new
-                };
-                un += u32::from(new >= merged_len);
-                ids.push(new);
-            }
-            unresolved.push(un);
-            if hit {
-                affected.push((base + k) as u32);
-            }
+    /// Promotes a source-only id to a bot row, in place.
+    pub(crate) fn promote(&mut self, id: u32) {
+        self.rows[id as usize] = id;
+    }
+
+    /// Appends the next attack's id slice.
+    pub(crate) fn push_attack(&mut self, ids: impl IntoIterator<Item = u32>) {
+        let mut unresolved = 0;
+        for id in ids {
+            unresolved += u32::from(self.rows[id as usize] == NO_BOT);
+            self.ids.push(id);
         }
-    };
-    rewrite(a, ra, &map_a, 0);
-    rewrite(b, rb, &map_b, na);
+        assert!(
+            self.ids.len() < NO_BOT as usize,
+            "trace exceeds u32 participations"
+        );
+        self.offsets.push(self.ids.len() as u32);
+        self.unresolved.push(unresolved);
+    }
 
-    let shift = a.ids.len() as u32;
-    let mut offsets = a.offsets.clone();
-    offsets.extend(b.offsets[1..].iter().map(|&o| o + shift));
-
-    let mut dict = Vec::with_capacity(merged_bots.len() + kept.len());
-    dict.extend_from_slice(merged_bots.ips());
-    dict.extend_from_slice(&kept);
-    (
-        SourceTable {
-            dict,
-            bots_len: merged_len,
-            offsets,
-            ids,
-            unresolved,
-        },
-        affected,
-    )
+    /// Recounts attack `i`'s unresolved sources after a promotion.
+    pub(crate) fn recount_unresolved(&mut self, attack: usize) {
+        let rows = &self.rows;
+        self.unresolved[attack] = self.ids
+            [self.offsets[attack] as usize..self.offsets[attack + 1] as usize]
+            .iter()
+            .filter(|&&id| rows[id as usize] == NO_BOT)
+            .count() as u32;
+    }
 }
 
 #[cfg(test)]
@@ -952,71 +749,8 @@ mod tests {
             }
             prop_assert_eq!(serial.dict_len(), threaded.dict_len());
             prop_assert_eq!(&serial.ids, &threaded.ids);
-            prop_assert_eq!(serial.bots_len, threaded.bots_len);
+            prop_assert_eq!(&serial.rows, &threaded.rows);
             prop_assert_eq!(&serial.dict, &threaded.dict);
-        }
-
-        /// Shard-merged tables are bit-equal to tables built
-        /// monolithically: duplicate bot IPs across shards arbitrate by
-        /// global position (last-wins), and extras promote against bots
-        /// the other shard contributed.
-        #[test]
-        fn merged_tables_match_monolithic(
-            roster in proptest::collection::vec(
-                (0u8..24, prop::sample::select(vec!["US", "RU", "DE"]),
-                 -89.0f64..89.0, -179.0f64..179.0, 1u8..=3),
-                0..48,
-            ),
-            source_lists in proptest::collection::vec(
-                proptest::collection::vec(0u8..40, 1..10), 0..12,
-            ),
-            split in 0usize..13,
-        ) {
-            let bots: Vec<BotRecord> = roster
-                .iter()
-                .map(|&(last, cc, lat, lon, _)| bot(last, cc, lat, lon))
-                .collect();
-            let attacks: Vec<AttackRecord> = source_lists
-                .iter()
-                .enumerate()
-                .map(|(i, s)| attack(i as u64 + 1, s.clone()))
-                .collect();
-            let ds = dataset(bots, attacks);
-            let full_bots = BotTable::build(&ds);
-            let full_sources = SourceTable::build(&ds, &full_bots, false);
-
-            // Each record lands on side a, side b, or both (mask bits),
-            // so the sides cover the roster like overlapping shards do.
-            let side = |want: u8| -> BotTable {
-                BotTable::from_records(
-                    ds.bots()
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| roster[i].4 & want != 0)
-                        .map(|(i, b)| (i as u32, b)),
-                )
-            };
-            let ta = side(1);
-            let tb = side(2);
-            let split = split.min(ds.len());
-            let sa = SourceTable::build_slice(&ds.attacks()[..split], &ta, false);
-            let sb = SourceTable::build_slice(&ds.attacks()[split..], &tb, false);
-
-            let (merged, ra, rb) = merge_bot_tables(&ta, &tb);
-            prop_assert_eq!(&merged.ips, &full_bots.ips);
-            prop_assert_eq!(&merged.countries, &full_bots.countries);
-            prop_assert_eq!(&merged.coords, &full_bots.coords);
-            prop_assert_eq!(&merged.positions, &full_bots.positions);
-            prop_assert_eq!(&merged.trig, &full_bots.trig);
-
-            let (sources, affected) = merge_source_tables(&sa, &sb, &merged, &ra, &rb);
-            prop_assert_eq!(&sources.dict, &full_sources.dict);
-            prop_assert_eq!(sources.bots_len, full_sources.bots_len);
-            prop_assert_eq!(&sources.offsets, &full_sources.offsets);
-            prop_assert_eq!(&sources.ids, &full_sources.ids);
-            prop_assert_eq!(&sources.unresolved, &full_sources.unresolved);
-            prop_assert!(affected.windows(2).all(|w| w[0] < w[1]));
-            prop_assert!(affected.iter().all(|&k| (k as usize) < ds.len()));
         }
     }
 }

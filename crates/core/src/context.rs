@@ -22,7 +22,9 @@
 //!
 //! A context covers a *prefix* of the trace: the monolithic build covers
 //! all of it, and an epoch fold ([`crate::epoch::EpochContext`]) covers
-//! the epochs appended so far. Pass bodies read raw records only through
+//! the epochs appended so far. The monolithic build owns its columns;
+//! the fold lends its own as [`Cow::Borrowed`], so a mid-stream context
+//! copies nothing. Pass bodies read raw records only through
 //! [`AnalysisContext::attacks`], a slice borrowed from the dataset's
 //! attack list that ends where the covered prefix ends, and Table III
 //! only through [`AnalysisContext::summary`]. The dataset itself is a
@@ -54,6 +56,7 @@
 //!   [`AnalysisContext::assert_same_analysis`]; the unit tests below hold
 //!   the dispersion series and the weekly bot maps to the dataset scans.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -101,7 +104,8 @@ pub struct FamilyContext {
     pub weekly_bots: Vec<IpMap<CountryCode>>,
 }
 
-/// Everything the analysis passes share, built once per covered prefix.
+/// Everything the analysis passes share, built once per covered prefix:
+/// owned by a monolithic build, borrowed from an epoch fold.
 #[derive(Debug)]
 pub struct AnalysisContext<'a> {
     /// The dataset the covered records are borrowed from. Private: a
@@ -112,25 +116,22 @@ pub struct AnalysisContext<'a> {
     /// fold.
     pub attacks: &'a [AttackRecord],
     /// Table III's counts when the builder already has them (an epoch
-    /// fold merges them per epoch); `None` has [`AnalysisContext::summary`]
+    /// fold grows them per epoch); `None` has [`AnalysisContext::summary`]
     /// scan the dataset instead.
     summary: Option<DatasetSummary>,
     /// ARIMA order for the prediction pass.
     pub spec: ArimaSpec,
-    /// The `Botlist` as a columnar table: sorted IPs, countries, and
-    /// per-bot precomputed trigonometry.
-    pub bot_table: BotTable,
     /// The trace-wide attack→source join: every attack's source list as
     /// dense dictionary ids, with an id → bot-row column.
-    pub sources: SourceTable,
+    pub sources: Cow<'a, SourceTable>,
     /// Duration in seconds of each attack, in trace order.
-    pub durations: Vec<f64>,
+    pub durations: Cow<'a, [f64]>,
     /// Start time of each attack, in trace order.
-    pub all_starts: Vec<Timestamp>,
+    pub all_starts: Cow<'a, [Timestamp]>,
     /// Per-target attack histories, sorted by target IP.
-    pub target_timelines: Vec<TargetTimeline>,
+    pub target_timelines: Cow<'a, [TargetTimeline]>,
     /// Per-family precomputation in [`Family::ACTIVE`] order.
-    families: Vec<FamilyContext>,
+    families: Cow<'a, [FamilyContext]>,
 }
 
 /// A reusable last-seen-week stamp buffer, one slot per dictionary id.
@@ -518,19 +519,18 @@ impl<'a> AnalysisContext<'a> {
             attacks,
             summary: None,
             spec,
-            bot_table,
-            sources,
-            durations,
-            all_starts,
-            target_timelines,
-            families,
+            sources: Cow::Owned(sources),
+            durations: Cow::Owned(durations),
+            all_starts: Cow::Owned(all_starts),
+            target_timelines: Cow::Owned(target_timelines),
+            families: Cow::Owned(families),
         }
     }
 
     /// Assembles a context from precomputed parts — the exit point of
     /// the epoch fold ([`crate::epoch::EpochContext`]), covering the
     /// first `attacks` records of `dataset` with Table III's counts
-    /// already merged. Callers are responsible for upholding the module
+    /// already counted. Callers are responsible for upholding the module
     /// invariants; the epoch equivalence suite pins the fold's output
     /// bit-equal to [`AnalysisContext::build`] over the same records.
     #[allow(clippy::too_many_arguments)]
@@ -539,19 +539,17 @@ impl<'a> AnalysisContext<'a> {
         attacks: usize,
         summary: DatasetSummary,
         spec: ArimaSpec,
-        bot_table: BotTable,
-        sources: SourceTable,
-        durations: Vec<f64>,
-        all_starts: Vec<Timestamp>,
-        target_timelines: Vec<TargetTimeline>,
-        families: Vec<FamilyContext>,
+        sources: Cow<'a, SourceTable>,
+        durations: Cow<'a, [f64]>,
+        all_starts: Cow<'a, [Timestamp]>,
+        target_timelines: Cow<'a, [TargetTimeline]>,
+        families: Cow<'a, [FamilyContext]>,
     ) -> AnalysisContext<'a> {
         AnalysisContext {
             dataset,
             attacks: &dataset.attacks()[..attacks],
             summary: Some(summary),
             spec,
-            bot_table,
             sources,
             durations,
             all_starts,
@@ -567,7 +565,7 @@ impl<'a> AnalysisContext<'a> {
     }
 
     /// Table III's distinct counts over the covered records: the fold's
-    /// merged counts, or for a monolithic build a scan of the dataset
+    /// counts, or for a monolithic build a scan of the dataset
     /// ([`Dataset::summary`]) run when the `summary` pass asks.
     pub fn summary(&self) -> DatasetSummary {
         self.summary.unwrap_or_else(|| self.dataset.summary())
@@ -612,7 +610,7 @@ impl<'a> AnalysisContext<'a> {
             "target timelines diverged"
         );
         assert_eq!(self.families.len(), other.families.len());
-        for (a, b) in self.families.iter().zip(&other.families) {
+        for (a, b) in self.families.iter().zip(other.families.iter()) {
             assert_eq!(a.family, b.family);
             assert_eq!(a.starts, b.starts, "{:?}: starts diverged", a.family);
             assert_eq!(
@@ -800,7 +798,7 @@ mod tests {
         assert!(ctx.durations.is_empty());
         assert!(ctx.target_timelines.is_empty());
         assert_eq!(ctx.families().len(), Family::ACTIVE.len());
-        assert!(ctx.bot_table.is_empty());
+        assert_eq!(ctx.sources.dict_len(), 0);
         assert_eq!(ctx.sources.participations(), 0);
     }
 }

@@ -1,61 +1,64 @@
-//! The epoch-sharded analysis engine: mergeable per-epoch contexts.
+//! The epoch-sharded analysis engine: a fold that grows in place.
 //!
-//! [`EpochContext`] is one epoch's share of an [`AnalysisContext`]: the
-//! epoch's bot and source tables, per-attack vectors, per-target
-//! timelines (with stable *global* attack indices), per-family
-//! aggregates (dispersion snapshots and weekly bot maps), and Table
-//! III's distinct sets ([`SummarySets`]). Epochs build
-//! independently — from a borrowed [`DatasetShard`] or an owned
-//! [`EpochBatch`] a feed streams in — and [`EpochContext::merge`] folds
-//! two adjacent epochs into one.
+//! [`EpochContext`] accumulates an [`AnalysisContext`] one epoch at a
+//! time: the dictionary-keyed bot columns and source table, per-attack
+//! vectors, per-target timelines (with *global* attack indices),
+//! per-family contexts in final shape (with each attack's dispersion
+//! snapshot kept beside them), and Table III's distinct sets
+//! ([`SummarySets`]). [`EpochContext::new`] starts an empty fold and
+//! [`EpochContext::append`] adds the next epoch — a borrowed
+//! [`DatasetShard`] or an owned [`EpochBatch`] a feed streams in — at a
+//! cost that follows the epoch, not the prefix. Passes read the fold
+//! through a borrowed view ([`EpochContext::to_context`]).
 //!
-//! # Merge laws
+//! # Appending
 //!
 //! The fold reproduces [`AnalysisContext::build`] **bit-identically**,
 //! for any partition of the trace into epochs, because:
 //!
 //! * Attacks are globally sorted by `(start, id)` and epochs are
-//!   assigned by start time, so each shard's attacks are a contiguous
-//!   global index range and per-attack vectors simply concatenate.
-//! * Duplicate bot IPs across epochs arbitrate by global record
-//!   position (see `columnar::merge_bot_tables`) — the winner is
-//!   exactly the record the monolithic last-wins build keeps, and its
-//!   cached trig bits are copied verbatim.
-//! * A merged source table is a pure function of the merged bot table
-//!   (`columnar::merge_source_tables`); sources that resolve only
-//!   against the other epoch's bots are *promoted* in the merge.
-//! * Every attack touched by an arbitration or promotion is re-resolved
-//!   against the merged tables, restoring the invariant that each
-//!   context's aggregates equal a fresh build against its own tables —
-//!   which is also why the merge is associative.
-//! * Table III's sets merge by union. An epoch counts its own attacks
-//!   and only the bot records whose clamped first-seen epoch it is. A
-//!   valid bot record lands in every epoch its `[first_seen,
-//!   last_seen]` span meets, the first of them included, so each record
-//!   is counted in exactly one epoch. The union over the epochs below a
-//!   watermark `w` therefore counts exactly the records of
+//!   assigned by start time, so each shard's attacks are the next
+//!   contiguous global index range and per-attack vectors extend.
+//! * Every IP the fold has seen, as a bot or as a source, gets one
+//!   dictionary id in arrival order and keeps it. The bot columns are
+//!   indexed by that id, a source-only IP holding a placeholder row, so
+//!   an earlier attack's id slice is never rewritten.
+//! * An epoch's bot records go in by ascending roster position. A new
+//!   IP appends a row, a known IP's row is overwritten only by a greater
+//!   position (the monolithic last-wins rule), and a source-only IP is
+//!   promoted in place. The survivor's trigonometry comes from the same
+//!   coordinates the monolithic build reads, so its cached bits match.
+//! * An epoch's attacks resolve against the whole table. When a row that
+//!   existed before the append changed attributes or was promoted, one
+//!   scan of the id column finds the earlier attacks that reference it,
+//!   and each re-computes its snapshot, weekly entries and unresolved
+//!   count against the current table — restoring the invariant that the
+//!   aggregates equal a fresh build. A family with a re-resolved attack
+//!   rebuilds its series from its snapshots.
+//! * Table III's sets grow by union. Each bot record lands in the one
+//!   shard of its clamped first-seen epoch, so the union over the epochs
+//!   below a watermark `w` counts exactly the records of
 //!   [`Dataset::epoch_prefix`]`(len, w)`: its attacks, and the bot
 //!   records first seen before epoch `w`.
 //!
-//! The `tests/epochs.rs` property suite proves equivalence and
-//! associativity over arbitrary partitions (empty epochs and
-//! boundary-straddling attacks included), and the golden-report suite
-//! pins the folded pipeline to the batch digest.
+//! The `tests/epochs.rs` property suite proves equivalence over
+//! arbitrary partitions (empty epochs and boundary-straddling attacks
+//! included) and that no append renumbers an earlier attack's sources,
+//! and the golden-report suite pins the folded pipeline to the batch
+//! digest.
 
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 
-use ddos_geo::{dispersion_precomp_indexed_counted, KernelCounters};
+use ddos_geo::{dispersion_precomp_indexed_counted, KernelCounters, PointTrig};
 use ddos_obs::Obs;
 use ddos_schema::{
-    AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, EpochBatch, Family, SummarySets,
-    Timestamp, Window,
+    AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, EpochBatch, Family, IpAddr4,
+    LatLon, SummarySets, Timestamp, Window,
 };
 use ddos_stats::ArimaSpec;
 
-use crate::columnar::{
-    merge_bot_tables, merge_source_tables, radix_sort_by_ip_with, BotTable, RadixScratch,
-    SourceTable, NO_BOT,
-};
+use crate::columnar::{SourceTable, NO_BOT};
 use crate::context::{AnalysisContext, FamilyContext, TargetTimeline};
 use crate::source::dispersion::FamilyDispersion;
 use crate::util::IpMap;
@@ -63,51 +66,31 @@ use crate::util::IpMap;
 /// Sentinel slot for attacks of families outside [`Family::ACTIVE`].
 const NO_SLOT: u8 = u8::MAX;
 
-/// Reusable workspace for epoch builds and merges: the radix-sort
-/// scratch (the fold's dominant allocation — ~512 KiB re-allocated per
-/// epoch before this) plus the row-filter buffer of the snapshot
-/// kernel. One scratch serves any sequence of builds and merges;
-/// contents are ignored on entry.
-#[derive(Debug, Default)]
-pub struct FoldScratch {
-    pub(crate) radix: RadixScratch,
-    pub(crate) rows: Vec<u32>,
-}
+/// The country of a source-only id's placeholder row (never read: the
+/// id's bot row is [`NO_BOT`]).
+const NO_COUNTRY: CountryCode = CountryCode::literal("ZZ");
 
-/// One active family's share of an epoch.
+/// What an append added or re-resolved. The incremental pipeline
+/// re-runs every pass after an append whose delta is not
+/// [empty](AppendDelta::is_empty), and none after one that is.
 #[derive(Debug, Clone)]
-struct EpochSlot {
-    /// Global indices of the family's attacks in this epoch, ascending.
-    indices: Vec<u32>,
-    /// Dispersion snapshot per attack, aligned to `indices` (`None`
-    /// when the kernel found no center), so merge fix-ups can replace
-    /// one attack's value in place.
-    snaps: Vec<Option<f64>>,
-    /// Per *global* window week: the resolvable `(bot, country)`
-    /// participants of the family's attacks that week.
-    weekly: Vec<IpMap<CountryCode>>,
-}
-
-/// What a merge appended or re-resolved. The incremental pipeline
-/// re-runs every pass after a merge whose delta is not
-/// [empty](MergeDelta::is_empty), and none after one that is.
-#[derive(Debug, Clone)]
-pub struct MergeDelta {
-    /// Attacks contributed by the right epoch.
+pub struct AppendDelta {
+    /// Attacks the epoch contributed.
     pub appended_attacks: usize,
-    /// Bot rows the right epoch added to the merged table.
+    /// Bot rows the epoch added: new bot IPs plus promoted sources.
     pub appended_bots: usize,
-    /// Whether the right epoch's first-seen bot records grew Table
-    /// III's attacker-side sets. A record that only repeats a known IP
-    /// with a new city appends no bot row but still moves the table.
+    /// Whether the epoch's first-seen bot records grew Table III's
+    /// attacker-side sets. A record that only repeats a known IP with a
+    /// new city appends no bot row but still moves the table.
     pub attackers_grew: bool,
-    /// Merged-local indices of attacks re-resolved against the merged
-    /// tables (duplicate-IP arbitration or extra promotion), ascending.
+    /// Global indices of earlier attacks re-resolved against the grown
+    /// table (a duplicate IP's attributes changed, or a source got
+    /// promoted), ascending.
     pub reresolved: Vec<u32>,
 }
 
-impl MergeDelta {
-    /// Whether the merge left the fold's analysis inputs as they were:
+impl AppendDelta {
+    /// Whether the append left the fold's analysis inputs as they were:
     /// no attack or bot row appended, no Table III attacker set grown,
     /// and no attack re-resolved.
     pub fn is_empty(&self) -> bool {
@@ -118,45 +101,94 @@ impl MergeDelta {
     }
 }
 
-/// One epoch's mergeable share of the analysis context.
+/// The bot attributes of every dictionary id, indexed by id: a bot row
+/// is its id. Source-only ids hold a placeholder with position
+/// [`NO_BOT`] until a bot record promotes them.
+#[derive(Debug, Clone, Default)]
+struct BotColumns {
+    /// Ids holding a bot record.
+    rows: usize,
+    /// Roster position of the surviving record: the last-wins arbiter.
+    positions: Vec<u32>,
+    countries: Vec<CountryCode>,
+    trig: Vec<PointTrig>,
+}
+
+impl BotColumns {
+    fn push(&mut self, position: u32, bot: Option<&BotRecord>) {
+        self.positions.push(position);
+        match bot {
+            Some(b) => {
+                self.countries.push(b.location.country);
+                self.trig.push(PointTrig::new(b.location.coords));
+            }
+            None => {
+                self.countries.push(NO_COUNTRY);
+                self.trig.push(PointTrig::new(LatLon::default()));
+            }
+        }
+    }
+
+    /// Overwrites row `id` with `bot`; whether its country or
+    /// coordinates changed.
+    fn set(&mut self, id: u32, position: u32, bot: &BotRecord) -> bool {
+        let i = id as usize;
+        let coords = bot.location.coords;
+        let changed = self.countries[i] != bot.location.country
+            || self.trig[i].lat.to_bits() != coords.lat.to_bits()
+            || self.trig[i].lon.to_bits() != coords.lon.to_bits();
+        self.positions[i] = position;
+        if changed {
+            self.countries[i] = bot.location.country;
+            self.trig[i] = PointTrig::new(coords);
+        }
+        changed
+    }
+}
+
+/// The incremental fold: an [`AnalysisContext`]'s inputs over the
+/// epochs appended so far.
 #[derive(Debug, Clone)]
 pub struct EpochContext {
     /// The *global* trace window (week/day bucketing is always global).
     window: Window,
-    /// The time span this context covers.
-    span: Window,
-    /// Global index of the first covered attack.
-    attack_base: usize,
-    /// Family slot of each covered attack ([`NO_SLOT`] for inactive
-    /// families), local order.
-    family_slot: Vec<u8>,
-    /// Duration of each covered attack, local order.
+    /// Epochs appended so far.
+    epochs: usize,
+    /// Per covered attack: its family slot ([`NO_SLOT`] for inactive
+    /// families) and its position within that slot.
+    membership: Vec<(u8, u32)>,
+    /// Duration of each covered attack.
     durations: Vec<f64>,
-    /// Start of each covered attack, local order.
+    /// Start of each covered attack.
     starts: Vec<Timestamp>,
-    /// Per-target timelines over the covered attacks, sorted by target,
-    /// carrying global indices.
+    /// Per-target timelines, sorted by target, carrying global indices.
     timelines: Vec<TargetTimeline>,
-    bots: BotTable,
+    /// IP → dictionary id, for every IP seen as a bot or a source.
+    index: IpMap<u32>,
     sources: SourceTable,
-    /// One slot per [`Family::ACTIVE`] entry.
-    slots: Vec<EpochSlot>,
+    bots: BotColumns,
+    /// One per [`Family::ACTIVE`] entry, in final shape.
+    families: Vec<FamilyContext>,
+    /// Beside each family: the dispersion snapshot of each of its
+    /// attacks (`None` when the kernel found no center), aligned to its
+    /// `starts`, so a re-resolution replaces one value in place.
+    snaps: Vec<Vec<Option<f64>>>,
     /// Table III's distinct sets over the covered attacks and the bot
-    /// records first seen in the covered span.
+    /// records first seen in the covered epochs.
     summary: SummarySets,
 }
 
-/// Dispersion snapshot of one covered attack against the given tables —
+/// Dispersion snapshot of one covered attack against the bot columns —
 /// the exact kernel call of the monolithic context build.
 fn snap_of(
     sources: &SourceTable,
-    bots: &BotTable,
-    local: usize,
+    trigs: &[PointTrig],
+    attack: usize,
     scratch: &mut Vec<u32>,
     kernel: &KernelCounters,
 ) -> Option<f64> {
-    let ids = sources.ids_of(local);
-    let row_list: &[u32] = if sources.unresolved_in(local) == 0 {
+    let ids = sources.ids_of(attack);
+    let row_list: &[u32] = if sources.unresolved_in(attack) == 0 {
         ids
     } else {
         scratch.clear();
@@ -167,176 +199,287 @@ fn snap_of(
         );
         scratch
     };
-    dispersion_precomp_indexed_counted(bots.trigs(), row_list, kernel).map(|d| d.value())
+    dispersion_precomp_indexed_counted(trigs, row_list, kernel).map(|d| d.value())
+}
+
+/// Appends one snapshot to a family's series, counting its day when it
+/// is the first snapshot on that day. Attacks arrive in start order, so
+/// a family's snapshots on one day are contiguous.
+fn push_snap(window: Window, dispersion: &mut FamilyDispersion, start: Timestamp, value: f64) {
+    let day = window.day_index(start);
+    if day.is_some()
+        && dispersion
+            .series
+            .last()
+            .and_then(|&(t, _)| window.day_index(t))
+            != day
+    {
+        dispersion.active_days += 1;
+    }
+    dispersion.series.push((start, value));
 }
 
 impl EpochContext {
-    /// Builds one epoch's context from a borrowed shard.
-    pub fn build(shard: &DatasetShard<'_>, obs: &Obs) -> EpochContext {
-        Self::build_scratch(shard, obs, &mut FoldScratch::default())
+    /// Starts an empty fold over a trace window.
+    pub fn new(window: Window) -> EpochContext {
+        EpochContext {
+            window,
+            epochs: 0,
+            membership: Vec::new(),
+            durations: Vec::new(),
+            starts: Vec::new(),
+            timelines: Vec::new(),
+            index: IpMap::default(),
+            sources: SourceTable::default(),
+            bots: BotColumns::default(),
+            families: Family::ACTIVE
+                .into_iter()
+                .map(|family| FamilyContext {
+                    family,
+                    starts: Vec::new(),
+                    dispersion: FamilyDispersion {
+                        family,
+                        series: Vec::new(),
+                        active_days: 0,
+                    },
+                    weekly_bots: vec![IpMap::default(); window.num_weeks()],
+                })
+                .collect(),
+            snaps: vec![Vec::new(); Family::ACTIVE.len()],
+            summary: SummarySets::default(),
+        }
     }
 
-    /// [`EpochContext::build`] against a caller-owned workspace, so a
-    /// fold over many epochs allocates its radix scratch once.
-    pub fn build_scratch(
-        shard: &DatasetShard<'_>,
-        obs: &Obs,
-        ws: &mut FoldScratch,
-    ) -> EpochContext {
-        Self::build_from(
+    /// Appends the next epoch of a borrowed shard in place.
+    ///
+    /// # Panics
+    ///
+    /// If the shard comes from another trace or is not the next epoch.
+    pub fn append(&mut self, shard: &DatasetShard<'_>, obs: &Obs) -> AppendDelta {
+        assert_eq!(
             shard.dataset().window(),
-            shard.span(),
+            self.window,
+            "epoch from another trace"
+        );
+        self.append_records(
             shard.attack_range().start,
             shard.attacks(),
             shard.bots(),
             obs,
-            ws,
         )
     }
 
-    /// Builds one epoch's context from an owned batch (the streaming
-    /// path; `window` is the global trace window).
-    pub fn build_batch(window: Window, batch: &EpochBatch, obs: &Obs) -> EpochContext {
-        Self::build_batch_scratch(window, batch, obs, &mut FoldScratch::default())
-    }
-
-    /// [`EpochContext::build_batch`] against a caller-owned workspace.
-    pub fn build_batch_scratch(
-        window: Window,
-        batch: &EpochBatch,
-        obs: &Obs,
-        ws: &mut FoldScratch,
-    ) -> EpochContext {
-        Self::build_from(
-            window,
-            batch.span,
+    /// [`EpochContext::append`] for an owned batch (the streaming path).
+    ///
+    /// # Panics
+    ///
+    /// If the batch is not the next epoch.
+    pub fn append_batch(&mut self, batch: &EpochBatch, obs: &Obs) -> AppendDelta {
+        self.append_records(
             batch.attack_base,
             &batch.attacks,
             batch.bots.iter().map(|(r, b)| (*r, b)),
             obs,
-            ws,
         )
     }
 
-    fn build_from<'r>(
-        window: Window,
-        span: Window,
+    fn append_records<'r>(
+        &mut self,
         attack_base: usize,
         attacks: &[AttackRecord],
-        bot_records: impl IntoIterator<Item = (u32, &'r BotRecord)>,
+        bot_records: impl Iterator<Item = (u32, &'r BotRecord)>,
         obs: &Obs,
-        ws: &mut FoldScratch,
-    ) -> EpochContext {
-        let _span = obs.span("epoch/build");
-        let bot_records: Vec<(u32, &BotRecord)> = bot_records.into_iter().collect();
-        // A record belongs to the epoch holding its clamped first
-        // sighting: this one when first seen inside the span, or any
-        // earlier record when this is the first epoch.
-        let first_epoch = span.start <= window.start;
-        let first_seen_here = |b: &&BotRecord| first_epoch || b.first_seen >= span.start;
-        let mut summary = SummarySets::default();
-        for b in bot_records.iter().map(|&(_, b)| b).filter(first_seen_here) {
-            summary.insert_bot(b);
-        }
-        for a in attacks {
-            summary.insert_attack(a);
-        }
-        let bots = BotTable::from_records_with(bot_records, &mut ws.radix);
-        let sources = SourceTable::build_slice(attacks, &bots, false);
+    ) -> AppendDelta {
+        assert_eq!(attack_base, self.len(), "epochs must arrive in order");
+        let build = obs.span("epoch/build");
+        self.epochs += 1;
+        let window = self.window;
+        let known = self.sources.dict_len();
+        let mut epoch_sets = SummarySets::default();
 
-        let mut durations = Vec::with_capacity(attacks.len());
-        let mut starts = Vec::with_capacity(attacks.len());
-        let mut family_slot = Vec::with_capacity(attacks.len());
-        for a in attacks {
-            durations.push(a.duration().as_f64());
-            starts.push(a.start);
-            family_slot.push(if a.family.is_active() {
-                a.family.index() as u8
+        // The epoch's bot records, by ascending roster position.
+        let mut appended_bots = 0;
+        let mut stale: Vec<u32> = Vec::new();
+        for (position, b) in bot_records {
+            epoch_sets.insert_bot(b);
+            let id = match self.index.entry(b.ip) {
+                Entry::Vacant(slot) => {
+                    slot.insert(self.sources.intern(b.ip, true));
+                    self.bots.push(position, Some(b));
+                    appended_bots += 1;
+                    continue;
+                }
+                Entry::Occupied(slot) => *slot.get(),
+            };
+            let current = self.bots.positions[id as usize];
+            let changed = if current == NO_BOT {
+                self.bots.set(id, position, b);
+                self.sources.promote(id);
+                appended_bots += 1;
+                true
             } else {
-                NO_SLOT
-            });
-        }
-
-        // Per-target timelines, same radix construction as the
-        // monolithic build, shifted to global indices.
-        let mut keyed: Vec<u64> = attacks
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (u64::from(a.target_ip.value()) << 32) | i as u64)
-            .collect();
-        radix_sort_by_ip_with(&mut keyed, &mut ws.radix);
-        let mut timelines: Vec<TargetTimeline> = Vec::new();
-        let mut run = 0;
-        while run < keyed.len() {
-            let target = (keyed[run] >> 32) as u32;
-            let mut end = run;
-            while end < keyed.len() && (keyed[end] >> 32) as u32 == target {
-                end += 1;
+                position > current && self.bots.set(id, position, b)
+            };
+            // Only rows that existed before the append can be referenced
+            // by an earlier attack.
+            if changed && (id as usize) < known {
+                stale.push(id);
             }
-            timelines.push(TargetTimeline {
-                target: ddos_schema::IpAddr4(target),
-                attacks: keyed[run..end]
-                    .iter()
-                    .map(|&k| attack_base + k as u32 as usize)
-                    .collect(),
-            });
-            run = end;
         }
+        self.bots.rows += appended_bots;
 
-        // Per-family aggregates: snapshot per attack plus weekly
-        // (bot, country) maps, bucketed against the *global* window.
-        let num_weeks = window.num_weeks();
+        // The epoch's attacks, resolved against the whole table.
         let kernel = KernelCounters::default();
-        let mut slots: Vec<EpochSlot> = (0..Family::ACTIVE.len())
-            .map(|_| EpochSlot {
-                indices: Vec::new(),
-                snaps: Vec::new(),
-                weekly: vec![IpMap::default(); num_weeks],
-            })
-            .collect();
-        for (local, a) in attacks.iter().enumerate() {
-            let slot_id = family_slot[local];
-            if slot_id == NO_SLOT {
+        let (mut ids, mut rows) = (Vec::new(), Vec::new());
+        for a in attacks {
+            epoch_sets.insert_attack(a);
+            self.durations.push(a.duration().as_f64());
+            self.starts.push(a.start);
+            ids.clear();
+            for &ip in &a.sources {
+                ids.push(*self.index.entry(ip).or_insert_with(|| {
+                    self.bots.push(NO_BOT, None);
+                    self.sources.intern(ip, false)
+                }));
+            }
+            self.sources.push_attack(ids.iter().copied());
+            if !a.family.is_active() {
+                self.membership.push((NO_SLOT, 0));
                 continue;
             }
-            let slot = &mut slots[slot_id as usize];
-            slot.indices.push((attack_base + local) as u32);
-            slot.snaps
-                .push(snap_of(&sources, &bots, local, &mut ws.rows, &kernel));
+            let slot = a.family.index();
+            let fc = &mut self.families[slot];
+            self.membership.push((slot as u8, fc.starts.len() as u32));
+            let i = self.starts.len() - 1;
+            let snap = snap_of(&self.sources, &self.bots.trig, i, &mut rows, &kernel);
+            fc.starts.push(a.start);
+            if let Some(v) = snap {
+                push_snap(window, &mut fc.dispersion, a.start, v);
+            }
+            self.snaps[slot].push(snap);
             if let Some(w) = window.week_index(a.start) {
-                for (k, &id) in sources.ids_of(local).iter().enumerate() {
-                    let row = sources.bot_row(id);
-                    if row != NO_BOT {
-                        slot.weekly[w].insert(a.sources[k], bots.country(row));
+                for (&id, &ip) in self.sources.ids_of(i).iter().zip(&a.sources) {
+                    if self.sources.bot_row(id) != NO_BOT {
+                        fc.weekly_bots[w].insert(ip, self.bots.countries[id as usize]);
                     }
                 }
             }
         }
+        let attackers_grew = self.summary.union(epoch_sets);
+        drop(build);
+
+        let merge = obs.span("epoch/merge");
+        self.splice_timelines(attack_base, attacks);
+        let reresolved = if stale.is_empty() {
+            Vec::new()
+        } else {
+            self.reresolve(attack_base, known, &stale, &kernel)
+        };
+        drop(merge);
         obs.counter("geo/dispersion_snapshots")
             .add(kernel.snapshots());
         obs.counter("geo/dispersion_points").add(kernel.points());
         obs.counter("geo/dispersion_degenerate")
             .add(kernel.degenerate());
 
-        EpochContext {
-            window,
-            span,
-            attack_base,
-            family_slot,
-            durations,
-            starts,
-            timelines,
-            bots,
-            sources,
-            slots,
-            summary,
+        AppendDelta {
+            appended_attacks: attacks.len(),
+            appended_bots,
+            attackers_grew,
+            reresolved,
         }
     }
 
-    /// Global index of the first covered attack.
-    #[inline]
-    pub fn attack_base(&self) -> usize {
-        self.attack_base
+    /// Extends existing targets' timelines in place and merges new
+    /// targets in by target IP.
+    fn splice_timelines(&mut self, attack_base: usize, attacks: &[AttackRecord]) {
+        let mut keyed: Vec<(IpAddr4, usize)> = attacks
+            .iter()
+            .enumerate()
+            .map(|(k, a)| (a.target_ip, attack_base + k))
+            .collect();
+        keyed.sort_unstable();
+        let mut fresh: Vec<TargetTimeline> = Vec::new();
+        let mut run = 0;
+        while run < keyed.len() {
+            let target = keyed[run].0;
+            let end = run + keyed[run..].partition_point(|&(t, _)| t == target);
+            let indices = keyed[run..end].iter().map(|&(_, i)| i);
+            match self.timelines.binary_search_by_key(&target, |t| t.target) {
+                Ok(p) => self.timelines[p].attacks.extend(indices),
+                Err(_) => fresh.push(TargetTimeline {
+                    target,
+                    attacks: indices.collect(),
+                }),
+            }
+            run = end;
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        let old = std::mem::take(&mut self.timelines);
+        self.timelines.reserve(old.len() + fresh.len());
+        let mut fresh = fresh.into_iter().peekable();
+        for t in old {
+            while let Some(f) = fresh.next_if(|f| f.target < t.target) {
+                self.timelines.push(f);
+            }
+            self.timelines.push(t);
+        }
+        self.timelines.extend(fresh);
+    }
+
+    /// Re-resolves every attack before `attack_base` that references one
+    /// of the `stale` ids (all below `known`, the dictionary size before
+    /// the append) against the current table. Returns their indices.
+    fn reresolve(
+        &mut self,
+        attack_base: usize,
+        known: usize,
+        stale: &[u32],
+        kernel: &KernelCounters,
+    ) -> Vec<u32> {
+        let mut marked = vec![false; known];
+        for &id in stale {
+            marked[id as usize] = true;
+        }
+        let affected: Vec<u32> = (0..attack_base)
+            .filter(|&i| self.sources.ids_of(i).iter().any(|&id| marked[id as usize]))
+            .map(|i| i as u32)
+            .collect();
+        let mut dirty = [false; Family::ACTIVE.len()];
+        let mut rows = Vec::new();
+        for &i in &affected {
+            let i = i as usize;
+            self.sources.recount_unresolved(i);
+            let (slot, pos) = self.membership[i];
+            if slot == NO_SLOT {
+                continue;
+            }
+            let slot = slot as usize;
+            dirty[slot] = true;
+            self.snaps[slot][pos as usize] =
+                snap_of(&self.sources, &self.bots.trig, i, &mut rows, kernel);
+            if let Some(w) = self.window.week_index(self.starts[i]) {
+                for &id in self.sources.ids_of(i) {
+                    if self.sources.bot_row(id) != NO_BOT {
+                        self.families[slot].weekly_bots[w]
+                            .insert(self.sources.ip_of(id), self.bots.countries[id as usize]);
+                    }
+                }
+            }
+        }
+        for slot in (0..dirty.len()).filter(|&s| dirty[s]) {
+            let fc = &mut self.families[slot];
+            fc.dispersion.series.clear();
+            fc.dispersion.active_days = 0;
+            for (&t, snap) in fc.starts.iter().zip(&self.snaps[slot]) {
+                if let Some(v) = *snap {
+                    push_snap(self.window, &mut fc.dispersion, t, v);
+                }
+            }
+        }
+        affected
     }
 
     /// Number of covered attacks.
@@ -345,275 +488,69 @@ impl EpochContext {
         self.starts.len()
     }
 
-    /// Whether the context covers no attacks.
+    /// Whether the fold covers no attacks.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.starts.is_empty()
     }
 
-    /// Bot rows resident in this context's table.
+    /// Epochs appended so far.
+    #[inline]
+    pub fn epochs(&self) -> usize {
+        self.epochs
+    }
+
+    /// Bot rows resident in the fold's table.
     #[inline]
     pub fn bot_rows(&self) -> usize {
-        self.bots.len()
+        self.bots.rows
     }
 
-    /// The time span covered.
-    #[inline]
-    pub fn span(&self) -> Window {
-        self.span
-    }
-
-    /// Merges two adjacent epoch contexts (`self` immediately precedes
-    /// `other` in both time and attack index space).
-    ///
-    /// # Panics
-    ///
-    /// If the contexts disagree on the global window or are not
-    /// adjacent.
-    pub fn merge(self, other: EpochContext) -> (EpochContext, MergeDelta) {
-        self.merge_scratch(other, &mut FoldScratch::default())
-    }
-
-    /// [`EpochContext::merge`] against a caller-owned workspace, so a
-    /// long fold reuses one fix-up buffer across every merge.
-    ///
-    /// # Panics
-    ///
-    /// As [`EpochContext::merge`].
-    pub fn merge_scratch(
-        self,
-        other: EpochContext,
-        ws: &mut FoldScratch,
-    ) -> (EpochContext, MergeDelta) {
-        let (a, b) = (self, other);
-        assert_eq!(a.window, b.window, "epochs from different traces");
-        assert_eq!(
-            a.span.end, b.span.start,
-            "epochs must be time-adjacent (left before right)"
-        );
-        assert_eq!(
-            a.attack_base + a.len(),
-            b.attack_base,
-            "epochs must cover adjacent attack ranges"
-        );
-
-        let appended_attacks = b.len();
-        let mut summary = a.summary;
-        let attackers_grew = summary.union(b.summary);
-        let (bots, ra, rb) = merge_bot_tables(&a.bots, &b.bots);
-        let appended_bots = bots.len() - a.bots.len();
-        let (sources, affected) = merge_source_tables(&a.sources, &b.sources, &bots, &ra, &rb);
-
-        let mut family_slot = a.family_slot;
-        family_slot.extend(b.family_slot);
-        let mut durations = a.durations;
-        durations.extend(b.durations);
-        let mut starts = a.starts;
-        starts.extend(b.starts);
-
-        // Timeline splice: both sides are sorted by target and a's
-        // global indices all precede b's, so equal targets concatenate.
-        let mut timelines = Vec::with_capacity(a.timelines.len() + b.timelines.len());
-        let mut ta = a.timelines.into_iter().peekable();
-        let mut tb = b.timelines.into_iter().peekable();
-        loop {
-            match (ta.peek(), tb.peek()) {
-                (Some(x), Some(y)) if x.target == y.target => {
-                    let mut t = ta.next().unwrap();
-                    t.attacks.extend(tb.next().unwrap().attacks);
-                    timelines.push(t);
-                }
-                (Some(x), Some(y)) => {
-                    timelines.push(if x.target < y.target {
-                        ta.next().unwrap()
-                    } else {
-                        tb.next().unwrap()
-                    });
-                }
-                (Some(_), None) => timelines.push(ta.next().unwrap()),
-                (None, Some(_)) => timelines.push(tb.next().unwrap()),
-                (None, None) => break,
-            }
-        }
-
-        // Per-slot concat: indices stay globally ascending, weekly maps
-        // union per week (right side overwrites on collision; every
-        // collision that matters is re-resolved below).
-        let mut slots = a.slots;
-        for (slot, rhs) in slots.iter_mut().zip(b.slots) {
-            slot.indices.extend(rhs.indices);
-            slot.snaps.extend(rhs.snaps);
-            for (w, map) in rhs.weekly.into_iter().enumerate() {
-                if slot.weekly[w].is_empty() {
-                    slot.weekly[w] = map;
-                } else {
-                    slot.weekly[w].extend(map);
-                }
-            }
-        }
-
-        // Fix-ups: every attack whose bot attributes changed in the
-        // arbitration or whose extras got promoted is re-resolved
-        // against the merged tables, restoring the invariant that the
-        // aggregates equal a fresh build — the merge's associativity
-        // hinges on exactly this.
-        let window = a.window;
-        let attack_base = a.attack_base;
-        let kernel = KernelCounters::default();
-        for &local in &affected {
-            let local = local as usize;
-            let slot_id = family_slot[local];
-            if slot_id == NO_SLOT {
-                continue;
-            }
-            let slot = &mut slots[slot_id as usize];
-            let global = (attack_base + local) as u32;
-            let pos = slot
-                .indices
-                .binary_search(&global)
-                .expect("affected attack indexed in its family slot");
-            slot.snaps[pos] = snap_of(&sources, &bots, local, &mut ws.rows, &kernel);
-            if let Some(w) = window.week_index(starts[local]) {
-                for &id in sources.ids_of(local) {
-                    let row = sources.bot_row(id);
-                    if row != NO_BOT {
-                        slot.weekly[w].insert(sources.ip_of(id), bots.country(row));
-                    }
-                }
-            }
-        }
-
-        (
-            EpochContext {
-                window,
-                span: Window {
-                    start: a.span.start,
-                    end: b.span.end,
-                },
-                attack_base,
-                family_slot,
-                durations,
-                starts,
-                timelines,
-                bots,
-                sources,
-                slots,
-                summary,
-            },
-            MergeDelta {
-                appended_attacks,
-                appended_bots,
-                attackers_grew,
-                reresolved: affected,
-            },
-        )
-    }
-
-    /// The per-family contexts a fold has accumulated, in
-    /// [`Family::ACTIVE`] order. Takes the slots by value so the
-    /// consuming conversion moves each weekly bot map (the fold's
-    /// largest per-family payload) instead of cloning it; the
-    /// mid-stream clone path pays for its copy explicitly.
-    fn families_from_slots(
-        window: Window,
-        attack_base: usize,
-        attack_starts: &[Timestamp],
-        slots: Vec<EpochSlot>,
-    ) -> Vec<FamilyContext> {
-        slots
-            .into_iter()
-            .zip(Family::ACTIVE)
-            .map(|(slot, family)| {
-                let mut series = Vec::new();
-                let mut days = HashSet::new();
-                let starts: Vec<Timestamp> = slot
-                    .indices
-                    .iter()
-                    .map(|&g| attack_starts[g as usize - attack_base])
-                    .collect();
-                for (&t, snap) in starts.iter().zip(&slot.snaps) {
-                    if let Some(v) = *snap {
-                        if let Some(day) = window.day_index(t) {
-                            days.insert(day);
-                        }
-                        series.push((t, v));
-                    }
-                }
-                FamilyContext {
-                    family,
-                    starts,
-                    dispersion: FamilyDispersion {
-                        family,
-                        series,
-                        active_days: days.len(),
-                    },
-                    weekly_bots: slot.weekly,
-                }
-            })
-            .collect()
-    }
-
-    /// Converts a *complete* fold (all epochs merged) into the analysis
-    /// context, consuming the accumulator.
+    /// Moves a *complete* fold (every epoch appended) into the analysis
+    /// context.
     ///
     /// # Panics
     ///
     /// If the fold does not cover `dataset` exactly.
     pub fn into_context(self, dataset: &Dataset, spec: ArimaSpec) -> AnalysisContext<'_> {
-        assert_eq!(self.attack_base, 0, "fold must start at the first epoch");
         assert_eq!(self.len(), dataset.len(), "fold must cover every attack");
         assert_eq!(self.window, dataset.window(), "fold from another trace");
-        let covered = self.len();
-        let summary = self.summary.summary(covered);
-        let families =
-            Self::families_from_slots(self.window, self.attack_base, &self.starts, self.slots);
-        AnalysisContext::from_parts(
-            dataset,
-            covered,
-            summary,
-            spec,
-            self.bots,
-            self.sources,
-            self.durations,
-            self.starts,
-            self.timelines,
-            families,
-        )
-    }
-
-    /// Clones a (possibly partial, but prefix-anchored) fold into an
-    /// analysis context so passes can run mid-stream. The context covers
-    /// exactly the folded prefix: its attack slice is borrowed from
-    /// `dataset` and ends with the last appended epoch, and Table III
-    /// comes from the fold's merged sets. Passes over it therefore
-    /// answer exactly like a fresh build over
-    /// [`Dataset::epoch_prefix`] of the same epochs, with no copy of the
-    /// prefix's records made.
-    ///
-    /// # Panics
-    ///
-    /// If the fold does not start at the first epoch or comes from
-    /// another trace.
-    pub fn to_context<'a>(&self, dataset: &'a Dataset, spec: ArimaSpec) -> AnalysisContext<'a> {
-        assert_eq!(self.attack_base, 0, "fold must start at the first epoch");
-        assert_eq!(self.window, dataset.window(), "fold from another trace");
-        let families = Self::families_from_slots(
-            self.window,
-            self.attack_base,
-            &self.starts,
-            self.slots.clone(),
-        );
         AnalysisContext::from_parts(
             dataset,
             self.len(),
             self.summary.summary(self.len()),
             spec,
-            self.bots.clone(),
-            self.sources.clone(),
-            self.durations.clone(),
-            self.starts.clone(),
-            self.timelines.clone(),
-            families,
+            Cow::Owned(self.sources),
+            Cow::Owned(self.durations),
+            Cow::Owned(self.starts),
+            Cow::Owned(self.timelines),
+            Cow::Owned(self.families),
+        )
+    }
+
+    /// Lends the fold to the passes as an analysis context, mid-stream
+    /// or complete. The context covers exactly the appended epochs: its
+    /// attack slice is borrowed from `dataset` and ends with the last
+    /// appended epoch, every column is borrowed from the fold, and Table
+    /// III comes from the fold's sets. Passes over it therefore answer
+    /// exactly like a fresh build over [`Dataset::epoch_prefix`] of the
+    /// same epochs, with nothing copied.
+    ///
+    /// # Panics
+    ///
+    /// If the fold comes from another trace.
+    pub fn to_context<'a>(&'a self, dataset: &'a Dataset, spec: ArimaSpec) -> AnalysisContext<'a> {
+        assert_eq!(self.window, dataset.window(), "fold from another trace");
+        AnalysisContext::from_parts(
+            dataset,
+            self.len(),
+            self.summary.summary(self.len()),
+            spec,
+            Cow::Borrowed(&self.sources),
+            Cow::Borrowed(&self.durations),
+            Cow::Borrowed(&self.starts),
+            Cow::Borrowed(&self.timelines),
+            Cow::Borrowed(&self.families),
         )
     }
 }
@@ -621,71 +558,45 @@ impl EpochContext {
 /// Bounded-memory streaming fold over a feed of [`EpochBatch`]es.
 ///
 /// Batches arrive one at a time (e.g. from
-/// `ddos_sim::feed::replay_epochs`), build into an [`EpochContext`]
-/// each, and merge into the accumulator immediately — the raw records
-/// of past epochs are never resident together. The
+/// `ddos_sim::feed::replay_epochs`) and append to the fold immediately
+/// — the raw records of past epochs are never resident together. The
 /// `epoch/resident_rows` gauge tracks the peak raw rows (attacks + bot
 /// records) materialized at once.
 #[derive(Debug)]
 pub struct StreamFold {
-    window: Window,
-    acc: Option<EpochContext>,
-    next_base: usize,
+    acc: EpochContext,
     peak_rows: u64,
-    scratch: FoldScratch,
 }
 
 impl StreamFold {
     /// Starts an empty fold over a trace window.
     pub fn new(window: Window) -> StreamFold {
         StreamFold {
-            window,
-            acc: None,
-            next_base: 0,
+            acc: EpochContext::new(window),
             peak_rows: 0,
-            scratch: FoldScratch::default(),
         }
     }
 
-    /// Builds and folds in one epoch batch. Batches must arrive in
-    /// epoch order.
+    /// Appends one epoch batch. Batches must arrive in epoch order.
     pub fn push(&mut self, batch: &EpochBatch, obs: &Obs) {
         crate::fault::infallible(self.try_push(batch, obs));
     }
 
     /// Fallible [`push`](StreamFold::push): the `epoch/merge`
     /// failpoint is consulted before any fold state is touched, so an
-    /// injected abort returns `Err` with the accumulator intact and
-    /// re-pushing the *same* batch resumes the fold cleanly.
+    /// injected abort returns `Err` with the fold intact and re-pushing
+    /// the *same* batch resumes the fold cleanly.
     pub fn try_push(
         &mut self,
         batch: &EpochBatch,
         obs: &Obs,
     ) -> Result<(), crate::fault::PipelineError> {
         crate::fault::check(crate::fault::EPOCH_MERGE, obs)?;
-        assert_eq!(
-            batch.attack_base, self.next_base,
-            "batches must arrive in epoch order"
-        );
-        self.next_base += batch.attacks.len();
-        let incoming = (batch.attacks.len() + batch.bots.len()) as u64;
-        let resident = incoming
-            + self
-                .acc
-                .as_ref()
-                .map_or(0, |acc| (acc.len() + acc.bot_rows()) as u64);
+        let resident = (batch.attacks.len() + batch.bots.len()) as u64
+            + (self.acc.len() + self.acc.bot_rows()) as u64;
         obs.gauge("epoch/resident_rows").record_max(resident);
         self.peak_rows = self.peak_rows.max(resident);
-        let ctx = EpochContext::build_batch_scratch(self.window, batch, obs, &mut self.scratch);
-        self.acc = Some(match self.acc.take() {
-            None => ctx,
-            Some(acc) => {
-                let span = obs.span("epoch/merge");
-                let (merged, _) = acc.merge_scratch(ctx, &mut self.scratch);
-                drop(span);
-                merged
-            }
-        });
+        self.acc.append_batch(batch, obs);
         Ok(())
     }
 
@@ -697,6 +608,91 @@ impl StreamFold {
     /// Finishes the fold, returning the accumulated context (`None` if
     /// no batch was pushed).
     pub fn finish(self) -> Option<EpochContext> {
-        self.acc
+        (self.acc.epochs() > 0).then_some(self.acc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::overview::test_support::{attack, location, window};
+    use crate::util::BotIndex;
+    use ddos_schema::{BotnetId, DatasetBuilder, Seconds};
+    use proptest::prelude::*;
+
+    fn ip(last: u8) -> IpAddr4 {
+        IpAddr4::from_octets(203, 0, 113, last)
+    }
+
+    proptest! {
+        /// Appended tables resolve every source exactly like the
+        /// monolithic last-wins join, however a roster's conflicting
+        /// duplicates and first sightings fall across epochs: each
+        /// attack's id slice round-trips its sources, an id is a bot row
+        /// iff its IP has a record, and the row holds the last record's
+        /// country and coordinates.
+        #[test]
+        fn appended_tables_match_monolithic(
+            roster in proptest::collection::vec(
+                (0u8..24, prop::sample::select(vec!["US", "RU", "DE"]),
+                 -89.0f64..89.0, -179.0f64..179.0, 0i64..10),
+                0..48,
+            ),
+            source_lists in proptest::collection::vec(
+                (0i64..10, proptest::collection::vec(0u8..40, 1..10)), 0..12,
+            ),
+            epoch_days in 1i64..5,
+        ) {
+            let mut b = DatasetBuilder::new(window());
+            for &(last, cc, lat, lon, day) in &roster {
+                let mut location = location(cc, 1);
+                location.coords = LatLon::new_unchecked(lat, lon);
+                b.push_bot(BotRecord {
+                    ip: ip(last),
+                    botnet: BotnetId(1),
+                    family: Family::Pandora,
+                    location,
+                    first_seen: Timestamp(day * 86_400),
+                    last_seen: Timestamp(day * 86_400),
+                })
+                .unwrap();
+            }
+            for (i, (day, sources)) in source_lists.iter().enumerate() {
+                let mut a = attack(Family::Pandora, i as u64 + 1, day * 86_400 + i as i64, 60, 1);
+                a.sources = sources.iter().map(|&l| ip(l)).collect();
+                b.push_attack(a).unwrap();
+            }
+            let ds = b.build().unwrap();
+            let index = BotIndex::build(&ds);
+            let obs = Obs::disabled();
+            let mut fold = EpochContext::new(ds.window());
+            for shard in ds.shards(Seconds::days(epoch_days)) {
+                fold.append(&shard, &obs);
+            }
+            for (i, a) in ds.attacks().iter().enumerate() {
+                let ids = fold.sources.ids_of(i);
+                let back: Vec<IpAddr4> = ids.iter().map(|&id| fold.sources.ip_of(id)).collect();
+                prop_assert_eq!(&back, &a.sources);
+                let mut misses = 0;
+                for &id in ids {
+                    let row = fold.sources.bot_row(id);
+                    match index.lookup(fold.sources.ip_of(id)) {
+                        Some((cc, coords)) => {
+                            prop_assert_eq!(row, id);
+                            prop_assert_eq!(fold.bots.countries[id as usize], cc);
+                            let trig = &fold.bots.trig[id as usize];
+                            prop_assert_eq!(trig.lat.to_bits(), coords.lat.to_bits());
+                            prop_assert_eq!(trig.lon.to_bits(), coords.lon.to_bits());
+                        }
+                        None => {
+                            prop_assert_eq!(row, NO_BOT);
+                            misses += 1;
+                        }
+                    }
+                }
+                prop_assert_eq!(fold.sources.unresolved_in(i), misses);
+            }
+            prop_assert_eq!(fold.bot_rows(), index.len());
+        }
     }
 }

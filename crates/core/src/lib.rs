@@ -55,7 +55,7 @@ pub mod util;
 pub use analysis::Analysis;
 pub use columnar::{BotTable, SourceTable, NO_BOT};
 pub use context::AnalysisContext;
-pub use epoch::{EpochContext, FoldScratch, MergeDelta, StreamFold};
+pub use epoch::{AppendDelta, EpochContext, StreamFold};
 pub use fault::PipelineError;
 pub use kernels::KernelPolicy;
 pub use pipeline::{AnalysisReport, AppendStats, IncrementalPipeline, PipelineOptions};

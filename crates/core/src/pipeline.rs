@@ -9,13 +9,21 @@
 //! every analysis rescanning the dataset for itself — which stays as the
 //! one independent oracle the equivalence tests hold every pass body to.
 //!
+//! The epoch engines — the folded batch run behind [`Analysis::epochs`]
+//! and the [`IncrementalPipeline`] — are left folds of
+//! [`EpochContext::append`]: each consults the `epoch/merge` failpoint
+//! before it touches the fold, and runs the passes over the fold's
+//! borrowed view. The incremental pipeline assembles each report once
+//! and shares it ([`IncrementalPipeline::snapshot_report`]) instead of
+//! copying it per reader.
+//!
 //! Every run carries a [`RunTelemetry`]: hierarchical spans per build
 //! stage and per pass, plus scheduler/kernel metrics, recorded through
 //! [`ddos_obs::Obs`]. Telemetry is run metadata — `#[serde(skip)]` on
 //! the report field — so its presence (or absence, see
 //! [`PipelineOptions::telemetry`]) never changes report bytes.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use ddos_obs::{Obs, RunTelemetry};
 use ddos_schema::{Dataset, DatasetShard, Family, Seconds};
@@ -25,10 +33,9 @@ use serde::{Deserialize, Serialize};
 use crate::analysis::Analysis;
 use crate::collab::concurrent::{CollabAnalysis, PairFocus};
 use crate::collab::multistage::MultistageAnalysis;
-use crate::columnar::worker_count;
 use crate::context::AnalysisContext;
 use crate::defense::{detection_latency_sweep, BlacklistSim, LatencyPoint};
-use crate::epoch::{EpochContext, FoldScratch};
+use crate::epoch::EpochContext;
 use crate::fault::{self, PipelineError};
 use crate::kernels::KernelPolicy;
 use crate::overview::activity::{activity_levels, FamilyActivity};
@@ -204,10 +211,9 @@ pub(crate) fn run_over(
 }
 
 /// The epoch-sharded engine: the trace is sliced into `epoch_len`
-/// shards, each shard builds its own [`EpochContext`] (on scoped
-/// threads when `opts.parallel`), and the contexts fold pairwise into
-/// one — which the merge laws guarantee is bit-identical to the
-/// monolithic [`AnalysisContext::build`]. The body behind
+/// shards that append one by one to an [`EpochContext`], whose fold the
+/// append rules make bit-identical to the monolithic
+/// [`AnalysisContext::build`]. The body behind
 /// `Analysis::epochs(..).try_run()`.
 pub(crate) fn run_folded(
     ds: &Dataset,
@@ -215,70 +221,11 @@ pub(crate) fn run_folded(
     epoch_len: Seconds,
     obs: &Obs,
 ) -> Result<AnalysisReport, PipelineError> {
-    let shards = ds.shards(epoch_len);
-    let built: Vec<EpochContext> = if opts.parallel && shards.len() > 1 {
-        // Shard builds are independent: workers drain a shared
-        // index and results re-sort into epoch order, so the fold
-        // below is deterministic regardless of interleaving.
-        let next = AtomicUsize::new(0);
-        let next_ref = &next;
-        let obs_ref = obs;
-        let shards_ref = &shards;
-        let mut built: Vec<(usize, EpochContext)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..worker_count().min(shards.len()))
-                .map(|_| {
-                    scope.spawn(move |_| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                            if i >= shards_ref.len() {
-                                break;
-                            }
-                            out.push((i, EpochContext::build(&shards_ref[i], obs_ref)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("epoch build panicked"))
-                .collect()
-        })
-        .expect("epoch build scope panicked");
-        built.sort_unstable_by_key(|&(i, _)| i);
-        built.into_iter().map(|(_, c)| c).collect()
-    } else {
-        shards.iter().map(|s| EpochContext::build(s, obs)).collect()
-    };
-    // Balanced pairwise fold: adjacent contexts merge level by
-    // level (an odd leftover passes through untouched), so a span
-    // of E epochs rewrites each attack's merged state O(log E)
-    // times instead of the left fold's O(E). Every merge still
-    // joins adjacent spans, and merge is associative (the epoch
-    // equivalence suite proves it), so the result is bit-identical.
-    // One `FoldScratch` serves every merge of the fold.
-    let mut built = built;
-    let mut scratch = FoldScratch::default();
-    while built.len() > 1 {
-        let mut next_level = Vec::with_capacity(built.len().div_ceil(2));
-        let mut it = built.into_iter();
-        while let Some(a) = it.next() {
-            next_level.push(match it.next() {
-                Some(b) => {
-                    fault::check(fault::EPOCH_MERGE, obs)?;
-                    let _span = obs.span("epoch/merge");
-                    a.merge_scratch(b, &mut scratch).0
-                }
-                None => a,
-            });
-        }
-        built = next_level;
+    let mut folded = EpochContext::new(ds.window());
+    for shard in ds.shards(epoch_len) {
+        fault::check(fault::EPOCH_MERGE, obs)?;
+        folded.append(&shard, obs);
     }
-    let folded = built
-        .into_iter()
-        .next()
-        .expect("a dataset always has at least one shard");
     let ctx = {
         let _span = obs.span("context");
         folded.into_context(ds, opts.spec)
@@ -352,8 +299,8 @@ pub struct AppendStats {
     /// Attacks the epoch contributed.
     pub attacks: usize,
     /// Names of the passes re-run after this append, in registry
-    /// order: the whole registry when the merge changed the fold (or no
-    /// report stood before it), empty when the epoch changed nothing a
+    /// order: the whole registry when the append changed the fold (or
+    /// no report stood before it), empty when the epoch changed nothing a
     /// pass reads (e.g. an epoch with no attacks and no new bots).
     pub reran: Vec<&'static str>,
 }
@@ -379,39 +326,38 @@ impl ObsSlot<'_> {
 /// The incremental pipeline: epochs append one at a time, and after
 /// each append that changed the fold the whole registry re-runs.
 ///
-/// Each append builds the epoch's [`EpochContext`] and merges it into
-/// the accumulator. When the [`crate::epoch::MergeDelta`] is not
-/// [empty](crate::epoch::MergeDelta::is_empty), every pass re-runs
+/// Each append grows the [`EpochContext`] in place. When the
+/// [`crate::epoch::AppendDelta`] is not
+/// [empty](crate::epoch::AppendDelta::is_empty), every pass re-runs
 /// against the folded context through [`passes::try_execute`], the
 /// scheduler a batch run uses; an epoch that changed nothing keeps the
 /// previous report and re-runs nothing.
 ///
 /// Every watermark is an exact prefix report. The folded context
-/// borrows the appended epochs' slice of the attack list and carries
-/// Table III as merged distinct sets ([`EpochContext::to_context`]), so
-/// after each clean append the partial report is byte-identical to a
-/// fresh monolithic run over [`Dataset::epoch_prefix`] of the same
-/// epochs ([`IncrementalPipeline::snapshot_report`]), and no append
-/// copies the prefix's records. After the last epoch the accumulator
-/// covers the whole trace, so [`IncrementalPipeline::into_report`] is
-/// byte-identical to the batch pipeline's report.
+/// borrows the fold's columns and the appended epochs' slice of the
+/// attack list, and carries Table III as distinct sets grown per epoch
+/// ([`EpochContext::to_context`]), so after each clean append the
+/// report is byte-identical to a fresh monolithic run over
+/// [`Dataset::epoch_prefix`] of the same epochs
+/// ([`IncrementalPipeline::snapshot_report`]), and no append copies the
+/// prefix. After the last epoch the fold covers the whole trace, so
+/// [`IncrementalPipeline::into_report`] is byte-identical to the batch
+/// pipeline's report.
 pub struct IncrementalPipeline<'a> {
     ds: &'a Dataset,
     opts: PipelineOptions,
     obs: ObsSlot<'a>,
     shards: Vec<DatasetShard<'a>>,
     next: usize,
-    acc: Option<EpochContext>,
-    /// The pass outputs at the current watermark. `None` before the
-    /// first append, and from an append whose merge changed the fold
-    /// until a pass run over the new fold succeeds: a `scheduler/pass`
-    /// fault leaves it `None`, so the next append (or the final flush
-    /// in [`IncrementalPipeline::try_into_report`]) runs the registry
+    acc: EpochContext,
+    /// The report at the current watermark, assembled once per pass run
+    /// and shared with every reader. `None` before the first append,
+    /// and from an append that changed the fold until a pass run over
+    /// the new fold succeeds: a `scheduler/pass` fault leaves it `None`,
+    /// so the next append (or the final flush in
+    /// [`IncrementalPipeline::try_into_report`]) runs the registry
     /// again.
-    partial: Option<PartialReport>,
-    /// Radix workspace and fix-up buffers, reused across appends so the
-    /// steady-state append allocates no fresh sort scratch.
-    scratch: FoldScratch,
+    report: Option<Arc<AnalysisReport>>,
 }
 
 impl<'a> IncrementalPipeline<'a> {
@@ -453,9 +399,8 @@ impl<'a> IncrementalPipeline<'a> {
             obs,
             shards: ds.shards(epoch_len),
             next: 0,
-            acc: None,
-            partial: None,
-            scratch: FoldScratch::default(),
+            acc: EpochContext::new(ds.window()),
+            report: None,
         }
     }
 
@@ -485,10 +430,11 @@ impl<'a> IncrementalPipeline<'a> {
     /// The returned report is byte-identical to a monolithic run over
     /// the dataset's first [`watermark`](IncrementalPipeline::watermark)
     /// epochs ([`Dataset::epoch_prefix`]) — the epoch and serve suites
-    /// pin this at every watermark. Telemetry is empty (it is run
-    /// metadata, not part of the snapshot).
-    pub fn snapshot_report(&self) -> Option<AnalysisReport> {
-        self.partial.clone().map(assemble)
+    /// pin this at every watermark. It is shared, not copied: every call
+    /// until the next pass run returns the same allocation. Telemetry is
+    /// empty (it is run metadata, not part of the snapshot).
+    pub fn snapshot_report(&self) -> Option<Arc<AnalysisReport>> {
+        self.report.clone()
     }
 
     /// Whether every epoch has been appended.
@@ -510,7 +456,7 @@ impl<'a> IncrementalPipeline<'a> {
     ///   suite pins that the in-place retry still reaches the golden
     ///   report).
     /// * A `scheduler/pass` injection aborts the pass run after the
-    ///   epoch was merged and leaves no report
+    ///   epoch was appended and leaves no report
     ///   ([`snapshot_report`] is `None`); the next successful append,
     ///   idle or not (or the final flush in [`try_into_report`]), runs
     ///   the whole registry over the fold, so the pipeline still
@@ -530,33 +476,20 @@ impl<'a> IncrementalPipeline<'a> {
         };
         fault::check(fault::EPOCH_MERGE, self.obs.get())?;
         self.next += 1;
-        let built = EpochContext::build_scratch(shard, self.obs.get(), &mut self.scratch);
-        let attacks = built.len();
-        let acc = match self.acc.take() {
-            // The first epoch has no report yet: the flush fills it.
-            None => built,
-            Some(prev) => {
-                let (merged, delta) = {
-                    let _span = self.obs.get().span("epoch/merge");
-                    prev.merge_scratch(built, &mut self.scratch)
-                };
-                if !delta.is_empty() {
-                    self.partial = None;
-                }
-                merged
-            }
-        };
-        let reran: Vec<&'static str> = match self.partial {
+        // The fold is consistent before the fallible pass run: a pass
+        // fault then leaves it with no report.
+        let delta = self.acc.append(shard, self.obs.get());
+        if !delta.is_empty() {
+            self.report = None;
+        }
+        let reran: Vec<&'static str> = match self.report {
             Some(_) => Vec::new(),
             None => passes::REGISTRY.iter().map(|p| p.name).collect(),
         };
-        // Commit the merged accumulator before the fallible pass run: a
-        // pass fault then leaves a consistent fold with no report.
-        self.acc = Some(acc);
         self.try_flush()?;
         Ok(Some(AppendStats {
             epoch,
-            attacks,
+            attacks: delta.appended_attacks,
             reran,
         }))
     }
@@ -564,22 +497,15 @@ impl<'a> IncrementalPipeline<'a> {
     /// Runs the registry over the current fold when no report stands
     /// for it. No-op otherwise.
     fn try_flush(&mut self) -> Result<(), PipelineError> {
-        if self.partial.is_some() {
+        if self.report.is_some() {
             return Ok(());
         }
-        let acc_ref = self
-            .acc
-            .as_ref()
-            .expect("a flush follows an appended epoch");
         let ctx = {
             let _span = self.obs.get().span("epoch/materialize");
-            acc_ref.to_context(self.ds, self.opts.spec)
+            self.acc.to_context(self.ds, self.opts.spec)
         };
-        self.partial = Some(passes::try_execute(
-            &ctx,
-            self.opts.parallel,
-            self.obs.get(),
-        )?);
+        let partial = passes::try_execute(&ctx, self.opts.parallel, self.obs.get())?;
+        self.report = Some(Arc::new(assemble(partial)));
         Ok(())
     }
 
@@ -597,11 +523,8 @@ impl<'a> IncrementalPipeline<'a> {
     /// [`try_append_epoch`]: IncrementalPipeline::try_append_epoch
     pub fn try_into_report(mut self) -> Result<AnalysisReport, PipelineError> {
         while self.try_append_epoch()?.is_some() {}
-        let partial = self.partial.expect("the final append flushed the report");
-        let mut report = {
-            let _span = self.obs.get().span("assemble");
-            assemble(partial)
-        };
+        let shared = self.report.expect("the final append flushed the report");
+        let mut report = Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone());
         report.telemetry = self.obs.get().finish(self.opts.parallel);
         Ok(report)
     }

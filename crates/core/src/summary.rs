@@ -2,7 +2,7 @@
 //!
 //! The distinct-count machinery lives in [`ddos_schema::SummarySets`]:
 //! [`ddos_schema::Dataset::summary`] fills one set per column in a scan,
-//! and the epoch fold fills them per epoch and merges them by union.
+//! and the epoch fold fills one set per epoch and unions it into its own.
 //! This module wraps the counts with the paper's reference values so
 //! reports and tests can show paper-vs-measured side by side.
 

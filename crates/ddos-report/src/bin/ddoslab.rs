@@ -87,8 +87,8 @@ fn print_help() {
          parallel decode). Readers accept both; writers default to v2.\n\
          `import-csv` applies the paper's §II-D record merging (default gap 60 s;\n\
          pass --merge-gap=0 to disable).\n\
-         `analyze --epochs N` slices the trace into N epochs and folds\n\
-         per-epoch contexts — byte-identical output, sharded build.\n\
+         `analyze --epochs N` slices the trace into N epochs and appends\n\
+         them one by one to a fold — byte-identical output.\n\
          `serve` replays the trace through the snapshot service: each epoch\n\
          append publishes an immutable prefix-exact snapshot, and every\n\
          query answer is stamped with its epoch watermark."

@@ -4,14 +4,16 @@
 //! it whole. A [`DatasetShard`] is a borrowed view of one epoch's slice:
 //! the attacks that *start* inside the epoch (a contiguous range of the
 //! globally `(start, id)`-sorted attack list, so shard-local structures
-//! keep stable global indices) plus the bot records whose observation
-//! span intersects the epoch. [`EpochBatch`] is the owned equivalent,
-//! the unit a streaming feed hands to the fold one epoch at a time.
+//! keep stable global indices) plus the bot records *first seen* inside
+//! it. [`EpochBatch`] is the owned equivalent, the unit a streaming feed
+//! hands to the fold one epoch at a time.
 //!
-//! Epoch boundaries clamp: an attack starting before the window lands in
-//! the first epoch, one starting at/after the window end in the last, so
-//! every attack belongs to exactly one shard and the shards concatenate
-//! back to the full trace.
+//! Epoch boundaries clamp (`clamped_epoch`): an attack starting, or a
+//! bot record first seen, before the window lands in the first epoch,
+//! one at/after the window end in the last. So every attack and every
+//! bot record belongs to exactly one shard, the shards concatenate back
+//! to the full trace, and the shards below a watermark hold exactly the
+//! records of [`Dataset::epoch_prefix`].
 
 use std::ops::Range;
 
@@ -62,9 +64,11 @@ impl<'a> DatasetShard<'a> {
     }
 
     /// The shard's bot records as `(global row, record)`, ascending by
-    /// global row. A bot whose observation span crosses an epoch boundary
-    /// appears in every epoch it intersects; the merge keeps the
-    /// latest-positioned duplicate, matching the monolithic build.
+    /// global row: the records whose clamped first-seen epoch this is.
+    /// Each record lands in exactly one shard, however long its
+    /// observation span; a later record of a known IP overwrites the
+    /// fold's row only when its global row is greater, matching the
+    /// monolithic last-wins build.
     pub fn bots(&self) -> impl Iterator<Item = (u32, &'a BotRecord)> + '_ {
         let bots = self.dataset.bots();
         self.bot_rows.iter().map(move |&r| (r, &bots[r as usize]))
@@ -94,18 +98,31 @@ pub struct EpochBatch {
     pub attack_base: usize,
     /// Attacks starting in this epoch, in global `(start, id)` order.
     pub attacks: Vec<AttackRecord>,
-    /// `(global row, record)` of bots active in this epoch, ascending by
-    /// row.
+    /// `(global row, record)` of the bot records first seen in this
+    /// epoch (clamped as [`DatasetShard::bots`]), ascending by row.
     pub bots: Vec<(u32, BotRecord)>,
+}
+
+/// The epoch holding `t` when `window` is sliced into `epochs` epochs of
+/// `epoch_len` ([`Window::epochs`]), clamped to the first and last
+/// epoch. The one assignment rule of [`Dataset::shards`] and
+/// [`Dataset::epoch_prefix`], so the engine and its test oracle agree
+/// on it exactly.
+fn clamped_epoch(window: Window, epoch_len: Seconds, epochs: usize, t: Timestamp) -> usize {
+    let last = epochs.saturating_sub(1) as i64;
+    (t - window.start)
+        .get()
+        .div_euclid(epoch_len.get().max(1))
+        .clamp(0, last) as usize
 }
 
 impl Dataset {
     /// Partitions the trace into epoch shards of length `epoch_len`.
     ///
-    /// Attacks are assigned by start time (clamped to the first/last
-    /// epoch), so the shards' attack ranges are consecutive and cover
-    /// `0..len()` exactly. Bot records land in every epoch their
-    /// `[first_seen, last_seen]` span intersects.
+    /// Attacks are assigned by start time and bot records by first
+    /// sighting, both through one clamped rule, so the shards' attack
+    /// ranges are consecutive and cover `0..len()` exactly, and each bot
+    /// record lands in exactly one shard.
     pub fn shards(&self, epoch_len: Seconds) -> Vec<DatasetShard<'_>> {
         let window = self.window();
         let epochs = window.epochs(epoch_len);
@@ -119,22 +136,9 @@ impl Dataset {
             bounds.push(self.attacks().partition_point(|a| a.start < e.start));
         }
         bounds.push(self.len());
-        // Bot rows per epoch, by observation-span overlap.
-        let len = epoch_len.get().max(1);
-        let last = n as i64 - 1;
-        let epoch_of = |t: crate::time::Timestamp| -> i64 {
-            if n == 1 {
-                return 0;
-            }
-            (t - window.start).get().div_euclid(len).clamp(0, last)
-        };
         let mut bot_rows: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (row, bot) in self.bots().iter().enumerate() {
-            let lo = epoch_of(bot.first_seen);
-            let hi = epoch_of(bot.last_seen);
-            for e in lo..=hi {
-                bot_rows[e as usize].push(row as u32);
-            }
+            bot_rows[clamped_epoch(window, epoch_len, n, bot.first_seen)].push(row as u32);
         }
         epochs
             .into_iter()
@@ -188,23 +192,12 @@ impl Dataset {
             self.attacks()
                 .partition_point(|a| a.start < spans[epochs].start)
         };
-        // Same clamped epoch assignment as `shards`, keyed on
-        // `first_seen`: a record belongs to the prefix iff the epoch it
-        // first appears in has been consumed.
-        let len = epoch_len.get().max(1);
-        let last = n as i64 - 1;
-        let epoch_of = |t: Timestamp| -> i64 {
-            if n == 1 {
-                return 0;
-            }
-            (t - window.start).get().div_euclid(len).clamp(0, last)
-        };
         let mut builder = DatasetBuilder::new(window).allow_out_of_window();
         builder.extend_attacks_prevalidated(self.attacks()[..attack_end].to_vec());
         builder.extend_bots_prevalidated(
             self.bots()
                 .iter()
-                .filter(|b| epoch_of(b.first_seen) < epochs as i64)
+                .filter(|b| clamped_epoch(window, epoch_len, n, b.first_seen) < epochs)
                 .copied()
                 .collect(),
         );
@@ -345,6 +338,38 @@ mod tests {
             // The window (and so any re-slicing) matches the original.
             assert_eq!(prefix.window(), ds.window());
             assert_eq!(prefix.botnets().len(), ds.botnets().len());
+        }
+    }
+
+    #[test]
+    fn each_bot_record_lands_in_its_clamped_first_seen_shard() {
+        let mut b = DatasetBuilder::new(window());
+        for (id, start) in [(1, 50), (2, 250), (3, 260), (4, 990)] {
+            b.push_attack(attack(id, start)).unwrap();
+        }
+        // First seen before the window, after its end, inside epoch 1
+        // while spanning epochs 1–3, and inside epoch 2, under a 250 s
+        // slicing.
+        b.push_bot(bot(1, -100, 40)).unwrap();
+        b.push_bot(bot(2, 1_500, 1_600)).unwrap();
+        b.push_bot(bot(3, 300, 900)).unwrap();
+        b.push_bot(bot(4, 520, 530)).unwrap();
+        let ds = b.build().unwrap();
+        let len = Seconds(250);
+        let shards = ds.shards(len);
+        let rows: Vec<Vec<u32>> = shards
+            .iter()
+            .map(|s| s.bots().map(|(row, _)| row).collect())
+            .collect();
+        assert_eq!(rows, vec![vec![0], vec![2], vec![3], vec![1]]);
+        for w in 1..=shards.len() {
+            let mut seen: Vec<(u32, BotRecord)> = shards[..w]
+                .iter()
+                .flat_map(|s| s.bots().map(|(row, b)| (row, *b)))
+                .collect();
+            seen.sort_unstable_by_key(|&(row, _)| row);
+            let seen: Vec<BotRecord> = seen.into_iter().map(|(_, b)| b).collect();
+            assert_eq!(seen, ds.epoch_prefix(len, w).bots(), "watermark {w}");
         }
     }
 

@@ -21,25 +21,30 @@
 //!    (`epoch/merge`, `scheduler/pass`) leaves the published snapshot
 //!    untouched; the next clean append converges to the golden report.
 //!
-//! The writer never copies the prefix it has folded. Every watermark of
-//! an [`IncrementalPipeline`] is an exact prefix report: its passes
-//! read a borrowed view of the fold (the appended epochs' slice of the
-//! attack list, and Table III as distinct sets merged per epoch), so an
-//! append pays for the epoch's build and merge plus one run of every
-//! pass, or none when the epoch changed nothing. A replaced snapshot is
-//! freed after the publication lock is released, so readers never wait
-//! on the free.
+//! Nothing on the serve path copies the prefix. The writer's fold grows
+//! in place, and every watermark of an [`IncrementalPipeline`] is an
+//! exact prefix report whose passes read a borrowed view of that fold,
+//! so an append pays for resolving its own epoch plus one run of every
+//! pass, or none when the epoch changed nothing. The report is assembled
+//! once per pass run and shared: a publish wraps it in a [`Snapshot`]
+//! without copying it, and a query that returns a whole report section
+//! answers with a [`Section`] into the snapshot instead of a clone. A
+//! replaced snapshot is freed after the publication lock is released,
+//! so readers never wait on the free.
 //!
 //! Writer-side progress is observable through `ddos-obs` under the
 //! `serve/*` names: `serve/append` spans, the `serve/watermark` gauge,
 //! the `serve/append_faults` counter, and `serve/append_us` latencies.
-//! The read path records `serve/query/<name>` spans, the
-//! `serve/queries_answered` counter, the `serve/inflight` high-water
-//! gauge, and `serve/query_us` latencies.
+//! The read path records the `serve/queries_answered` counter, the
+//! `serve/inflight` high-water gauge, `serve/query_us` latencies and,
+//! when the recorder is enabled, `serve/query/<name>` spans. Every
+//! metric handle is resolved once, when the service is built.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,7 +57,7 @@ use ddos_analytics::target::recurrence::TargetTrain;
 use ddos_analytics::{
     AnalysisReport, AppendStats, IncrementalPipeline, PipelineError, PipelineOptions,
 };
-use ddos_obs::{names, Obs};
+use ddos_obs::{names, Counter, Gauge, Histogram, Obs};
 use ddos_schema::{CountryCode, Dataset, IpAddr4, Seconds};
 use parking_lot::{Mutex, RwLock};
 
@@ -66,8 +71,10 @@ pub struct Snapshot {
     /// Total epochs the underlying dataset folds into — the watermark
     /// at which the service is fully caught up.
     pub epochs: usize,
-    /// The prefix-exact report at this watermark.
-    pub report: AnalysisReport,
+    /// The prefix-exact report at this watermark, shared with the
+    /// writer that assembled it and with every [`Section`] answered
+    /// from it.
+    pub report: Arc<AnalysisReport>,
 }
 
 impl Snapshot {
@@ -88,6 +95,54 @@ pub struct Answer<T> {
     pub value: T,
 }
 
+/// One section of a published report, shared rather than copied: the
+/// snapshot's report plus a projection onto the section. Dereferences
+/// to the section, and stays valid however far the writer advances.
+pub struct Section<T: 'static> {
+    report: Arc<AnalysisReport>,
+    project: fn(&AnalysisReport) -> &T,
+}
+
+impl<T> Deref for Section<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        (self.project)(&self.report)
+    }
+}
+
+impl<T> Clone for Section<T> {
+    fn clone(&self) -> Section<T> {
+        Section {
+            report: Arc::clone(&self.report),
+            project: self.project,
+        }
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Section<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl<T: PartialEq> PartialEq for Section<T> {
+    fn eq(&self, other: &Section<T>) -> bool {
+        **self == **other
+    }
+}
+
+/// The service's metric handles, resolved once so neither path looks a
+/// name up in the registry per call.
+struct Handles {
+    inflight: Arc<Gauge>,
+    query_us: Arc<Histogram>,
+    queries_answered: Arc<Counter>,
+    watermark: Arc<Gauge>,
+    append_us: Arc<Histogram>,
+    append_faults: Arc<Counter>,
+}
+
 /// A long-lived analysis service: one incremental writer, any number of
 /// concurrent snapshot readers.
 ///
@@ -99,6 +154,7 @@ pub struct AnalysisService<'d> {
     writer: Mutex<IncrementalPipeline<'d>>,
     published: RwLock<Option<Arc<Snapshot>>>,
     obs: &'d Obs,
+    handles: Handles,
     epochs: usize,
     inflight: AtomicU64,
 }
@@ -120,6 +176,14 @@ impl<'d> AnalysisService<'d> {
             writer: Mutex::new(pipeline),
             published: RwLock::new(None),
             obs,
+            handles: Handles {
+                inflight: obs.gauge(names::SERVE_INFLIGHT),
+                query_us: obs.histogram(names::SERVE_QUERY_US),
+                queries_answered: obs.counter(names::SERVE_QUERIES_ANSWERED),
+                watermark: obs.gauge(names::SERVE_WATERMARK),
+                append_us: obs.histogram(names::SERVE_APPEND_US),
+                append_faults: obs.counter(names::SERVE_APPEND_FAULTS),
+            },
             epochs,
             inflight: AtomicU64::new(0),
         }
@@ -164,9 +228,7 @@ impl<'d> AnalysisService<'d> {
                             epochs: self.epochs,
                             report,
                         });
-                        self.obs
-                            .gauge(names::SERVE_WATERMARK)
-                            .set(snap.watermark as u64);
+                        self.handles.watermark.set(snap.watermark as u64);
                         // The guard is a temporary of this statement, so
                         // the replaced snapshot is freed below, after
                         // the write lock is released, and readers never
@@ -176,16 +238,12 @@ impl<'d> AnalysisService<'d> {
                     }
                 }
             }
-            Err(_) => {
-                self.obs.counter(names::SERVE_APPEND_FAULTS).inc();
-            }
+            Err(_) => self.handles.append_faults.inc(),
         }
         drop(writer);
         let end = self.obs.now_us();
         self.obs.record_span(names::SERVE_APPEND, start, end);
-        self.obs
-            .histogram(names::SERVE_APPEND_US)
-            .record(end.saturating_sub(start));
+        self.handles.append_us.record(end.saturating_sub(start));
         result
     }
 
@@ -205,10 +263,14 @@ impl<'d> AnalysisService<'d> {
     /// Answers one typed query against the published snapshot,
     /// recording the read-path telemetry. `None` until the first
     /// publish.
-    fn answer<T>(&self, name: &str, f: impl FnOnce(&AnalysisReport) -> T) -> Option<Answer<T>> {
+    fn answer<T>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&Arc<AnalysisReport>) -> T,
+    ) -> Option<Answer<T>> {
         let start = self.obs.now_us();
         let inflight = self.inflight.fetch_add(1, Ordering::AcqRel) + 1;
-        self.obs.gauge(names::SERVE_INFLIGHT).record_max(inflight);
+        self.handles.inflight.record_max(inflight);
         let snap = self.snapshot();
         let out = snap.map(|snap| Answer {
             watermark: snap.watermark,
@@ -217,15 +279,27 @@ impl<'d> AnalysisService<'d> {
         });
         self.inflight.fetch_sub(1, Ordering::AcqRel);
         let end = self.obs.now_us();
-        self.obs
-            .record_span(format!("{}/{name}", names::SERVE_QUERY), start, end);
-        self.obs
-            .histogram(names::SERVE_QUERY_US)
-            .record(end.saturating_sub(start));
+        if self.obs.is_enabled() {
+            self.obs
+                .record_span(format!("{}/{name}", names::SERVE_QUERY), start, end);
+        }
+        self.handles.query_us.record(end.saturating_sub(start));
         if out.is_some() {
-            self.obs.counter(names::SERVE_QUERIES_ANSWERED).inc();
+            self.handles.queries_answered.inc();
         }
         out
+    }
+
+    /// Answers with one section of the published report, shared.
+    fn section<T>(
+        &self,
+        name: &str,
+        project: fn(&AnalysisReport) -> &T,
+    ) -> Option<Answer<Section<T>>> {
+        self.answer(name, |report| Section {
+            report: Arc::clone(report),
+            project,
+        })
     }
 
     /// The top `n` victim countries by attack count (§IV-B; the report
@@ -237,8 +311,8 @@ impl<'d> AnalysisService<'d> {
     }
 
     /// Per-family activity levels (§III-A).
-    pub fn family_breakdown(&self) -> Option<Answer<Vec<FamilyActivity>>> {
-        self.answer("family_breakdown", |r| r.activity.clone())
+    pub fn family_breakdown(&self) -> Option<Answer<Section<Vec<FamilyActivity>>>> {
+        self.section("family_breakdown", |r| &r.activity)
     }
 
     /// The recurrence train for one target: its attack start timeline
@@ -256,22 +330,22 @@ impl<'d> AnalysisService<'d> {
     }
 
     /// Concurrent collaboration pairs and events (§V, Table VI).
-    pub fn collaboration_groups(&self) -> Option<Answer<CollabAnalysis>> {
-        self.answer("collaboration_groups", |r| r.collaborations.clone())
+    pub fn collaboration_groups(&self) -> Option<Answer<Section<CollabAnalysis>>> {
+        self.section("collaboration_groups", |r| &r.collaborations)
     }
 
     /// The weekly shift analysis (§IV-A, Fig. 8).
-    pub fn shift_series(&self) -> Option<Answer<ShiftAnalysis>> {
-        self.answer("shift_series", |r| r.shifts.clone())
+    pub fn shift_series(&self) -> Option<Answer<Section<ShiftAnalysis>>> {
+        self.section("shift_series", |r| &r.shifts)
     }
 
     /// Qualifying families' source-dispersion series (§IV-A, Fig. 9).
-    pub fn dispersion_series(&self) -> Option<Answer<Vec<FamilyDispersion>>> {
-        self.answer("dispersion_series", |r| r.dispersion.clone())
+    pub fn dispersion_series(&self) -> Option<Answer<Section<Vec<FamilyDispersion>>>> {
+        self.section("dispersion_series", |r| &r.dispersion)
     }
 
     /// The blacklist warm-up simulation verdicts (§V summary).
-    pub fn blacklist_verdicts(&self) -> Option<Answer<BlacklistSim>> {
-        self.answer("blacklist_verdicts", |r| r.blacklist.clone())
+    pub fn blacklist_verdicts(&self) -> Option<Answer<Section<BlacklistSim>>> {
+        self.section("blacklist_verdicts", |r| &r.blacklist)
     }
 }

@@ -105,21 +105,21 @@ fn typed_answers_carry_the_publish_watermark() {
     );
 
     let families = service.family_breakdown().expect("answered");
-    assert_eq!(families.value, snap.report.activity);
+    assert_eq!(*families.value, snap.report.activity);
     assert_eq!(
-        service.collaboration_groups().expect("answered").value,
+        *service.collaboration_groups().expect("answered").value,
         snap.report.collaborations
     );
     assert_eq!(
-        service.shift_series().expect("answered").value,
+        *service.shift_series().expect("answered").value,
         snap.report.shifts
     );
     assert_eq!(
-        service.dispersion_series().expect("answered").value,
+        *service.dispersion_series().expect("answered").value,
         snap.report.dispersion
     );
     assert_eq!(
-        service.blacklist_verdicts().expect("answered").value,
+        *service.blacklist_verdicts().expect("answered").value,
         snap.report.blacklist
     );
 
@@ -140,6 +140,39 @@ fn typed_answers_carry_the_publish_watermark() {
         obs.gauge(names::SERVE_WATERMARK).get(),
         snap.watermark as u64
     );
+}
+
+#[test]
+fn answers_at_one_watermark_share_the_published_sections() {
+    let ds = small();
+    let obs = Obs::disabled();
+    let service = AnalysisService::new(&ds, PipelineOptions::default(), epoch_len(&ds, 3), &obs);
+    service
+        .try_append()
+        .expect("clean append")
+        .expect("epoch 0");
+    let snap = service.snapshot().expect("published");
+    let (a, b) = (
+        service.collaboration_groups().expect("answered"),
+        service.collaboration_groups().expect("answered"),
+    );
+    assert_eq!(a.watermark, b.watermark);
+    assert!(
+        std::ptr::eq(&*a.value, &*b.value),
+        "two copies of one section"
+    );
+    assert!(std::ptr::eq(&*a.value, &snap.report.collaborations));
+    let (a, b) = (
+        service.dispersion_series().expect("answered"),
+        service.dispersion_series().expect("answered"),
+    );
+    assert!(
+        std::ptr::eq(&*a.value, &*b.value),
+        "two copies of one section"
+    );
+    // A section outlives the publish that replaces its snapshot.
+    service.ingest_all().expect("clean ingest");
+    assert_eq!(*a.value, snap.report.dispersion);
 }
 
 #[test]

@@ -3,9 +3,8 @@
 //! The epoch fold must reproduce the monolithic context build
 //! **bit-identically** for any partition of the trace — empty epochs,
 //! boundary-straddling attacks, duplicate bot records arbitrated across
-//! epochs, and sources that only resolve against another epoch's bots.
-//! `EpochContext::merge` must also be associative, so a streaming fold,
-//! a balanced tree fold, and an incremental append all agree. And every
+//! epochs, and sources that only resolve against a later epoch's bots.
+//! An append must never renumber an earlier attack's sources. And every
 //! intermediate watermark of the incremental engine must answer exactly
 //! like a fresh run over the same epoch prefix (`Dataset::epoch_prefix`,
 //! the oracle), re-running every pass after an append that changed the
@@ -13,7 +12,7 @@
 
 use ddos_analytics::passes::REGISTRY;
 use ddos_analytics::{
-    Analysis, AnalysisContext, AnalysisReport, EpochContext, IncrementalPipeline, MergeDelta,
+    Analysis, AnalysisContext, AnalysisReport, AppendDelta, EpochContext, IncrementalPipeline,
     PipelineOptions, StreamFold,
 };
 use ddos_obs::Obs;
@@ -28,20 +27,17 @@ use ddos_testkit::failpoints::{self, names, FailPlan};
 use ddos_testkit::report_digest;
 use proptest::prelude::*;
 
-/// Folds the trace's epochs left to right. Returns the fold and the
-/// delta of each merge: `deltas[i]` is epoch `i + 1`'s.
-fn fold_shards(ds: &Dataset, epoch_len: Seconds) -> (EpochContext, Vec<MergeDelta>) {
+/// Appends the trace's epochs in order. Returns the fold and the delta
+/// of each append: `deltas[i]` is epoch `i`'s.
+fn fold_shards(ds: &Dataset, epoch_len: Seconds) -> (EpochContext, Vec<AppendDelta>) {
     let obs = Obs::disabled();
-    let shards = ds.shards(epoch_len);
-    let mut ctxs = shards.iter().map(|s| EpochContext::build(s, &obs));
-    let first = ctxs
-        .next()
-        .expect("a dataset always has at least one shard");
-    ctxs.fold((first, Vec::new()), |(acc, mut deltas), next| {
-        let (merged, delta) = acc.merge(next);
-        deltas.push(delta);
-        (merged, deltas)
-    })
+    let mut fold = EpochContext::new(ds.window());
+    let deltas = ds
+        .shards(epoch_len)
+        .iter()
+        .map(|s| fold.append(s, &obs))
+        .collect();
+    (fold, deltas)
 }
 
 /// Folding the trace epoch by epoch matches the monolithic build on
@@ -225,7 +221,7 @@ fn an_epoch_that_only_reresolves_reruns_every_pass() {
     let ds = moved_coords_dataset();
     let len = Seconds::days(2);
     let (_, deltas) = fold_shards(&ds, len);
-    let moved = &deltas[2];
+    let moved = &deltas[3];
     assert!(!moved.reresolved.is_empty(), "no attack re-resolved");
     assert_eq!(moved.appended_attacks, 0);
     assert_eq!(moved.appended_bots, 0);
@@ -282,85 +278,63 @@ fn edge_cases_fold_to_the_monolithic_build() {
 }
 
 #[test]
-fn merge_promotes_cross_epoch_sources_and_arbitrates_duplicates() {
+fn append_promotes_cross_epoch_sources_and_arbitrates_duplicates() {
     let ds = edge_case_dataset();
-    let obs = Obs::disabled();
-    let shards = ds.shards(Seconds::days(2));
-    let ctxs: Vec<EpochContext> = shards
-        .iter()
-        .map(|s| EpochContext::build(s, &obs))
-        .collect();
-    assert!(ctxs.iter().any(|c| c.is_empty()), "no empty epoch covered");
-    let mut it = ctxs.into_iter();
-    let first = it.next().unwrap();
-    let (folded, deltas) = it.fold((first, Vec::new()), |(acc, mut deltas), next| {
-        let (merged, delta) = acc.merge(next);
-        deltas.push(delta);
-        (merged, deltas)
-    });
+    let (folded, deltas) = fold_shards(&ds, Seconds::days(2));
+    assert!(
+        deltas.iter().any(|d| d.appended_attacks == 0),
+        "no empty epoch covered"
+    );
     // The day-6 bots (the DE duplicate of bot 1 and the new bot 9)
-    // arrive in the fourth epoch: that merge appends rows and
-    // re-resolves the early attacks that used the stale/unresolved IPs.
+    // arrive in the fourth epoch: that append arbitrates the duplicate,
+    // promotes the source and re-resolves the early attacks that used
+    // the stale/unresolved IPs.
     assert!(
-        deltas.iter().any(|d| d.appended_bots > 0),
-        "no merge appended bot rows"
+        deltas[1..].iter().any(|d| d.appended_bots > 0),
+        "no later append added bot rows"
     );
-    assert!(
-        deltas.iter().any(|d| !d.reresolved.is_empty()),
-        "no merge re-resolved an attack"
+    assert_eq!(
+        deltas[3].reresolved,
+        vec![0, 1],
+        "attacks 1 and 2 use bot 1"
     );
+    assert!(deltas[3].appended_bots > 0, "bot 9 was not promoted");
     let folded = folded.into_context(&ds, ArimaSpec::DEFAULT);
     AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, false).assert_same_analysis(&folded);
 }
 
+/// An earlier attack's dictionary ids survive every later append, on a
+/// sim trace and through the edge cases' promotion and arbitration.
 #[test]
-fn merge_is_associative_over_sim_epochs() {
+fn appends_never_renumber_an_earlier_attacks_sources() {
     let cfg = SimConfig {
         scale: 0.004,
         snapshots: false,
         ..SimConfig::small()
     };
     let trace = generate(&cfg);
-    let ds = &trace.dataset;
     let obs = Obs::disabled();
-    let ctxs: Vec<EpochContext> = ds
-        .shards(Seconds::WEEK)
-        .iter()
-        .map(|s| EpochContext::build(s, &obs))
-        .collect();
-    assert!(ctxs.len() > 3, "need several epochs to vary fold shape");
-
-    let left = ctxs
-        .iter()
-        .cloned()
-        .reduce(|a, b| a.merge(b).0)
-        .unwrap()
-        .into_context(ds, ArimaSpec::DEFAULT);
-    let right = ctxs
-        .iter()
-        .cloned()
-        .rev()
-        .reduce(|b, a| a.merge(b).0)
-        .unwrap()
-        .into_context(ds, ArimaSpec::DEFAULT);
-    fn balanced(mut ctxs: Vec<EpochContext>) -> EpochContext {
-        while ctxs.len() > 1 {
-            ctxs = ctxs
-                .chunks(2)
-                .map(|pair| match pair {
-                    [a, b] => a.clone().merge(b.clone()).0,
-                    [a] => a.clone(),
-                    _ => unreachable!(),
-                })
-                .collect();
+    for (ds, len) in [
+        (&trace.dataset, Seconds::WEEK),
+        (&edge_case_dataset(), Seconds::days(1)),
+    ] {
+        let mut fold = EpochContext::new(ds.window());
+        let mut seen: Vec<Vec<u32>> = Vec::new();
+        for shard in ds.shards(len) {
+            fold.append(&shard, &obs);
+            let ctx = fold.to_context(ds, ArimaSpec::DEFAULT);
+            for (i, ids) in seen.iter().enumerate() {
+                assert_eq!(
+                    ctx.sources.ids_of(i),
+                    &ids[..],
+                    "epoch {} renumbered attack {i}",
+                    shard.epoch()
+                );
+            }
+            seen.extend((seen.len()..fold.len()).map(|i| ctx.sources.ids_of(i).to_vec()));
         }
-        ctxs.pop().unwrap()
+        assert_eq!(seen.len(), ds.len());
     }
-    let tree = balanced(ctxs).into_context(ds, ArimaSpec::DEFAULT);
-
-    left.assert_same_analysis(&right);
-    left.assert_same_analysis(&tree);
-    AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false).assert_same_analysis(&left);
 }
 
 #[test]
