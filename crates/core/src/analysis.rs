@@ -8,7 +8,11 @@
 //! [`Analysis::baseline`] for the dataset-scan oracle), tunes
 //! [`PipelineOptions`] through the same setter names, and runs:
 //!
-//! ```ignore
+//! ```no_run
+//! # use ddos_analytics::prelude::*;
+//! # use ddos_sim::{generate, SimConfig};
+//! # fn main() -> Result<(), PipelineError> {
+//! # let ds = generate(&SimConfig::small()).dataset;
 //! let report = Analysis::new(&ds)
 //!     .parallel(true)
 //!     .epochs(Seconds(7 * 24 * 3600))
@@ -16,6 +20,9 @@
 //!     .telemetry(true)
 //!     .kernels(KernelPolicy::Auto)
 //!     .try_run()?;
+//! # let _ = report;
+//! # Ok(())
+//! # }
 //! ```
 //!
 //! Every spelling serializes byte-identically — the golden-report suite

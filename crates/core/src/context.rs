@@ -649,7 +649,7 @@ mod tests {
     use super::*;
     use crate::overview::test_support::{attack, dataset};
     use crate::source::dispersion::qualifying_families;
-    use crate::source::shift::ShiftAnalysis;
+    use crate::source::shift::{ShiftAnalysis, ShiftState};
     use crate::util::BotIndex;
 
     #[test]
@@ -709,7 +709,7 @@ mod tests {
         }
         // And the shared join agrees with the standalone shift analysis.
         assert_eq!(
-            ShiftAnalysis::compute_ctx(&ctx),
+            ShiftAnalysis::resume(&ctx, &mut ShiftState::default()),
             ShiftAnalysis::compute(&ds, &bots)
         );
         assert_eq!(

@@ -47,6 +47,34 @@ pub struct BlacklistSim {
     pub hits: Vec<BlacklistHit>,
 }
 
+/// The state the blacklist pass carries across appends
+/// ([`BlacklistSim::resume`]): the replay over the first `covered`
+/// attacks.
+#[derive(Debug, Clone, Default)]
+pub struct BlacklistState {
+    covered: usize,
+    /// Per dictionary id, the tag of the target that last stamped it
+    /// (0: never).
+    stamp: Vec<u32>,
+    /// The last tag handed out.
+    tag: u32,
+    /// The hits of the covered attacks, in trace order.
+    hits: Vec<BlacklistHit>,
+}
+
+impl BlacklistState {
+    /// A tag no stamp holds yet. When the tags run out, every stamp is
+    /// cleared and they start over.
+    fn next_tag(&mut self) -> u32 {
+        if self.tag == u32::MAX {
+            self.stamp.fill(0);
+            self.tag = 0;
+        }
+        self.tag += 1;
+        self.tag
+    }
+}
+
 impl BlacklistSim {
     /// Replays the trace: every target accumulates the sources of the
     /// attacks it has already suffered; each later attack is scored by
@@ -73,53 +101,81 @@ impl BlacklistSim {
         BlacklistSim { hits }
     }
 
-    /// Context-based variant of [`BlacklistSim::run`]: replays each
-    /// target's timeline independently (the blacklist state of one
-    /// target never influences another), then restores trace order by
-    /// sorting on the attack index.
+    /// The blacklist pass: [`BlacklistSim::run`] over the context,
+    /// extended from the replay `state` carried across appends.
     ///
-    /// Runs entirely on the context's [`SourceTable`] dictionary ids: a
-    /// per-id stamp (the timeline index that last blacklisted the id)
-    /// replaces the per-target hash set, so the replay does no hashing
-    /// and no per-target allocation. Each attack takes two passes over
-    /// its ids — count the ones already stamped by this target, then
-    /// stamp them all — so duplicates within one attack never score
-    /// against themselves. Coverage is identical to the IP-based replay
-    /// because each attack's id slice mirrors its source list
-    /// one-to-one, duplicates included.
+    /// Each target's timeline replays independently (the blacklist of
+    /// one target never influences another), and trace order is
+    /// restored by sorting on the attack index. The replay runs on the
+    /// context's [`SourceTable`] dictionary ids: a per-id stamp (the tag
+    /// of the target that last blacklisted the id) replaces the
+    /// per-target hash set, so it does no hashing and no per-target
+    /// allocation. Each attack takes two passes over its ids — count
+    /// the ones already stamped with the target's tag, then stamp them
+    /// all — so duplicates within one attack never score against
+    /// themselves. Coverage is identical to the IP-based replay because
+    /// each attack's id slice mirrors its source list one-to-one,
+    /// duplicates included.
+    ///
+    /// A hit reads only earlier attacks on its target, so the hits of
+    /// the attacks `state` covers never change. The pass visits only
+    /// the targets with an attack past them: a fresh tag re-stamps the
+    /// ids of the target's covered attacks, and its new attacks are
+    /// scored as above. The new hits, sorted by attack index, extend
+    /// the covered ones. Dictionary ids never change across appends, so
+    /// the stamps stay valid. From an empty state this is the whole
+    /// replay.
     ///
     /// [`SourceTable`]: crate::columnar::SourceTable
-    pub fn run_ctx(ctx: &crate::context::AnalysisContext) -> BlacklistSim {
-        let attacks = ctx.attacks;
+    pub fn resume(
+        ctx: &crate::context::AnalysisContext,
+        state: &mut BlacklistState,
+    ) -> BlacklistSim {
+        if state.covered > ctx.attacks.len() {
+            *state = BlacklistState::default();
+        }
+        let covered = state.covered;
         let sources = &ctx.sources;
-        const NEVER: u32 = u32::MAX;
-        debug_assert!((ctx.target_timelines.len() as u64) < u64::from(NEVER));
-        let mut stamp: Vec<u32> = vec![NEVER; sources.dict_len()];
-        let mut indexed: Vec<(usize, BlacklistHit)> = Vec::new();
-        for (t, tl) in ctx.target_timelines.iter().enumerate() {
-            let t = t as u32;
-            for (round, &i) in tl.attacks.iter().enumerate() {
+        if state.stamp.len() < sources.dict_len() {
+            state.stamp.resize(sources.dict_len(), 0);
+        }
+        let mut fresh: Vec<(usize, BlacklistHit)> = Vec::new();
+        for tl in ctx.target_timelines.iter() {
+            let first_new = tl.attacks.partition_point(|&i| i < covered);
+            if first_new == tl.attacks.len() {
+                continue;
+            }
+            let tag = state.next_tag();
+            let stamp = &mut state.stamp;
+            for &i in &tl.attacks[..first_new] {
+                for &id in sources.ids_of(i) {
+                    stamp[id as usize] = tag;
+                }
+            }
+            for (round, &i) in tl.attacks.iter().enumerate().skip(first_new) {
                 let ids = sources.ids_of(i);
                 if round > 0 && !ids.is_empty() {
-                    let known = ids.iter().filter(|&&id| stamp[id as usize] == t).count();
-                    indexed.push((
+                    let known = ids.iter().filter(|&&id| stamp[id as usize] == tag).count();
+                    fresh.push((
                         i,
                         BlacklistHit {
                             target: tl.target,
                             round,
                             coverage: known as f64 / ids.len() as f64,
-                            family: attacks[i].family,
+                            family: ctx.attacks[i].family,
                         },
                     ));
                 }
                 for &id in ids {
-                    stamp[id as usize] = t;
+                    stamp[id as usize] = tag;
                 }
             }
         }
-        indexed.sort_unstable_by_key(|&(i, _)| i);
+        fresh.sort_unstable_by_key(|&(i, _)| i);
+        state.hits.extend(fresh.into_iter().map(|(_, h)| h));
+        state.covered = ctx.attacks.len();
         BlacklistSim {
-            hits: indexed.into_iter().map(|(_, h)| h).collect(),
+            hits: state.hits.clone(),
         }
     }
 
@@ -310,7 +366,55 @@ mod tests {
         a4.sources = vec![ip(2), ip(3), ip(5)];
         let ds = dataset(vec![a1, a2, a3, a4]);
         let ctx = crate::context::AnalysisContext::new(&ds);
-        assert_eq!(BlacklistSim::run(&ds), BlacklistSim::run_ctx(&ctx));
+        assert_eq!(
+            BlacklistSim::run(&ds),
+            BlacklistSim::resume(&ctx, &mut BlacklistState::default())
+        );
+    }
+
+    #[test]
+    fn carried_replay_matches_a_fresh_replay_at_every_watermark() {
+        use crate::context::AnalysisContext;
+        use crate::overview::test_support::{carry_fixture, for_each_watermark, CARRY_EPOCH};
+        let ds = carry_fixture();
+        let mut state = BlacklistState::default();
+        let mut watermarks = 0;
+        for_each_watermark(&ds, CARRY_EPOCH, |w, prefix, folded| {
+            let got = BlacklistSim::resume(folded, &mut state);
+            let fresh = AnalysisContext::new(prefix);
+            let expect = BlacklistSim::resume(&fresh, &mut BlacklistState::default());
+            assert_eq!(got, expect, "watermark {w}");
+            assert_eq!(got, BlacklistSim::run(prefix), "watermark {w}");
+            // Nothing new: the same hits again (the path a faulted pass
+            // run takes on its retry).
+            assert_eq!(BlacklistSim::resume(folded, &mut state), got);
+            watermarks += 1;
+        });
+        assert_eq!(watermarks, 3);
+        // Target 1's epoch-3 attack [1, 4, 4] against its epoch-1
+        // attack [1, 2]: one of three listings was blacklisted.
+        let target_1 = IpAddr4::from_octets(198, 51, 100, 1);
+        let hit = state.hits.iter().find(|h| h.target == target_1);
+        let hit = hit.expect("epoch 3 scored target 1");
+        assert_eq!((hit.round, hit.coverage), (1, 1.0 / 3.0));
+        // A context shorter than the state starts it over.
+        let first = ds.epoch_prefix(CARRY_EPOCH, 1);
+        let ctx = AnalysisContext::new(&first);
+        assert_eq!(
+            BlacklistSim::resume(&ctx, &mut state),
+            BlacklistSim::run(&first)
+        );
+    }
+
+    #[test]
+    fn exhausted_tags_clear_the_stamps() {
+        let mut state = BlacklistState {
+            stamp: vec![7, u32::MAX],
+            tag: u32::MAX,
+            ..BlacklistState::default()
+        };
+        assert_eq!(state.next_tag(), 1);
+        assert_eq!(state.stamp, vec![0, 0]);
     }
 
     #[test]

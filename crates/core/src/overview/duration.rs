@@ -4,6 +4,8 @@ use ddos_schema::{Dataset, Family, Timestamp};
 use ddos_stats::{descriptive, Ecdf};
 use serde::{Deserialize, Serialize};
 
+use super::SortedSample;
+
 /// Duration analysis over a trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DurationAnalysis {
@@ -31,18 +33,34 @@ impl DurationAnalysis {
         Self::compute_filtered(ds, Some(family))
     }
 
-    /// Context-based variant of [`DurationAnalysis::compute`]: reuses
-    /// the start and duration vectors precomputed in the analysis
-    /// context (both in trace order, so the series is identical), and
-    /// sorts the duration sample once for both quantiles.
-    pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> Option<DurationAnalysis> {
-        let series: Vec<(Timestamp, f64)> = ctx
-            .all_starts
-            .iter()
-            .copied()
-            .zip(ctx.durations.iter().copied())
-            .collect();
-        Self::from_series_one_sort(series)
+    /// The duration pass: [`DurationAnalysis::compute`] over the
+    /// context's start and duration vectors (both in trace order, so the
+    /// series is identical), with the quantiles read from `sorted`, the
+    /// ascending sample the pass carries across appends
+    /// ([`SortedSample::sync`] sorts only the new durations and merges
+    /// them in). The mean and deviation read the in-order sample, as
+    /// `compute` does, so every statistic is bit-identical.
+    pub fn resume(
+        ctx: &crate::context::AnalysisContext,
+        sorted: &mut SortedSample,
+    ) -> Option<DurationAnalysis> {
+        let xs: &[f64] = &ctx.durations;
+        let sorted = sorted.sync(xs);
+        if xs.is_empty() {
+            return None;
+        }
+        Some(DurationAnalysis {
+            mean: descriptive::mean(xs)?,
+            median: descriptive::quantile_sorted(sorted, 0.5),
+            std_dev: descriptive::std_dev_population(xs)?,
+            p80: descriptive::quantile_sorted(sorted, 0.8),
+            series: ctx
+                .all_starts
+                .iter()
+                .copied()
+                .zip(xs.iter().copied())
+                .collect(),
+        })
     }
 
     fn compute_filtered(ds: &Dataset, family: Option<Family>) -> Option<DurationAnalysis> {
@@ -65,28 +83,6 @@ impl DurationAnalysis {
             median: descriptive::median(&xs)?,
             std_dev: descriptive::std_dev_population(&xs)?,
             p80: descriptive::quantile(&xs, 0.8)?,
-            series,
-        })
-    }
-
-    /// [`DurationAnalysis::from_series`] with one sort instead of two:
-    /// the mean and deviation read the sample in its original order,
-    /// then one sort feeds both quantiles. `from_series` sorts the same
-    /// sample with the same comparator twice, so every statistic is
-    /// bit-identical.
-    fn from_series_one_sort(series: Vec<(Timestamp, f64)>) -> Option<DurationAnalysis> {
-        if series.is_empty() {
-            return None;
-        }
-        let mut xs: Vec<f64> = series.iter().map(|&(_, d)| d).collect();
-        let mean = descriptive::mean(&xs)?;
-        let std_dev = descriptive::std_dev_population(&xs)?;
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in duration sample"));
-        Some(DurationAnalysis {
-            mean,
-            median: descriptive::quantile_sorted(&xs, 0.5),
-            std_dev,
-            p80: descriptive::quantile_sorted(&xs, 0.8),
             series,
         })
     }
@@ -152,9 +148,31 @@ mod tests {
         let expect = DurationAnalysis::compute(&ds);
         assert!(expect.is_some());
         for (policy, ctx) in chunked_contexts(&ds) {
-            assert_eq!(DurationAnalysis::compute_ctx(&ctx), expect, "{policy:?}");
+            let got = DurationAnalysis::resume(&ctx, &mut SortedSample::default());
+            assert_eq!(got, expect, "{policy:?}");
         }
-        assert!(DurationAnalysis::from_series_one_sort(vec![]).is_none());
+        let empty = dataset(vec![]);
+        let ctx = crate::context::AnalysisContext::new(&empty);
+        assert!(DurationAnalysis::resume(&ctx, &mut SortedSample::default()).is_none());
+    }
+
+    #[test]
+    fn carried_sample_matches_a_fresh_sort_at_every_watermark() {
+        use crate::context::AnalysisContext;
+        use crate::overview::test_support::{carry_fixture, for_each_watermark, CARRY_EPOCH};
+        let ds = carry_fixture();
+        let mut sorted = SortedSample::default();
+        let mut watermarks = 0;
+        for_each_watermark(&ds, CARRY_EPOCH, |w, prefix, folded| {
+            let got = DurationAnalysis::resume(folded, &mut sorted);
+            let fresh = AnalysisContext::new(prefix);
+            let expect = DurationAnalysis::resume(&fresh, &mut SortedSample::default());
+            assert_eq!(got, expect, "watermark {w}");
+            assert_eq!(got, DurationAnalysis::compute(prefix), "watermark {w}");
+            assert_eq!(DurationAnalysis::resume(folded, &mut sorted), got);
+            watermarks += 1;
+        });
+        assert_eq!(watermarks, 3);
     }
 
     #[test]

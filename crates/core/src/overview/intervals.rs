@@ -6,6 +6,8 @@ use ddos_schema::{Dataset, Family, Timestamp};
 use ddos_stats::{descriptive, Ecdf};
 use serde::{Deserialize, Serialize};
 
+use super::SortedSample;
+
 /// Inter-attack intervals of one family, in chronological order of the
 /// family's attacks (seconds; zero = simultaneous).
 pub fn family_intervals(ds: &Dataset, family: Family) -> Vec<i64> {
@@ -66,6 +68,31 @@ impl IntervalStats {
             mean: descriptive::mean(&xs)?,
             std_dev: descriptive::std_dev_population(&xs)?,
             p80: descriptive::quantile(&xs, 0.8)?,
+            max: xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            concurrent_fraction: zeros as f64 / xs.len() as f64,
+        })
+    }
+
+    /// The interval statistics passes: [`IntervalStats::compute`] over
+    /// the intervals of an ascending start series, with the 80th
+    /// percentile read from `sorted`, the ascending interval sample the
+    /// pass carries across appends ([`SortedSample::sync`] sorts only
+    /// the new intervals and merges them in). The count, mean,
+    /// deviation, maximum and zero count read the in-order sample, as
+    /// `compute` does, so every statistic is bit-identical.
+    pub fn resume(starts: &[Timestamp], sorted: &mut SortedSample) -> Option<IntervalStats> {
+        let intervals = starts_to_intervals(starts);
+        let xs: Vec<f64> = intervals.iter().map(|&v| v as f64).collect();
+        let sorted = sorted.sync(&xs);
+        if xs.is_empty() {
+            return None;
+        }
+        let zeros = intervals.iter().filter(|&&v| v == 0).count();
+        Some(IntervalStats {
+            count: xs.len(),
+            mean: descriptive::mean(&xs)?,
+            std_dev: descriptive::std_dev_population(&xs)?,
+            p80: descriptive::quantile_sorted(sorted, 0.8),
             max: xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
             concurrent_fraction: zeros as f64 / xs.len() as f64,
         })
@@ -288,6 +315,65 @@ mod tests {
         assert_eq!(s.max, 300.0);
         assert_eq!(s.mean, 100.0);
         assert!(IntervalStats::compute(&[]).is_none());
+    }
+
+    #[test]
+    fn carried_family_samples_match_a_fresh_sort_at_every_watermark() {
+        use crate::context::AnalysisContext;
+        use crate::overview::test_support::{carry_fixture, for_each_watermark, CARRY_EPOCH};
+        let ds = carry_fixture();
+        let mut samples = vec![SortedSample::default(); Family::ACTIVE.len()];
+        let mut idle = None;
+        for_each_watermark(&ds, CARRY_EPOCH, |w, prefix, folded| {
+            let fresh = AnalysisContext::new(prefix);
+            for ((fc, fresh_fc), sorted) in folded
+                .families()
+                .iter()
+                .zip(fresh.families())
+                .zip(&mut samples)
+            {
+                let got = IntervalStats::resume(&fc.starts, sorted);
+                let expect = IntervalStats::resume(&fresh_fc.starts, &mut SortedSample::default());
+                assert_eq!(got, expect, "{:?} at watermark {w}", fc.family);
+                let scan = IntervalStats::compute(&family_intervals(prefix, fc.family));
+                assert_eq!(got, scan, "{:?} at watermark {w}", fc.family);
+                assert_eq!(IntervalStats::resume(&fc.starts, sorted), got);
+            }
+            // Pandora attacks in epochs 1 and 3 only.
+            let pandora = samples[Family::Pandora.index()].clone();
+            match w {
+                1 => idle = Some(pandora),
+                2 => assert_eq!(Some(pandora), idle, "an idle family's sample moved"),
+                _ => assert_ne!(Some(pandora), idle, "epoch 3 left Pandora's sample"),
+            }
+        });
+        assert!(idle.is_some());
+    }
+
+    #[test]
+    fn carried_trace_sample_matches_a_fresh_sort_at_every_watermark() {
+        use crate::context::AnalysisContext;
+        use crate::overview::test_support::{carry_fixture, for_each_watermark, CARRY_EPOCH};
+        let ds = carry_fixture();
+        let mut sorted = SortedSample::default();
+        let mut watermarks = 0;
+        for_each_watermark(&ds, CARRY_EPOCH, |w, prefix, folded| {
+            let got = IntervalStats::resume(&folded.all_starts, &mut sorted);
+            let fresh = AnalysisContext::new(prefix);
+            let expect = IntervalStats::resume(&fresh.all_starts, &mut SortedSample::default());
+            assert_eq!(got, expect, "watermark {w}");
+            assert_eq!(
+                got,
+                IntervalStats::compute(&all_intervals(prefix)),
+                "watermark {w}"
+            );
+            assert_eq!(IntervalStats::resume(&folded.all_starts, &mut sorted), got);
+            watermarks += 1;
+        });
+        assert_eq!(watermarks, 3);
+        // The two Dirtjumper attacks of day 5 share a start.
+        let full = IntervalStats::compute(&all_intervals(&ds)).unwrap();
+        assert!(full.concurrent_fraction > 0.0);
     }
 
     #[test]

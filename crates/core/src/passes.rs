@@ -14,21 +14,29 @@
 //! [`crate::Analysis::baseline`] rebuild them, and some run a faster
 //! algorithm than their scan (the dense shift and country grids, the
 //! sorted-gap recurrence scorer, the collaboration sort-sweep, the
-//! single-sort duration statistics, the id-stamp blacklist replay); the
-//! rest run the dataset scan's own loop over the context's borrowed
-//! attack slice. The baseline report is the one independent oracle
-//! every body that differs from its scan is tested against.
+//! merged duration and interval samples, the id-stamp blacklist
+//! replay); the rest run the dataset scan's own loop over the context's
+//! borrowed attack slice. The baseline report is the one independent
+//! oracle every body that differs from its scan is tested against.
+//!
+//! Five passes are *resumable* (`interval_stats`, `all_interval_stats`,
+//! `durations`, `shifts`, `blacklist`): their body extends a state
+//! carried in a [`Carry`] slot over the attacks past the ones it
+//! covers. [`try_execute`] lends every pass a fresh carry, so a batch
+//! run is the same body from an empty state; the
+//! [`crate::IncrementalPipeline`] keeps one carry per pass across its
+//! appends, so each run pays for the appended epoch's attacks only.
 //!
 //! A body reads raw records only through `ctx.attacks` and Table III
 //! only through `ctx.summary()`, never through the dataset: a context
 //! covers a prefix of the trace (all of it, or an epoch fold's appended
 //! epochs), and those two views end where the prefix ends.
 //!
-//! Every caller runs the whole registry through [`try_execute`]: the
-//! batch engines once, and the incremental pipeline after every append
-//! that changed its fold. No pass is skipped on its own, because on real
-//! traces every epoch brings attacks and every pass reads something
-//! derived from them.
+//! Every caller runs the whole registry: the batch engines once through
+//! [`try_execute`], and the incremental pipeline, lending its carries,
+//! after every append that changed its fold. No pass is skipped on its
+//! own, because on real traces every epoch brings attacks and every
+//! pass reads something derived from them.
 //!
 //! Observability: [`execute`] records one `passes/<name>` span per pass
 //! and one `scheduler/stage<i>` span per dependency stage into the
@@ -40,11 +48,22 @@
 //!
 //! 1. Add the output variant to [`PassOutput`] and a slot to
 //!    [`PartialReport`] (and wire it through `PartialReport::apply`).
-//! 2. Write the pass function (`fn(&AnalysisContext, &PartialReport) ->
-//!    PassOutput`) and append a [`PassSpec`] to [`REGISTRY`], listing in
-//!    `deps` the names of any passes whose output it reads.
+//! 2. Write the pass function (`fn(&AnalysisContext, &PartialReport,
+//!    &Obs) -> PassOutput`) and append a [`PassSpec`] to [`REGISTRY`]
+//!    with `resume: None`, listing in `deps` the names of any passes
+//!    whose output it reads.
 //! 3. Consume the slot in `AnalysisReport`'s assembly
-//!    (`PartialReport::into_report`).
+//!    (`pipeline::assemble`).
+//!
+//! To make a pass resumable instead, add its state as a [`Carry`]
+//! variant and write the body as `fn(&AnalysisContext, &PartialReport,
+//! &mut Carry, &Obs) -> PassOutput`, extending the state over the
+//! attacks past the ones it covers (and starting it over on a shorter
+//! context). Register it with `resumable!`, whose `run` is the body over
+//! an empty carry. Its output must not depend on the carry it is lent:
+//! a unit test folds a fixture epoch by epoch and holds the resumed
+//! output to a fresh run at every watermark. An append that re-resolves
+//! earlier attacks resets every carry.
 
 use std::collections::HashSet;
 
@@ -54,16 +73,17 @@ use ddos_schema::{CountryCode, Family};
 use crate::collab::concurrent::{CollabAnalysis, PairFocus};
 use crate::collab::multistage::MultistageAnalysis;
 use crate::context::AnalysisContext;
-use crate::defense::{latency_sweep_from_durations, BlacklistSim, LatencyPoint};
+use crate::defense::{latency_sweep_from_durations, BlacklistSim, BlacklistState, LatencyPoint};
 use crate::fault::{self, PipelineError};
 use crate::overview::activity::{activity_levels_ctx, FamilyActivity};
 use crate::overview::daily::DailyDistribution;
 use crate::overview::duration::DurationAnalysis;
-use crate::overview::intervals::{starts_to_intervals, ConcurrencyAnalysis, IntervalStats};
+use crate::overview::intervals::{ConcurrencyAnalysis, IntervalStats};
 use crate::overview::protocols::{protocol_preferences_of, ProtocolFamilyRow, ProtocolPopularity};
+use crate::overview::SortedSample;
 use crate::source::dispersion::{qualifying_families_ctx, FamilyDispersion};
 use crate::source::prediction::PredictionAnalysis;
-use crate::source::shift::ShiftAnalysis;
+use crate::source::shift::{ShiftAnalysis, ShiftState};
 use crate::summary::SummaryComparison;
 use crate::target::country::{all_profiles_ctx, overall_top_countries_ctx, FamilyCountryProfile};
 use crate::target::recurrence::RecurrenceAnalysis;
@@ -152,18 +172,65 @@ impl PartialReport {
     }
 }
 
+/// The state a resumable pass carries from one run to the next, so a
+/// run over a grown context extends the previous one over the new
+/// attacks only. One variant per resumable pass; a slot starts
+/// [`Carry::Empty`], and a pass handed a slot that holds no state of
+/// its own starts one.
+///
+/// Each state records the attacks (or sample values) it covers and
+/// extends over the rest of the context; a context shorter than that
+/// starts it over. The carry only saves work: a pass's output is the
+/// same from any carry it is lent, an empty one included.
+#[derive(Debug, Default)]
+#[allow(missing_docs)] // variant names mirror the pass names
+pub enum Carry {
+    /// No state yet.
+    #[default]
+    Empty,
+    /// One ascending interval sample per [`Family::ACTIVE`] entry.
+    IntervalStats(Vec<SortedSample>),
+    AllIntervalStats(SortedSample),
+    Durations(SortedSample),
+    Shifts(ShiftState),
+    Blacklist(BlacklistState),
+}
+
+/// The pass's own state in a carry slot, started afresh when the slot
+/// holds none.
+macro_rules! state_in {
+    ($carry:expr, $variant:ident) => {{
+        let carry: &mut Carry = $carry;
+        if !matches!(carry, Carry::$variant(_)) {
+            *carry = Carry::$variant(Default::default());
+        }
+        match carry {
+            Carry::$variant(state) => state,
+            _ => unreachable!("the slot was just filled"),
+        }
+    }};
+}
+
 /// One registered analysis pass.
 pub struct PassSpec {
     /// Unique pass name (also the `deps` vocabulary).
     pub name: &'static str,
     /// Names of the passes whose output this pass reads.
     pub deps: &'static [&'static str],
-    /// The pass body. Must be a pure function of the context and the
-    /// declared dependencies' slots in the partial report. The observer
-    /// lets a body record its own metrics; none does today, and
-    /// recording may never change the output.
+    /// The pass body. Its output must be a function of the context and
+    /// the declared dependencies' slots in the partial report alone.
+    /// The observer lets a body record its own metrics; none does
+    /// today, and recording may never change the output. A resumable
+    /// pass's `run` is its `resume` over an empty [`Carry`].
     pub run: fn(&AnalysisContext, &PartialReport, &Obs) -> PassOutput,
+    /// The body of a resumable pass, extending the state in its
+    /// [`Carry`] slot; `None` for a pass that carries nothing. Its
+    /// output obeys `run`'s contract: the carry only saves work.
+    pub resume: Option<ResumeFn>,
 }
+
+/// The body of a resumable pass ([`PassSpec::resume`]).
+pub type ResumeFn = fn(&AnalysisContext, &PartialReport, &mut Carry, &Obs) -> PassOutput;
 
 fn pass_protocols(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Protocols(ProtocolPopularity::of_attacks(ctx.attacks))
@@ -181,36 +248,53 @@ fn pass_daily(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutpu
     PassOutput::Daily(DailyDistribution::of_attacks(ctx.window(), ctx.attacks))
 }
 
-fn pass_interval_stats(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
+fn pass_interval_stats(
+    ctx: &AnalysisContext,
+    _: &PartialReport,
+    carry: &mut Carry,
+    _obs: &Obs,
+) -> PassOutput {
+    let samples = state_in!(carry, IntervalStats);
+    samples.resize_with(ctx.families().len(), SortedSample::default);
     PassOutput::IntervalStats(
         ctx.families()
             .iter()
-            .map(|fc| {
-                (
-                    fc.family,
-                    IntervalStats::compute(&starts_to_intervals(&fc.starts)),
-                )
-            })
+            .zip(samples)
+            .map(|(fc, sorted)| (fc.family, IntervalStats::resume(&fc.starts, sorted)))
             .collect(),
     )
 }
 
-fn pass_all_interval_stats(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::AllIntervalStats(IntervalStats::compute(&starts_to_intervals(
-        &ctx.all_starts,
-    )))
+fn pass_all_interval_stats(
+    ctx: &AnalysisContext,
+    _: &PartialReport,
+    carry: &mut Carry,
+    _obs: &Obs,
+) -> PassOutput {
+    let sorted = state_in!(carry, AllIntervalStats);
+    PassOutput::AllIntervalStats(IntervalStats::resume(&ctx.all_starts, sorted))
 }
 
 fn pass_concurrency(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Concurrency(ConcurrencyAnalysis::compute_ctx(ctx))
 }
 
-fn pass_durations(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Durations(DurationAnalysis::compute_ctx(ctx))
+fn pass_durations(
+    ctx: &AnalysisContext,
+    _: &PartialReport,
+    carry: &mut Carry,
+    _obs: &Obs,
+) -> PassOutput {
+    PassOutput::Durations(DurationAnalysis::resume(ctx, state_in!(carry, Durations)))
 }
 
-fn pass_shifts(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Shifts(ShiftAnalysis::compute_ctx(ctx))
+fn pass_shifts(
+    ctx: &AnalysisContext,
+    _: &PartialReport,
+    carry: &mut Carry,
+    _obs: &Obs,
+) -> PassOutput {
+    PassOutput::Shifts(ShiftAnalysis::resume(ctx, state_in!(carry, Shifts)))
 }
 
 fn pass_dispersion(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
@@ -258,12 +342,30 @@ fn pass_recurrence(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> Pass
     PassOutput::Recurrence(RecurrenceAnalysis::compute_ctx(ctx))
 }
 
-fn pass_blacklist(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
-    PassOutput::Blacklist(BlacklistSim::run_ctx(ctx))
+fn pass_blacklist(
+    ctx: &AnalysisContext,
+    _: &PartialReport,
+    carry: &mut Carry,
+    _obs: &Obs,
+) -> PassOutput {
+    PassOutput::Blacklist(BlacklistSim::resume(ctx, state_in!(carry, Blacklist)))
 }
 
 fn pass_latency(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
     PassOutput::Latency(latency_sweep_from_durations(&ctx.durations, LATENCY_GRID_S))
+}
+
+/// A resumable pass with no dependencies: `run` is `resume` over an
+/// empty carry.
+macro_rules! resumable {
+    ($name:literal, $resume:ident) => {
+        PassSpec {
+            name: $name,
+            deps: &[],
+            run: |ctx, partial, obs| $resume(ctx, partial, &mut Carry::default(), obs),
+            resume: Some($resume),
+        }
+    };
 }
 
 /// Every pass of the report, in registry order. The only inter-pass
@@ -274,101 +376,96 @@ pub const REGISTRY: &[PassSpec] = &[
         name: "protocols",
         deps: &[],
         run: pass_protocols,
+        resume: None,
     },
     PassSpec {
         name: "protocol_rows",
         deps: &[],
         run: pass_protocol_rows,
+        resume: None,
     },
     PassSpec {
         name: "summary",
         deps: &[],
         run: pass_summary,
+        resume: None,
     },
     PassSpec {
         name: "daily",
         deps: &[],
         run: pass_daily,
+        resume: None,
     },
-    PassSpec {
-        name: "interval_stats",
-        deps: &[],
-        run: pass_interval_stats,
-    },
-    PassSpec {
-        name: "all_interval_stats",
-        deps: &[],
-        run: pass_all_interval_stats,
-    },
+    resumable!("interval_stats", pass_interval_stats),
+    resumable!("all_interval_stats", pass_all_interval_stats),
     PassSpec {
         name: "concurrency",
         deps: &[],
         run: pass_concurrency,
+        resume: None,
     },
-    PassSpec {
-        name: "durations",
-        deps: &[],
-        run: pass_durations,
-    },
-    PassSpec {
-        name: "shifts",
-        deps: &[],
-        run: pass_shifts,
-    },
+    resumable!("durations", pass_durations),
+    resumable!("shifts", pass_shifts),
     PassSpec {
         name: "dispersion",
         deps: &[],
         run: pass_dispersion,
+        resume: None,
     },
     PassSpec {
         name: "prediction",
         deps: &[],
         run: pass_prediction,
+        resume: None,
     },
     PassSpec {
         name: "target_countries",
         deps: &[],
         run: pass_target_countries,
+        resume: None,
     },
     PassSpec {
         name: "overall_targets",
         deps: &[],
         run: pass_overall_targets,
+        resume: None,
     },
     PassSpec {
         name: "collaborations",
         deps: &[],
         run: pass_collaborations,
+        resume: None,
     },
     PassSpec {
         name: "flagship_pair",
         deps: &["collaborations"],
         run: pass_flagship_pair,
+        resume: None,
     },
     PassSpec {
         name: "multistage",
         deps: &[],
         run: pass_multistage,
+        resume: None,
     },
     PassSpec {
         name: "activity",
         deps: &[],
         run: pass_activity,
+        resume: None,
     },
     PassSpec {
         name: "recurrence",
         deps: &[],
         run: pass_recurrence,
+        resume: None,
     },
-    PassSpec {
-        name: "blacklist",
-        deps: &[],
-        run: pass_blacklist,
-    },
+    resumable!("blacklist", pass_blacklist),
     PassSpec {
         name: "latency",
         deps: &[],
         run: pass_latency,
+        resume: None,
     },
 ];
 
@@ -377,15 +474,20 @@ type PassRun = (&'static str, PassOutput, u64, u64);
 
 /// Runs one pass, stamping its start/end offsets off the observer's
 /// clock (offsets are recorded by the driver after the join, so worker
-/// threads never contend on the span sink mid-stage).
+/// threads never contend on the span sink mid-stage). A resumable pass
+/// extends the state in its carry slot.
 fn run_pass(
     pass: &'static PassSpec,
     ctx: &AnalysisContext,
     partial: &PartialReport,
+    carry: &mut Carry,
     obs: &Obs,
 ) -> PassRun {
     let start_us = obs.now_us();
-    let out = (pass.run)(ctx, partial, obs);
+    let out = match pass.resume {
+        Some(resume) => resume(ctx, partial, carry, obs),
+        None => (pass.run)(ctx, partial, obs),
+    };
     (pass.name, out, start_us, obs.now_us())
 }
 
@@ -408,29 +510,48 @@ pub fn execute(ctx: &AnalysisContext, parallel: bool, obs: &Obs) -> PartialRepor
 /// any pass of its stage runs. An injection surfaces as `Err` before
 /// the stage starts and the partially filled report is discarded;
 /// re-running without the fault plan reproduces the golden report (the
-/// scheduler holds no state across calls). Because no worker thread
-/// consults the seam, the failing pass and its hit index never depend
-/// on thread interleaving.
+/// scheduler holds no state across calls: each pass is lent a fresh
+/// [`Carry`]). Because no worker thread consults the seam, the failing
+/// pass and its hit index never depend on thread interleaving.
 pub fn try_execute(
     ctx: &AnalysisContext,
     parallel: bool,
     obs: &Obs,
 ) -> Result<PartialReport, PipelineError> {
+    let mut carries: Vec<Carry> = REGISTRY.iter().map(|_| Carry::default()).collect();
+    try_execute_carried(ctx, parallel, &mut carries, obs)
+}
+
+/// [`try_execute`] lending each pass its own slot of `carries` (one per
+/// [`REGISTRY`] entry, in registry order), so resumable passes extend
+/// the state a previous run over a shorter prefix left. The slots of a
+/// stage are disjoint `&mut` borrows, one per scoped thread. A
+/// `scheduler/pass` fault after an earlier stage leaves that stage's
+/// states advanced over the whole context, which is consistent: the
+/// next run over the same context finds nothing new and emits the same
+/// sections.
+pub(crate) fn try_execute_carried(
+    ctx: &AnalysisContext,
+    parallel: bool,
+    carries: &mut [Carry],
+    obs: &Obs,
+) -> Result<PartialReport, PipelineError> {
+    assert_eq!(carries.len(), REGISTRY.len(), "one carry per pass");
     let wait_hist = obs.histogram("scheduler/wait_us");
     let stage_counter = obs.counter("scheduler/stages");
     let mut partial = PartialReport::default();
     let mut done: HashSet<&'static str> = HashSet::new();
-    let mut remaining: Vec<&'static PassSpec> = REGISTRY.iter().collect();
     let mut stage_idx = 0usize;
-    while !remaining.is_empty() {
-        let (stage, rest): (Vec<_>, Vec<_>) = remaining
-            .into_iter()
-            .partition(|p| p.deps.iter().all(|d| done.contains(d)));
+    while done.len() < REGISTRY.len() {
+        let stage: Vec<(&'static PassSpec, &mut Carry)> = REGISTRY
+            .iter()
+            .zip(carries.iter_mut())
+            .filter(|(p, _)| !done.contains(p.name) && p.deps.iter().all(|d| done.contains(d)))
+            .collect();
         assert!(
             !stage.is_empty(),
             "pass registry has a dependency cycle or an unknown dep name"
         );
-        remaining = rest;
         // One consult per pass, here on the scheduling thread, before
         // anything spawns (see the doc comment above).
         for _ in &stage {
@@ -442,8 +563,10 @@ pub fn try_execute(
             let partial_ref = &partial;
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = stage
-                    .iter()
-                    .map(|&p| scope.spawn(move |_| run_pass(p, ctx, partial_ref, obs)))
+                    .into_iter()
+                    .map(|(p, carry)| {
+                        scope.spawn(move |_| run_pass(p, ctx, partial_ref, carry, obs))
+                    })
                     .collect();
                 handles
                     .into_iter()
@@ -453,8 +576,8 @@ pub fn try_execute(
             .expect("analysis pass scope panicked")
         } else {
             stage
-                .iter()
-                .map(|&p| run_pass(p, ctx, &partial, obs))
+                .into_iter()
+                .map(|(p, carry)| run_pass(p, ctx, &partial, carry, obs))
                 .collect()
         };
         for (name, out, start_us, end_us) in results {

@@ -333,6 +333,15 @@ impl ObsSlot<'_> {
 /// scheduler a batch run uses; an epoch that changed nothing keeps the
 /// previous report and re-runs nothing.
 ///
+/// The pipeline keeps one [`passes::Carry`] per pass, so the five
+/// resumable passes (blacklist, shifts, durations and both interval
+/// statistics) extend their states over the appended epoch's attacks
+/// instead of replaying the prefix. An append that re-resolved earlier
+/// attacks resets every carry. A `scheduler/pass` fault after the first
+/// stage leaves that stage's carries covering the fold, which is
+/// consistent: the next run finds nothing new for them and emits the
+/// same sections.
+///
 /// Every watermark is an exact prefix report. The folded context
 /// borrows the fold's columns and the appended epochs' slice of the
 /// attack list, and carries Table III as distinct sets grown per epoch
@@ -358,6 +367,10 @@ pub struct IncrementalPipeline<'a> {
     /// [`IncrementalPipeline::try_into_report`]) runs the registry
     /// again.
     report: Option<Arc<AnalysisReport>>,
+    /// One [`passes::Carry`] per registry entry: the state each
+    /// resumable pass extends on the next pass run. Reset by an append
+    /// that re-resolved earlier attacks.
+    carries: Vec<passes::Carry>,
 }
 
 impl<'a> IncrementalPipeline<'a> {
@@ -401,6 +414,10 @@ impl<'a> IncrementalPipeline<'a> {
             next: 0,
             acc: EpochContext::new(ds.window()),
             report: None,
+            carries: passes::REGISTRY
+                .iter()
+                .map(|_| passes::Carry::default())
+                .collect(),
         }
     }
 
@@ -482,6 +499,11 @@ impl<'a> IncrementalPipeline<'a> {
         if !delta.is_empty() {
             self.report = None;
         }
+        if !delta.reresolved.is_empty() {
+            // Earlier attacks resolve differently now (only the shift
+            // grids read resolved data, but one rule covers every carry).
+            self.carries.fill_with(passes::Carry::default);
+        }
         let reran: Vec<&'static str> = match self.report {
             Some(_) => Vec::new(),
             None => passes::REGISTRY.iter().map(|p| p.name).collect(),
@@ -504,7 +526,12 @@ impl<'a> IncrementalPipeline<'a> {
             let _span = self.obs.get().span("epoch/materialize");
             self.acc.to_context(self.ds, self.opts.spec)
         };
-        let partial = passes::try_execute(&ctx, self.opts.parallel, self.obs.get())?;
+        let partial = passes::try_execute_carried(
+            &ctx,
+            self.opts.parallel,
+            &mut self.carries,
+            self.obs.get(),
+        )?;
         self.report = Some(Arc::new(assemble(partial)));
         Ok(())
     }

@@ -35,6 +35,15 @@ pub struct ShiftAnalysis {
     pub weeks: Vec<WeekShift>,
 }
 
+/// The state the shift pass carries across appends
+/// ([`ShiftAnalysis::resume`]): one `week × country` count grid per
+/// active family, over the first `covered` attacks.
+#[derive(Debug, Clone, Default)]
+pub struct ShiftState {
+    covered: usize,
+    grids: Vec<Vec<u32>>,
+}
+
 impl ShiftAnalysis {
     /// Computes weekly shifts from attack participation.
     pub fn compute(ds: &Dataset, bots: &BotIndex) -> ShiftAnalysis {
@@ -60,16 +69,48 @@ impl ShiftAnalysis {
         ShiftAnalysis { weeks }
     }
 
-    /// Context-based variant of [`ShiftAnalysis::compute`]: consumes the
-    /// weekly bot maps already built (from the context's single
-    /// geolocation join) instead of resolving every attack source again,
-    /// and classifies them on a dense count grid.
-    pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> ShiftAnalysis {
-        let num_weeks = ctx.window().num_weeks();
-        let mut weeks = Self::empty_weeks(num_weeks);
-        for fc in ctx.families() {
-            Self::classify_family_dense(&mut weeks, &fc.weekly_bots);
+    /// The shift pass: [`ShiftAnalysis::compute`] over the context's
+    /// weekly bot maps (built from its single geolocation join), through
+    /// the count grids `state` carries across appends.
+    ///
+    /// A family's grid holds, per week and country, the number of
+    /// distinct bots its attacks drew from that country that week. A
+    /// week's map moves only when an attack starting in it is appended
+    /// (or an earlier attack re-resolves, which resets every carry), so
+    /// the pass recounts from the maps only the weeks in which the new
+    /// attacks start, then classifies each grid: a country's bots count
+    /// as "new" exactly in its first active week, the set rule of
+    /// [`ShiftAnalysis::compute`] restated. From an empty state it
+    /// counts every week.
+    pub fn resume(ctx: &crate::context::AnalysisContext, state: &mut ShiftState) -> ShiftAnalysis {
+        let window = ctx.window();
+        let num_weeks = window.num_weeks();
+        let families = ctx.families();
+        if state.covered > ctx.attacks.len() || state.grids.len() != families.len() {
+            *state = ShiftState {
+                covered: 0,
+                grids: vec![vec![0; num_weeks * CC_SLOTS]; families.len()],
+            };
         }
+        let mut touched = vec![false; families.len() * num_weeks];
+        for a in &ctx.attacks[state.covered..] {
+            let Some(w) = window.week_index(a.start) else {
+                continue;
+            };
+            if a.family.is_active() {
+                touched[a.family.index() * num_weeks + w] = true;
+            }
+        }
+        let mut weeks = Self::empty_weeks(num_weeks);
+        for (slot, (fc, grid)) in families.iter().zip(&mut state.grids).enumerate() {
+            for (w, bots) in fc.weekly_bots.iter().enumerate() {
+                if touched[slot * num_weeks + w] {
+                    Self::count_week(&mut grid[w * CC_SLOTS..(w + 1) * CC_SLOTS], bots);
+                }
+            }
+            Self::classify_grid(&mut weeks, grid);
+        }
+        state.covered = ctx.attacks.len();
         ShiftAnalysis { weeks }
     }
 
@@ -110,42 +151,41 @@ impl ShiftAnalysis {
         }
     }
 
+    /// Recounts one week's row of a family's count grid from the week's
+    /// bot map.
+    fn count_week<S: std::hash::BuildHasher>(
+        row: &mut [u32],
+        bots_this_week: &HashMap<IpAddr4, CountryCode, S>,
+    ) {
+        row.fill(0);
+        for &cc in bots_this_week.values() {
+            row[cc_slot(cc)] += 1;
+        }
+    }
+
     /// The same classification as [`ShiftAnalysis::classify_family`],
-    /// restated over a dense per-(week, country) count grid. One pass
-    /// over the weekly maps (the expensive hash iteration) accumulates
-    /// the grid, and the classification then runs on the grid alone: a
+    /// restated over a family's dense per-(week, country) count grid: a
     /// country's bots count as "new" exactly in its first active week,
     /// which is the set-based rule restated.
-    fn classify_family_dense<S: std::hash::BuildHasher>(
-        weeks: &mut [WeekShift],
-        weekly: &[HashMap<IpAddr4, CountryCode, S>],
-    ) {
-        let mut counts = vec![0u32; weekly.len() * CC_SLOTS];
-        for (w, bots_this_week) in weekly.iter().enumerate() {
-            let row = &mut counts[w * CC_SLOTS..(w + 1) * CC_SLOTS];
-            for &cc in bots_this_week.values() {
-                row[cc_slot(cc)] += 1;
-            }
-        }
-        const UNSEEN: u32 = u32::MAX;
+    fn classify_grid(weeks: &mut [WeekShift], counts: &[u32]) {
+        const UNSEEN: usize = usize::MAX;
         let mut first = [UNSEEN; CC_SLOTS];
-        for w in 0..weekly.len() {
-            for (slot, first_week) in first.iter_mut().enumerate() {
-                if counts[w * CC_SLOTS + slot] > 0 {
-                    *first_week = (*first_week).min(w as u32);
+        for (w, row) in counts.chunks_exact(CC_SLOTS).enumerate() {
+            for (first_week, &c) in first.iter_mut().zip(row) {
+                if c > 0 && *first_week == UNSEEN {
+                    *first_week = w;
                 }
             }
         }
-        for w in 0..weekly.len() {
-            for (slot, &first_week) in first.iter().enumerate() {
-                let c = counts[w * CC_SLOTS + slot] as usize;
+        for (w, row) in counts.chunks_exact(CC_SLOTS).enumerate() {
+            for (&first_week, &c) in first.iter().zip(row) {
                 if c == 0 {
                     continue;
                 }
-                if first_week == w as u32 {
-                    weeks[w].new_country_bots += c;
+                if first_week == w {
+                    weeks[w].new_country_bots += c as usize;
                 } else {
-                    weeks[w].existing_country_bots += c;
+                    weeks[w].existing_country_bots += c as usize;
                 }
             }
         }
@@ -260,16 +300,50 @@ mod tests {
         ];
         let mut expect = ShiftAnalysis::empty_weeks(weekly.len());
         ShiftAnalysis::classify_family(&mut expect, &weekly);
+        let mut grid = vec![0; weekly.len() * CC_SLOTS];
+        for (row, bots) in grid.chunks_exact_mut(CC_SLOTS).zip(&weekly) {
+            ShiftAnalysis::count_week(row, bots);
+        }
         let mut got = ShiftAnalysis::empty_weeks(weekly.len());
-        ShiftAnalysis::classify_family_dense(&mut got, &weekly);
+        ShiftAnalysis::classify_grid(&mut got, &grid);
         assert_eq!(got, expect);
         // End to end: the weekly maps every job length builds classify
         // exactly like the dataset scan.
         let ds = shift_dataset();
         let expect = ShiftAnalysis::compute(&ds, &BotIndex::build(&ds));
         for (policy, ctx) in chunked_contexts(&ds) {
-            assert_eq!(ShiftAnalysis::compute_ctx(&ctx), expect, "{policy:?}");
+            let got = ShiftAnalysis::resume(&ctx, &mut ShiftState::default());
+            assert_eq!(got, expect, "{policy:?}");
         }
+    }
+
+    #[test]
+    fn carried_grids_match_a_fresh_count_at_every_watermark() {
+        use crate::context::AnalysisContext;
+        use crate::overview::test_support::{carry_fixture, for_each_watermark, CARRY_EPOCH};
+        let ds = carry_fixture();
+        let mut state = ShiftState::default();
+        let mut watermarks = 0;
+        for_each_watermark(&ds, CARRY_EPOCH, |w, prefix, folded| {
+            let got = ShiftAnalysis::resume(folded, &mut state);
+            let fresh = AnalysisContext::new(prefix);
+            let expect = ShiftAnalysis::resume(&fresh, &mut ShiftState::default());
+            assert_eq!(got, expect, "watermark {w}");
+            assert_eq!(
+                got,
+                ShiftAnalysis::compute(prefix, &BotIndex::build(prefix)),
+                "watermark {w}"
+            );
+            assert_eq!(ShiftAnalysis::resume(folded, &mut state), got);
+            watermarks += 1;
+        });
+        assert_eq!(watermarks, 3);
+        // Epoch 2 grew Dirtjumper's week-0 map (the DE bot) after week 0
+        // had been counted, and epoch 3 brought BR in week 1.
+        let s = ShiftAnalysis::resume(&AnalysisContext::new(&ds), &mut ShiftState::default());
+        assert_eq!(s.weeks[0].new_country_bots, 4 + 3);
+        assert_eq!(s.weeks[1].new_country_bots, 1);
+        assert_eq!(s.weeks[1].existing_country_bots, 2 + 1);
     }
 
     #[test]

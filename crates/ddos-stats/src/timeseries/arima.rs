@@ -390,7 +390,89 @@ fn innovations_for(z: &[f64], phi: &[f64], theta: &[f64]) -> Vec<f64> {
 }
 
 /// Conditional sum of squares for a parameter vector `[phi.., theta..]`.
+///
+/// Orders with `p, q <= 3` (the default order, [`ArimaModel::auto_fit`]'s
+/// usual grid) run [`css_fixed`]; larger orders run [`css_loop`]. Both
+/// return the same bits.
 fn css(z: &[f64], spec: ArimaSpec, params: &[f64]) -> f64 {
+    macro_rules! dispatch {
+        ($($p:literal: [$($q:literal)*])*) => {
+            match (spec.p, spec.q) {
+                $($(($p, $q) => css_fixed::<$p, $q>(z, params),)*)*
+                _ => css_loop(z, spec, params),
+            }
+        };
+    }
+    dispatch! {
+        0: [0 1 2 3]
+        1: [0 1 2 3]
+        2: [0 1 2 3]
+        3: [0 1 2 3]
+    }
+}
+
+/// [`css_loop`] for a fixed order. The first `max(P, Q)` steps run the
+/// general loop's bounds-checked sums; after them every lag exists, so
+/// the steady state keeps the last `Q` innovations in a local array
+/// (`hist[j]` is `e[t - 1 - j]`) instead of a growing vector. Each
+/// prediction adds its terms in the general loop's order — `0.0`, then
+/// φ₁..φ_p, then θ₁..θ_q — so every sum rounds the same and the result
+/// is bit-identical.
+fn css_fixed<const P: usize, const Q: usize>(z: &[f64], params: &[f64]) -> f64 {
+    let phi: [f64; P] = params[..P].try_into().expect("P AR coefficients");
+    let theta: [f64; Q] = params[P..].try_into().expect("Q MA coefficients");
+    let mut hist = [0.0f64; Q];
+    let mut sse = 0.0;
+    let warm = P.max(Q).min(z.len());
+    for t in 0..warm {
+        let mut pred = 0.0;
+        for (i, &p) in phi.iter().enumerate() {
+            if t > i {
+                pred += p * z[t - 1 - i];
+            }
+        }
+        for (j, &q) in theta.iter().enumerate() {
+            if t > j {
+                pred += q * hist[j];
+            }
+        }
+        let err = z[t] - pred;
+        if !err.is_finite() {
+            return f64::INFINITY;
+        }
+        sse += err * err;
+        push_innovation(&mut hist, err);
+    }
+    // Past the warm-up `w[P]` is z[t] and `w[P - 1 - i]` is z[t - 1 - i].
+    for w in z[warm - P.min(warm)..].windows(P + 1) {
+        let mut pred = 0.0;
+        for (i, &p) in phi.iter().enumerate() {
+            pred += p * w[P - 1 - i];
+        }
+        for (&q, &e) in theta.iter().zip(&hist) {
+            pred += q * e;
+        }
+        let err = w[P] - pred;
+        if !err.is_finite() {
+            return f64::INFINITY;
+        }
+        sse += err * err;
+        push_innovation(&mut hist, err);
+    }
+    sse
+}
+
+/// Shifts the newest innovation into `hist` (`hist[0]` is the newest).
+#[inline(always)]
+fn push_innovation<const Q: usize>(hist: &mut [f64; Q], err: f64) {
+    if Q > 0 {
+        hist.copy_within(..Q - 1, 1);
+        hist[0] = err;
+    }
+}
+
+/// The general CSS loop, for any order.
+fn css_loop(z: &[f64], spec: ArimaSpec, params: &[f64]) -> f64 {
     let (phi, theta) = params.split_at(spec.p);
     let mut sse = 0.0;
     let mut e: Vec<f64> = Vec::with_capacity(z.len());
@@ -421,6 +503,7 @@ mod tests {
     use super::*;
     use crate::dist::{Distribution, Normal};
     use crate::rng::Rng;
+    use proptest::prelude::*;
 
     fn ar1(phi: f64, n: usize, seed: u64) -> Vec<f64> {
         let noise = Normal::new(0.0, 1.0);
@@ -663,6 +746,52 @@ mod tests {
     #[test]
     fn auto_fit_errors_on_short_series() {
         assert!(ArimaModel::auto_fit(&[1.0, 2.0], 2, 1, 2).is_err());
+    }
+
+    /// Bit-level comparison of the dispatched objective with the
+    /// general loop for one `(p, q)`.
+    fn assert_css_matches_loop(z: &[f64], p: usize, q: usize, params: &[f64]) {
+        let spec = ArimaSpec::new(p, 0, q);
+        let params = &params[..p + q];
+        assert_eq!(
+            css(z, spec, params).to_bits(),
+            css_loop(z, spec, params).to_bits(),
+            "ARIMA({p},0,{q}) over {} points, params {params:?}",
+            z.len()
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn fixed_order_css_is_bit_identical_to_the_loop(
+            z in proptest::collection::vec(-1e3f64..1e3, 1..64),
+            at in 0usize..64,
+            params in proptest::collection::vec(-1.5f64..1.5, 6),
+        ) {
+            let k = at % z.len();
+            let with = |bad: f64| {
+                let mut z = z.clone();
+                z[k] = bad;
+                z
+            };
+            let (nan, inf) = (with(f64::NAN), with(f64::NEG_INFINITY));
+            for p in 0..=3 {
+                for q in 0..=3 {
+                    // Shorter than the warm-up and just past it, the
+                    // whole series, and a non-finite value.
+                    let warm = p.max(q);
+                    for series in [
+                        &z[..warm.min(z.len())],
+                        &z[..(warm + 1).min(z.len())],
+                        &z[..],
+                        &nan[..],
+                        &inf[..],
+                    ] {
+                        assert_css_matches_loop(series, p, q, &params);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

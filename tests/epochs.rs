@@ -8,7 +8,9 @@
 //! intermediate watermark of the incremental engine must answer exactly
 //! like a fresh run over the same epoch prefix (`Dataset::epoch_prefix`,
 //! the oracle), re-running every pass after an append that changed the
-//! fold and none after one that did not.
+//! fold and none after one that did not. The pass states it carries
+//! across appends must reset on a re-resolution and stay consistent
+//! through a pass fault.
 
 use ddos_analytics::passes::REGISTRY;
 use ddos_analytics::{
@@ -199,6 +201,104 @@ fn moved_coords_dataset() -> Dataset {
     b.push_attack(attack(Family::Pandora, 3, 9 * day, 600, vec![1, 2]))
         .unwrap();
     b.build().unwrap()
+}
+
+/// A 10-day trace in which bot 1 is recorded again on day 6 in another
+/// country (UA, was RU). Under two-day epochs the fourth epoch appends
+/// no attack, so it recounts no week, yet it re-resolves the week-0
+/// attacks that used bot 1: a shift grid carried past it would still
+/// count bot 1 in RU for week 0, and week 1's UA bot would then count as
+/// a new country.
+fn moved_country_dataset() -> Dataset {
+    let day = 86_400;
+    let window = Window::new(Timestamp(0), Timestamp(10 * day)).unwrap();
+    let mut b = DatasetBuilder::new(window);
+    b.push_bot(bot(1, "RU", 55.0, 0, 9)).unwrap();
+    b.push_bot(bot(2, "US", 40.0, 0, 9)).unwrap();
+    b.push_bot(bot(1, "UA", 55.0, 6, 7)).unwrap();
+    b.push_attack(attack(Family::Pandora, 1, 1_000, 600, vec![1, 2]))
+        .unwrap();
+    b.push_attack(attack(Family::Pandora, 2, 3 * day, 600, vec![1, 2]))
+        .unwrap();
+    b.push_attack(attack(Family::Pandora, 3, 9 * day, 600, vec![1, 2]))
+        .unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn a_reresolved_country_resets_the_carried_pass_states() {
+    let ds = moved_country_dataset();
+    let len = Seconds::days(2);
+    let (_, deltas) = fold_shards(&ds, len);
+    assert_eq!(deltas[3].reresolved, vec![0, 1], "week-0 attacks use bot 1");
+    assert_eq!(deltas[3].appended_attacks, 0);
+    let stats = assert_every_watermark_is_a_prefix_report(&ds, len);
+    assert_eq!(stats.len(), 5);
+    // The full trace counts bot 1 in UA in both weeks.
+    let shifts = Analysis::new(&ds).run().shifts;
+    assert_eq!(shifts.weeks[1].new_country_bots, 0);
+    assert_eq!(shifts.weeks[1].existing_country_bots, 2);
+}
+
+#[test]
+fn a_pass_fault_after_the_first_stage_keeps_the_carries_consistent() {
+    if !failpoints::ACTIVE {
+        return;
+    }
+    let cfg = SimConfig {
+        scale: 0.004,
+        snapshots: false,
+        ..SimConfig::small()
+    };
+    let trace = generate(&cfg);
+    let ds = &trace.dataset;
+    let len = Seconds::WEEK;
+    let opts = PipelineOptions::new().telemetry(false);
+    // Every pass but `flagship_pair` runs in the first stage.
+    let first_stage = REGISTRY.iter().filter(|p| p.deps.is_empty()).count();
+    assert_eq!(first_stage, 19);
+    let prefix_digest =
+        |w: usize| report_digest(&Analysis::new(&ds.epoch_prefix(len, w)).options(opts).run());
+    for parallel in [false, true] {
+        let opts = opts.parallel(parallel);
+        let mut inc = IncrementalPipeline::new(ds, opts, len);
+        inc.append_epoch().expect("the first epoch appends");
+        {
+            // Hits 0–18 pass the first stage, which advances every
+            // carry over the second epoch; hit 19 faults the second.
+            let _scope = FailPlan::new()
+                .fail_nth(names::SCHEDULER_PASS, first_stage as u64)
+                .install();
+            inc.try_append_epoch()
+                .expect_err("the flagship_pair stage must hit the fault");
+        }
+        assert!(inc.snapshot_report().is_none());
+        inc.append_epoch().expect("the third epoch appends");
+        assert_eq!(
+            report_digest(&inc.snapshot_report().expect("a clean append")),
+            prefix_digest(3),
+            "parallel={parallel}"
+        );
+        // And the last epoch faulted the same way: the flush finds
+        // nothing new for the carries and emits the same sections.
+        while inc.appended() + 1 < inc.epochs() {
+            inc.append_epoch();
+        }
+        {
+            let _scope = FailPlan::new()
+                .fail_nth(names::SCHEDULER_PASS, first_stage as u64)
+                .install();
+            inc.try_append_epoch()
+                .expect_err("the flagship_pair stage must hit the fault");
+        }
+        assert!(inc.is_complete());
+        let report = inc.into_report();
+        assert_eq!(report_digest(&report), prefix_digest(ds.shards(len).len()));
+        assert_eq!(
+            report_digest(&report),
+            report_digest(&Analysis::new(ds).options(opts).run())
+        );
+    }
 }
 
 #[test]
