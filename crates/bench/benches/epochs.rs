@@ -1,7 +1,7 @@
-//! Benches for the epoch-sharded engine: appending every epoch to an
-//! empty fold, and the marginal cost of appending one epoch to a grown
-//! fold — against the monolithic context build and pipeline they
-//! replace.
+//! Benches for the epoch engine: appending every epoch to an empty
+//! fold, the whole incremental run, and the marginal cost of appending
+//! one epoch to a grown fold — against the monolithic context build and
+//! pipeline.
 
 use bench::bench_trace;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -39,19 +39,8 @@ fn bench_epochs(c: &mut Criterion) {
     g.bench_function("batch", |b| {
         b.iter(|| black_box(Analysis::new(ds).options(opts).run()))
     });
-    g.bench_function("epoch_folded", |b| {
-        b.iter(|| black_box(Analysis::new(ds).options(opts).epochs(epoch_len).run()))
-    });
     g.bench_function("incremental_total", |b| {
-        b.iter(|| {
-            black_box(
-                Analysis::new(ds)
-                    .options(opts)
-                    .epochs(epoch_len)
-                    .incremental()
-                    .run(),
-            )
-        })
+        b.iter(|| black_box(Analysis::new(ds).options(opts).epochs(epoch_len).run()))
     });
     // The marginal epoch: everything but the last pre-appended, so the
     // routine times the incremental pipeline's steady-state append work

@@ -3,8 +3,8 @@
 //!
 //! A builder names a source (a [`Dataset`], or a prebuilt
 //! [`AnalysisContext`] via [`Analysis::over`]), optionally selects an
-//! engine (monolithic by default; [`Analysis::epochs`] for the sharded
-//! fold, [`Analysis::incremental`] for one-epoch-at-a-time appends,
+//! engine (monolithic by default; [`Analysis::epochs`] for
+//! one-epoch-at-a-time appends through an [`IncrementalPipeline`],
 //! [`Analysis::baseline`] for the dataset-scan oracle), tunes
 //! [`PipelineOptions`] through the same setter names, and runs:
 //!
@@ -16,7 +16,6 @@
 //! let report = Analysis::new(&ds)
 //!     .parallel(true)
 //!     .epochs(Seconds(7 * 24 * 3600))
-//!     .incremental()
 //!     .telemetry(true)
 //!     .kernels(KernelPolicy::Auto)
 //!     .try_run()?;
@@ -39,11 +38,6 @@ use crate::fault::{self, PipelineError};
 use crate::kernels::KernelPolicy;
 use crate::pipeline::{self, AnalysisReport, IncrementalPipeline, PipelineOptions};
 
-/// The default epoch length for [`Analysis::incremental`] when
-/// [`Analysis::epochs`] was not called: one week, the paper's natural
-/// reporting period.
-const DEFAULT_EPOCH_LEN: Seconds = Seconds(7 * 24 * 3600);
-
 /// What the builder runs the pipeline over.
 enum Source<'d> {
     /// A dataset — the builder picks and drives an engine.
@@ -57,10 +51,9 @@ enum Source<'d> {
 enum Mode {
     /// One-shot monolithic context build (the default).
     Batch,
-    /// Epoch-sharded batch fold.
-    Folded,
-    /// One-epoch-at-a-time appends through [`IncrementalPipeline`].
-    Incremental,
+    /// One-epoch-at-a-time appends of the given length through
+    /// [`IncrementalPipeline`].
+    Epochs(Seconds),
     /// The dataset-scan oracle (ignores the scheduler, telemetry, and
     /// kernel axes by construction).
     Baseline,
@@ -70,7 +63,6 @@ enum Mode {
 pub struct Analysis<'d> {
     source: Source<'d>,
     mode: Mode,
-    epoch_len: Option<Seconds>,
     opts: PipelineOptions,
     obs: Option<&'d Obs>,
 }
@@ -82,25 +74,23 @@ impl<'d> Analysis<'d> {
         Analysis {
             source: Source::Dataset(ds),
             mode: Mode::Batch,
-            epoch_len: None,
             opts: PipelineOptions::default(),
             obs: None,
         }
     }
 
     /// Starts a builder that runs the pass scheduler over a context
-    /// built elsewhere (the conformance suite feeds the passes a serial
-    /// build and a streamed epoch fold this way). Engine
-    /// selectors ([`Analysis::epochs`], [`Analysis::incremental`],
-    /// [`Analysis::baseline`]) are incompatible with a prebuilt context
-    /// and panic at [`Analysis::try_run`]. Without [`Analysis::obs`] no
-    /// telemetry is recorded — the context build, where most of it
-    /// lives, already happened.
+    /// built elsewhere (the conformance suites feed the passes a serial
+    /// build, a one-attack-per-job build and an epoch fold this way).
+    /// Engine selectors ([`Analysis::epochs`], [`Analysis::baseline`])
+    /// are incompatible with a prebuilt context and panic at
+    /// [`Analysis::try_run`]. Without [`Analysis::obs`] no telemetry is
+    /// recorded — the context build, where most of it lives, already
+    /// happened.
     pub fn over(ctx: &'d AnalysisContext<'d>) -> Analysis<'d> {
         Analysis {
             source: Source::Context(ctx),
             mode: Mode::Batch,
-            epoch_len: None,
             opts: PipelineOptions::default(),
             obs: None,
         }
@@ -152,24 +142,13 @@ impl<'d> Analysis<'d> {
         self
     }
 
-    /// Selects the epoch-sharded fold engine with the given epoch
-    /// length: shards append one by one to a fold that grows in place
-    /// and that the append rules make bit-identical to the monolithic
-    /// build.
-    /// [`Analysis::incremental`] afterwards keeps the length but
-    /// switches to one-at-a-time appends.
+    /// Selects the epoch engine with the given epoch length: epochs
+    /// append one at a time through an [`IncrementalPipeline`], whose
+    /// fold grows in place, and every pass re-runs after each append
+    /// that changed the fold. After the last epoch the fold covers the
+    /// whole trace, so the report equals the monolithic one.
     pub fn epochs(mut self, epoch_len: Seconds) -> Analysis<'d> {
-        self.epoch_len = Some(epoch_len);
-        self.mode = Mode::Folded;
-        self
-    }
-
-    /// Selects the incremental engine: epochs append one at a time
-    /// through an [`IncrementalPipeline`], and every pass re-runs after
-    /// each append that changed the fold. Uses the [`Analysis::epochs`]
-    /// length if one was set, else one-week epochs.
-    pub fn incremental(mut self) -> Analysis<'d> {
-        self.mode = Mode::Incremental;
+        self.mode = Mode::Epochs(epoch_len);
         self
     }
 
@@ -220,27 +199,15 @@ impl<'d> Analysis<'d> {
                 assert!(
                     self.mode == Mode::Batch,
                     "Analysis::over(..) runs the pass scheduler over a prebuilt context; \
-                     engine selectors (.epochs/.incremental/.baseline) need a Dataset \
+                     engine selectors (.epochs/.baseline) need a Dataset \
                      source (Analysis::new)"
                 );
                 pipeline::run_over(ctx, self.opts.parallel, obs)
             }
             Source::Dataset(ds) => match self.mode {
                 Mode::Batch => pipeline::run_monolithic(ds, self.opts, obs),
-                Mode::Folded => {
-                    let len = self
-                        .epoch_len
-                        .expect("Folded mode implies epochs() set a length");
-                    pipeline::run_folded(ds, self.opts, len, obs)
-                }
-                Mode::Incremental => {
-                    let len = self.epoch_len.unwrap_or(DEFAULT_EPOCH_LEN);
-                    match self.obs {
-                        Some(obs) => {
-                            IncrementalPipeline::with_obs(ds, self.opts, len, obs).try_into_report()
-                        }
-                        None => IncrementalPipeline::new(ds, self.opts, len).try_into_report(),
-                    }
+                Mode::Epochs(len) => {
+                    IncrementalPipeline::with_obs(ds, self.opts, len, obs).try_into_report()
                 }
                 Mode::Baseline => Ok(pipeline::baseline_report(ds, self.opts.spec)),
             },
@@ -273,16 +240,6 @@ mod tests {
             batch,
             json(&Analysis::new(&ds).epochs(Seconds(1_000)).run())
         );
-        assert_eq!(
-            batch,
-            json(
-                &Analysis::new(&ds)
-                    .epochs(Seconds(1_000))
-                    .incremental()
-                    .run()
-            )
-        );
-        assert_eq!(batch, json(&Analysis::new(&ds).incremental().run()));
         assert_eq!(batch, json(&Analysis::new(&ds).baseline().run()));
         assert_eq!(
             batch,

@@ -527,34 +527,34 @@ impl<'a> AnalysisContext<'a> {
         }
     }
 
-    /// Assembles a context from precomputed parts — the exit point of
-    /// the epoch fold ([`crate::epoch::EpochContext`]), covering the
-    /// first `attacks` records of `dataset` with Table III's counts
-    /// already counted. Callers are responsible for upholding the module
-    /// invariants; the epoch equivalence suite pins the fold's output
-    /// bit-equal to [`AnalysisContext::build`] over the same records.
+    /// Assembles a context from parts borrowed from the epoch fold
+    /// ([`crate::epoch::EpochContext`]), covering the first `attacks`
+    /// records of `dataset` with Table III's counts already counted.
+    /// Callers are responsible for upholding the module invariants; the
+    /// epoch equivalence suite pins the fold's output bit-equal to
+    /// [`AnalysisContext::build`] over the same records.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         dataset: &'a Dataset,
         attacks: usize,
         summary: DatasetSummary,
         spec: ArimaSpec,
-        sources: Cow<'a, SourceTable>,
-        durations: Cow<'a, [f64]>,
-        all_starts: Cow<'a, [Timestamp]>,
-        target_timelines: Cow<'a, [TargetTimeline]>,
-        families: Cow<'a, [FamilyContext]>,
+        sources: &'a SourceTable,
+        durations: &'a [f64],
+        all_starts: &'a [Timestamp],
+        target_timelines: &'a [TargetTimeline],
+        families: &'a [FamilyContext],
     ) -> AnalysisContext<'a> {
         AnalysisContext {
             dataset,
             attacks: &dataset.attacks()[..attacks],
             summary: Some(summary),
             spec,
-            sources,
-            durations,
-            all_starts,
-            target_timelines,
-            families,
+            sources: Cow::Borrowed(sources),
+            durations: Cow::Borrowed(durations),
+            all_starts: Cow::Borrowed(all_starts),
+            target_timelines: Cow::Borrowed(target_timelines),
+            families: Cow::Borrowed(families),
         }
     }
 

@@ -6,10 +6,11 @@
 //! per-family contexts in final shape (with each attack's dispersion
 //! snapshot kept beside them), and Table III's distinct sets
 //! ([`SummarySets`]). [`EpochContext::new`] starts an empty fold and
-//! [`EpochContext::append`] adds the next epoch — a borrowed
-//! [`DatasetShard`] or an owned [`EpochBatch`] a feed streams in — at a
+//! [`EpochContext::append`] adds the next epoch's [`DatasetShard`] at a
 //! cost that follows the epoch, not the prefix. Passes read the fold
-//! through a borrowed view ([`EpochContext::to_context`]).
+//! through a borrowed view ([`EpochContext::to_context`]), which the
+//! [`crate::pipeline::IncrementalPipeline`] hands them after each
+//! append.
 //!
 //! # Appending
 //!
@@ -44,17 +45,16 @@
 //! The `tests/epochs.rs` property suite proves equivalence over
 //! arbitrary partitions (empty epochs and boundary-straddling attacks
 //! included) and that no append renumbers an earlier attack's sources,
-//! and the golden-report suite pins the folded pipeline to the batch
+//! and the golden-report suite pins the epoch engine to the batch
 //! digest.
 
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 
 use ddos_geo::{dispersion_precomp_indexed_counted, KernelCounters, PointTrig};
 use ddos_obs::Obs;
 use ddos_schema::{
-    AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, EpochBatch, Family, IpAddr4,
-    LatLon, SummarySets, Timestamp, Window,
+    AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, Family, IpAddr4, LatLon,
+    SummarySets, Timestamp, Window,
 };
 use ddos_stats::ArimaSpec;
 
@@ -152,8 +152,6 @@ impl BotColumns {
 pub struct EpochContext {
     /// The *global* trace window (week/day bucketing is always global).
     window: Window,
-    /// Epochs appended so far.
-    epochs: usize,
     /// Per covered attack: its family slot ([`NO_SLOT`] for inactive
     /// families) and its position within that slot.
     membership: Vec<(u8, u32)>,
@@ -224,7 +222,6 @@ impl EpochContext {
     pub fn new(window: Window) -> EpochContext {
         EpochContext {
             window,
-            epochs: 0,
             membership: Vec::new(),
             durations: Vec::new(),
             starts: Vec::new(),
@@ -261,38 +258,10 @@ impl EpochContext {
             self.window,
             "epoch from another trace"
         );
-        self.append_records(
-            shard.attack_range().start,
-            shard.attacks(),
-            shard.bots(),
-            obs,
-        )
-    }
-
-    /// [`EpochContext::append`] for an owned batch (the streaming path).
-    ///
-    /// # Panics
-    ///
-    /// If the batch is not the next epoch.
-    pub fn append_batch(&mut self, batch: &EpochBatch, obs: &Obs) -> AppendDelta {
-        self.append_records(
-            batch.attack_base,
-            &batch.attacks,
-            batch.bots.iter().map(|(r, b)| (*r, b)),
-            obs,
-        )
-    }
-
-    fn append_records<'r>(
-        &mut self,
-        attack_base: usize,
-        attacks: &[AttackRecord],
-        bot_records: impl Iterator<Item = (u32, &'r BotRecord)>,
-        obs: &Obs,
-    ) -> AppendDelta {
+        let attack_base = shard.attack_range().start;
         assert_eq!(attack_base, self.len(), "epochs must arrive in order");
+        let attacks = shard.attacks();
         let build = obs.span("epoch/build");
-        self.epochs += 1;
         let window = self.window;
         let known = self.sources.dict_len();
         let mut epoch_sets = SummarySets::default();
@@ -300,7 +269,7 @@ impl EpochContext {
         // The epoch's bot records, by ascending roster position.
         let mut appended_bots = 0;
         let mut stale: Vec<u32> = Vec::new();
-        for (position, b) in bot_records {
+        for (position, b) in shard.bots() {
             epoch_sets.insert_bot(b);
             let id = match self.index.entry(b.ip) {
                 Entry::Vacant(slot) => {
@@ -494,38 +463,10 @@ impl EpochContext {
         self.starts.is_empty()
     }
 
-    /// Epochs appended so far.
-    #[inline]
-    pub fn epochs(&self) -> usize {
-        self.epochs
-    }
-
     /// Bot rows resident in the fold's table.
     #[inline]
     pub fn bot_rows(&self) -> usize {
         self.bots.rows
-    }
-
-    /// Moves a *complete* fold (every epoch appended) into the analysis
-    /// context.
-    ///
-    /// # Panics
-    ///
-    /// If the fold does not cover `dataset` exactly.
-    pub fn into_context(self, dataset: &Dataset, spec: ArimaSpec) -> AnalysisContext<'_> {
-        assert_eq!(self.len(), dataset.len(), "fold must cover every attack");
-        assert_eq!(self.window, dataset.window(), "fold from another trace");
-        AnalysisContext::from_parts(
-            dataset,
-            self.len(),
-            self.summary.summary(self.len()),
-            spec,
-            Cow::Owned(self.sources),
-            Cow::Owned(self.durations),
-            Cow::Owned(self.starts),
-            Cow::Owned(self.timelines),
-            Cow::Owned(self.families),
-        )
     }
 
     /// Lends the fold to the passes as an analysis context, mid-stream
@@ -546,69 +487,12 @@ impl EpochContext {
             self.len(),
             self.summary.summary(self.len()),
             spec,
-            Cow::Borrowed(&self.sources),
-            Cow::Borrowed(&self.durations),
-            Cow::Borrowed(&self.starts),
-            Cow::Borrowed(&self.timelines),
-            Cow::Borrowed(&self.families),
+            &self.sources,
+            &self.durations,
+            &self.starts,
+            &self.timelines,
+            &self.families,
         )
-    }
-}
-
-/// Bounded-memory streaming fold over a feed of [`EpochBatch`]es.
-///
-/// Batches arrive one at a time (e.g. from
-/// `ddos_sim::feed::replay_epochs`) and append to the fold immediately
-/// — the raw records of past epochs are never resident together. The
-/// `epoch/resident_rows` gauge tracks the peak raw rows (attacks + bot
-/// records) materialized at once.
-#[derive(Debug)]
-pub struct StreamFold {
-    acc: EpochContext,
-    peak_rows: u64,
-}
-
-impl StreamFold {
-    /// Starts an empty fold over a trace window.
-    pub fn new(window: Window) -> StreamFold {
-        StreamFold {
-            acc: EpochContext::new(window),
-            peak_rows: 0,
-        }
-    }
-
-    /// Appends one epoch batch. Batches must arrive in epoch order.
-    pub fn push(&mut self, batch: &EpochBatch, obs: &Obs) {
-        crate::fault::infallible(self.try_push(batch, obs));
-    }
-
-    /// Fallible [`push`](StreamFold::push): the `epoch/merge`
-    /// failpoint is consulted before any fold state is touched, so an
-    /// injected abort returns `Err` with the fold intact and re-pushing
-    /// the *same* batch resumes the fold cleanly.
-    pub fn try_push(
-        &mut self,
-        batch: &EpochBatch,
-        obs: &Obs,
-    ) -> Result<(), crate::fault::PipelineError> {
-        crate::fault::check(crate::fault::EPOCH_MERGE, obs)?;
-        let resident = (batch.attacks.len() + batch.bots.len()) as u64
-            + (self.acc.len() + self.acc.bot_rows()) as u64;
-        obs.gauge("epoch/resident_rows").record_max(resident);
-        self.peak_rows = self.peak_rows.max(resident);
-        self.acc.append_batch(batch, obs);
-        Ok(())
-    }
-
-    /// Peak raw rows (attacks + bot records) resident at once.
-    pub fn peak_resident_rows(&self) -> u64 {
-        self.peak_rows
-    }
-
-    /// Finishes the fold, returning the accumulated context (`None` if
-    /// no batch was pushed).
-    pub fn finish(self) -> Option<EpochContext> {
-        (self.acc.epochs() > 0).then_some(self.acc)
     }
 }
 

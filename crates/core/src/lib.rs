@@ -17,9 +17,8 @@
 //! | "insight into defenses" | [`defense`] | blacklist & latency simulations |
 //!
 //! [`Analysis`] is the one entry point: a builder that names a dataset,
-//! picks an engine (monolithic, epoch-folded, incremental, or the
-//! pre-refactor baseline), and runs — every spelling serializes
-//! byte-identically. The `ddos-report` crate renders the results as the
+//! picks an engine (monolithic, the epoch engine, or the pre-refactor
+//! baseline), and runs — every spelling serializes byte-identically. The `ddos-report` crate renders the results as the
 //! paper's tables and figure series, the `ddos-serve` crate keeps an
 //! [`IncrementalPipeline`] resident and answers snapshot-isolated
 //! queries while epochs append, and the `bench` crate regenerates each
@@ -55,7 +54,7 @@ pub mod util;
 pub use analysis::Analysis;
 pub use columnar::{BotTable, SourceTable, NO_BOT};
 pub use context::AnalysisContext;
-pub use epoch::{AppendDelta, EpochContext, StreamFold};
+pub use epoch::{AppendDelta, EpochContext};
 pub use fault::PipelineError;
 pub use kernels::KernelPolicy;
 pub use pipeline::{AnalysisReport, AppendStats, IncrementalPipeline, PipelineOptions};
@@ -65,7 +64,6 @@ pub use pipeline::{AnalysisReport, AppendStats, IncrementalPipeline, PipelineOpt
 pub mod prelude {
     pub use crate::analysis::Analysis;
     pub use crate::context::AnalysisContext;
-    pub use crate::epoch::StreamFold;
     pub use crate::fault::PipelineError;
     pub use crate::kernels::KernelPolicy;
     pub use crate::pipeline::{AnalysisReport, AppendStats, IncrementalPipeline, PipelineOptions};

@@ -9,13 +9,12 @@
 //! every analysis rescanning the dataset for itself — which stays as the
 //! one independent oracle the equivalence tests hold every pass body to.
 //!
-//! The epoch engines — the folded batch run behind [`Analysis::epochs`]
-//! and the [`IncrementalPipeline`] — are left folds of
-//! [`EpochContext::append`]: each consults the `epoch/merge` failpoint
-//! before it touches the fold, and runs the passes over the fold's
-//! borrowed view. The incremental pipeline assembles each report once
-//! and shares it ([`IncrementalPipeline::snapshot_report`]) instead of
-//! copying it per reader.
+//! The epoch engine behind [`Analysis::epochs`] is the
+//! [`IncrementalPipeline`], a left fold of [`EpochContext::append`]: it
+//! consults the `epoch/merge` failpoint before it touches the fold, runs
+//! the passes over the fold's borrowed view, and assembles each report
+//! once and shares it ([`IncrementalPipeline::snapshot_report`]) instead
+//! of copying it per reader.
 //!
 //! Every run carries a [`RunTelemetry`]: hierarchical spans per build
 //! stage and per pass, plus scheduler/kernel metrics, recorded through
@@ -73,7 +72,7 @@ pub struct PipelineOptions {
     /// suite asserts this); only the telemetry artifact is empty.
     pub telemetry: bool,
     /// The job length of the monolithic context build's per-family
-    /// resolution (see [`KernelPolicy`]); the epoch engines never read
+    /// resolution (see [`KernelPolicy`]); the epoch engine never reads
     /// it. Report bytes are identical for every policy — the golden
     /// suite and the kernel proptests pin this.
     pub kernels: KernelPolicy,
@@ -210,42 +209,12 @@ pub(crate) fn run_over(
     Ok(report)
 }
 
-/// The epoch-sharded engine: the trace is sliced into `epoch_len`
-/// shards that append one by one to an [`EpochContext`], whose fold the
-/// append rules make bit-identical to the monolithic
-/// [`AnalysisContext::build`]. The body behind
-/// `Analysis::epochs(..).try_run()`.
-pub(crate) fn run_folded(
-    ds: &Dataset,
-    opts: PipelineOptions,
-    epoch_len: Seconds,
-    obs: &Obs,
-) -> Result<AnalysisReport, PipelineError> {
-    let mut folded = EpochContext::new(ds.window());
-    for shard in ds.shards(epoch_len) {
-        fault::check(fault::EPOCH_MERGE, obs)?;
-        folded.append(&shard, obs);
-    }
-    let ctx = {
-        let _span = obs.span("context");
-        folded.into_context(ds, opts.spec)
-    };
-    let partial = passes::try_execute(&ctx, opts.parallel, obs)?;
-    let mut report = {
-        let _span = obs.span("assemble");
-        assemble(partial)
-    };
-    report.telemetry = obs.finish(opts.parallel);
-    Ok(report)
-}
-
 /// The pre-refactor monolithic pipeline: every analysis rescans the
 /// dataset for itself (the dispersion join runs twice, the shift join a
 /// third time, four analyses regroup the per-target index). It shares
 /// no pass body with the context path, which makes it the one
 /// independent oracle: the equivalence tests assert the pass-based
-/// pipeline serializes identically, and `repro --pipeline-bench`
-/// measures the speedup against it. The body behind
+/// pipeline serializes identically. The body behind
 /// `Analysis::baseline()`.
 pub(crate) fn baseline_report(ds: &Dataset, spec: ArimaSpec) -> AnalysisReport {
     let bots = BotIndex::build(ds);

@@ -64,8 +64,8 @@ pub mod names {
     pub const INGEST_FRAMED_FRAME: &str = "ingest/framed/frame";
     /// Per-chunk CSV parse body (serial parse counts as one chunk).
     pub const INGEST_CSV_CHUNK: &str = "ingest/csv/chunk";
-    /// Before each epoch-context merge (pairwise fold, incremental
-    /// append, stream push) — checked before any state is consumed.
+    /// Before each epoch append of the incremental pipeline — checked
+    /// before any state is consumed.
     pub const EPOCH_MERGE: &str = "epoch/merge";
     /// Once per pass in the scheduler, on the scheduling thread in
     /// registry order, before the pass's stage runs.

@@ -6,7 +6,7 @@
 //! ddoslab analyze trace.ddtl --json     # AnalysisReport as JSON
 //! ddoslab analyze trace.ddtl --timings  # also print the span breakdown
 //! ddoslab analyze trace.ddtl --telemetry-json t.json  # write RunTelemetry
-//! ddoslab analyze trace.ddtl --epochs 8 # epoch-sharded engine, 8 epochs
+//! ddoslab analyze trace.ddtl --epochs 8 # epoch engine, 8 appends
 //! ddoslab serve trace.ddtl --epochs 8   # snapshot service: append + query
 //! ddoslab export-csv trace.ddtl out.csv # attack records as CSV
 //! ddoslab import-csv raw.csv out.ddtl   # CSV (optionally unmerged) -> trace
@@ -88,7 +88,8 @@ fn print_help() {
          `import-csv` applies the paper's §II-D record merging (default gap 60 s;\n\
          pass --merge-gap=0 to disable).\n\
          `analyze --epochs N` slices the trace into N epochs and appends\n\
-         them one by one to a fold — byte-identical output.\n\
+         them one by one through the incremental engine — byte-identical\n\
+         output; plain `analyze` is the fast path for the same bytes.\n\
          `serve` replays the trace through the snapshot service: each epoch\n\
          append publishes an immutable prefix-exact snapshot, and every\n\
          query answer is stamped with its epoch watermark."

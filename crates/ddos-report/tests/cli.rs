@@ -51,3 +51,22 @@ fn analyze_json_prints_the_report_as_json() {
     assert!(report.summary.measured.attacks > 0, "empty report");
     std::fs::remove_file(&path).expect("remove the trace");
 }
+
+#[test]
+fn analyze_with_epochs_prints_the_batch_report() {
+    let path = small_trace("epochs");
+    let file = path.to_str().unwrap();
+    let batch = ddoslab(&["analyze", file, "--json"]);
+    assert!(batch.status.success(), "analyze --json failed: {batch:?}");
+    let epochs = ddoslab(&["analyze", file, "--epochs", "4", "--json"]);
+    assert!(
+        epochs.status.success(),
+        "analyze --epochs failed: {epochs:?}"
+    );
+    assert!(!batch.stdout.is_empty(), "analyze printed nothing");
+    assert!(
+        epochs.stdout == batch.stdout,
+        "the epoch engine's report differs from the batch report"
+    );
+    std::fs::remove_file(&path).expect("remove the trace");
+}

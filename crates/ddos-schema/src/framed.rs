@@ -389,8 +389,8 @@ pub fn decode_with_workers(
     if workers <= 1 {
         // Serial fast path: records land in the final pre-sized
         // vectors as they decode — no per-frame buffers and no splice
-        // copy. At paper scale this is the difference between ~1.5x
-        // and >2x over the v1 serial decode (see BENCH_ingest.json).
+        // copy. At paper scale this was the difference between ~1.5x
+        // and >2x over the v1 serial decode (DESIGN §13).
         for (i, meta) in metas.iter().enumerate() {
             decode_frame_into(meta, i, payload, &mut sections)?;
         }

@@ -1,12 +1,10 @@
 //! Epoch slicing: time-partitioned views over a [`Dataset`].
 //!
-//! The analysis engine folds the trace epoch by epoch instead of loading
-//! it whole. A [`DatasetShard`] is a borrowed view of one epoch's slice:
-//! the attacks that *start* inside the epoch (a contiguous range of the
-//! globally `(start, id)`-sorted attack list, so shard-local structures
-//! keep stable global indices) plus the bot records *first seen* inside
-//! it. [`EpochBatch`] is the owned equivalent, the unit a streaming feed
-//! hands to the fold one epoch at a time.
+//! The epoch engine folds the trace epoch by epoch. A [`DatasetShard`]
+//! is a borrowed view of one epoch's slice: the attacks that *start*
+//! inside the epoch (a contiguous range of the globally
+//! `(start, id)`-sorted attack list, so shard-local structures keep
+//! stable global indices) plus the bot records *first seen* inside it.
 //!
 //! Epoch boundaries clamp (`clamped_epoch`): an attack starting, or a
 //! bot record first seen, before the window lands in the first epoch,
@@ -73,34 +71,6 @@ impl<'a> DatasetShard<'a> {
         let bots = self.dataset.bots();
         self.bot_rows.iter().map(move |&r| (r, &bots[r as usize]))
     }
-
-    /// Materializes the shard into an owned [`EpochBatch`].
-    pub fn to_batch(&self) -> EpochBatch {
-        EpochBatch {
-            epoch: self.epoch,
-            span: self.span,
-            attack_base: self.attack_range.start,
-            attacks: self.attacks().to_vec(),
-            bots: self.bots().map(|(r, b)| (r, *b)).collect(),
-        }
-    }
-}
-
-/// One epoch's records, owned: the streaming unit of the incremental
-/// pipeline. Produced by [`DatasetShard::to_batch`] or a live feed.
-#[derive(Debug, Clone)]
-pub struct EpochBatch {
-    /// Zero-based epoch index.
-    pub epoch: usize,
-    /// The epoch's time span.
-    pub span: Window,
-    /// Global index of the first attack in this batch.
-    pub attack_base: usize,
-    /// Attacks starting in this epoch, in global `(start, id)` order.
-    pub attacks: Vec<AttackRecord>,
-    /// `(global row, record)` of the bot records first seen in this
-    /// epoch (clamped as [`DatasetShard::bots`]), ascending by row.
-    pub bots: Vec<(u32, BotRecord)>,
 }
 
 /// The epoch holding `t` when `window` is sliced into `epochs` epochs of
@@ -260,17 +230,6 @@ mod tests {
         assert_eq!(shards.len(), 2);
         assert_eq!(shards[0].attack_range(), 0..1);
         assert_eq!(shards[1].attack_range(), 1..3);
-    }
-
-    #[test]
-    fn batch_mirrors_shard() {
-        let ds = dataset();
-        let shard = &ds.shards(Seconds(250))[1];
-        let batch = shard.to_batch();
-        assert_eq!(batch.epoch, 1);
-        assert_eq!(batch.attack_base, 1);
-        assert_eq!(batch.attacks.len(), 2);
-        assert_eq!(batch.span, shard.span());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! on the writer, never observe a partial fold, and every [`Answer`]
 //! is stamped with the epoch watermark it was computed at.
 //!
-//! The isolation contract (enforced by this crate's test suite and the
-//! `repro --serve-bench` hard gate):
+//! The isolation contract (enforced by this crate's test suite and by
+//! the per-publish gates of the `perfbench` serve workloads):
 //!
 //! 1. **Snapshot isolation** — a query at watermark `w` returns bytes
 //!    identical to a fresh monolithic run over the dataset's first `w`

@@ -118,21 +118,6 @@ impl ActivityLog {
     }
 }
 
-/// Replay a trace as a sequence of owned epoch batches, each holding
-/// only the records observable in that epoch.
-///
-/// This is the feed-side producer for the epoch-sharded engine: a
-/// bounded-memory consumer (`ddos-analytics`' `StreamFold`) can fold
-/// the batches one at a time instead of materializing the whole trace
-/// as one context. Batches arrive in epoch order with contiguous
-/// `attack_base` offsets, exactly as `StreamFold::push` requires.
-pub fn replay_epochs(
-    ds: &Dataset,
-    epoch_len: Seconds,
-) -> impl Iterator<Item = ddos_schema::EpochBatch> + '_ {
-    ds.shards(epoch_len).into_iter().map(|s| s.to_batch())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

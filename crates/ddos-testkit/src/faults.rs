@@ -115,15 +115,15 @@ pub fn inject_and_recover(name: &str, ds: &Dataset) -> Result<(), String> {
             }
         }
         names::EPOCH_MERGE => {
-            let folded = || Analysis::new(ds).parallel(false).epochs(Seconds(WEEK_S));
-            let clean = report_digest(&folded().run());
+            let weekly = || Analysis::new(ds).parallel(false).epochs(Seconds(WEEK_S));
+            let clean = report_digest(&weekly().run());
             {
                 let _scope = FailPlan::new().fail_nth(name, 0).install();
-                expect_injected(folded().try_run(), name, "epoch-folded try_run")?;
+                expect_injected(weekly().try_run(), name, "epoch engine try_run")?;
             }
-            let retried = report_digest(&folded().run());
+            let retried = report_digest(&weekly().run());
             if retried != clean {
-                return Err("epoch fold retry diverged from the clean report".into());
+                return Err("epoch engine retry diverged from the clean report".into());
             }
         }
         names::SCHEDULER_PASS => {

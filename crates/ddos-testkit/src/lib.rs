@@ -3,15 +3,15 @@
 //!
 //! The workspace computes the same report in several ways — serial vs
 //! crossbeam scheduling, different job lengths in the context build,
-//! monolithic vs epoch-folded vs incremental vs streamed builds, v1 vs
-//! framed-v2 vs memory-mapped ingest, and the dataset-scan baseline that
-//! shares no pass body with the rest. The paper's findings only hold if
-//! every combination agrees byte for byte. This crate makes that a
-//! first-class, reusable check instead of point-wise suites:
+//! the monolithic build vs the epoch engine's incremental appends, v1
+//! vs framed-v2 vs memory-mapped ingest, and the dataset-scan baseline
+//! that shares no pass body with the rest. The paper's findings only
+//! hold if every combination agrees byte for byte. This crate makes
+//! that a first-class, reusable check instead of point-wise suites:
 //!
 //! * [`variant`] — the lattice itself: a [`Cell`] names one point
 //!   (ingest × build × scheduler × kernels), [`matrix`] enumerates the
-//!   curated 19-cell coverage set, [`matrix_full`] the exhaustive
+//!   curated 15-cell coverage set, [`matrix_full`] the exhaustive
 //!   cross product for soak runs.
 //! * [`conformance`] — digest plumbing ([`report_digest`], the
 //!   committed [`golden_digest`]), the shared small trace, and the

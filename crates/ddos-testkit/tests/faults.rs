@@ -9,7 +9,7 @@
 
 use std::sync::Barrier;
 
-use ddos_analytics::{Analysis, IncrementalPipeline, PipelineError, PipelineOptions, StreamFold};
+use ddos_analytics::{Analysis, IncrementalPipeline, PipelineError, PipelineOptions};
 use ddos_obs::Obs;
 use ddos_schema::{framed, Seconds};
 use ddos_testkit::failpoints::{names, FailPlan, ACTIVE};
@@ -96,33 +96,6 @@ fn incremental_pipeline_recovers_from_pass_fault() {
             if failpoint == names::SCHEDULER_PASS));
     }
     assert_eq!(report_digest(&pipe.into_report()), golden_digest());
-}
-
-/// A streamed fold push that faults leaves the accumulator intact;
-/// re-pushing the same batch resumes and reaches the golden report.
-#[test]
-fn stream_fold_resumes_after_push_fault() {
-    let ds = small_dataset();
-    let obs = Obs::disabled();
-    let mut fold = StreamFold::new(ds.window());
-    let batches: Vec<_> = ddos_sim::feed::replay_epochs(ds, WEEK).collect();
-    for (i, batch) in batches.iter().enumerate() {
-        if i == 1 {
-            let _scope = FailPlan::new().fail_nth(names::EPOCH_MERGE, 0).install();
-            let err = fold.try_push(batch, &obs).expect_err("push must fault");
-            assert!(err.to_string().contains("epoch/merge"), "{err}");
-        }
-        // Retry (or first try) without a plan succeeds.
-        fold.try_push(batch, &obs).expect("clean push");
-    }
-    let ctx = fold
-        .finish()
-        .expect("at least one batch")
-        .into_context(ds, ddos_stats::ArimaSpec::DEFAULT);
-    assert_eq!(
-        report_digest(&Analysis::over(&ctx).parallel(false).run()),
-        golden_digest()
-    );
 }
 
 /// Parallel scheduling under a pass fault: deterministic `Err`, no

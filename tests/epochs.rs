@@ -15,7 +15,7 @@
 use ddos_analytics::passes::REGISTRY;
 use ddos_analytics::{
     Analysis, AnalysisContext, AnalysisReport, AppendDelta, EpochContext, IncrementalPipeline,
-    PipelineOptions, StreamFold,
+    PipelineOptions,
 };
 use ddos_obs::Obs;
 use ddos_schema::record::Location;
@@ -46,9 +46,8 @@ fn fold_shards(ds: &Dataset, epoch_len: Seconds) -> (EpochContext, Vec<AppendDel
 /// every analysis input, and the report serializes byte-identically.
 fn assert_fold_equals_build(ds: &Dataset, epoch_len: Seconds) {
     let built = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-    let folded = fold_shards(ds, epoch_len)
-        .0
-        .into_context(ds, ArimaSpec::DEFAULT);
+    let fold = fold_shards(ds, epoch_len).0;
+    let folded = fold.to_context(ds, ArimaSpec::DEFAULT);
     built.assert_same_analysis(&folded);
     let json = |ctx: &AnalysisContext| {
         serde_json::to_string(&Analysis::over(ctx).parallel(false).run())
@@ -399,7 +398,7 @@ fn append_promotes_cross_epoch_sources_and_arbitrates_duplicates() {
         "attacks 1 and 2 use bot 1"
     );
     assert!(deltas[3].appended_bots > 0, "bot 9 was not promoted");
-    let folded = folded.into_context(&ds, ArimaSpec::DEFAULT);
+    let folded = folded.to_context(&ds, ArimaSpec::DEFAULT);
     AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, false).assert_same_analysis(&folded);
 }
 
@@ -435,35 +434,6 @@ fn appends_never_renumber_an_earlier_attacks_sources() {
         }
         assert_eq!(seen.len(), ds.len());
     }
-}
-
-#[test]
-fn streamed_fold_matches_batch() {
-    let cfg = SimConfig {
-        scale: 0.004,
-        ..SimConfig::small()
-    };
-    let trace = generate(&cfg);
-    let ds = &trace.dataset;
-    let obs = Obs::enabled();
-    let mut fold = StreamFold::new(ds.window());
-    for batch in ddos_sim::feed::replay_epochs(ds, Seconds::WEEK) {
-        fold.push(&batch, &obs);
-    }
-    assert!(fold.peak_resident_rows() > 0);
-    assert!(
-        (fold.peak_resident_rows() as usize) < ds.len() + ds.bots().len() + ds.bots().len() / 2,
-        "streaming never held the whole raw trace at once"
-    );
-    let t = obs.finish(false);
-    assert!(t.span("epoch/build").is_some(), "missing epoch/build span");
-    assert!(t.span("epoch/merge").is_some(), "missing epoch/merge span");
-    assert!(t.metrics.gauge("epoch/resident_rows").is_some());
-    let folded = fold
-        .finish()
-        .expect("batches were pushed")
-        .into_context(ds, ArimaSpec::DEFAULT);
-    AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false).assert_same_analysis(&folded);
 }
 
 #[test]
@@ -521,22 +491,8 @@ fn incremental_pipeline_matches_batch_and_reruns_every_pass() {
     let wrapped = Analysis::new(&ds)
         .options(opts)
         .epochs(Seconds::days(2))
-        .incremental()
         .run();
     assert_eq!(json(&wrapped), json(&batch));
-}
-
-#[test]
-fn incremental_pipeline_on_sim_trace_matches_batch() {
-    let cfg = SimConfig {
-        scale: 0.004,
-        ..SimConfig::small()
-    };
-    let trace = generate(&cfg);
-    let ds = &trace.dataset;
-    let json = |r: &AnalysisReport| serde_json::to_string(r).unwrap();
-    let incremental = Analysis::new(ds).epochs(Seconds::WEEK).incremental().run();
-    assert_eq!(json(&incremental), json(&Analysis::new(ds).run()));
 }
 
 proptest! {

@@ -3,13 +3,13 @@
 //! `tests/golden/report_small.digest` pins the FNV-1a 64 digest of the
 //! canonical small-trace report (`SimConfig::small`, the same trace the
 //! rest of the integration suite analyzes). The variant enumeration —
-//! schedulers, job lengths, context builds (batch fold, incremental
-//! append, streaming feed replay), ingest round-trips, and the
-//! dataset-scan baseline — lives in `ddos_testkit::matrix`; this suite
-//! is the one place tier-1 runs it, pinning every cell, plus the
-//! variants the lattice cannot express (telemetry off, a pre-built
-//! context handed straight to the scheduler), to the committed digest
-//! byte for byte.
+//! schedulers, job lengths, context builds (the monolithic build, and
+//! the epoch engine's incremental appends of weekly and of ragged
+//! 100,000 s epochs), ingest round-trips, and the dataset-scan
+//! baseline — lives in `ddos_testkit::matrix`; this suite is the one
+//! place tier-1 runs it, pinning every cell, plus the variants the
+//! lattice cannot express (telemetry off, a pre-built context handed
+//! straight to the scheduler), to the committed digest byte for byte.
 //!
 //! If a change *intends* to alter report output, regenerate the file:
 //!

@@ -9,6 +9,10 @@
 //! * **No panics on corrupt input** — flipped payload bytes, truncated
 //!   directories, and overlapping frame offsets are reported as
 //!   `Err(SchemaError)`, never a panic or a silently wrong dataset.
+//!
+//! The CSV path rides along: a sim trace's CSV export parses back to its
+//! attack records, and the chunked parser reports the serial parser's
+//! first error.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -381,6 +385,17 @@ fn small_csv() -> &'static str {
         let ds = generate(&SimConfig::small()).dataset;
         csv::attacks_to_csv(ds.attacks())
     })
+}
+
+/// The CSV export of a sim trace parses back to exactly its attack
+/// records, serially and in chunks.
+#[test]
+fn csv_round_trips_the_small_trace() {
+    let ds = generate(&SimConfig::small()).dataset;
+    let serial = csv::attacks_from_csv(small_csv()).expect("serial CSV parse");
+    assert!(serial == ds.attacks(), "serial CSV parse diverged");
+    let chunked = csv::attacks_from_csv_chunked_with(small_csv(), 4).expect("chunked CSV parse");
+    assert!(chunked == ds.attacks(), "chunked CSV parse diverged");
 }
 
 proptest! {

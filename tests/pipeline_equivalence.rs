@@ -1,9 +1,11 @@
 //! The pass-based pipeline's contract off the golden trace: every cell
 //! of the testkit's variant matrix — schedulers, job lengths, context
-//! builds, ingest round-trips, and the dataset-scan baseline —
-//! serializes to the exact same report on arbitrary small datasets (the
-//! golden suite runs the matrix on the canonical trace). Likewise for the
-//! context build underneath: the parallel build, the serial build, and a
+//! builds (monolithic, and the epoch engine's weekly and ragged
+//! incremental appends), ingest round-trips, and the dataset-scan
+//! baseline — serializes to the exact same report on arbitrary small
+//! datasets and on the paper-scale trace (the golden suite runs the
+//! matrix on the canonical trace). Likewise for the context build
+//! underneath: the parallel build, the serial build, and a
 //! one-attack-per-job build carry bit-identical analysis inputs.
 //!
 //! The variant enumeration itself lives in `ddos_testkit::matrix` (one
