@@ -25,7 +25,7 @@ fn bench_epochs(c: &mut Criterion) {
     });
     g.bench_function("append_all", |b| {
         b.iter(|| {
-            let mut fold = EpochContext::new(ds.window());
+            let mut fold = EpochContext::new(ds.window(), false);
             for shard in &shards {
                 fold.append(shard, &obs);
             }
@@ -49,7 +49,7 @@ fn bench_epochs(c: &mut Criterion) {
     // fold, so the time includes that copy; the `epoch/*` spans of a
     // traced perfbench run time the append alone.
     if let Some((last, prefix)) = shards.split_last() {
-        let mut fold = EpochContext::new(ds.window());
+        let mut fold = EpochContext::new(ds.window(), false);
         for shard in prefix {
             fold.append(shard, &obs);
         }

@@ -16,8 +16,12 @@
 //! ```
 //!
 //! Every argument is checked before a trace is generated: an unknown
-//! flag or experiment id, or a missing or malformed value, prints one
-//! line naming it to stderr and exits non-zero. Timing lives in the
+//! flag or experiment id, a missing or malformed value, or an argument
+//! the chosen mode does not take prints one line naming it to stderr
+//! and exits non-zero. `--list` and `--report-digest` take no other
+//! argument; `--soak` takes only `--soak-seed`, `--soak-full`, `--scale`
+//! and `--telemetry-json`, and the two `--soak-*` flags need it; `--md`
+//! takes only `--scale` and `--telemetry-json`. Timing lives in the
 //! `perfbench/` workspace, not here.
 
 use std::process::ExitCode;
@@ -66,8 +70,12 @@ fn parse_seed(raw: &str) -> Option<u64> {
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args::default();
+    // Every argument but flag values, as given: what the mode check
+    // below names.
+    let mut given: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        given.push(arg);
         match arg.as_str() {
             "--scale" => {
                 let raw = value(&mut it, "--scale", "a number")?;
@@ -105,7 +113,38 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             id => return Err(format!("unknown experiment id {id:?} (try --list)")),
         }
     }
+    check_mode(&parsed, &given)?;
     Ok(parsed)
+}
+
+/// Rejects an argument the chosen mode would ignore.
+fn check_mode(parsed: &Args, given: &[&str]) -> Result<(), String> {
+    if parsed.soak_rounds.is_none() {
+        if let Some(flag) = given
+            .iter()
+            .find(|&&a| a == "--soak-seed" || a == "--soak-full")
+        {
+            return Err(format!("{flag} requires --soak"));
+        }
+    }
+    let (mode, takes): (&str, &[&str]) = if parsed.list {
+        ("--list", &[])
+    } else if parsed.report_digest {
+        ("--report-digest", &[])
+    } else if parsed.soak_rounds.is_some() {
+        (
+            "--soak",
+            &["--soak-seed", "--soak-full", "--scale", "--telemetry-json"],
+        )
+    } else if parsed.emit_md {
+        ("--md", &["--scale", "--telemetry-json"])
+    } else {
+        return Ok(());
+    };
+    match given.iter().find(|&&a| a != mode && !takes.contains(&a)) {
+        Some(arg) => Err(format!("{mode} does not take {arg:?}")),
+        None => Ok(()),
+    }
 }
 
 fn main() -> ExitCode {

@@ -20,6 +20,22 @@ fn bad_arguments_fail_before_generating_a_trace() {
         (&["--scale", "abc"][..], "abc"),
         (&["--scale"][..], "--scale"),
         (&["--soak-seed", "0xZZ"][..], "0xZZ"),
+        // Arguments the chosen mode would ignore.
+        (
+            &["--report-digest", "t4", "--soak-seed", "7"][..],
+            "--soak-seed",
+        ),
+        (&["--report-digest", "t4"][..], "t4"),
+        (&["--list", "--scale", "0.1"][..], "--scale"),
+        (&["--list", "--md"][..], "--md"),
+        (&["--soak-seed", "7"][..], "--soak-seed"),
+        (&["--soak-full", "--scale", "1.0"][..], "--soak-full"),
+        (&["--md", "--soak-full"][..], "--soak-full"),
+        (&["--soak", "1", "--out", "dir"][..], "--out"),
+        (&["--soak", "1", "f12"][..], "f12"),
+        (&["--soak", "1", "--md"][..], "--md"),
+        (&["--md", "--out", "dir"][..], "--out"),
+        (&["--md", "f12"][..], "f12"),
     ] {
         let out = repro(args);
         assert!(!out.status.success(), "{args:?} exited 0");
@@ -44,4 +60,13 @@ fn list_names_every_experiment() {
             "--list lacks {id}"
         );
     }
+}
+
+/// The weekly paper-scale soak's spelling parses, here on a small trace.
+#[test]
+fn the_weekly_soak_spelling_runs() {
+    let out = repro(&["--soak", "1", "--soak-full", "--scale", "0.01"]);
+    assert!(out.status.success(), "soak failed: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("soak green"), "{err}");
 }

@@ -109,8 +109,9 @@ impl<'d> Analysis<'d> {
         self
     }
 
-    /// Sets whether the context build and pass scheduler fan out on
-    /// scoped threads. Report bytes are identical either way.
+    /// Sets whether the context build, the epoch fold and the pass
+    /// scheduler fan out on a worker pool. Report bytes are identical
+    /// either way.
     pub fn parallel(mut self, parallel: bool) -> Analysis<'d> {
         self.opts = self.opts.parallel(parallel);
         self

@@ -16,7 +16,7 @@
 //!   *is* the join — a per-id row column maps each id to its bot row, a
 //!   resolved id's row being the id itself — so a single load replaces
 //!   the per-lookup hash probe. Downstream passes (dispersion, shift,
-//!   weekly bot maps, the defense blacklist replay) work on row ids and
+//!   weekly bot counts, the defense blacklist replay) work on row ids and
 //!   cached triples.
 //!
 //! The monolithic build derives both tables purely from the dataset, and
@@ -26,6 +26,7 @@
 //! a [`SourceTable`] in place instead, interning ids in arrival order.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ddos_geo::PointTrig;
 use ddos_schema::{CountryCode, Dataset, IpAddr4, LatLon};
@@ -57,6 +58,62 @@ pub(crate) fn worker_count() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
+}
+
+/// Runs `job(i, slot)` for every `i` in `0..n` on a pool of one worker
+/// per entry of `slots` (at most `n`) and returns the results in index
+/// order.
+///
+/// The calling thread is one of the workers, so the pool starts at most
+/// `slots.len() - 1` scoped threads. Workers claim indices from a shared
+/// counter, so a long job never leaves the others idle behind it, and
+/// each worker owns one slot, its working state, across the jobs it
+/// claims; a caller that keeps its slots keeps their buffers warm across
+/// calls. With one slot every job runs on the calling thread, in index
+/// order.
+///
+/// # Panics
+///
+/// If `slots` is empty, or a job panics.
+pub(crate) fn fan_out<S, R, F>(n: usize, slots: &mut [S], job: F) -> Vec<R>
+where
+    S: Send,
+    R: Send,
+    F: Fn(usize, &mut S) -> R + Sync,
+{
+    assert!(!slots.is_empty(), "a pool needs a worker");
+    let workers = slots.len().min(n).max(1);
+    let (mine, helpers) = slots[..workers]
+        .split_first_mut()
+        .expect("at least one worker");
+    if helpers.is_empty() {
+        return (0..n).map(|i| job(i, mine)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let drain = |slot: &mut S| {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break done;
+            }
+            done.push((i, job(i, slot)));
+        }
+    };
+    let mut done: Vec<(usize, R)> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = helpers
+            .iter_mut()
+            .map(|slot| scope.spawn(|_| drain(slot)))
+            .collect();
+        let mut done = drain(mine);
+        for handle in handles {
+            done.extend(handle.join().expect("pool worker panicked"));
+        }
+        done
+    })
+    .expect("pool scope panicked");
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A 16-bit-prefix bucket index over a sorted IP column.
@@ -255,6 +312,12 @@ impl BotTable {
     #[inline]
     pub fn trigs(&self) -> &[PointTrig] {
         &self.trig
+    }
+
+    /// The whole country column, by row.
+    #[inline]
+    pub fn countries(&self) -> &[CountryCode] {
+        &self.countries
     }
 }
 
@@ -646,6 +709,26 @@ mod tests {
         let s = SourceTable::build(&ds, &t, true);
         assert_eq!(s.dict_len(), 0);
         assert_eq!(s.participations(), 0);
+    }
+
+    #[test]
+    fn fan_out_returns_every_result_in_index_order() {
+        for (n, workers) in [(0, 4), (1, 4), (7, 1), (7, 2), (40, 3)] {
+            // Each worker's slot counts the jobs it ran.
+            let mut ran = vec![0usize; workers];
+            let out = fan_out(n, &mut ran, |i, ran: &mut usize| {
+                *ran += 1;
+                (i * i, *ran)
+            });
+            let squares: Vec<usize> = out.iter().map(|&(sq, _)| sq).collect();
+            assert_eq!(squares, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(ran.iter().sum::<usize>(), n, "every job ran once");
+            assert!(ran[workers.min(n.max(1))..].iter().all(|&r| r == 0));
+            if workers == 1 {
+                let runs: Vec<usize> = out.iter().map(|&(_, ran)| ran).collect();
+                assert_eq!(runs, (1..=n).collect::<Vec<_>>(), "one slot, in order");
+            }
+        }
     }
 
     #[test]

@@ -46,23 +46,22 @@
 //!   order (slot `i` holds `Family::ACTIVE[i]`, whose dense
 //!   [`Family::index`] is also `i`). Each family's `starts` are
 //!   ascending; its `dispersion` is bit-identical to what
-//!   [`FamilyDispersion::compute`] produces; its `weekly_bots` maps hold
-//!   exactly the resolvable `(bot, country)` participations per window
-//!   week.
+//!   [`FamilyDispersion::compute`] produces; its `bot_grid` counts, per
+//!   window week and country, exactly the distinct resolvable bots of
+//!   its attacks that week.
 //! * Serial, parallel, and any-job-length builds are **bit-identical**:
 //!   jobs merge in (family, job) order, and the precomp kernels evaluate
 //!   the exact scalar expressions (see `ddos_geo::trig`). The
 //!   pipeline-equivalence suite enforces this with
 //!   [`AnalysisContext::assert_same_analysis`]; the unit tests below hold
-//!   the dispersion series and the weekly bot maps to the dataset scans.
+//!   the dispersion series and the shift classification of the grids to
+//!   the dataset scans.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ddos_geo::{
     dispersion_precomp_indexed_counted, dispersion_precomp_indexed_presummed, CenterSum,
-    KernelCounters,
+    KernelCounters, PointTrig,
 };
 use ddos_obs::Obs;
 use ddos_schema::{
@@ -71,11 +70,10 @@ use ddos_schema::{
 use ddos_stats::ArimaSpec;
 
 use crate::columnar::{
-    chunk_ranges, radix_sort_by_ip, worker_count, BotTable, SourceTable, NO_BOT,
+    chunk_ranges, fan_out, radix_sort_by_ip, worker_count, BotTable, SourceTable, NO_BOT,
 };
-use crate::kernels::KernelPolicy;
+use crate::kernels::{cc_slot, KernelPolicy, CC_SLOTS};
 use crate::source::dispersion::FamilyDispersion;
-use crate::util::IpMap;
 
 /// One target's attack history: indices into the context's
 /// [`attacks`](AnalysisContext::attacks), ascending (therefore in start
@@ -99,9 +97,88 @@ pub struct FamilyContext {
     /// [`FamilyDispersion::compute`], but sharing the context's single
     /// geolocation join).
     pub dispersion: FamilyDispersion,
-    /// Per window week: the distinct resolvable bots participating in
-    /// the family's attacks that week, with their countries.
-    pub weekly_bots: Vec<IpMap<CountryCode>>,
+    /// A `num_weeks × CC_SLOTS` grid, row-major by window week: the
+    /// number of distinct resolvable bots from each country (by dense
+    /// country slot) that took part in the family's attacks that week.
+    /// The shift pass classifies it directly.
+    pub bot_grid: Vec<u32>,
+}
+
+impl FamilyContext {
+    /// An empty slot over a window of `num_weeks` weeks.
+    pub(crate) fn empty(family: Family, num_weeks: usize) -> FamilyContext {
+        FamilyContext {
+            family,
+            starts: Vec::new(),
+            dispersion: FamilyDispersion {
+                family,
+                series: Vec::new(),
+                active_days: 0,
+            },
+            bot_grid: vec![0; num_weeks * CC_SLOTS],
+        }
+    }
+
+    /// Empties the slot, keeping its allocations, for a rebuild.
+    pub(crate) fn clear(&mut self) {
+        self.starts.clear();
+        self.dispersion.series.clear();
+        self.dispersion.active_days = 0;
+        self.bot_grid.fill(0);
+    }
+
+    /// Appends one resolution job over `indices`: each attack's start
+    /// and dispersion snapshot in job order, and the job's first
+    /// sightings counted into the grid through `marks`.
+    ///
+    /// `marks` holds, per dictionary id, the tag of the (family, week)
+    /// that last counted it; this family's week `w` is `tag_base + w`.
+    /// A family's jobs arrive in attack order and its starts are
+    /// non-decreasing, so an id's sightings arrive by non-decreasing week
+    /// and one mark per id dedups them exactly, across jobs (any job
+    /// length) and across appends (ragged epochs that split a week).
+    pub(crate) fn absorb(
+        &mut self,
+        window: Window,
+        starts: &[Timestamp],
+        indices: &[u32],
+        chunk: FamilyChunk,
+        marks: &mut [u32],
+        tag_base: u32,
+    ) {
+        for (&ai, snap) in indices.iter().zip(chunk.snaps) {
+            let start = starts[ai as usize];
+            self.starts.push(start);
+            if let Some(value) = snap {
+                push_snap(window, &mut self.dispersion, start, value);
+            }
+        }
+        for (id, cell) in chunk.firsts {
+            let tag = tag_base + cell / CC_SLOTS as u32;
+            let mark = &mut marks[id as usize];
+            if *mark != tag {
+                *mark = tag;
+                self.bot_grid[cell as usize] += 1;
+            }
+        }
+    }
+}
+
+/// Appends one snapshot to a family's series, counting its day when it
+/// is the first snapshot on that day. Attacks arrive in start order, so
+/// a family's snapshots on one day are contiguous.
+fn push_snap(window: Window, dispersion: &mut FamilyDispersion, start: Timestamp, value: f64) {
+    let day = window.day_index(start);
+    if day.is_some()
+        && dispersion
+            .series
+            .last()
+            .and_then(|&(t, _)| window.day_index(t))
+            != day
+    {
+        dispersion.active_days += 1;
+    }
+    dispersion.series.push((start, value));
 }
 
 /// Everything the analysis passes share, built once per covered prefix:
@@ -139,8 +216,8 @@ pub struct AnalysisContext<'a> {
 /// Each job gets a fresh, disjoint tag range (`tag_base + week`), so
 /// the buffer is valid across jobs without re-zeroing — a worker
 /// allocates it once instead of clearing `dict_len` slots per family.
-#[derive(Default)]
-struct WeekStamp {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WeekStamp {
     tags: Vec<u32>,
     next_base: u32,
 }
@@ -167,127 +244,116 @@ impl WeekStamp {
     }
 }
 
-/// One job's share of a family's resolution: everything the merge
-/// needs, accumulated in the job's attack order.
-struct FamilyChunk {
-    starts: Vec<Timestamp>,
-    series: Vec<(Timestamp, f64)>,
-    /// Day indices of snapshots that produced a dispersion value (may
-    /// repeat; deduplicated at merge).
-    days: Vec<usize>,
-    weekly: Vec<IpMap<CountryCode>>,
+/// One job's share of a family's resolution, in the job's attack order.
+pub(crate) struct FamilyChunk {
+    /// Each attack's dispersion snapshot (`None` when the kernel found
+    /// no center).
+    snaps: Vec<Option<f64>>,
+    /// The job's first sighting of each (bot, week), as its dictionary
+    /// id and its grid cell (`week * CC_SLOTS + country slot`); the
+    /// merge dedups them across jobs ([`FamilyContext::absorb`]).
+    firsts: Vec<(u32, u32)>,
 }
 
-/// Resolves one job of a family's attacks through the columnar
-/// substrate in a single sweep: dictionary ids → bot rows, with the
-/// weekly stamp dedup and the dispersion snapshot fed from the same walk
-/// over each attack's id slice. For the common fully-resolved attack
-/// one loop both stamps the weekly dedup and folds the dispersion
-/// center sum (a resolved id *is* its trig row). The center fold pushes
-/// in id order and [`dispersion_precomp_indexed_presummed`] finishes
-/// with the one-call kernel's exact expressions, so every series value
-/// is bit-identical to the scalar dispersion of the dataset scan
-/// ([`FamilyDispersion::compute`]). At paper scale this is the context
-/// build's hottest loop.
-///
-/// The weekly stamp sweep records each week's first sighting of a bot
-/// flat, and the maps then build in one tight pass reserved at exactly
-/// their final size. `ids_of(i)` mirrors `attacks[i].sources`
-/// one-to-one, so a first-of-the-week record reads its IP from the
-/// attack's own list rather than through the dictionary column.
-fn resolve_family_chunk(
-    dataset: &Dataset,
-    bots: &BotTable,
-    sources: &SourceTable,
-    attack_indices: &[u32],
-    num_weeks: usize,
-    stamp: &mut WeekStamp,
-    kernel: &KernelCounters,
-) -> FamilyChunk {
-    let window = dataset.window();
-    let attacks = dataset.attacks();
-    let trigs = bots.trigs();
-    let mut out = FamilyChunk {
-        starts: Vec::with_capacity(attack_indices.len()),
-        series: Vec::with_capacity(attack_indices.len()),
-        days: Vec::new(),
-        weekly: vec![IpMap::default(); num_weeks],
-    };
-    let tag_base = stamp.begin(sources.dict_len(), num_weeks);
-    let tags = &mut stamp.tags[..];
-    let mut per_week = vec![0usize; num_weeks];
-    let mut firsts: Vec<(IpAddr4, CountryCode, u32)> = Vec::new();
-    let mut rows: Vec<u32> = Vec::new();
-    for &ai in attack_indices {
-        let a = &attacks[ai as usize];
-        let ids = sources.ids_of(ai as usize);
-        out.starts.push(a.start);
-        let d = if sources.unresolved_in(ai as usize) == 0 {
-            // Fully resolved: ids are the kernel's row list, so one
-            // loop stamps the weekly dedup and folds the center sum
-            // together, with no `bot_row(id) != NO_BOT` check.
-            let mut sum = CenterSum::default();
-            if let Some(w) = window.week_index(a.start) {
-                let tag = tag_base + w as u32;
-                for (k, &id) in ids.iter().enumerate() {
-                    sum.push(&trigs[id as usize]);
-                    if tags[id as usize] != tag {
-                        tags[id as usize] = tag;
-                        per_week[w] += 1;
-                        firsts.push((a.sources[k], bots.country(id), w as u32));
+/// The id-indexed columns a family resolution job reads. The batch
+/// build's [`BotTable`] rows and the epoch fold's bot columns are both
+/// indexed by dictionary id (a resolved id is its own bot row), so both
+/// builds resolve through this one sweep.
+#[derive(Clone, Copy)]
+pub(crate) struct Resolver<'c> {
+    /// The trace window: weeks and days are always global.
+    pub(crate) window: Window,
+    /// Start of each covered attack.
+    pub(crate) starts: &'c [Timestamp],
+    /// The attack→source join.
+    pub(crate) sources: &'c SourceTable,
+    /// Trigonometry of each id; read only for ids with a bot row.
+    pub(crate) trigs: &'c [PointTrig],
+    /// Country of each id; read only for ids with a bot row.
+    pub(crate) countries: &'c [CountryCode],
+}
+
+impl Resolver<'_> {
+    /// Resolves one job of a family's attacks (ascending indices) in a
+    /// single sweep over each attack's id slice, which both stamps each
+    /// week's first sighting of a bot and feeds the dispersion snapshot.
+    /// For the common fully-resolved attack one loop both stamps and
+    /// folds the dispersion center sum (a resolved id *is* its trig
+    /// row). The center fold pushes in id order and
+    /// [`dispersion_precomp_indexed_presummed`] finishes with the
+    /// one-call kernel's exact expressions, so every snapshot is
+    /// bit-identical to the scalar dispersion of the dataset scan
+    /// ([`FamilyDispersion::compute`]). At paper scale this is the
+    /// context build's hottest loop.
+    pub(crate) fn resolve(
+        &self,
+        attack_indices: &[u32],
+        stamp: &mut WeekStamp,
+        kernel: &KernelCounters,
+    ) -> FamilyChunk {
+        let (sources, trigs, countries) = (self.sources, self.trigs, self.countries);
+        let mut out = FamilyChunk {
+            snaps: Vec::with_capacity(attack_indices.len()),
+            firsts: Vec::new(),
+        };
+        let tag_base = stamp.begin(sources.dict_len(), self.window.num_weeks());
+        let tags = &mut stamp.tags[..];
+        let mut rows: Vec<u32> = Vec::new();
+        for &ai in attack_indices {
+            let ai = ai as usize;
+            let ids = sources.ids_of(ai);
+            let week = self.window.week_index(self.starts[ai]);
+            let d = if sources.unresolved_in(ai) == 0 {
+                // Fully resolved: ids are the kernel's row list, so one
+                // loop stamps the weekly dedup and folds the center sum
+                // together, with no `bot_row(id) != NO_BOT` check.
+                let mut sum = CenterSum::default();
+                if let Some(w) = week {
+                    let tag = tag_base + w as u32;
+                    let row = (w * CC_SLOTS) as u32;
+                    for &id in ids {
+                        sum.push(&trigs[id as usize]);
+                        if tags[id as usize] != tag {
+                            tags[id as usize] = tag;
+                            let cell = row + cc_slot(countries[id as usize]) as u32;
+                            out.firsts.push((id, cell));
+                        }
+                    }
+                } else {
+                    for &id in ids {
+                        sum.push(&trigs[id as usize]);
                     }
                 }
+                dispersion_precomp_indexed_presummed(trigs, ids, sum, kernel)
             } else {
-                for &id in ids {
-                    sum.push(&trigs[id as usize]);
-                }
-            }
-            dispersion_precomp_indexed_presummed(trigs, ids, sum, kernel)
-        } else {
-            // Unresolvable sources present: stamp only the resolvable
-            // ids, and filter the rows the kernel reads.
-            if let Some(w) = window.week_index(a.start) {
-                let tag = tag_base + w as u32;
-                for (k, &id) in ids.iter().enumerate() {
-                    if tags[id as usize] == tag {
-                        continue;
-                    }
-                    tags[id as usize] = tag;
-                    let row = sources.bot_row(id);
-                    if row != NO_BOT {
-                        per_week[w] += 1;
-                        firsts.push((a.sources[k], bots.country(row), w as u32));
+                // Unresolvable sources present: stamp only the resolvable
+                // ids, and filter the rows the kernel reads.
+                if let Some(w) = week {
+                    let tag = tag_base + w as u32;
+                    let row = (w * CC_SLOTS) as u32;
+                    for &id in ids {
+                        if tags[id as usize] == tag {
+                            continue;
+                        }
+                        tags[id as usize] = tag;
+                        if sources.bot_row(id) != NO_BOT {
+                            let cell = row + cc_slot(countries[id as usize]) as u32;
+                            out.firsts.push((id, cell));
+                        }
                     }
                 }
-            }
-            rows.clear();
-            rows.extend(
-                ids.iter()
-                    .copied()
-                    .filter(|&id| sources.bot_row(id) != NO_BOT),
-            );
-            dispersion_precomp_indexed_counted(trigs, &rows, kernel)
-        };
-        let Some(d) = d else {
-            continue;
-        };
-        if let Some(day) = window.day_index(a.start) {
-            // Attacks arrive in start order, so days are nondecreasing:
-            // dedup against the last push (the merge treats `days` as a
-            // set, so only the distinct values matter).
-            if out.days.last() != Some(&day) {
-                out.days.push(day);
-            }
+                rows.clear();
+                rows.extend(
+                    ids.iter()
+                        .copied()
+                        .filter(|&id| sources.bot_row(id) != NO_BOT),
+                );
+                dispersion_precomp_indexed_counted(trigs, &rows, kernel)
+            };
+            out.snaps.push(d.map(|d| d.value()));
         }
-        out.series.push((a.start, d.value()));
+        out
     }
-    for (w, &n) in per_week.iter().enumerate() {
-        out.weekly[w].reserve(n);
-    }
-    for &(ip, country, w) in &firsts {
-        out.weekly[w as usize].insert(ip, country);
-    }
-    out
 }
 
 impl<'a> AnalysisContext<'a> {
@@ -416,96 +482,43 @@ impl<'a> AnalysisContext<'a> {
                 jobs.push((slot, &indices[r]));
             }
         }
+        let workers = if parallel {
+            worker_count().min(jobs.len()).max(1)
+        } else {
+            1
+        };
+        obs.gauge("context/family_jobs").set(jobs.len() as u64);
+        obs.gauge("context/workers").set(workers as u64);
+        let resolver = Resolver {
+            window,
+            starts: &all_starts,
+            sources: &sources,
+            trigs: bot_table.trigs(),
+            countries: bot_table.countries(),
+        };
         // Each worker owns one reusable week-stamp buffer across all the
         // jobs it drains ([`WeekStamp`] hands every job a fresh tag
         // range, so no re-zeroing between jobs).
-        let run_job = |&(slot, indices): &(usize, &[u32]), stamp: &mut WeekStamp| {
+        let mut stamps: Vec<WeekStamp> = (0..workers).map(|_| WeekStamp::default()).collect();
+        let chunks = fan_out(jobs.len(), &mut stamps, |j, stamp| {
             let t0 = obs.now_us();
-            let chunk = resolve_family_chunk(
-                dataset, &bot_table, &sources, indices, num_weeks, stamp, &kernel,
-            );
+            let chunk = resolver.resolve(jobs[j].1, stamp, &kernel);
             chunk_hist.record(obs.now_us().saturating_sub(t0));
-            (slot, chunk)
-        };
-        let workers = worker_count().min(jobs.len());
-        obs.gauge("context/family_jobs").set(jobs.len() as u64);
-        obs.gauge("context/workers")
-            .set(if parallel && workers > 1 {
-                workers as u64
-            } else {
-                1
-            });
-        let mut outs: Vec<(usize, usize, FamilyChunk)> = if parallel && workers > 1 {
-            let next = AtomicUsize::new(0);
-            let mut collected: Vec<(usize, usize, FamilyChunk)> =
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            scope.spawn(|_| {
-                                let mut local = Vec::new();
-                                let mut stamp = WeekStamp::default();
-                                loop {
-                                    let j = next.fetch_add(1, Ordering::Relaxed);
-                                    let Some(job) = jobs.get(j) else {
-                                        break;
-                                    };
-                                    let (slot, chunk) = run_job(job, &mut stamp);
-                                    local.push((j, slot, chunk));
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("family resolution panicked"))
-                        .collect()
-                })
-                .expect("family resolution scope panicked");
-            collected.sort_unstable_by_key(|&(j, _, _)| j);
-            collected
-        } else {
-            let mut stamp = WeekStamp::default();
-            jobs.iter()
-                .enumerate()
-                .map(|(j, job)| {
-                    let (slot, chunk) = run_job(job, &mut stamp);
-                    (j, slot, chunk)
-                })
-                .collect()
-        };
+            chunk
+        });
 
-        // Deterministic merge: jobs are slot-major and sorted by job id,
-        // so each family's jobs concatenate in its trace order.
+        // Deterministic merge in (family, job) order: jobs are slot-major,
+        // so each family's jobs concatenate in its trace order. One mark
+        // per id, tagged per (family, week), dedups the jobs' first
+        // sightings.
         let mut families: Vec<FamilyContext> = Family::ACTIVE
             .into_iter()
-            .map(|family| FamilyContext {
-                family,
-                starts: Vec::new(),
-                dispersion: FamilyDispersion {
-                    family,
-                    series: Vec::new(),
-                    active_days: 0,
-                },
-                weekly_bots: vec![IpMap::default(); num_weeks],
-            })
+            .map(|family| FamilyContext::empty(family, num_weeks))
             .collect();
-        let mut day_sets: Vec<HashSet<usize>> = vec![HashSet::new(); families.len()];
-        for (_, slot, chunk) in outs.drain(..) {
-            let fc = &mut families[slot];
-            fc.starts.extend(chunk.starts);
-            fc.dispersion.series.extend(chunk.series);
-            day_sets[slot].extend(chunk.days);
-            for (w, map) in chunk.weekly.into_iter().enumerate() {
-                if fc.weekly_bots[w].is_empty() {
-                    fc.weekly_bots[w] = map;
-                } else {
-                    fc.weekly_bots[w].extend(map);
-                }
-            }
-        }
-        for (fc, days) in families.iter_mut().zip(day_sets) {
-            fc.dispersion.active_days = days.len();
+        let mut marks = vec![0u32; sources.dict_len()];
+        for (&(slot, indices), chunk) in jobs.iter().zip(chunks) {
+            let tag_base = (slot * num_weeks) as u32 + 1;
+            families[slot].absorb(window, &all_starts, indices, chunk, &mut marks, tag_base);
         }
         drop(family_span);
         obs.counter("geo/dispersion_snapshots")
@@ -636,8 +649,8 @@ impl<'a> AnalysisContext<'a> {
                 );
             }
             assert_eq!(
-                a.weekly_bots, b.weekly_bots,
-                "{:?}: weekly bot maps diverged",
+                a.bot_grid, b.bot_grid,
+                "{:?}: weekly bot grids diverged",
                 a.family
             );
         }
@@ -649,7 +662,7 @@ mod tests {
     use super::*;
     use crate::overview::test_support::{attack, dataset};
     use crate::source::dispersion::qualifying_families;
-    use crate::source::shift::{ShiftAnalysis, ShiftState};
+    use crate::source::shift::ShiftAnalysis;
     use crate::util::BotIndex;
 
     #[test]
@@ -709,7 +722,7 @@ mod tests {
         }
         // And the shared join agrees with the standalone shift analysis.
         assert_eq!(
-            ShiftAnalysis::resume(&ctx, &mut ShiftState::default()),
+            ShiftAnalysis::compute_ctx(&ctx),
             ShiftAnalysis::compute(&ds, &bots)
         );
         assert_eq!(

@@ -3,13 +3,12 @@
 //! [`EpochContext`] accumulates an [`AnalysisContext`] one epoch at a
 //! time: the dictionary-keyed bot columns and source table, per-attack
 //! vectors, per-target timelines (with *global* attack indices),
-//! per-family contexts in final shape (with each attack's dispersion
-//! snapshot kept beside them), and Table III's distinct sets
-//! ([`SummarySets`]). [`EpochContext::new`] starts an empty fold and
-//! [`EpochContext::append`] adds the next epoch's [`DatasetShard`] at a
-//! cost that follows the epoch, not the prefix. Passes read the fold
-//! through a borrowed view ([`EpochContext::to_context`]), which the
-//! [`crate::pipeline::IncrementalPipeline`] hands them after each
+//! per-family contexts in final shape, and Table III's small distinct
+//! sets ([`SummarySets`]). [`EpochContext::new`] starts an empty fold
+//! and [`EpochContext::append`] adds the next epoch's [`DatasetShard`]
+//! at a cost that follows the epoch, not the prefix. Passes read the
+//! fold through a borrowed view ([`EpochContext::to_context`]), which
+//! the [`crate::pipeline::IncrementalPipeline`] hands them after each
 //! append.
 //!
 //! # Appending
@@ -29,16 +28,26 @@
 //!   position (the monolithic last-wins rule), and a source-only IP is
 //!   promoted in place. The survivor's trigonometry comes from the same
 //!   coordinates the monolithic build reads, so its cached bits match.
-//! * An epoch's attacks resolve against the whole table. When a row that
-//!   existed before the append changed attributes or was promoted, one
-//!   scan of the id column finds the earlier attacks that reference it,
-//!   and each re-computes its snapshot, weekly entries and unresolved
-//!   count against the current table — restoring the invariant that the
-//!   aggregates equal a fresh build. A family with a re-resolved attack
-//!   rebuilds its series from its snapshots.
-//! * Table III's sets grow by union. Each bot record lands in the one
-//!   shard of its clamped first-seen epoch, so the union over the epochs
-//!   below a watermark `w` counts exactly the records of
+//! * An epoch's attacks are interned serially, in arrival order, and
+//!   then resolved against the whole table by the batch build's own
+//!   resolver ([`crate::context`]): each family's slice of the epoch is
+//!   cut into jobs that run on the build's worker pool (on the calling
+//!   thread alone for a serial fold), and the jobs merge in (family,
+//!   job) order. Each family keeps one mark per dictionary id, the week
+//!   (+ 1) that last counted it, so its `week × country` bot grid counts
+//!   every bot once per week even when an epoch boundary splits a week.
+//! * When a row that existed before the append changed attributes or
+//!   was promoted, one scan of the id column finds the earlier attacks
+//!   that reference it. Each recounts its unresolved sources, and each
+//!   family with such an attack is cleared and resolves all of its
+//!   covered attacks again — restoring the invariant that the aggregates
+//!   equal a fresh build. This path is rare: it never runs on the
+//!   paper-scale traces.
+//! * Table III's city, country, organization, AS, protocol and botnet
+//!   sets grow as records arrive; its attacker IPs are the fold's bot
+//!   rows and its victim IPs its target timelines. Each bot record lands
+//!   in the one shard of its clamped first-seen epoch, so the fold below
+//!   a watermark `w` counts exactly the records of
 //!   [`Dataset::epoch_prefix`]`(len, w)`: its attacks, and the bot
 //!   records first seen before epoch `w`.
 //!
@@ -50,7 +59,7 @@
 
 use std::collections::hash_map::Entry;
 
-use ddos_geo::{dispersion_precomp_indexed_counted, KernelCounters, PointTrig};
+use ddos_geo::{KernelCounters, PointTrig};
 use ddos_obs::Obs;
 use ddos_schema::{
     AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, Family, IpAddr4, LatLon,
@@ -58,13 +67,9 @@ use ddos_schema::{
 };
 use ddos_stats::ArimaSpec;
 
-use crate::columnar::{SourceTable, NO_BOT};
-use crate::context::{AnalysisContext, FamilyContext, TargetTimeline};
-use crate::source::dispersion::FamilyDispersion;
+use crate::columnar::{chunk_ranges, fan_out, worker_count, SourceTable, NO_BOT};
+use crate::context::{AnalysisContext, FamilyContext, Resolver, TargetTimeline, WeekStamp};
 use crate::util::IpMap;
-
-/// Sentinel slot for attacks of families outside [`Family::ACTIVE`].
-const NO_SLOT: u8 = u8::MAX;
 
 /// The country of a source-only id's placeholder row (never read: the
 /// id's bot row is [`NO_BOT`]).
@@ -79,9 +84,11 @@ pub struct AppendDelta {
     pub appended_attacks: usize,
     /// Bot rows the epoch added: new bot IPs plus promoted sources.
     pub appended_bots: usize,
-    /// Whether the epoch's first-seen bot records grew Table III's
-    /// attacker-side sets. A record that only repeats a known IP with a
-    /// new city appends no bot row but still moves the table.
+    /// Whether the epoch's first-seen bot records moved Table III's
+    /// attacker column: bot rows were appended or promoted (its IP
+    /// count), or a city, country, organization or AS set grew. A record
+    /// that only repeats a known IP with a new city appends no bot row
+    /// but still moves the table.
     pub attackers_grew: bool,
     /// Global indices of earlier attacks re-resolved against the grown
     /// table (a duplicate IP's attributes changed, or a source got
@@ -152,77 +159,41 @@ impl BotColumns {
 pub struct EpochContext {
     /// The *global* trace window (week/day bucketing is always global).
     window: Window,
-    /// Per covered attack: its family slot ([`NO_SLOT`] for inactive
-    /// families) and its position within that slot.
-    membership: Vec<(u8, u32)>,
+    /// One week-stamp buffer per family-resolution worker: one per core
+    /// for a parallel fold, one for a serial fold. Kept across appends,
+    /// so an append stamps into warm buffers instead of zeroing fresh
+    /// ones.
+    stamps: Vec<WeekStamp>,
     /// Duration of each covered attack.
     durations: Vec<f64>,
     /// Start of each covered attack.
     starts: Vec<Timestamp>,
     /// Per-target timelines, sorted by target, carrying global indices.
     timelines: Vec<TargetTimeline>,
-    /// IP → dictionary id, for every IP seen as a bot or a source.
+    /// IP → dictionary id, for every IP seen as a bot or as a source.
     index: IpMap<u32>,
     sources: SourceTable,
     bots: BotColumns,
     /// One per [`Family::ACTIVE`] entry, in final shape.
     families: Vec<FamilyContext>,
-    /// Beside each family: the dispersion snapshot of each of its
-    /// attacks (`None` when the kernel found no center), aligned to its
-    /// `starts`, so a re-resolution replaces one value in place.
-    snaps: Vec<Vec<Option<f64>>>,
-    /// Table III's distinct sets over the covered attacks and the bot
-    /// records first seen in the covered epochs.
+    /// Beside each family: per dictionary id, the week + 1 in which the
+    /// family's grid last counted it (0: never), grown to the dictionary
+    /// as the family's jobs merge.
+    marks: Vec<Vec<u32>>,
+    /// Table III's small distinct sets over the covered attacks and the
+    /// bot records first seen in the covered epochs.
     summary: SummarySets,
 }
 
-/// Dispersion snapshot of one covered attack against the bot columns —
-/// the exact kernel call of the monolithic context build.
-fn snap_of(
-    sources: &SourceTable,
-    trigs: &[PointTrig],
-    attack: usize,
-    scratch: &mut Vec<u32>,
-    kernel: &KernelCounters,
-) -> Option<f64> {
-    let ids = sources.ids_of(attack);
-    let row_list: &[u32] = if sources.unresolved_in(attack) == 0 {
-        ids
-    } else {
-        scratch.clear();
-        scratch.extend(
-            ids.iter()
-                .copied()
-                .filter(|&id| sources.bot_row(id) != NO_BOT),
-        );
-        scratch
-    };
-    dispersion_precomp_indexed_counted(trigs, row_list, kernel).map(|d| d.value())
-}
-
-/// Appends one snapshot to a family's series, counting its day when it
-/// is the first snapshot on that day. Attacks arrive in start order, so
-/// a family's snapshots on one day are contiguous.
-fn push_snap(window: Window, dispersion: &mut FamilyDispersion, start: Timestamp, value: f64) {
-    let day = window.day_index(start);
-    if day.is_some()
-        && dispersion
-            .series
-            .last()
-            .and_then(|&(t, _)| window.day_index(t))
-            != day
-    {
-        dispersion.active_days += 1;
-    }
-    dispersion.series.push((start, value));
-}
-
 impl EpochContext {
-    /// Starts an empty fold over a trace window.
-    pub fn new(window: Window) -> EpochContext {
+    /// Starts an empty fold over a trace window. With `parallel` set,
+    /// each append resolves its families on a pool of scoped workers;
+    /// otherwise on the calling thread. The fold is the same either way.
+    pub fn new(window: Window, parallel: bool) -> EpochContext {
+        let workers = if parallel { worker_count() } else { 1 };
         EpochContext {
             window,
-            membership: Vec::new(),
+            stamps: (0..workers).map(|_| WeekStamp::default()).collect(),
             durations: Vec::new(),
             starts: Vec::new(),
             timelines: Vec::new(),
@@ -231,18 +202,9 @@ impl EpochContext {
             bots: BotColumns::default(),
             families: Family::ACTIVE
                 .into_iter()
-                .map(|family| FamilyContext {
-                    family,
-                    starts: Vec::new(),
-                    dispersion: FamilyDispersion {
-                        family,
-                        series: Vec::new(),
-                        active_days: 0,
-                    },
-                    weekly_bots: vec![IpMap::default(); window.num_weeks()],
-                })
+                .map(|family| FamilyContext::empty(family, window.num_weeks()))
                 .collect(),
-            snaps: vec![Vec::new(); Family::ACTIVE.len()],
+            marks: vec![Vec::new(); Family::ACTIVE.len()],
             summary: SummarySets::default(),
         }
     }
@@ -253,24 +215,24 @@ impl EpochContext {
     ///
     /// If the shard comes from another trace or is not the next epoch.
     pub fn append(&mut self, shard: &DatasetShard<'_>, obs: &Obs) -> AppendDelta {
-        assert_eq!(
-            shard.dataset().window(),
-            self.window,
-            "epoch from another trace"
-        );
+        let dataset = shard.dataset();
+        assert_eq!(dataset.window(), self.window, "epoch from another trace");
         let attack_base = shard.attack_range().start;
         assert_eq!(attack_base, self.len(), "epochs must arrive in order");
         let attacks = shard.attacks();
         let build = obs.span("epoch/build");
-        let window = self.window;
         let known = self.sources.dict_len();
-        let mut epoch_sets = SummarySets::default();
 
-        // The epoch's bot records, by ascending roster position.
+        // The epoch's bot records, by ascending roster position, copied
+        // out of the roster first: they are scattered across it, and one
+        // loop of independent loads gathers them far faster than the
+        // dependent hash work below would fetch them one by one.
+        let epoch_bots: Vec<(u32, BotRecord)> = shard.bots().map(|(p, b)| (p, *b)).collect();
         let mut appended_bots = 0;
+        let mut attackers_grew = false;
         let mut stale: Vec<u32> = Vec::new();
-        for (position, b) in shard.bots() {
-            epoch_sets.insert_bot(b);
+        for &(position, ref b) in &epoch_bots {
+            attackers_grew |= self.summary.insert_bot(b);
             let id = match self.index.entry(b.ip) {
                 Entry::Vacant(slot) => {
                     slot.insert(self.sources.intern(b.ip, true));
@@ -296,12 +258,17 @@ impl EpochContext {
             }
         }
         self.bots.rows += appended_bots;
+        attackers_grew |= appended_bots > 0;
+        let reresolved = if stale.is_empty() {
+            Vec::new()
+        } else {
+            self.find_stale(attack_base, known, &stale)
+        };
 
-        // The epoch's attacks, resolved against the whole table.
-        let kernel = KernelCounters::default();
-        let (mut ids, mut rows) = (Vec::new(), Vec::new());
+        // The epoch's attacks, interned in arrival order.
+        let mut ids = Vec::new();
         for a in attacks {
-            epoch_sets.insert_attack(a);
+            self.summary.insert_attack(a);
             self.durations.push(a.duration().as_f64());
             self.starts.push(a.start);
             ids.clear();
@@ -312,38 +279,14 @@ impl EpochContext {
                 }));
             }
             self.sources.push_attack(ids.iter().copied());
-            if !a.family.is_active() {
-                self.membership.push((NO_SLOT, 0));
-                continue;
-            }
-            let slot = a.family.index();
-            let fc = &mut self.families[slot];
-            self.membership.push((slot as u8, fc.starts.len() as u32));
-            let i = self.starts.len() - 1;
-            let snap = snap_of(&self.sources, &self.bots.trig, i, &mut rows, &kernel);
-            fc.starts.push(a.start);
-            if let Some(v) = snap {
-                push_snap(window, &mut fc.dispersion, a.start, v);
-            }
-            self.snaps[slot].push(snap);
-            if let Some(w) = window.week_index(a.start) {
-                for (&id, &ip) in self.sources.ids_of(i).iter().zip(&a.sources) {
-                    if self.sources.bot_row(id) != NO_BOT {
-                        fc.weekly_bots[w].insert(ip, self.bots.countries[id as usize]);
-                    }
-                }
-            }
         }
-        let attackers_grew = self.summary.union(epoch_sets);
+
+        let kernel = KernelCounters::default();
+        self.resolve_families(dataset, attack_base, &reresolved, &kernel);
         drop(build);
 
         let merge = obs.span("epoch/merge");
         self.splice_timelines(attack_base, attacks);
-        let reresolved = if stale.is_empty() {
-            Vec::new()
-        } else {
-            self.reresolve(attack_base, known, &stale, &kernel)
-        };
         drop(merge);
         obs.counter("geo/dispersion_snapshots")
             .add(kernel.snapshots());
@@ -356,6 +299,78 @@ impl EpochContext {
             appended_bots,
             attackers_grew,
             reresolved,
+        }
+    }
+
+    /// Finds every attack before `attack_base` that references one of the
+    /// `stale` ids (all below `known`, the dictionary size before the
+    /// append) and recounts its unresolved sources against the current
+    /// table. Returns their indices.
+    fn find_stale(&mut self, attack_base: usize, known: usize, stale: &[u32]) -> Vec<u32> {
+        let mut marked = vec![false; known];
+        for &id in stale {
+            marked[id as usize] = true;
+        }
+        let affected: Vec<u32> = (0..attack_base)
+            .filter(|&i| self.sources.ids_of(i).iter().any(|&id| marked[id as usize]))
+            .map(|i| i as u32)
+            .collect();
+        for &i in &affected {
+            self.sources.recount_unresolved(i as usize);
+        }
+        affected
+    }
+
+    /// Resolves the covered attacks past `attack_base` family by family
+    /// and merges them into the family slots. A family with a
+    /// `reresolved` attack is cleared first and resolves all of its
+    /// covered attacks instead.
+    fn resolve_families(
+        &mut self,
+        dataset: &Dataset,
+        attack_base: usize,
+        reresolved: &[u32],
+        kernel: &KernelCounters,
+    ) {
+        let attack_end = self.len();
+        let mut dirty = [false; Family::ACTIVE.len()];
+        for &i in reresolved {
+            let family = dataset.attacks()[i as usize].family;
+            if family.is_active() {
+                dirty[family.index()] = true;
+            }
+        }
+        let pieces = self.stamps.len();
+        let mut jobs: Vec<(usize, &[u32])> = Vec::new();
+        for (slot, family) in Family::ACTIVE.into_iter().enumerate() {
+            let all = dataset.attack_indices_of(family);
+            let all = &all[..all.partition_point(|&i| (i as usize) < attack_end)];
+            let todo = if dirty[slot] {
+                self.families[slot].clear();
+                self.marks[slot].fill(0);
+                all
+            } else {
+                &all[all.partition_point(|&i| (i as usize) < attack_base)..]
+            };
+            for r in chunk_ranges(todo.len(), pieces) {
+                jobs.push((slot, &todo[r]));
+            }
+        }
+        let resolver = Resolver {
+            window: self.window,
+            starts: &self.starts,
+            sources: &self.sources,
+            trigs: &self.bots.trig,
+            countries: &self.bots.countries,
+        };
+        let chunks = fan_out(jobs.len(), &mut self.stamps, |j, stamp| {
+            resolver.resolve(jobs[j].1, stamp, kernel)
+        });
+        let dict_len = self.sources.dict_len();
+        for (&(slot, indices), chunk) in jobs.iter().zip(chunks) {
+            let marks = &mut self.marks[slot];
+            marks.resize(dict_len, 0);
+            self.families[slot].absorb(self.window, &self.starts, indices, chunk, marks, 1);
         }
     }
 
@@ -398,59 +413,6 @@ impl EpochContext {
         self.timelines.extend(fresh);
     }
 
-    /// Re-resolves every attack before `attack_base` that references one
-    /// of the `stale` ids (all below `known`, the dictionary size before
-    /// the append) against the current table. Returns their indices.
-    fn reresolve(
-        &mut self,
-        attack_base: usize,
-        known: usize,
-        stale: &[u32],
-        kernel: &KernelCounters,
-    ) -> Vec<u32> {
-        let mut marked = vec![false; known];
-        for &id in stale {
-            marked[id as usize] = true;
-        }
-        let affected: Vec<u32> = (0..attack_base)
-            .filter(|&i| self.sources.ids_of(i).iter().any(|&id| marked[id as usize]))
-            .map(|i| i as u32)
-            .collect();
-        let mut dirty = [false; Family::ACTIVE.len()];
-        let mut rows = Vec::new();
-        for &i in &affected {
-            let i = i as usize;
-            self.sources.recount_unresolved(i);
-            let (slot, pos) = self.membership[i];
-            if slot == NO_SLOT {
-                continue;
-            }
-            let slot = slot as usize;
-            dirty[slot] = true;
-            self.snaps[slot][pos as usize] =
-                snap_of(&self.sources, &self.bots.trig, i, &mut rows, kernel);
-            if let Some(w) = self.window.week_index(self.starts[i]) {
-                for &id in self.sources.ids_of(i) {
-                    if self.sources.bot_row(id) != NO_BOT {
-                        self.families[slot].weekly_bots[w]
-                            .insert(self.sources.ip_of(id), self.bots.countries[id as usize]);
-                    }
-                }
-            }
-        }
-        for slot in (0..dirty.len()).filter(|&s| dirty[s]) {
-            let fc = &mut self.families[slot];
-            fc.dispersion.series.clear();
-            fc.dispersion.active_days = 0;
-            for (&t, snap) in fc.starts.iter().zip(&self.snaps[slot]) {
-                if let Some(v) = *snap {
-                    push_snap(self.window, &mut fc.dispersion, t, v);
-                }
-            }
-        }
-        affected
-    }
-
     /// Number of covered attacks.
     #[inline]
     pub fn len(&self) -> usize {
@@ -463,17 +425,12 @@ impl EpochContext {
         self.starts.is_empty()
     }
 
-    /// Bot rows resident in the fold's table.
-    #[inline]
-    pub fn bot_rows(&self) -> usize {
-        self.bots.rows
-    }
-
     /// Lends the fold to the passes as an analysis context, mid-stream
     /// or complete. The context covers exactly the appended epochs: its
     /// attack slice is borrowed from `dataset` and ends with the last
     /// appended epoch, every column is borrowed from the fold, and Table
-    /// III comes from the fold's sets. Passes over it therefore answer
+    /// III comes from the fold's sets, bot rows and timelines. Passes
+    /// over it therefore answer
     /// exactly like a fresh build over [`Dataset::epoch_prefix`] of the
     /// same epochs, with nothing copied.
     ///
@@ -485,7 +442,8 @@ impl EpochContext {
         AnalysisContext::from_parts(
             dataset,
             self.len(),
-            self.summary.summary(self.len()),
+            self.summary
+                .summary(self.len(), self.bots.rows, self.timelines.len()),
             spec,
             &self.sources,
             &self.durations,
@@ -506,6 +464,61 @@ mod tests {
 
     fn ip(last: u8) -> IpAddr4 {
         IpAddr4::from_octets(203, 0, 113, last)
+    }
+
+    #[test]
+    fn folded_table_iii_matches_the_prefix_scan_at_every_watermark() {
+        let day = 86_400;
+        let mut b = DatasetBuilder::new(window());
+        // (ip, city, first-seen day), in roster order: bot 9 is first a
+        // source only, bot 1's third record repeats its IP with a new
+        // city, and its last repeats its first record.
+        for (last, city, first) in [(1, 1, 0), (2, 2, 0), (9, 4, 4), (1, 3, 6), (1, 1, 8)] {
+            b.push_bot(BotRecord {
+                ip: ip(last),
+                botnet: BotnetId(1),
+                family: Family::Pandora,
+                location: location("RU", city),
+                first_seen: Timestamp(first * day),
+                last_seen: Timestamp(first * day),
+            })
+            .unwrap();
+        }
+        for (id, (start, target, sources)) in [
+            (0, 1, vec![1, 9]),
+            (1, 2, vec![2]),
+            (3, 1, vec![1]),
+            (5, 3, vec![2, 9]),
+            (8, 2, vec![1]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut a = attack(Family::Pandora, id as u64 + 1, start * day, 60, target);
+            a.sources = sources.into_iter().map(ip).collect();
+            b.push_attack(a).unwrap();
+        }
+        let ds = b.build().unwrap();
+        let len = Seconds::days(2);
+        let obs = Obs::disabled();
+        let mut fold = EpochContext::new(ds.window(), false);
+        let mut grew = Vec::new();
+        for (k, shard) in ds.shards(len).iter().enumerate() {
+            grew.push(fold.append(shard, &obs).attackers_grew);
+            let prefix = ds.epoch_prefix(len, k + 1);
+            assert_eq!(
+                fold.to_context(&ds, ArimaSpec::DEFAULT).summary(),
+                prefix.summary(),
+                "watermark {}",
+                k + 1
+            );
+        }
+        // New rows, nothing, a promoted source, a known IP's new city,
+        // and a record that repeats a known one.
+        assert_eq!(grew, [true, false, true, true, false]);
+        let table = fold.to_context(&ds, ArimaSpec::DEFAULT).summary();
+        assert_eq!((table.attackers.ips, table.attackers.cities), (3, 4));
+        assert_eq!(table.victims.ips, 3);
     }
 
     proptest! {
@@ -549,7 +562,7 @@ mod tests {
             let ds = b.build().unwrap();
             let index = BotIndex::build(&ds);
             let obs = Obs::disabled();
-            let mut fold = EpochContext::new(ds.window());
+            let mut fold = EpochContext::new(ds.window(), true);
             for shard in ds.shards(Seconds::days(epoch_days)) {
                 fold.append(&shard, &obs);
             }
@@ -576,7 +589,7 @@ mod tests {
                 }
                 prop_assert_eq!(fold.sources.unresolved_in(i), misses);
             }
-            prop_assert_eq!(fold.bot_rows(), index.len());
+            prop_assert_eq!(fold.bots.rows, index.len());
         }
     }
 }

@@ -28,7 +28,7 @@
 //! built once in [`context`]) and never mutate it. The pass-based
 //! pipeline exploits this: [`passes`] registers every report section as
 //! a named pass over the [`context::AnalysisContext`] and schedules the
-//! independent ones on scoped threads, with a guarantee that the
+//! independent ones on a pool of scoped workers, with a guarantee that the
 //! parallel report serializes byte-identically to the serial one.
 
 #![forbid(unsafe_code)]

@@ -4,7 +4,7 @@
 //! pure function from the shared [`AnalysisContext`] (plus any
 //! already-finished passes it depends on) to one [`PassOutput`]. The
 //! [`execute`] driver schedules the registry in dependency stages and —
-//! when asked — runs the passes of a stage on scoped threads. Because
+//! when asked — runs the passes of a stage on a pool of workers. Because
 //! passes are pure functions of the context and their declared
 //! dependencies, the parallel schedule produces a report byte-identical
 //! to the serial one; only the recorded telemetry differs.
@@ -19,8 +19,8 @@
 //! borrowed attack slice. The baseline report is the one independent
 //! oracle every body that differs from its scan is tested against.
 //!
-//! Five passes are *resumable* (`interval_stats`, `all_interval_stats`,
-//! `durations`, `shifts`, `blacklist`): their body extends a state
+//! Four passes are *resumable* (`interval_stats`, `all_interval_stats`,
+//! `durations`, `blacklist`): their body extends a state
 //! carried in a [`Carry`] slot over the attacks past the ones it
 //! covers. [`try_execute`] lends every pass a fresh carry, so a batch
 //! run is the same body from an empty state; the
@@ -40,9 +40,10 @@
 //!
 //! Observability: [`execute`] records one `passes/<name>` span per pass
 //! and one `scheduler/stage<i>` span per dependency stage into the
-//! [`Obs`] it is handed, plus a `scheduler/wait_us` histogram of
-//! spawn-to-start latency on threaded stages — the run's scheduler
-//! behavior, captured without touching report bytes.
+//! [`Obs`] it is handed, plus a `scheduler/wait_us` histogram of how
+//! long each pass of a pooled stage waited in the queue, and a
+//! `scheduler/workers` gauge of the largest pool a stage ran on — the
+//! run's scheduler behavior, captured without touching report bytes.
 //!
 //! # Adding a pass
 //!
@@ -62,16 +63,19 @@
 //! context). Register it with `resumable!`, whose `run` is the body over
 //! an empty carry. Its output must not depend on the carry it is lent:
 //! a unit test folds a fixture epoch by epoch and holds the resumed
-//! output to a fresh run at every watermark. An append that re-resolves
-//! earlier attacks resets every carry.
+//! output to a fresh run at every watermark. A state must not read
+//! resolved sources (bot rows, countries, coordinates): an append that
+//! re-resolves earlier attacks keeps every carry.
 
 use std::collections::HashSet;
+use std::sync::Mutex;
 
-use ddos_obs::Obs;
+use ddos_obs::{names, Obs};
 use ddos_schema::{CountryCode, Family};
 
 use crate::collab::concurrent::{CollabAnalysis, PairFocus};
 use crate::collab::multistage::MultistageAnalysis;
+use crate::columnar::{fan_out, worker_count};
 use crate::context::AnalysisContext;
 use crate::defense::{latency_sweep_from_durations, BlacklistSim, BlacklistState, LatencyPoint};
 use crate::fault::{self, PipelineError};
@@ -83,7 +87,7 @@ use crate::overview::protocols::{protocol_preferences_of, ProtocolFamilyRow, Pro
 use crate::overview::SortedSample;
 use crate::source::dispersion::{qualifying_families_ctx, FamilyDispersion};
 use crate::source::prediction::PredictionAnalysis;
-use crate::source::shift::{ShiftAnalysis, ShiftState};
+use crate::source::shift::ShiftAnalysis;
 use crate::summary::SummaryComparison;
 use crate::target::country::{all_profiles_ctx, overall_top_countries_ctx, FamilyCountryProfile};
 use crate::target::recurrence::RecurrenceAnalysis;
@@ -192,7 +196,6 @@ pub enum Carry {
     IntervalStats(Vec<SortedSample>),
     AllIntervalStats(SortedSample),
     Durations(SortedSample),
-    Shifts(ShiftState),
     Blacklist(BlacklistState),
 }
 
@@ -288,13 +291,8 @@ fn pass_durations(
     PassOutput::Durations(DurationAnalysis::resume(ctx, state_in!(carry, Durations)))
 }
 
-fn pass_shifts(
-    ctx: &AnalysisContext,
-    _: &PartialReport,
-    carry: &mut Carry,
-    _obs: &Obs,
-) -> PassOutput {
-    PassOutput::Shifts(ShiftAnalysis::resume(ctx, state_in!(carry, Shifts)))
+fn pass_shifts(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
+    PassOutput::Shifts(ShiftAnalysis::compute_ctx(ctx))
 }
 
 fn pass_dispersion(ctx: &AnalysisContext, _: &PartialReport, _obs: &Obs) -> PassOutput {
@@ -405,7 +403,12 @@ pub const REGISTRY: &[PassSpec] = &[
         resume: None,
     },
     resumable!("durations", pass_durations),
-    resumable!("shifts", pass_shifts),
+    PassSpec {
+        name: "shifts",
+        deps: &[],
+        run: pass_shifts,
+        resume: None,
+    },
     PassSpec {
         name: "dispersion",
         deps: &[],
@@ -496,11 +499,13 @@ fn run_pass(
 ///
 /// Passes are grouped into stages: a stage holds every not-yet-run pass
 /// whose dependencies have all finished. With `parallel` set, the passes
-/// of a stage run on scoped threads ([`crossbeam::thread::scope`]);
-/// results are joined in registry order, so the assembled report — and
-/// even the order of the recorded pass spans — does not depend on thread
-/// interleaving. Serial execution is the fallback and runs the exact
-/// same functions in the exact same order.
+/// of a stage run on a pool of `min(worker_count, stage length)` workers,
+/// the calling thread among them, which claim passes in registry order
+/// from a shared index; results are joined in registry order, so the
+/// assembled report — and even the order of the recorded pass spans —
+/// does not depend on thread interleaving. Serial execution is the
+/// one-worker pool: the exact same functions in the exact same order,
+/// on the calling thread.
 pub fn execute(ctx: &AnalysisContext, parallel: bool, obs: &Obs) -> PartialReport {
     fault::infallible(try_execute(ctx, parallel, obs))
 }
@@ -511,7 +516,7 @@ pub fn execute(ctx: &AnalysisContext, parallel: bool, obs: &Obs) -> PartialRepor
 /// the stage starts and the partially filled report is discarded;
 /// re-running without the fault plan reproduces the golden report (the
 /// scheduler holds no state across calls: each pass is lent a fresh
-/// [`Carry`]). Because no worker thread consults the seam, the failing
+/// [`Carry`]). Because no pool worker consults the seam, the failing
 /// pass and its hit index never depend on thread interleaving.
 pub fn try_execute(
     ctx: &AnalysisContext,
@@ -524,12 +529,12 @@ pub fn try_execute(
 
 /// [`try_execute`] lending each pass its own slot of `carries` (one per
 /// [`REGISTRY`] entry, in registry order), so resumable passes extend
-/// the state a previous run over a shorter prefix left. The slots of a
-/// stage are disjoint `&mut` borrows, one per scoped thread. A
-/// `scheduler/pass` fault after an earlier stage leaves that stage's
-/// states advanced over the whole context, which is consistent: the
-/// next run over the same context finds nothing new and emits the same
-/// sections.
+/// the state a previous run over a shorter prefix left. Each queued
+/// pass holds its slot as a disjoint `&mut`, which the worker that
+/// claims the pass takes. A `scheduler/pass` fault after an earlier
+/// stage leaves that stage's states advanced over the whole context,
+/// which is consistent: the next run over the same context finds
+/// nothing new and emits the same sections.
 pub(crate) fn try_execute_carried(
     ctx: &AnalysisContext,
     parallel: bool,
@@ -537,53 +542,51 @@ pub(crate) fn try_execute_carried(
     obs: &Obs,
 ) -> Result<PartialReport, PipelineError> {
     assert_eq!(carries.len(), REGISTRY.len(), "one carry per pass");
-    let wait_hist = obs.histogram("scheduler/wait_us");
+    let wait_hist = obs.histogram(names::SCHEDULER_WAIT_US);
     let stage_counter = obs.counter("scheduler/stages");
     let mut partial = PartialReport::default();
     let mut done: HashSet<&'static str> = HashSet::new();
     let mut stage_idx = 0usize;
+    let mut most_workers = 1;
     while done.len() < REGISTRY.len() {
-        let stage: Vec<(&'static PassSpec, &mut Carry)> = REGISTRY
+        // The stage's queue, in registry order; a worker takes a pass
+        // (and its carry) out of its slot when it claims the index.
+        type Queued<'c> = Mutex<Option<(&'static PassSpec, &'c mut Carry)>>;
+        let queue: Vec<Queued<'_>> = REGISTRY
             .iter()
             .zip(carries.iter_mut())
             .filter(|(p, _)| !done.contains(p.name) && p.deps.iter().all(|d| done.contains(d)))
+            .map(|item| Mutex::new(Some(item)))
             .collect();
         assert!(
-            !stage.is_empty(),
+            !queue.is_empty(),
             "pass registry has a dependency cycle or an unknown dep name"
         );
         // One consult per pass, here on the scheduling thread, before
-        // anything spawns (see the doc comment above).
-        for _ in &stage {
+        // any pass of the stage runs (see the doc comment above).
+        for _ in &queue {
             fault::check(fault::SCHEDULER_PASS, obs)?;
         }
         let stage_start = obs.now_us();
-        let threaded = parallel && stage.len() > 1;
-        let results: Vec<PassRun> = if threaded {
-            let partial_ref = &partial;
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = stage
-                    .into_iter()
-                    .map(|(p, carry)| {
-                        scope.spawn(move |_| run_pass(p, ctx, partial_ref, carry, obs))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("analysis pass panicked"))
-                    .collect()
-            })
-            .expect("analysis pass scope panicked")
+        let workers = if parallel {
+            worker_count().min(queue.len())
         } else {
-            stage
-                .into_iter()
-                .map(|(p, carry)| run_pass(p, ctx, &partial, carry, obs))
-                .collect()
+            1
         };
+        most_workers = most_workers.max(workers);
+        let partial_ref = &partial;
+        let results: Vec<PassRun> = fan_out(queue.len(), &mut vec![(); workers], |i, _| {
+            let (pass, carry) = queue[i]
+                .lock()
+                .expect("queue slot poisoned")
+                .take()
+                .expect("each queued pass is claimed once");
+            run_pass(pass, ctx, partial_ref, carry, obs)
+        });
         for (name, out, start_us, end_us) in results {
-            if threaded {
-                // Spawn-to-start latency: how long the pass sat between
-                // the stage opening and its thread actually running it.
+            if workers > 1 {
+                // Queue wait: how long the pass sat between the stage
+                // opening and a worker claiming it.
                 wait_hist.record(start_us.saturating_sub(stage_start));
             }
             obs.record_span(format!("passes/{name}"), start_us, end_us);
@@ -598,6 +601,7 @@ pub(crate) fn try_execute_carried(
         stage_counter.inc();
         stage_idx += 1;
     }
+    obs.gauge(names::SCHEDULER_WORKERS).set(most_workers as u64);
     Ok(partial)
 }
 
@@ -647,6 +651,46 @@ mod tests {
                 Some(t.spans_under("scheduler").count() as u64)
             );
         }
+    }
+
+    #[test]
+    fn a_pooled_stage_runs_each_pass_once_with_its_own_carry() {
+        let ds = crate::overview::test_support::carry_fixture();
+        let ctx = AnalysisContext::new(&ds);
+        let obs = Obs::enabled();
+        let mut carries: Vec<Carry> = REGISTRY.iter().map(|_| Carry::default()).collect();
+        let pooled = try_execute_carried(&ctx, true, &mut carries, &obs).unwrap();
+        // The first stage queues every pass but one on at most
+        // `worker_count()` workers.
+        let t = obs.finish(true);
+        let workers = t.metrics.gauge(names::SCHEDULER_WORKERS).unwrap();
+        assert!(workers >= 1 && workers as usize <= worker_count());
+        assert!((workers as usize) < REGISTRY.len() - 1, "{workers} workers");
+        // Every pass ran exactly once.
+        for p in REGISTRY {
+            let path = format!("passes/{}", p.name);
+            assert_eq!(
+                t.spans.iter().filter(|s| s.path == path).count(),
+                1,
+                "{path}"
+            );
+        }
+        // Each resumable pass was lent its own slot; the rest stay empty.
+        for (p, carry) in REGISTRY.iter().zip(&carries) {
+            let own = match carry {
+                Carry::Empty => None,
+                Carry::IntervalStats(_) => Some("interval_stats"),
+                Carry::AllIntervalStats(_) => Some("all_interval_stats"),
+                Carry::Durations(_) => Some("durations"),
+                Carry::Blacklist(_) => Some("blacklist"),
+            };
+            assert_eq!(own, p.resume.map(|_| p.name), "{}", p.name);
+        }
+        // The outputs join in registry order: the same report as the
+        // serial schedule.
+        let serial = execute(&ctx, false, &Obs::disabled());
+        let json = |r: PartialReport| serde_json::to_string(&crate::pipeline::assemble(r)).unwrap();
+        assert_eq!(json(pooled), json(serial));
     }
 
     #[test]

@@ -62,7 +62,8 @@ use crate::util::BotIndex;
 pub struct PipelineOptions {
     /// ARIMA order for the prediction pass.
     pub spec: ArimaSpec,
-    /// Run the context build and independent passes on scoped threads.
+    /// Run the context build, the epoch fold's family resolution and
+    /// independent passes on a pool of scoped workers (one per core).
     /// The serialized report is byte-identical either way; only
     /// wall-clock differs.
     pub parallel: bool,
@@ -102,8 +103,8 @@ impl PipelineOptions {
         self
     }
 
-    /// Sets whether the context build and pass scheduler fan out on
-    /// scoped threads.
+    /// Sets whether the context build, the epoch fold and the pass
+    /// scheduler fan out on a worker pool.
     pub fn parallel(mut self, parallel: bool) -> PipelineOptions {
         self.parallel = parallel;
         self
@@ -302,19 +303,22 @@ impl ObsSlot<'_> {
 /// scheduler a batch run uses; an epoch that changed nothing keeps the
 /// previous report and re-runs nothing.
 ///
-/// The pipeline keeps one [`passes::Carry`] per pass, so the five
-/// resumable passes (blacklist, shifts, durations and both interval
-/// statistics) extend their states over the appended epoch's attacks
-/// instead of replaying the prefix. An append that re-resolved earlier
-/// attacks resets every carry. A `scheduler/pass` fault after the first
+/// The pipeline keeps one [`passes::Carry`] per pass, so the four
+/// resumable passes (blacklist, durations and both interval statistics)
+/// extend their states over the appended epoch's attacks instead of
+/// replaying the prefix. None of those states reads resolved sources,
+/// so an append that re-resolves earlier attacks leaves them valid; the
+/// shift pass, which does, carries nothing, because the fold keeps and
+/// recounts its weekly bot grids. A `scheduler/pass` fault after the first
 /// stage leaves that stage's carries covering the fold, which is
 /// consistent: the next run finds nothing new for them and emits the
 /// same sections.
 ///
 /// Every watermark is an exact prefix report. The folded context
 /// borrows the fold's columns and the appended epochs' slice of the
-/// attack list, and carries Table III as distinct sets grown per epoch
-/// ([`EpochContext::to_context`]), so after each clean append the
+/// attack list, and counts Table III from its own tables and the
+/// distinct sets it grows per epoch ([`EpochContext::to_context`]), so
+/// after each clean append the
 /// report is byte-identical to a fresh monolithic run over
 /// [`Dataset::epoch_prefix`] of the same epochs
 /// ([`IncrementalPipeline::snapshot_report`]), and no append copies the
@@ -337,8 +341,7 @@ pub struct IncrementalPipeline<'a> {
     /// again.
     report: Option<Arc<AnalysisReport>>,
     /// One [`passes::Carry`] per registry entry: the state each
-    /// resumable pass extends on the next pass run. Reset by an append
-    /// that re-resolved earlier attacks.
+    /// resumable pass extends on the next pass run.
     carries: Vec<passes::Carry>,
 }
 
@@ -381,7 +384,7 @@ impl<'a> IncrementalPipeline<'a> {
             obs,
             shards: ds.shards(epoch_len),
             next: 0,
-            acc: EpochContext::new(ds.window()),
+            acc: EpochContext::new(ds.window(), opts.parallel),
             report: None,
             carries: passes::REGISTRY
                 .iter()
@@ -468,11 +471,6 @@ impl<'a> IncrementalPipeline<'a> {
         if !delta.is_empty() {
             self.report = None;
         }
-        if !delta.reresolved.is_empty() {
-            // Earlier attacks resolve differently now (only the shift
-            // grids read resolved data, but one rule covers every carry).
-            self.carries.fill_with(passes::Carry::default);
-        }
         let reran: Vec<&'static str> = match self.report {
             Some(_) => Vec::new(),
             None => passes::REGISTRY.iter().map(|p| p.name).collect(),
@@ -528,7 +526,7 @@ impl<'a> IncrementalPipeline<'a> {
 
 /// Assembles the report from a completed pass run. Panics if a slot was
 /// never filled — the registry test guards against that.
-fn assemble(partial: PartialReport) -> AnalysisReport {
+pub(crate) fn assemble(partial: PartialReport) -> AnalysisReport {
     macro_rules! take {
         ($field:ident) => {
             partial

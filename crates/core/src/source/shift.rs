@@ -12,7 +12,8 @@ use std::collections::{HashMap, HashSet};
 use ddos_schema::{CountryCode, Dataset, Family, IpAddr4};
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::{cc_slot, CC_SLOTS};
+use crate::context::AnalysisContext;
+use crate::kernels::CC_SLOTS;
 use crate::util::BotIndex;
 
 /// One week's aggregated shift counts (Fig. 8's stacked bars).
@@ -33,15 +34,6 @@ pub struct WeekShift {
 pub struct ShiftAnalysis {
     /// Per-week aggregate over all active families.
     pub weeks: Vec<WeekShift>,
-}
-
-/// The state the shift pass carries across appends
-/// ([`ShiftAnalysis::resume`]): one `week × country` count grid per
-/// active family, over the first `covered` attacks.
-#[derive(Debug, Clone, Default)]
-pub struct ShiftState {
-    covered: usize,
-    grids: Vec<Vec<u32>>,
 }
 
 impl ShiftAnalysis {
@@ -70,47 +62,16 @@ impl ShiftAnalysis {
     }
 
     /// The shift pass: [`ShiftAnalysis::compute`] over the context's
-    /// weekly bot maps (built from its single geolocation join), through
-    /// the count grids `state` carries across appends.
-    ///
-    /// A family's grid holds, per week and country, the number of
-    /// distinct bots its attacks drew from that country that week. A
-    /// week's map moves only when an attack starting in it is appended
-    /// (or an earlier attack re-resolves, which resets every carry), so
-    /// the pass recounts from the maps only the weeks in which the new
-    /// attacks start, then classifies each grid: a country's bots count
-    /// as "new" exactly in its first active week, the set rule of
-    /// [`ShiftAnalysis::compute`] restated. From an empty state it
-    /// counts every week.
-    pub fn resume(ctx: &crate::context::AnalysisContext, state: &mut ShiftState) -> ShiftAnalysis {
-        let window = ctx.window();
-        let num_weeks = window.num_weeks();
-        let families = ctx.families();
-        if state.covered > ctx.attacks.len() || state.grids.len() != families.len() {
-            *state = ShiftState {
-                covered: 0,
-                grids: vec![vec![0; num_weeks * CC_SLOTS]; families.len()],
-            };
+    /// per-family `week × country` grids of distinct bots
+    /// ([`crate::context::FamilyContext::bot_grid`]), which both context
+    /// builds count from their single geolocation join. A country's bots
+    /// count as "new" exactly in its first active week, the set rule of
+    /// [`ShiftAnalysis::compute`] restated.
+    pub fn compute_ctx(ctx: &AnalysisContext) -> ShiftAnalysis {
+        let mut weeks = Self::empty_weeks(ctx.window().num_weeks());
+        for fc in ctx.families() {
+            Self::classify_grid(&mut weeks, &fc.bot_grid);
         }
-        let mut touched = vec![false; families.len() * num_weeks];
-        for a in &ctx.attacks[state.covered..] {
-            let Some(w) = window.week_index(a.start) else {
-                continue;
-            };
-            if a.family.is_active() {
-                touched[a.family.index() * num_weeks + w] = true;
-            }
-        }
-        let mut weeks = Self::empty_weeks(num_weeks);
-        for (slot, (fc, grid)) in families.iter().zip(&mut state.grids).enumerate() {
-            for (w, bots) in fc.weekly_bots.iter().enumerate() {
-                if touched[slot * num_weeks + w] {
-                    Self::count_week(&mut grid[w * CC_SLOTS..(w + 1) * CC_SLOTS], bots);
-                }
-            }
-            Self::classify_grid(&mut weeks, grid);
-        }
-        state.covered = ctx.attacks.len();
         ShiftAnalysis { weeks }
     }
 
@@ -129,10 +90,7 @@ impl ShiftAnalysis {
     /// depend only on the *set* of countries seen so far, so map
     /// iteration order (and therefore the caller's choice of hasher)
     /// cannot affect the result.
-    fn classify_family<S: std::hash::BuildHasher>(
-        weeks: &mut [WeekShift],
-        weekly: &[HashMap<IpAddr4, CountryCode, S>],
-    ) {
+    fn classify_family(weeks: &mut [WeekShift], weekly: &[HashMap<IpAddr4, CountryCode>]) {
         let mut seen: HashSet<CountryCode> = HashSet::new();
         for (w, bots_this_week) in weekly.iter().enumerate() {
             let fresh: HashSet<CountryCode> = bots_this_week
@@ -148,18 +106,6 @@ impl ShiftAnalysis {
                 }
             }
             seen.extend(bots_this_week.values().copied());
-        }
-    }
-
-    /// Recounts one week's row of a family's count grid from the week's
-    /// bot map.
-    fn count_week<S: std::hash::BuildHasher>(
-        row: &mut [u32],
-        bots_this_week: &HashMap<IpAddr4, CountryCode, S>,
-    ) {
-        row.fill(0);
-        for &cc in bots_this_week.values() {
-            row[cc_slot(cc)] += 1;
         }
     }
 
@@ -285,10 +231,56 @@ mod tests {
 
     #[test]
     fn dense_kernel_matches_set_classifier_for_every_chunking() {
-        // Weeks with repeats, gaps, and same-week multi-country mixes.
+        // Weeks with repeats, gaps, and same-week multi-country mixes,
+        // spread over several attacks a week so one-attack jobs must
+        // dedup a bot across jobs, and a second family sighting the same
+        // bots in the same weeks.
         let cc = |s: &str| -> CountryCode { s.parse().unwrap() };
         let ip = |n: u8| IpAddr4::from_octets(10, 0, 0, n);
-        let weekly: Vec<HashMap<IpAddr4, CountryCode>> = vec![
+        let countries = [
+            (1, "RU"),
+            (2, "RU"),
+            (3, "UA"),
+            (4, "DE"),
+            (5, "DE"),
+            (6, "BR"),
+        ];
+        let week = 7 * 86_400;
+        let window = ddos_schema::Window::new(Timestamp(0), Timestamp(5 * week)).unwrap();
+        let mut b = DatasetBuilder::new(window);
+        for (n, country) in countries {
+            b.push_bot(BotRecord {
+                ip: ip(n),
+                botnet: BotnetId(1),
+                family: Family::Dirtjumper,
+                location: Location {
+                    country: cc(country),
+                    city: CityId(u32::from(n)),
+                    org: OrgId(1),
+                    asn: Asn(64_001),
+                    coords: LatLon::new_unchecked(50.0, f64::from(n)),
+                },
+                first_seen: Timestamp(0),
+                last_seen: Timestamp(5 * week),
+            })
+            .unwrap();
+        }
+        let attacks = [
+            (Family::Dirtjumper, 100, vec![1, 2]),
+            (Family::Pandora, 200, vec![1]),
+            (Family::Dirtjumper, 300, vec![2, 3]),
+            (Family::Dirtjumper, 2 * week, vec![1, 4]),
+            (Family::Pandora, 2 * week + 10, vec![6, 1]),
+            (Family::Dirtjumper, 2 * week + 20, vec![5, 4]),
+            (Family::Dirtjumper, 3 * week, vec![3, 6]),
+        ];
+        for (k, (family, start, sources)) in attacks.iter().enumerate() {
+            let mut a = attack(*family, k as u64 + 1, *start, 60, 1);
+            a.sources = sources.iter().map(|&n| ip(n)).collect();
+            b.push_attack(a).unwrap();
+        }
+        let ds = b.build().unwrap();
+        let dirtjumper: Vec<HashMap<IpAddr4, CountryCode>> = vec![
             [(ip(1), cc("RU")), (ip(2), cc("RU")), (ip(3), cc("UA"))]
                 .into_iter()
                 .collect(),
@@ -297,50 +289,81 @@ mod tests {
                 .into_iter()
                 .collect(),
             [(ip(3), cc("UA")), (ip(6), cc("BR"))].into_iter().collect(),
+            HashMap::new(),
         ];
-        let mut expect = ShiftAnalysis::empty_weeks(weekly.len());
-        ShiftAnalysis::classify_family(&mut expect, &weekly);
-        let mut grid = vec![0; weekly.len() * CC_SLOTS];
-        for (row, bots) in grid.chunks_exact_mut(CC_SLOTS).zip(&weekly) {
-            ShiftAnalysis::count_week(row, bots);
-        }
-        let mut got = ShiftAnalysis::empty_weeks(weekly.len());
-        ShiftAnalysis::classify_grid(&mut got, &grid);
-        assert_eq!(got, expect);
-        // End to end: the weekly maps every job length builds classify
-        // exactly like the dataset scan.
-        let ds = shift_dataset();
-        let expect = ShiftAnalysis::compute(&ds, &BotIndex::build(&ds));
+        let mut set_rule = ShiftAnalysis::empty_weeks(dirtjumper.len());
+        ShiftAnalysis::classify_family(&mut set_rule, &dirtjumper);
+        let scan = ShiftAnalysis::compute(&ds, &BotIndex::build(&ds));
+        // Every job length counts Dirtjumper's grid as the maps hold it,
+        // and the grids classify like the dataset scan.
         for (policy, ctx) in chunked_contexts(&ds) {
-            let got = ShiftAnalysis::resume(&ctx, &mut ShiftState::default());
-            assert_eq!(got, expect, "{policy:?}");
+            let fc = ctx.family(Family::Dirtjumper).unwrap();
+            for (w, (row, bots)) in fc
+                .bot_grid
+                .chunks_exact(CC_SLOTS)
+                .zip(&dirtjumper)
+                .enumerate()
+            {
+                let mut expect = vec![0u32; CC_SLOTS];
+                for &country in bots.values() {
+                    expect[crate::kernels::cc_slot(country)] += 1;
+                }
+                assert_eq!(row, &expect[..], "{policy:?}: week {w}");
+            }
+            let mut got = ShiftAnalysis::empty_weeks(dirtjumper.len());
+            ShiftAnalysis::classify_grid(&mut got, &fc.bot_grid);
+            assert_eq!(got, set_rule, "{policy:?}");
+            assert_eq!(ShiftAnalysis::compute_ctx(&ctx), scan, "{policy:?}");
         }
     }
 
     #[test]
-    fn carried_grids_match_a_fresh_count_at_every_watermark() {
-        use crate::context::AnalysisContext;
+    fn folded_grids_classify_like_a_fresh_build_at_every_watermark() {
         use crate::overview::test_support::{carry_fixture, for_each_watermark, CARRY_EPOCH};
-        let ds = carry_fixture();
-        let mut state = ShiftState::default();
-        let mut watermarks = 0;
-        for_each_watermark(&ds, CARRY_EPOCH, |w, prefix, folded| {
-            let got = ShiftAnalysis::resume(folded, &mut state);
-            let fresh = AnalysisContext::new(prefix);
-            let expect = ShiftAnalysis::resume(&fresh, &mut ShiftState::default());
-            assert_eq!(got, expect, "watermark {w}");
-            assert_eq!(
-                got,
-                ShiftAnalysis::compute(prefix, &BotIndex::build(prefix)),
-                "watermark {w}"
-            );
-            assert_eq!(ShiftAnalysis::resume(folded, &mut state), got);
-            watermarks += 1;
-        });
-        assert_eq!(watermarks, 3);
-        // Epoch 2 grew Dirtjumper's week-0 map (the DE bot) after week 0
-        // had been counted, and epoch 3 brought BR in week 1.
-        let s = ShiftAnalysis::resume(&AnalysisContext::new(&ds), &mut ShiftState::default());
+        // The carry fixture's second epoch opens inside week 0 and adds
+        // a DE bot to Dirtjumper's week 0, so the fold's marks must keep
+        // week 0's bots counted across the ragged epoch boundary. The
+        // second trace also re-records bot 2 in UA (it was RU) on day 5,
+        // mid-week, so that append re-resolves the week-0 attacks that
+        // used bot 2 and recounts their families' grids.
+        let plain = carry_fixture();
+        let mut b = DatasetBuilder::new(plain.window());
+        for bot in plain.bots() {
+            b.push_bot(*bot).unwrap();
+        }
+        let mut moved = plain.bots()[1];
+        moved.location.country = "UA".parse().unwrap();
+        moved.first_seen = Timestamp(5 * 86_400);
+        b.push_bot(moved).unwrap();
+        b.extend_attacks(plain.attacks().iter().cloned()).unwrap();
+        let moved = b.build().unwrap();
+        for ds in [&plain, &moved] {
+            let mut watermarks = 0;
+            for_each_watermark(ds, CARRY_EPOCH, |w, prefix, folded| {
+                let fresh = AnalysisContext::new(prefix);
+                for (a, b) in folded.families().iter().zip(fresh.families()) {
+                    assert_eq!(a.bot_grid, b.bot_grid, "watermark {w}: {:?}", a.family);
+                }
+                let got = ShiftAnalysis::compute_ctx(folded);
+                assert_eq!(got, ShiftAnalysis::compute_ctx(&fresh), "watermark {w}");
+                assert_eq!(
+                    got,
+                    ShiftAnalysis::compute(prefix, &BotIndex::build(prefix)),
+                    "watermark {w}"
+                );
+                watermarks += 1;
+            });
+            assert_eq!(watermarks, 3);
+        }
+        // Week 0 of Dirtjumper counts bot 1 in RU, bot 4 in DE, and bot 3
+        // in UA, joined by bot 2 once it moved there.
+        for (ds, ru, ua) in [(&plain, 2, 1), (&moved, 1, 2)] {
+            let ctx = AnalysisContext::new(ds);
+            let week0 = &ctx.family(Family::Dirtjumper).unwrap().bot_grid[..CC_SLOTS];
+            let count = |c: &str| week0[crate::kernels::cc_slot(c.parse().unwrap())];
+            assert_eq!((count("RU"), count("UA"), count("DE")), (ru, ua, 1));
+        }
+        let s = ShiftAnalysis::compute_ctx(&AnalysisContext::new(&plain));
         assert_eq!(s.weeks[0].new_country_bots, 4 + 3);
         assert_eq!(s.weeks[1].new_country_bots, 1);
         assert_eq!(s.weeks[1].existing_country_bots, 2 + 1);

@@ -2,7 +2,8 @@
 //!
 //! The distinct-count machinery lives in [`ddos_schema::SummarySets`]:
 //! [`ddos_schema::Dataset::summary`] fills one set per column in a scan,
-//! and the epoch fold fills one set per epoch and unions it into its own.
+//! and the epoch fold grows its own sets as epochs arrive. Both count
+//! distinct IPs where the records are already keyed by IP.
 //! This module wraps the counts with the paper's reference values so
 //! reports and tests can show paper-vs-measured side by side.
 

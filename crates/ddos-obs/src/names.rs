@@ -27,6 +27,14 @@ pub const FAULTS_INJECTED: &str = "faults/injected";
 pub const SOAK_ROUNDS: &str = "soak/rounds";
 /// Histogram: wall micros one variant cell took inside a soak round.
 pub const SOAK_CELL_US: &str = "soak/cell_us";
+/// Histogram: micros each pass of a pooled scheduler stage waited in
+/// the stage's queue, from the stage opening until a worker claimed it
+/// (recorded only for stages that ran on more than one worker).
+pub const SCHEDULER_WAIT_US: &str = "scheduler/wait_us";
+/// Gauge: the most workers any stage of the last pass-scheduler run
+/// used, the calling thread included (1 for a serial run); the pass
+/// counterpart of the context build's `context/workers`.
+pub const SCHEDULER_WORKERS: &str = "scheduler/workers";
 /// Span covering one epoch append on the serve writer path (epoch
 /// build + merge + pass re-run + snapshot publish).
 pub const SERVE_APPEND: &str = "serve/append";

@@ -7,7 +7,6 @@
 //! snapshot series.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::Hash;
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::SchemaError;
 use crate::family::Family;
 use crate::geo::CountryCode;
-use crate::hashing::{fast_set, FastSet};
+use crate::hashing::FastSet;
 use crate::ids::{Asn, BotnetId, CityId, OrgId};
 use crate::ip::IpAddr4;
 use crate::protocol::Protocol;
@@ -54,10 +53,11 @@ pub struct DatasetSummary {
     pub traffic_types: usize,
 }
 
-/// The distinct sets behind one [`SideSummary`].
+/// The distinct sets behind one [`SideSummary`], all but its IP count:
+/// a side's distinct IPs are counted where its records are keyed by IP
+/// already (see [`SummarySets`]).
 #[derive(Debug, Clone, Default)]
 struct SideSets {
-    ips: FastSet<IpAddr4>,
     cities: FastSet<CityId>,
     countries: FastSet<CountryCode>,
     orgs: FastSet<OrgId>,
@@ -65,40 +65,18 @@ struct SideSets {
 }
 
 impl SideSets {
-    /// Sets pre-sized for `n` insertions (countries never exceed the
-    /// registry's couple of hundred codes).
-    fn with_capacity(n: usize) -> SideSets {
-        SideSets {
-            ips: fast_set(n),
-            cities: fast_set(n),
-            countries: fast_set(256),
-            orgs: fast_set(n),
-            asns: fast_set(n),
-        }
-    }
-
+    /// Counts one location; whether any set grew.
     #[inline]
-    fn insert(&mut self, ip: IpAddr4, at: &Location) {
-        self.ips.insert(ip);
-        self.cities.insert(at.city);
-        self.countries.insert(at.country);
-        self.orgs.insert(at.org);
-        self.asns.insert(at.asn);
+    fn insert(&mut self, at: &Location) -> bool {
+        let mut grew = self.cities.insert(at.city);
+        grew |= self.countries.insert(at.country);
+        grew |= self.orgs.insert(at.org);
+        grew | self.asns.insert(at.asn)
     }
 
-    /// Unions `other` into `self`; whether any set grew.
-    fn union(&mut self, other: SideSets) -> bool {
-        let mut grew = union_into(&mut self.ips, other.ips);
-        grew |= union_into(&mut self.cities, other.cities);
-        grew |= union_into(&mut self.countries, other.countries);
-        grew |= union_into(&mut self.orgs, other.orgs);
-        grew |= union_into(&mut self.asns, other.asns);
-        grew
-    }
-
-    fn counts(&self) -> SideSummary {
+    fn counts(&self, ips: usize) -> SideSummary {
         SideSummary {
-            ips: self.ips.len(),
+            ips,
             cities: self.cities.len(),
             countries: self.countries.len(),
             organizations: self.orgs.len(),
@@ -107,23 +85,16 @@ impl SideSets {
     }
 }
 
-/// Inserts the smaller of two sets into the larger, leaving the union
-/// in `acc`; whether it ended up larger than `acc` was.
-fn union_into<T: Eq + Hash>(acc: &mut FastSet<T>, mut other: FastSet<T>) -> bool {
-    let before = acc.len();
-    if acc.len() < other.len() {
-        std::mem::swap(acc, &mut other);
-    }
-    acc.extend(other);
-    acc.len() > before
-}
-
-/// Table III's twelve distinct sets: ip, city, country, organization
-/// and AS on the attacker side (over bot records) and on the victim
-/// side (over attack targets), plus the victims' traffic types and
-/// botnet ids. Sets filled from two record lists merge by union
-/// ([`SummarySets::union`]), so a fold over epochs counts exactly what
-/// one scan over the same records counts.
+/// Table III's distinct sets but the two IP columns: city, country,
+/// organization and AS on the attacker side (over bot records) and on
+/// the victim side (over attack targets), plus the victims' traffic
+/// types and botnet ids. These stay small (a paper-scale trace has a
+/// few thousand cities, organizations and ASes against 304k distinct
+/// bot IPs), so a fold inserts into one set per column as records
+/// arrive. The IP counts come from the caller, which already keys its
+/// records by IP: [`Dataset::summary`] sort-dedups the bot IPs and
+/// counts [`Dataset::targets`], and the epoch fold counts its bot rows
+/// and target timelines.
 #[derive(Debug, Clone, Default)]
 pub struct SummarySets {
     attackers: SideSets,
@@ -133,48 +104,32 @@ pub struct SummarySets {
 }
 
 impl SummarySets {
-    /// Empty sets pre-sized for `bots` bot records and `attacks` attack
-    /// records.
-    pub(crate) fn with_capacity(bots: usize, attacks: usize) -> SummarySets {
-        SummarySets {
-            attackers: SideSets::with_capacity(bots),
-            victims: SideSets::with_capacity(attacks),
-            protocols: fast_set(16),
-            botnets: fast_set(attacks),
-        }
-    }
-
-    /// Counts one bot record on the attacker side.
+    /// Counts one bot record on the attacker side; whether an attacker
+    /// set grew (Table III's attacker column moved, IPs aside).
     #[inline]
-    pub fn insert_bot(&mut self, bot: &BotRecord) {
-        self.attackers.insert(bot.ip, &bot.location);
+    pub fn insert_bot(&mut self, bot: &BotRecord) -> bool {
+        self.attackers.insert(&bot.location)
     }
 
     /// Counts one attack record on the victim side.
     #[inline]
     pub fn insert_attack(&mut self, attack: &AttackRecord) {
-        self.victims.insert(attack.target_ip, &attack.target);
+        self.victims.insert(&attack.target);
         self.protocols.insert(attack.category);
         self.botnets.insert(attack.botnet);
     }
 
-    /// Unions `other` into `self`, each set inserting the smaller side
-    /// into the larger. Returns whether an attacker-side set grew —
-    /// whether the bot records `other` counted changed Table III's
-    /// attacker column.
-    pub fn union(&mut self, other: SummarySets) -> bool {
-        self.victims.union(other.victims);
-        union_into(&mut self.protocols, other.protocols);
-        union_into(&mut self.botnets, other.botnets);
-        self.attackers.union(other.attackers)
-    }
-
-    /// The distinct counts, with `attacks` as the attack total (the sets
-    /// count distinct values, not records).
-    pub fn summary(&self, attacks: usize) -> DatasetSummary {
+    /// The distinct counts, with `attacks` as the attack total and the
+    /// distinct attacker (bot) and victim (target) IP counts as given.
+    pub fn summary(
+        &self,
+        attacks: usize,
+        attacker_ips: usize,
+        victim_ips: usize,
+    ) -> DatasetSummary {
         DatasetSummary {
-            attackers: self.attackers.counts(),
-            victims: self.victims.counts(),
+            attackers: self.attackers.counts(attacker_ips),
+            victims: self.victims.counts(victim_ips),
             attacks,
             botnets: self.botnets.len(),
             traffic_types: self.protocols.len(),
@@ -365,17 +320,22 @@ impl Dataset {
     ///
     /// Attacker-side counts are taken over the bot records (the `Botlist`
     /// join), victim-side counts over the attack targets. Every call is a
-    /// full scan of both record lists; the epoch engines count the same
-    /// sets per epoch and merge them instead ([`SummarySets`]).
+    /// full scan of both record lists, and the distinct attacker IPs are
+    /// a sort-dedup of the bot IPs; the epoch fold grows the same
+    /// [`SummarySets`] as epochs arrive and counts its IPs from its own
+    /// tables instead.
     pub fn summary(&self) -> DatasetSummary {
-        let mut sets = SummarySets::with_capacity(self.bots.len(), self.attacks.len());
+        let mut sets = SummarySets::default();
         for bot in &self.bots {
             sets.insert_bot(bot);
         }
         for atk in &self.attacks {
             sets.insert_attack(atk);
         }
-        sets.summary(self.attacks.len())
+        let mut bot_ips: Vec<IpAddr4> = self.bots.iter().map(|b| b.ip).collect();
+        bot_ips.sort_unstable();
+        bot_ips.dedup();
+        sets.summary(self.attacks.len(), bot_ips.len(), self.targets().len())
     }
 
     /// Rebuilds the (serde-skipped) indexes; used after deserialization.
@@ -632,19 +592,10 @@ mod tests {
         assert_eq!(s.botnets, 1);
         // No bot records were added, so attacker side is empty.
         assert_eq!(s.attackers.ips, 0);
-    }
-
-    #[test]
-    fn summary_sets_union_counts_what_one_scan_counts() {
+        // The third bot record repeats the first IP with a new city, the
+        // fourth repeats the first record outright: two IPs, three cities.
         let mut b = DatasetBuilder::new(window());
-        for id in 1..=3u64 {
-            let mut a = attack(id, id as i64 * 1_000);
-            a.target_ip = IpAddr4::from_octets(198, 51, 100, id as u8 % 2);
-            a.target.city = CityId(id as u32);
-            b.push_attack(a).unwrap();
-        }
-        // The third record repeats the first IP with a new city; the
-        // fourth repeats the first record outright.
+        b.push_attack(attack(1, 1_000)).unwrap();
         for (last, city) in [(1, 1), (2, 2), (1, 3), (1, 1)] {
             b.push_bot(BotRecord {
                 ip: IpAddr4::from_octets(203, 0, 113, last),
@@ -659,23 +610,10 @@ mod tests {
             })
             .unwrap();
         }
-        let ds = b.build().unwrap();
-        let (bots, attacks) = (ds.bots(), ds.attacks());
-        // Whether the right side grows the left's attacker sets, per
-        // bot split point.
-        let grows = [true, true, true, false, false];
-        for (split, &want_grew) in grows.iter().enumerate() {
-            let mut left = SummarySets::default();
-            let mut right = SummarySets::with_capacity(4, 4);
-            bots[..split].iter().for_each(|b| left.insert_bot(b));
-            bots[split..].iter().for_each(|b| right.insert_bot(b));
-            attacks[..1].iter().for_each(|a| left.insert_attack(a));
-            attacks[1..].iter().for_each(|a| right.insert_attack(a));
-            assert_eq!(left.union(right), want_grew, "split {split}");
-            assert_eq!(left.summary(ds.len()), ds.summary(), "split {split}");
-        }
-        assert_eq!(ds.summary().attackers.ips, 2);
-        assert_eq!(ds.summary().attackers.cities, 3);
+        let s = b.build().unwrap().summary();
+        assert_eq!(s.attackers.ips, 2);
+        assert_eq!(s.attackers.cities, 3);
+        assert_eq!(s.attackers.countries, 1);
     }
 
     #[test]

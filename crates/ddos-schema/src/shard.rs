@@ -24,7 +24,6 @@ use crate::time::{Seconds, Timestamp, Window};
 pub struct DatasetShard<'a> {
     dataset: &'a Dataset,
     epoch: usize,
-    span: Window,
     attack_range: Range<usize>,
     bot_rows: Vec<u32>,
 }
@@ -40,12 +39,6 @@ impl<'a> DatasetShard<'a> {
     #[inline]
     pub fn epoch(&self) -> usize {
         self.epoch
-    }
-
-    /// The epoch's time span (half-open, clamped to the trace window).
-    #[inline]
-    pub fn span(&self) -> Window {
-        self.span
     }
 
     /// Global index range of the shard's attacks within
@@ -110,14 +103,12 @@ impl Dataset {
         for (row, bot) in self.bots().iter().enumerate() {
             bot_rows[clamped_epoch(window, epoch_len, n, bot.first_seen)].push(row as u32);
         }
-        epochs
+        bot_rows
             .into_iter()
-            .zip(bot_rows)
             .enumerate()
-            .map(|(i, (span, rows))| DatasetShard {
+            .map(|(i, rows)| DatasetShard {
                 dataset: self,
                 epoch: i,
-                span,
                 attack_range: bounds[i]..bounds[i + 1],
                 bot_rows: rows,
             })
@@ -238,7 +229,6 @@ mod tests {
         let shards = ds.shards(Seconds(100_000));
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].attack_range(), 0..ds.len());
-        assert_eq!(shards[0].span(), ds.window());
     }
 
     fn bot(ip: u8, first_seen: i64, last_seen: i64) -> BotRecord {

@@ -46,7 +46,7 @@
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ddos_analytics::collab::concurrent::CollabAnalysis;
 use ddos_analytics::defense::BlacklistSim;
@@ -75,12 +75,35 @@ pub struct Snapshot {
     /// writer that assembled it and with every [`Section`] answered
     /// from it.
     pub report: Arc<AnalysisReport>,
+    /// Every recurrence train's `(target, train index)`, sorted: built
+    /// by the snapshot's first `target_timeline` query, so a publish
+    /// never pays for it.
+    trains_by_target: OnceLock<Vec<(IpAddr4, u32)>>,
 }
 
 impl Snapshot {
     /// Whether this snapshot covers the whole dataset.
     pub fn is_complete(&self) -> bool {
         self.watermark == self.epochs
+    }
+
+    /// The recurrence train of `target`, if the report tracks one. The
+    /// trains are sorted by length, so the first call sorts an index of
+    /// their targets and every call binary-searches it.
+    fn train_of(&self, target: IpAddr4) -> Option<&TargetTrain> {
+        let trains = &self.report.recurrence.trains;
+        let index = self.trains_by_target.get_or_init(|| {
+            let mut index: Vec<(IpAddr4, u32)> = trains
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (t.target, i as u32))
+                .collect();
+            index.sort_unstable();
+            index
+        });
+        let at = index.partition_point(|&(t, _)| t < target);
+        let &(found, i) = index.get(at)?;
+        (found == target).then(|| &trains[i as usize])
     }
 }
 
@@ -227,6 +250,7 @@ impl<'d> AnalysisService<'d> {
                             watermark: writer.watermark(),
                             epochs: self.epochs,
                             report,
+                            trains_by_target: OnceLock::new(),
                         });
                         self.handles.watermark.set(snap.watermark as u64);
                         // The guard is a temporary of this statement, so
@@ -263,11 +287,7 @@ impl<'d> AnalysisService<'d> {
     /// Answers one typed query against the published snapshot,
     /// recording the read-path telemetry. `None` until the first
     /// publish.
-    fn answer<T>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&Arc<AnalysisReport>) -> T,
-    ) -> Option<Answer<T>> {
+    fn answer<T>(&self, name: &str, f: impl FnOnce(&Snapshot) -> T) -> Option<Answer<T>> {
         let start = self.obs.now_us();
         let inflight = self.inflight.fetch_add(1, Ordering::AcqRel) + 1;
         self.handles.inflight.record_max(inflight);
@@ -275,7 +295,7 @@ impl<'d> AnalysisService<'d> {
         let out = snap.map(|snap| Answer {
             watermark: snap.watermark,
             epochs: snap.epochs,
-            value: f(&snap.report),
+            value: f(&snap),
         });
         self.inflight.fetch_sub(1, Ordering::AcqRel);
         let end = self.obs.now_us();
@@ -296,8 +316,8 @@ impl<'d> AnalysisService<'d> {
         name: &str,
         project: fn(&AnalysisReport) -> &T,
     ) -> Option<Answer<Section<T>>> {
-        self.answer(name, |report| Section {
-            report: Arc::clone(report),
+        self.answer(name, |snap| Section {
+            report: Arc::clone(&snap.report),
             project,
         })
     }
@@ -305,8 +325,13 @@ impl<'d> AnalysisService<'d> {
     /// The top `n` victim countries by attack count (§IV-B; the report
     /// tracks at most its overall top five).
     pub fn top_targets(&self, n: usize) -> Option<Answer<Vec<(CountryCode, usize)>>> {
-        self.answer("top_targets", |r| {
-            r.overall_targets.iter().take(n).copied().collect()
+        self.answer("top_targets", |snap| {
+            snap.report
+                .overall_targets
+                .iter()
+                .take(n)
+                .copied()
+                .collect()
         })
     }
 
@@ -318,15 +343,10 @@ impl<'d> AnalysisService<'d> {
     /// The recurrence train for one target: its attack start timeline
     /// and the families that hit it. `value` is `None` for targets the
     /// recurrence pass dropped (fewer than four attacks — its
-    /// `MIN_TRAIN_LEN` — in the covered prefix).
+    /// `MIN_TRAIN_LEN` — in the covered prefix). Found by binary search
+    /// over an index the snapshot builds on its first such query.
     pub fn target_timeline(&self, target: IpAddr4) -> Option<Answer<Option<TargetTrain>>> {
-        self.answer("target_timeline", |r| {
-            r.recurrence
-                .trains
-                .iter()
-                .find(|t| t.target == target)
-                .cloned()
-        })
+        self.answer("target_timeline", |snap| snap.train_of(target).cloned())
     }
 
     /// Concurrent collaboration pairs and events (§V, Table VI).

@@ -6,6 +6,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use ddos_analytics::target::recurrence::TargetTrain;
 use ddos_analytics::{Analysis, AnalysisReport, PipelineOptions};
 use ddos_obs::{fnv1a_64_hex, names, Obs};
 use ddos_schema::{Dataset, Seconds};
@@ -140,6 +141,30 @@ fn typed_answers_carry_the_publish_watermark() {
         obs.gauge(names::SERVE_WATERMARK).get(),
         snap.watermark as u64
     );
+}
+
+#[test]
+fn target_timeline_matches_a_linear_find_for_every_train() {
+    let ds = small();
+    let obs = Obs::disabled();
+    let service = AnalysisService::new(&ds, PipelineOptions::default(), epoch_len(&ds, 3), &obs);
+    while service.try_append().expect("clean append").is_some() {
+        let snap = service.snapshot().expect("published");
+        let trains = &snap.report.recurrence.trains;
+        let absent = ddos_schema::IpAddr4::from_octets(203, 0, 113, 250);
+        assert!(trains.iter().all(|t| t.target != absent));
+        let parts = |t: &TargetTrain| (t.target, t.starts.clone(), t.families.clone());
+        for target in trains.iter().map(|t| t.target).chain([absent]) {
+            let linear = trains.iter().find(|t| t.target == target).map(parts);
+            let answer = service.target_timeline(target).expect("answered");
+            assert_eq!(
+                answer.value.as_ref().map(parts),
+                linear,
+                "watermark {}",
+                answer.watermark
+            );
+        }
+    }
 }
 
 #[test]

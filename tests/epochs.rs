@@ -8,9 +8,9 @@
 //! intermediate watermark of the incremental engine must answer exactly
 //! like a fresh run over the same epoch prefix (`Dataset::epoch_prefix`,
 //! the oracle), re-running every pass after an append that changed the
-//! fold and none after one that did not. The pass states it carries
-//! across appends must reset on a re-resolution and stay consistent
-//! through a pass fault.
+//! fold and none after one that did not. The folded bot grids must be
+//! recounted on a re-resolution, and the pass states carried across
+//! appends must stay consistent through a pass fault.
 
 use ddos_analytics::passes::REGISTRY;
 use ddos_analytics::{
@@ -29,11 +29,16 @@ use ddos_testkit::failpoints::{self, names, FailPlan};
 use ddos_testkit::report_digest;
 use proptest::prelude::*;
 
-/// Appends the trace's epochs in order. Returns the fold and the delta
-/// of each append: `deltas[i]` is epoch `i`'s.
-fn fold_shards(ds: &Dataset, epoch_len: Seconds) -> (EpochContext, Vec<AppendDelta>) {
+/// Appends the trace's epochs in order, resolving families on a worker
+/// pool when `parallel`. Returns the fold and the delta of each append:
+/// `deltas[i]` is epoch `i`'s.
+fn fold_shards(
+    ds: &Dataset,
+    epoch_len: Seconds,
+    parallel: bool,
+) -> (EpochContext, Vec<AppendDelta>) {
     let obs = Obs::disabled();
-    let mut fold = EpochContext::new(ds.window());
+    let mut fold = EpochContext::new(ds.window(), parallel);
     let deltas = ds
         .shards(epoch_len)
         .iter()
@@ -42,18 +47,21 @@ fn fold_shards(ds: &Dataset, epoch_len: Seconds) -> (EpochContext, Vec<AppendDel
     (fold, deltas)
 }
 
-/// Folding the trace epoch by epoch matches the monolithic build on
-/// every analysis input, and the report serializes byte-identically.
+/// Folding the trace epoch by epoch, serially and on a worker pool,
+/// matches the monolithic build on every analysis input, and the report
+/// serializes byte-identically.
 fn assert_fold_equals_build(ds: &Dataset, epoch_len: Seconds) {
     let built = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-    let fold = fold_shards(ds, epoch_len).0;
-    let folded = fold.to_context(ds, ArimaSpec::DEFAULT);
-    built.assert_same_analysis(&folded);
     let json = |ctx: &AnalysisContext| {
         serde_json::to_string(&Analysis::over(ctx).parallel(false).run())
             .expect("report serializes")
     };
-    assert_eq!(json(&built), json(&folded), "report bytes diverged");
+    for parallel in [false, true] {
+        let fold = fold_shards(ds, epoch_len, parallel).0;
+        let folded = fold.to_context(ds, ArimaSpec::DEFAULT);
+        built.assert_same_analysis(&folded);
+        assert_eq!(json(&built), json(&folded), "report bytes diverged");
+    }
 }
 
 /// Appends every epoch of `ds` through a plain incremental pipeline and
@@ -204,10 +212,10 @@ fn moved_coords_dataset() -> Dataset {
 
 /// A 10-day trace in which bot 1 is recorded again on day 6 in another
 /// country (UA, was RU). Under two-day epochs the fourth epoch appends
-/// no attack, so it recounts no week, yet it re-resolves the week-0
-/// attacks that used bot 1: a shift grid carried past it would still
-/// count bot 1 in RU for week 0, and week 1's UA bot would then count as
-/// a new country.
+/// no attack, yet it re-resolves the week-0 attacks that used bot 1: a
+/// fold that counted only the new attacks' sightings would still count
+/// bot 1 in RU for week 0, and week 1's UA bot would then count as a new
+/// country.
 fn moved_country_dataset() -> Dataset {
     let day = 86_400;
     let window = Window::new(Timestamp(0), Timestamp(10 * day)).unwrap();
@@ -225,10 +233,10 @@ fn moved_country_dataset() -> Dataset {
 }
 
 #[test]
-fn a_reresolved_country_resets_the_carried_pass_states() {
+fn a_reresolved_country_recounts_the_folded_grids() {
     let ds = moved_country_dataset();
     let len = Seconds::days(2);
-    let (_, deltas) = fold_shards(&ds, len);
+    let (_, deltas) = fold_shards(&ds, len, true);
     assert_eq!(deltas[3].reresolved, vec![0, 1], "week-0 attacks use bot 1");
     assert_eq!(deltas[3].appended_attacks, 0);
     let stats = assert_every_watermark_is_a_prefix_report(&ds, len);
@@ -319,7 +327,7 @@ fn a_first_seen_record_of_a_known_ip_reruns_every_pass() {
 fn an_epoch_that_only_reresolves_reruns_every_pass() {
     let ds = moved_coords_dataset();
     let len = Seconds::days(2);
-    let (_, deltas) = fold_shards(&ds, len);
+    let (_, deltas) = fold_shards(&ds, len, true);
     let moved = &deltas[3];
     assert!(!moved.reresolved.is_empty(), "no attack re-resolved");
     assert_eq!(moved.appended_attacks, 0);
@@ -379,7 +387,7 @@ fn edge_cases_fold_to_the_monolithic_build() {
 #[test]
 fn append_promotes_cross_epoch_sources_and_arbitrates_duplicates() {
     let ds = edge_case_dataset();
-    let (folded, deltas) = fold_shards(&ds, Seconds::days(2));
+    let (folded, deltas) = fold_shards(&ds, Seconds::days(2), true);
     assert!(
         deltas.iter().any(|d| d.appended_attacks == 0),
         "no empty epoch covered"
@@ -417,7 +425,7 @@ fn appends_never_renumber_an_earlier_attacks_sources() {
         (&trace.dataset, Seconds::WEEK),
         (&edge_case_dataset(), Seconds::days(1)),
     ] {
-        let mut fold = EpochContext::new(ds.window());
+        let mut fold = EpochContext::new(ds.window(), true);
         let mut seen: Vec<Vec<u32>> = Vec::new();
         for shard in ds.shards(len) {
             fold.append(&shard, &obs);
