@@ -1,10 +1,10 @@
 //! Benches for the substrate itself: world synthesis, trace generation,
-//! and the binary codec.
+//! and the framed binary container.
 
 use bench::bench_trace;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddos_geo::{GeoConfig, GeoDb};
-use ddos_schema::codec;
+use ddos_schema::framed;
 use ddos_sim::{generate, SimConfig};
 
 fn bench_generator(c: &mut Criterion) {
@@ -28,10 +28,10 @@ fn bench_generator(c: &mut Criterion) {
         );
     }
     let ds = &bench_trace().dataset;
-    g.bench_function("codec_encode", |b| b.iter(|| codec::encode(ds)));
-    let bytes = codec::encode(ds);
-    g.bench_function("codec_decode", |b| {
-        b.iter(|| codec::decode(&bytes).expect("decodes"))
+    g.bench_function("framed_encode", |b| b.iter(|| framed::encode(ds)));
+    let bytes = framed::encode(ds);
+    g.bench_function("framed_decode", |b| {
+        b.iter(|| framed::decode(&bytes).expect("decodes"))
     });
     g.finish();
 }

@@ -4,9 +4,8 @@
 //! A builder names a source (a [`Dataset`], or a prebuilt
 //! [`AnalysisContext`] via [`Analysis::over`]), optionally selects an
 //! engine (monolithic by default; [`Analysis::epochs`] for
-//! one-epoch-at-a-time appends through an [`IncrementalPipeline`],
-//! [`Analysis::baseline`] for the dataset-scan oracle), tunes
-//! [`PipelineOptions`] through the same setter names, and runs:
+//! one-epoch-at-a-time appends through an [`IncrementalPipeline`]),
+//! tunes [`PipelineOptions`] through the same setter names, and runs:
 //!
 //! ```no_run
 //! # use ddos_analytics::prelude::*;
@@ -26,7 +25,8 @@
 //!
 //! Every spelling serializes byte-identically — the golden-report suite
 //! runs the testkit's variant lattice of engines, schedulers, job
-//! lengths and ingest paths against one committed digest.
+//! lengths and ingest paths, and the testkit's dataset-scan oracle
+//! (`ddos_testkit::baseline_report`), against one committed digest.
 //! [`AnalysisReport::run`] stays as the shorthand for the default run.
 
 use ddos_obs::Obs;
@@ -46,23 +46,12 @@ enum Source<'d> {
     Context(&'d AnalysisContext<'d>),
 }
 
-/// Which engine materializes the context.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// One-shot monolithic context build (the default).
-    Batch,
-    /// One-epoch-at-a-time appends of the given length through
-    /// [`IncrementalPipeline`].
-    Epochs(Seconds),
-    /// The dataset-scan oracle (ignores the scheduler, telemetry, and
-    /// kernel axes by construction).
-    Baseline,
-}
-
 /// The one-stop pipeline builder — see the [module docs](self).
 pub struct Analysis<'d> {
     source: Source<'d>,
-    mode: Mode,
+    /// The epoch length of the epoch engine, or `None` for the one-shot
+    /// monolithic context build (the default).
+    epochs: Option<Seconds>,
     opts: PipelineOptions,
     obs: Option<&'d Obs>,
 }
@@ -73,7 +62,7 @@ impl<'d> Analysis<'d> {
     pub fn new(ds: &'d Dataset) -> Analysis<'d> {
         Analysis {
             source: Source::Dataset(ds),
-            mode: Mode::Batch,
+            epochs: None,
             opts: PipelineOptions::default(),
             obs: None,
         }
@@ -82,15 +71,14 @@ impl<'d> Analysis<'d> {
     /// Starts a builder that runs the pass scheduler over a context
     /// built elsewhere (the conformance suites feed the passes a serial
     /// build, a one-attack-per-job build and an epoch fold this way).
-    /// Engine selectors ([`Analysis::epochs`], [`Analysis::baseline`])
-    /// are incompatible with a prebuilt context and panic at
-    /// [`Analysis::try_run`]. Without [`Analysis::obs`] no telemetry is
-    /// recorded — the context build, where most of it lives, already
-    /// happened.
+    /// The engine selector [`Analysis::epochs`] is incompatible with a
+    /// prebuilt context and panics at [`Analysis::try_run`]. Without
+    /// [`Analysis::obs`] no telemetry is recorded — the context build,
+    /// where most of it lives, already happened.
     pub fn over(ctx: &'d AnalysisContext<'d>) -> Analysis<'d> {
         Analysis {
             source: Source::Context(ctx),
-            mode: Mode::Batch,
+            epochs: None,
             opts: PipelineOptions::default(),
             obs: None,
         }
@@ -149,17 +137,7 @@ impl<'d> Analysis<'d> {
     /// that changed the fold. After the last epoch the fold covers the
     /// whole trace, so the report equals the monolithic one.
     pub fn epochs(mut self, epoch_len: Seconds) -> Analysis<'d> {
-        self.mode = Mode::Epochs(epoch_len);
-        self
-    }
-
-    /// Selects the pre-refactor monolithic pipeline, where every
-    /// analysis rescans the dataset for itself and shares no body with
-    /// the pass pipeline — the one independent oracle the equivalence
-    /// tests compare against. Honors only the ARIMA spec; the scheduler,
-    /// telemetry, and kernel axes don't exist on this path.
-    pub fn baseline(mut self) -> Analysis<'d> {
-        self.mode = Mode::Baseline;
+        self.epochs = Some(epoch_len);
         self
     }
 
@@ -177,7 +155,7 @@ impl<'d> Analysis<'d> {
     ///
     /// # Panics
     ///
-    /// If an engine selector was combined with an [`Analysis::over`]
+    /// If [`Analysis::epochs`] was combined with an [`Analysis::over`]
     /// source — a prebuilt context already fixed how the context came
     /// together.
     pub fn try_run(&self) -> Result<AnalysisReport, PipelineError> {
@@ -198,19 +176,17 @@ impl<'d> Analysis<'d> {
         match self.source {
             Source::Context(ctx) => {
                 assert!(
-                    self.mode == Mode::Batch,
+                    self.epochs.is_none(),
                     "Analysis::over(..) runs the pass scheduler over a prebuilt context; \
-                     engine selectors (.epochs/.baseline) need a Dataset \
-                     source (Analysis::new)"
+                     the epoch engine (.epochs) needs a Dataset source (Analysis::new)"
                 );
                 pipeline::run_over(ctx, self.opts.parallel, obs)
             }
-            Source::Dataset(ds) => match self.mode {
-                Mode::Batch => pipeline::run_monolithic(ds, self.opts, obs),
-                Mode::Epochs(len) => {
+            Source::Dataset(ds) => match self.epochs {
+                None => pipeline::run_monolithic(ds, self.opts, obs),
+                Some(len) => {
                     IncrementalPipeline::with_obs(ds, self.opts, len, obs).try_into_report()
                 }
-                Mode::Baseline => Ok(pipeline::baseline_report(ds, self.opts.spec)),
             },
         }
     }
@@ -241,7 +217,6 @@ mod tests {
             batch,
             json(&Analysis::new(&ds).epochs(Seconds(1_000)).run())
         );
-        assert_eq!(batch, json(&Analysis::new(&ds).baseline().run()));
         assert_eq!(
             batch,
             json(&Analysis::new(&ds).kernels(KernelPolicy::Chunked(1)).run())

@@ -17,12 +17,14 @@
 //! | "insight into defenses" | [`defense`] | blacklist & latency simulations |
 //!
 //! [`Analysis`] is the one entry point: a builder that names a dataset,
-//! picks an engine (monolithic, the epoch engine, or the pre-refactor
-//! baseline), and runs — every spelling serializes byte-identically. The `ddos-report` crate renders the results as the
-//! paper's tables and figure series, the `ddos-serve` crate keeps an
-//! [`IncrementalPipeline`] resident and answers snapshot-isolated
-//! queries while epochs append, and the `bench` crate regenerates each
-//! artifact individually.
+//! picks an engine (monolithic or the epoch engine), and runs — every
+//! spelling serializes byte-identically, and so does the dataset-scan
+//! oracle the `ddos-testkit` crate assembles from this crate's scans
+//! (`ddos_testkit::baseline_report`). The `ddos-report` crate renders
+//! the results as the paper's tables and figure series, the
+//! `ddos-serve` crate keeps an [`IncrementalPipeline`] resident and
+//! answers snapshot-isolated queries while epochs append, and the
+//! `bench` crate regenerates each artifact individually.
 //!
 //! The analyses are *pure*: they read the dataset (plus the shared joins
 //! built once in [`context`]) and never mutate it. The pass-based

@@ -10,10 +10,11 @@
 //! to the serial one; only the recorded telemetry differs.
 //!
 //! Each pass has exactly one body. Most bodies read the context's
-//! shared joins where the dataset scans behind
-//! [`crate::Analysis::baseline`] rebuild them, and some run a faster
-//! algorithm than their scan (the dense shift and country grids, the
-//! sorted-gap recurrence scorer, the collaboration sort-sweep, the
+//! shared joins where the dataset scans (`ProtocolPopularity::compute`,
+//! `CollabAnalysis::compute` and the rest, which the testkit's
+//! `baseline_report` oracle assembles) rebuild them, and some run a
+//! faster algorithm than their scan (the dense shift and country grids,
+//! the sorted-gap recurrence scorer, the collaboration sort-sweep, the
 //! merged duration and interval samples, the id-stamp blacklist
 //! replay); the rest run the dataset scan's own loop over the context's
 //! borrowed attack slice. The baseline report is the one independent

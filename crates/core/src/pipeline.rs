@@ -5,9 +5,10 @@
 //! pipeline: it builds the shared [`AnalysisContext`] once, executes the
 //! [`crate::passes::REGISTRY`] through the dependency-aware scheduler
 //! (in parallel by default), and assembles the report from the pass
-//! outputs. [`Analysis::baseline`] runs the original monolithic path —
-//! every analysis rescanning the dataset for itself — which stays as the
-//! one independent oracle the equivalence tests hold every pass body to.
+//! outputs. The original monolithic path — every analysis rescanning the
+//! dataset for itself — lives in the testkit
+//! (`ddos_testkit::baseline_report`) as the one independent oracle the
+//! equivalence tests hold every pass body to.
 //!
 //! The epoch engine behind [`Analysis::epochs`] is the
 //! [`IncrementalPipeline`], a left fold of [`EpochContext::append`]: it
@@ -33,23 +34,22 @@ use crate::analysis::Analysis;
 use crate::collab::concurrent::{CollabAnalysis, PairFocus};
 use crate::collab::multistage::MultistageAnalysis;
 use crate::context::AnalysisContext;
-use crate::defense::{detection_latency_sweep, BlacklistSim, LatencyPoint};
+use crate::defense::{BlacklistSim, LatencyPoint};
 use crate::epoch::EpochContext;
 use crate::fault::{self, PipelineError};
 use crate::kernels::KernelPolicy;
-use crate::overview::activity::{activity_levels, FamilyActivity};
+use crate::overview::activity::FamilyActivity;
 use crate::overview::daily::DailyDistribution;
 use crate::overview::duration::DurationAnalysis;
-use crate::overview::intervals::{self, ConcurrencyAnalysis, IntervalStats};
-use crate::overview::protocols::{protocol_preferences, ProtocolFamilyRow, ProtocolPopularity};
-use crate::passes::{self, PartialReport, LATENCY_GRID_S};
-use crate::source::dispersion::{qualifying_families, FamilyDispersion};
+use crate::overview::intervals::{ConcurrencyAnalysis, IntervalStats};
+use crate::overview::protocols::{ProtocolFamilyRow, ProtocolPopularity};
+use crate::passes::{self, PartialReport};
+use crate::source::dispersion::FamilyDispersion;
 use crate::source::prediction::PredictionAnalysis;
 use crate::source::shift::ShiftAnalysis;
 use crate::summary::SummaryComparison;
-use crate::target::country::{all_profiles, overall_top_countries, FamilyCountryProfile};
+use crate::target::country::FamilyCountryProfile;
 use crate::target::recurrence::RecurrenceAnalysis;
-use crate::util::BotIndex;
 
 /// How to run the pipeline.
 ///
@@ -171,7 +171,7 @@ pub struct AnalysisReport {
     /// Spans and metrics of the run (machine-dependent metadata —
     /// never serialized, so parallel and serial reports stay
     /// byte-identical). Empty when telemetry was off or the report
-    /// came from [`Analysis::baseline`].
+    /// was assembled outside a pipeline run (the testkit's oracle).
     #[serde(skip)]
     pub telemetry: RunTelemetry,
 }
@@ -208,49 +208,6 @@ pub(crate) fn run_over(
     let mut report = assemble(partial);
     report.telemetry = obs.finish(parallel);
     Ok(report)
-}
-
-/// The pre-refactor monolithic pipeline: every analysis rescans the
-/// dataset for itself (the dispersion join runs twice, the shift join a
-/// third time, four analyses regroup the per-target index). It shares
-/// no pass body with the context path, which makes it the one
-/// independent oracle: the equivalence tests assert the pass-based
-/// pipeline serializes identically. The body behind
-/// `Analysis::baseline()`.
-pub(crate) fn baseline_report(ds: &Dataset, spec: ArimaSpec) -> AnalysisReport {
-    let bots = BotIndex::build(ds);
-    let collaborations = CollabAnalysis::compute(ds);
-    let flagship_pair =
-        PairFocus::compute(ds, &collaborations, Family::Dirtjumper, Family::Pandora);
-    AnalysisReport {
-        protocols: ProtocolPopularity::compute(ds),
-        protocol_rows: protocol_preferences(ds),
-        summary: SummaryComparison::compute(ds),
-        daily: DailyDistribution::compute(ds),
-        interval_stats: Family::ACTIVE
-            .into_iter()
-            .map(|f| {
-                let ivs = intervals::family_intervals(ds, f);
-                (f, IntervalStats::compute(&ivs))
-            })
-            .collect(),
-        all_interval_stats: IntervalStats::compute(&intervals::all_intervals(ds)),
-        concurrency: ConcurrencyAnalysis::compute(ds),
-        durations: DurationAnalysis::compute(ds),
-        shifts: ShiftAnalysis::compute(ds, &bots),
-        dispersion: qualifying_families(ds, &bots),
-        prediction: PredictionAnalysis::compute(ds, &bots, spec),
-        target_countries: all_profiles(ds),
-        overall_targets: overall_top_countries(ds, 5),
-        collaborations,
-        flagship_pair,
-        multistage: MultistageAnalysis::compute(ds),
-        activity: activity_levels(ds),
-        recurrence: RecurrenceAnalysis::compute(ds, None),
-        blacklist: BlacklistSim::run(ds),
-        latency: detection_latency_sweep(ds, LATENCY_GRID_S),
-        telemetry: RunTelemetry::default(),
-    }
 }
 
 impl AnalysisReport {
@@ -620,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_serial_and_baseline_agree_on_a_tiny_dataset() {
+    fn parallel_and_serial_agree_on_a_tiny_dataset() {
         let ds = dataset(vec![
             attack(Family::Dirtjumper, 1, 100, 600, 1),
             attack(Family::Dirtjumper, 2, 100, 650, 1),
@@ -632,17 +589,14 @@ mod tests {
         ]);
         let parallel = Analysis::new(&ds).run();
         let serial = Analysis::new(&ds).parallel(false).run();
-        let baseline = Analysis::new(&ds).baseline().run();
         let quiet = Analysis::new(&ds).telemetry(false).run();
         let json = |r: &AnalysisReport| serde_json::to_string(r).unwrap();
         assert_eq!(json(&parallel), json(&serial));
-        assert_eq!(json(&parallel), json(&baseline));
         // Telemetry is metadata: excluded from serialization, and
         // turning it off changes nothing but the attached artifact.
         assert_eq!(json(&parallel), json(&quiet));
         assert!(!json(&parallel).contains("telemetry"));
         assert!(!serial.telemetry.parallel);
         assert!(quiet.telemetry.is_empty());
-        assert!(baseline.telemetry.is_empty());
     }
 }

@@ -55,14 +55,12 @@ const _: () = assert!(
 pub mod names {
     /// `File::open` + `mmap` in `Dataset::open_with_stats`.
     pub const INGEST_OPEN: &str = "ingest/open";
-    /// Top of the v1 serial container decode.
-    pub const INGEST_V1_DECODE: &str = "ingest/v1/decode";
     /// After the framed v2 header/directory parse, before any frame.
     pub const INGEST_FRAMED_HEADER: &str = "ingest/framed/header";
     /// Per-frame decode body (serial and worker paths), hit once per
     /// frame in frame order on the serial path.
     pub const INGEST_FRAMED_FRAME: &str = "ingest/framed/frame";
-    /// Per-chunk CSV parse body (serial parse counts as one chunk).
+    /// Per-chunk CSV parse body (a serial parse counts as one chunk).
     pub const INGEST_CSV_CHUNK: &str = "ingest/csv/chunk";
     /// Before each epoch append of the incremental pipeline — checked
     /// before any state is consumed.
@@ -72,9 +70,8 @@ pub mod names {
     pub const SCHEDULER_PASS: &str = "scheduler/pass";
 
     /// Every failpoint threaded through the workspace.
-    pub const ALL: [&str; 7] = [
+    pub const ALL: [&str; 6] = [
         INGEST_OPEN,
-        INGEST_V1_DECODE,
         INGEST_FRAMED_HEADER,
         INGEST_FRAMED_FRAME,
         INGEST_CSV_CHUNK,

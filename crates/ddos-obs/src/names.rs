@@ -7,11 +7,12 @@
 //! names pinned here so dashboards and snapshot tests agree on
 //! spelling.
 
-/// Span covering one binary trace decode (v1 serial or v2 framed).
+/// Span covering one binary trace decode (the framed `DDTL` container,
+/// the one binary format).
 pub const INGEST_FRAME_DECODE: &str = "ingest/frame_decode";
 /// Gauge: size in bytes of the last binary trace ingested.
 pub const INGEST_BYTES: &str = "ingest/bytes";
-/// Histogram: frames per decoded binary trace (1 for v1 inputs).
+/// Histogram: frames per decoded binary trace.
 pub const INGEST_FRAMES: &str = "ingest/frames";
 /// Gauge: decode workers used by the last binary trace ingest.
 pub const INGEST_WORKERS: &str = "ingest/workers";

@@ -17,33 +17,9 @@ use std::process::ExitCode;
 
 use ddos_analytics::{Analysis, PipelineOptions};
 use ddos_obs::{names, Obs};
-use ddos_schema::{codec, csv, framed, Dataset, DatasetBuilder, IngestStats, Seconds, Window};
+use ddos_schema::{csv, framed, Dataset, DatasetBuilder, IngestStats, Seconds, Window};
 use ddos_serve::AnalysisService;
 use ddos_sim::{generate, SimConfig};
-
-/// On-disk encoding for trace output (`--format`).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    V1,
-    V2,
-}
-
-impl TraceFormat {
-    fn parse(s: &str) -> Result<TraceFormat, String> {
-        match s {
-            "v1" => Ok(TraceFormat::V1),
-            "v2" => Ok(TraceFormat::V2),
-            other => Err(format!("bad --format {other:?} (expected v1 or v2)")),
-        }
-    }
-
-    fn encode(self, ds: &Dataset) -> Vec<u8> {
-        match self {
-            TraceFormat::V1 => codec::encode(ds).to_vec(),
-            TraceFormat::V2 => framed::encode(ds).to_vec(),
-        }
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,18 +49,16 @@ fn print_help() {
     println!(
         "ddoslab — botnet DDoS trace workbench\n\n\
          USAGE:\n\
-         \x20 ddoslab generate [--scale F] [--seed N] [--no-snapshots]\n\
-         \x20                 [--format v1|v2] --out FILE\n\
+         \x20 ddoslab generate [--scale F] [--seed N] [--no-snapshots] --out FILE\n\
          \x20 ddoslab analyze FILE [--json] [--timings] [--telemetry-json FILE]\n\
          \x20                 [--epochs N]\n\
          \x20 ddoslab serve FILE [--epochs N] [--timings]\n\
          \x20 ddoslab export-csv FILE OUT.csv\n\
-         \x20 ddoslab import-csv IN.csv OUT.ddtl [--merge-gap=SECONDS]\n\
-         \x20                 [--format=v1|v2] [--timings]\n\
+         \x20 ddoslab import-csv IN.csv OUT.ddtl [--merge-gap=SECONDS] [--timings]\n\
          \x20 ddoslab info FILE\n\n\
-         Traces use the binary DDTL format: v1 (ddos_schema::codec) or the\n\
-         framed v2 container (ddos_schema::framed — checksummed frames,\n\
-         parallel decode). Readers accept both; writers default to v2.\n\
+         Traces are written and read in one binary format, the framed DDTL\n\
+         container (ddos_schema::framed, version 2: checksummed frames,\n\
+         parallel decode).\n\
          `import-csv` applies the paper's §II-D record merging (default gap 60 s;\n\
          pass --merge-gap=0 to disable).\n\
          `analyze --epochs N` slices the trace into N epochs and appends\n\
@@ -108,7 +82,6 @@ fn parse_seed(s: &str) -> Result<u64, String> {
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let mut config = SimConfig::default();
     let mut out: Option<String> = None;
-    let mut format = TraceFormat::V2;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -122,7 +95,6 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             "--seed" => config.seed = parse_seed(it.next().ok_or("--seed takes a value")?)?,
             "--no-snapshots" => config.snapshots = false,
             "--out" => out = Some(it.next().ok_or("--out takes a value")?.clone()),
-            "--format" => format = TraceFormat::parse(it.next().ok_or("--format takes a value")?)?,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -132,7 +104,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         config.scale, config.seed
     );
     let trace = generate(&config);
-    let bytes = format.encode(&trace.dataset);
+    let bytes = framed::encode(&trace.dataset);
     std::fs::write(&out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "wrote {out}: {} attacks, {} bots, {} KiB",
@@ -143,8 +115,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Memory-maps and decodes a trace (v1 serial or framed v2 parallel),
-/// recording the ingest span and metrics into `obs`.
+/// Memory-maps and decodes a trace, recording the ingest span and
+/// metrics into `obs`.
 fn load_obs(path: &str, obs: &Obs) -> Result<(Dataset, IngestStats), String> {
     let _span = obs.span(names::INGEST_FRAME_DECODE);
     let (ds, stats) = Dataset::open_with_stats(path).map_err(|e| format!("loading {path}: {e}"))?;
@@ -350,7 +322,6 @@ fn cmd_import_csv(args: &[String]) -> Result<(), String> {
         return Err("import-csv requires IN.csv OUT.ddtl".into());
     };
     let mut merge_gap = Seconds(ddos_analytics::preprocess::MERGE_GAP_S);
-    let mut format = TraceFormat::V2;
     let mut timings = false;
     for flag in flags.iter() {
         match flag.as_str() {
@@ -361,9 +332,6 @@ fn cmd_import_csv(args: &[String]) -> Result<(), String> {
                 let v = other.trim_start_matches("--merge-gap=");
                 merge_gap = Seconds(v.parse().map_err(|e| format!("bad gap: {e}"))?);
             }
-            other if other.starts_with("--format=") => {
-                format = TraceFormat::parse(other.trim_start_matches("--format="))?;
-            }
             "--timings" => timings = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -372,7 +340,7 @@ fn cmd_import_csv(args: &[String]) -> Result<(), String> {
     let obs = Obs::enabled();
     let mut records = {
         let _span = obs.span(names::INGEST_CSV_PARSE);
-        csv::attacks_from_csv_chunked(&text).map_err(|e| e.to_string())?
+        csv::attacks_from_csv(&text).map_err(|e| e.to_string())?
     };
     obs.histogram(names::INGEST_CSV_ROWS)
         .record(records.len() as u64);
@@ -393,8 +361,7 @@ fn cmd_import_csv(args: &[String]) -> Result<(), String> {
     let merged = records.len();
     builder.extend_attacks(records).map_err(|e| e.to_string())?;
     let ds = builder.build().map_err(|e| e.to_string())?;
-    let bytes = format.encode(&ds);
-    std::fs::write(output, &bytes).map_err(|e| format!("writing {output}: {e}"))?;
+    std::fs::write(output, framed::encode(&ds)).map_err(|e| format!("writing {output}: {e}"))?;
     if timings {
         eprintln!("{}", obs.finish(false).render());
     }
@@ -412,7 +379,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     println!("{path}:");
     println!(
         "  format     v{} ({} frames, {} KiB)",
-        stats.version,
+        framed::FRAMED_VERSION,
         stats.frames,
         stats.bytes / 1024
     );

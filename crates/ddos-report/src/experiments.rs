@@ -7,7 +7,6 @@
 //! walks this registry; `cargo bench` times the underlying computations.
 
 use ddos_analytics::overview::intervals;
-use ddos_analytics::source::dispersion::FamilyDispersion;
 use ddos_analytics::source::prediction::MAX_EVAL_POINTS;
 use ddos_analytics::target::organization::{widest_presence, OrgAnalysis};
 use ddos_analytics::util::BotIndex;
@@ -679,14 +678,15 @@ fn f9_dispersion_cdfs(_t: &GeneratedTrace, r: &AnalysisReport) -> String {
 }
 
 fn dispersion_histogram(
-    t: &GeneratedTrace,
-    _r: &AnalysisReport,
+    _t: &GeneratedTrace,
+    r: &AnalysisReport,
     family: Family,
     paper_mean: f64,
     paper_symmetric: f64,
 ) -> String {
-    let bots = BotIndex::build(&t.dataset);
-    let fd = FamilyDispersion::compute(&t.dataset, &bots, family);
+    let Some(fd) = r.dispersion.iter().find(|fd| fd.family == family) else {
+        return format!("# {family} does not qualify for Fig. 9\n");
+    };
     let Some(hist) = fd.asymmetric_histogram(40) else {
         return String::from("# no asymmetric snapshots\n");
     };

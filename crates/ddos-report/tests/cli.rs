@@ -70,3 +70,23 @@ fn analyze_with_epochs_prints_the_batch_report() {
     );
     std::fs::remove_file(&path).expect("remove the trace");
 }
+
+/// Traces have one binary format, so a format flag is an unknown flag:
+/// the error names it and nothing is generated or written.
+#[test]
+fn generate_rejects_a_format_flag_before_generating() {
+    let path = std::env::temp_dir().join(format!("ddoslab-cli-{}-format.ddtl", std::process::id()));
+    let out = ddoslab(&[
+        "generate",
+        "--format",
+        "v1",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(!out.status.success(), "generate accepted --format");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag \"--format\""), "{err}");
+    assert!(!err.contains("generating trace"), "{err}");
+    assert!(out.stdout.is_empty(), "generate printed {out:?}");
+    assert!(!path.exists(), "generate wrote {}", path.display());
+}

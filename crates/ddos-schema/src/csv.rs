@@ -63,55 +63,30 @@ where
 }
 
 /// Parses attack records from CSV produced by [`attacks_to_csv`] (or an
-/// external export in the same layout). Blank lines and `#` comments are
-/// skipped; every data row is fully validated. Diagnostics carry the
-/// 1-based line number in the original input.
+/// external export in the same layout), with one parse worker per
+/// available core. Blank lines and `#` comments are skipped; every data
+/// row is fully validated. Diagnostics carry the 1-based line number in
+/// the original input.
 pub fn attacks_from_csv(text: &str) -> Result<Vec<AttackRecord>, SchemaError> {
-    let lines = indexed_lines(text);
-    let data = check_header(&lines)?;
-    // The serial parse counts as one chunk at the failpoint.
-    crate::fail::check(crate::fail::INGEST_CSV_CHUNK)?;
-    let mut out = Vec::with_capacity(data.len());
-    // One field buffer reused across all rows instead of a fresh
-    // `Vec<&str>` per row; `parse_line` only reads it within the call.
-    let mut fields: Vec<&str> = Vec::with_capacity(14);
-    for &(lineno, line) in data {
-        out.push(parse_line(lineno, line, &mut fields)?);
-    }
-    Ok(out)
-}
-
-/// Parallel variant of [`attacks_from_csv`]: the line index is built in
-/// one sweep, contiguous chunks of rows are parsed on scoped threads
-/// (each with its own reused field buffer), and the per-chunk results
-/// are spliced in chunk order. Because chunks partition the rows in
-/// order, scanning results in chunk order makes the error for the
-/// earliest offending line win — output and diagnostics are identical
-/// to the serial path, which proptest in `tests/ingest.rs` pins.
-pub fn attacks_from_csv_chunked(text: &str) -> Result<Vec<AttackRecord>, SchemaError> {
     let workers = std::thread::available_parallelism().map_or(1, usize::from);
-    attacks_from_csv_chunked_with(text, workers)
+    attacks_from_csv_with(text, workers)
 }
 
-/// [`attacks_from_csv_chunked`] with an explicit worker count, so tests
-/// and benches can pin the parallel path regardless of host cores.
-/// Degrades to the serial loop when the input is too small to be worth
-/// splitting.
-pub fn attacks_from_csv_chunked_with(
-    text: &str,
-    workers: usize,
-) -> Result<Vec<AttackRecord>, SchemaError> {
+/// [`attacks_from_csv`] with an explicit worker count, so tests and
+/// benches can pin the parallel path (or the serial one) regardless of
+/// host cores. The line index is built in one sweep, contiguous chunks
+/// of rows are parsed on scoped threads, and the per-chunk results are
+/// spliced in chunk order. Because chunks partition the rows in order,
+/// scanning results in chunk order makes the error for the earliest
+/// offending line win, so output and diagnostics do not depend on the
+/// worker count — proptest in `tests/ingest.rs` pins this. Parses
+/// serially when the input is too small to be worth splitting.
+pub fn attacks_from_csv_with(text: &str, workers: usize) -> Result<Vec<AttackRecord>, SchemaError> {
     let lines = indexed_lines(text);
     let data = check_header(&lines)?;
     let workers = workers.min(data.len() / MIN_ROWS_PER_CHUNK);
     if workers <= 1 {
-        crate::fail::check(crate::fail::INGEST_CSV_CHUNK)?;
-        let mut out = Vec::with_capacity(data.len());
-        let mut fields: Vec<&str> = Vec::with_capacity(14);
-        for &(lineno, line) in data {
-            out.push(parse_line(lineno, line, &mut fields)?);
-        }
-        return Ok(out);
+        return parse_rows(data);
     }
     let chunk_len = data.len().div_ceil(workers);
     let chunks: Vec<&[(usize, &str)]> = data.chunks(chunk_len).collect();
@@ -123,13 +98,7 @@ pub fn attacks_from_csv_chunked_with(
                 let plan = &plan;
                 scope.spawn(move |_| {
                     let _plan = plan.enter();
-                    crate::fail::check(crate::fail::INGEST_CSV_CHUNK)?;
-                    let mut out = Vec::with_capacity(chunk.len());
-                    let mut fields: Vec<&str> = Vec::with_capacity(14);
-                    for &(lineno, line) in chunk {
-                        out.push(parse_line(lineno, line, &mut fields)?);
-                    }
-                    Ok(out)
+                    parse_rows(chunk)
                 })
             })
             .collect();
@@ -146,8 +115,21 @@ pub fn attacks_from_csv_chunked_with(
     Ok(out)
 }
 
+/// Parses one chunk of data rows (the serial parse is one chunk), with
+/// one field buffer reused across its rows instead of a fresh
+/// `Vec<&str>` per row.
+fn parse_rows(rows: &[(usize, &str)]) -> Result<Vec<AttackRecord>, SchemaError> {
+    crate::fail::check(crate::fail::INGEST_CSV_CHUNK)?;
+    let mut out = Vec::with_capacity(rows.len());
+    let mut fields: Vec<&str> = Vec::with_capacity(14);
+    for &(lineno, line) in rows {
+        out.push(parse_line(lineno, line, &mut fields)?);
+    }
+    Ok(out)
+}
+
 /// Below this many rows per would-be chunk the spawn overhead outweighs
-/// the parse work and the chunked path degrades to the serial loop.
+/// the parse work and the parse runs serially.
 const MIN_ROWS_PER_CHUNK: usize = 256;
 
 /// One sweep over the input: trims, drops blank/comment lines, and
@@ -275,12 +257,11 @@ mod tests {
             })
             .collect();
         let csv = attacks_to_csv(&attacks);
-        let serial = attacks_from_csv(&csv).unwrap();
-        let chunked = attacks_from_csv_chunked(&csv).unwrap();
-        assert_eq!(serial, chunked);
+        let serial = attacks_from_csv_with(&csv, 1).unwrap();
+        assert_eq!(serial, attacks_from_csv(&csv).unwrap());
         assert_eq!(serial, attacks);
         // Force the scoped-thread path even on a 1-core host.
-        assert_eq!(serial, attacks_from_csv_chunked_with(&csv, 2).unwrap());
+        assert_eq!(serial, attacks_from_csv_with(&csv, 2).unwrap());
     }
 
     #[test]
@@ -293,13 +274,12 @@ mod tests {
         let (front, back) = (lines[41].to_owned(), lines[550].to_owned());
         csv = csv.replacen(&front, "broken,row", 1);
         csv = csv.replacen(&back, "also,broken", 1);
-        let serial = attacks_from_csv(&csv).unwrap_err();
-        let chunked = attacks_from_csv_chunked(&csv).unwrap_err();
-        assert_eq!(serial, chunked);
+        let serial = attacks_from_csv_with(&csv, 1).unwrap_err();
+        assert_eq!(serial, attacks_from_csv(&csv).unwrap_err());
         assert!(serial.to_string().contains("line 42"), "{serial}");
         // Even when the first chunk is clean and a later chunk errors
         // first in wall-clock time, the earliest line still wins.
-        assert_eq!(serial, attacks_from_csv_chunked_with(&csv, 2).unwrap_err());
+        assert_eq!(serial, attacks_from_csv_with(&csv, 2).unwrap_err());
     }
 
     #[test]

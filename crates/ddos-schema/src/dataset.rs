@@ -411,7 +411,7 @@ impl DatasetBuilder {
     /// Appends attack records the caller has already validated — the
     /// framed decoder runs per-record validation on its worker threads,
     /// so re-checking here would double the work. Window enforcement is
-    /// intentionally skipped too (the codecs build with
+    /// intentionally skipped too (the decoder builds with
     /// [`DatasetBuilder::allow_out_of_window`]); the whole-dataset
     /// checks in [`DatasetBuilder::build`] still apply.
     pub(crate) fn extend_attacks_prevalidated(&mut self, attacks: Vec<AttackRecord>) {

@@ -32,7 +32,7 @@ pub enum SchemaError {
     UnsupportedVersion {
         /// Version found in the header.
         found: u16,
-        /// Latest version this build supports.
+        /// The one version this build reads.
         supported: u16,
     },
 }
@@ -53,7 +53,7 @@ impl fmt::Display for SchemaError {
             SchemaError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "unsupported trace version {found} (this build reads <= {supported})"
+                    "unsupported trace version {found} (this build reads version {supported})"
                 )
             }
         }

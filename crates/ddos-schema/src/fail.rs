@@ -14,13 +14,12 @@ use crate::error::SchemaError;
 // stub `check` ignores its argument entirely.
 #[cfg(feature = "failpoints")]
 pub(crate) use ddos_failpoints::names::{
-    INGEST_CSV_CHUNK, INGEST_FRAMED_FRAME, INGEST_FRAMED_HEADER, INGEST_OPEN, INGEST_V1_DECODE,
+    INGEST_CSV_CHUNK, INGEST_FRAMED_FRAME, INGEST_FRAMED_HEADER, INGEST_OPEN,
 };
 
 #[cfg(not(feature = "failpoints"))]
 mod names_off {
     pub const INGEST_OPEN: &str = "ingest/open";
-    pub const INGEST_V1_DECODE: &str = "ingest/v1/decode";
     pub const INGEST_FRAMED_HEADER: &str = "ingest/framed/header";
     pub const INGEST_FRAMED_FRAME: &str = "ingest/framed/frame";
     pub const INGEST_CSV_CHUNK: &str = "ingest/csv/chunk";

@@ -1,9 +1,10 @@
-//! Framed binary trace format (`DDTL`, version 2) with parallel decode.
+//! The framed binary trace container (`DDTL`, version 2) with parallel
+//! decode.
 //!
-//! Version 2 keeps version 1's per-record wire encoding untouched but
-//! splits each section (attacks, bots, botnets, per-family snapshots)
-//! into frames of at most `frame_len` records and moves the layout into
-//! a directory between the header and the payload:
+//! Each section (attacks, bots, botnets, per-family snapshots) is split
+//! into frames of at most `frame_len` records in the record encoding of
+//! [`crate::codec`], and a directory between the header and the payload
+//! holds the layout:
 //!
 //! ```text
 //! magic     b"DDTL"
@@ -20,22 +21,26 @@
 //! The directory is validated up front: frames must be contiguous
 //! (each offset equals the previous frame's end — overlapping or
 //! gapped offsets are rejected), kinds must appear in section order,
-//! and snapshot families must stay grouped and never reappear.
+//! and snapshot families must stay grouped and never reappear. Any
+//! other version in the header, the unframed version 1 stream
+//! included, is rejected as [`SchemaError::UnsupportedVersion`].
 //!
 //! Decoding then needs no cross-frame state: each frame is a
-//! self-delimited run of whole records, so workers on scoped threads
-//! (`crossbeam`, the same work-stealing pattern as the pass scheduler)
-//! pull frame indices from an atomic counter, verify the frame
-//! checksum, and decode through a zero-copy `SliceReader` cursor over
-//! the input — typically a memory-mapped file, so pages fault in as
-//! the cursors reach them and nothing is buffered up front. Results
-//! are spliced in frame order and the first error in frame order wins,
-//! so output (dataset *and* diagnostics) is deterministic regardless
-//! of thread interleaving. Concatenating the frames of a section in
-//! frame order reproduces the v1 record sequence exactly, hence the
-//! decoded [`Dataset`] is bit-identical to the serial v1 reference
-//! decode — `tests/ingest.rs` proves this by proptest over arbitrary
-//! sim configs and frame lengths.
+//! self-delimited run of whole records, decoded by one body through a
+//! zero-copy `SliceReader` cursor over the input — typically a
+//! memory-mapped file, so pages fault in as the cursors reach them and
+//! nothing is buffered up front. One worker decodes every frame
+//! straight into the final section vectors. More workers, on scoped
+//! threads (`crossbeam`, the same work-stealing pattern as the pass
+//! scheduler), pull frame indices from an atomic counter and decode
+//! each frame into sections of its own, which are spliced in frame
+//! order; the first error in frame order wins, so output (dataset *and*
+//! diagnostics) is deterministic regardless of thread interleaving.
+//! Concatenating the frames of a section in frame order reproduces the
+//! encoded record sequence exactly, hence the decoded [`Dataset`] is
+//! bit-identical to the one encoded — `tests/ingest.rs` proves this by
+//! proptest over arbitrary sim configs, frame lengths and worker
+//! counts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -43,7 +48,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::codec::{
     get_attack, get_bot, get_botnet, get_snapshot, put_attack, put_bot, put_botnet, put_snapshot,
-    put_varint, MAGIC,
+    put_varint,
 };
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::error::SchemaError;
@@ -51,9 +56,11 @@ use crate::family::Family;
 use crate::record::{AttackRecord, BotRecord, BotnetRecord};
 use crate::snapshot::{HourlySnapshot, SnapshotSeries};
 use crate::time::{Timestamp, Window};
-use crate::wire::{get_varint, need, SliceReader, WireBuf};
+use crate::wire::{get_varint, need, SliceReader};
 
-/// The framed binary format version.
+const MAGIC: &[u8; 4] = b"DDTL";
+
+/// The container version this module writes, and the only one it reads.
 pub const FRAMED_VERSION: u16 = 2;
 
 /// Default records-per-frame bound: large enough that directory and
@@ -72,26 +79,12 @@ const NO_FAMILY: u8 = 0xFF;
 /// Statistics describing one binary trace load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Container version the input carried (1 or 2).
-    pub version: u16,
     /// Total input size in bytes.
     pub bytes: usize,
-    /// Frames decoded (1 for the unframed v1 format).
+    /// Frames decoded.
     pub frames: usize,
     /// Decode worker threads used.
     pub workers: usize,
-}
-
-impl IngestStats {
-    /// Stats for a serial v1 decode (one implicit frame, one worker).
-    pub(crate) fn serial_v1(bytes: usize) -> IngestStats {
-        IngestStats {
-            version: 1,
-            bytes,
-            frames: 1,
-            workers: 1,
-        }
-    }
 }
 
 /// A 64-bit integrity checksum over a frame body.
@@ -238,20 +231,31 @@ struct FrameMeta {
     checksum: u64,
 }
 
-enum FramePayload {
-    Attacks(Vec<AttackRecord>),
-    Bots(Vec<BotRecord>),
-    Botnets(Vec<BotnetRecord>),
-    Snapshots(Family, Vec<HourlySnapshot>),
-}
-
-/// Decoded sections accumulated in frame order, pre-sized from the
-/// directory's record counts so no vector ever regrows mid-decode.
+/// Decoded sections accumulated in frame order: the whole trace's
+/// (pre-sized from the directory's record counts, so no vector regrows
+/// mid-decode), or one frame's on a decode worker.
+#[derive(Default)]
 struct Sections {
     attacks: Vec<AttackRecord>,
     bots: Vec<BotRecord>,
     botnets: Vec<BotnetRecord>,
     snaps: Vec<(Family, Vec<HourlySnapshot>)>,
+}
+
+impl Sections {
+    /// Appends the sections of the next frame(s) in frame order,
+    /// continuing a snapshot family's run across frames.
+    fn splice(&mut self, next: Sections) {
+        self.attacks.extend(next.attacks);
+        self.bots.extend(next.bots);
+        self.botnets.extend(next.botnets);
+        for (family, series) in next.snaps {
+            match self.snaps.last_mut() {
+                Some((f, acc)) if *f == family => acc.extend(series),
+                _ => self.snaps.push((family, series)),
+            }
+        }
+    }
 }
 
 /// Deserializes a dataset from the framed v2 format.
@@ -389,13 +393,12 @@ pub fn decode_with_workers(
     if workers <= 1 {
         // Serial fast path: records land in the final pre-sized
         // vectors as they decode — no per-frame buffers and no splice
-        // copy. At paper scale this was the difference between ~1.5x
-        // and >2x over the v1 serial decode (DESIGN §13).
+        // copy (DESIGN §13).
         for (i, meta) in metas.iter().enumerate() {
             decode_frame_into(meta, i, payload, &mut sections)?;
         }
     } else {
-        let mut slots: Vec<Option<Result<FramePayload, SchemaError>>> =
+        let mut slots: Vec<Option<Result<Sections, SchemaError>>> =
             metas.iter().map(|_| None).collect();
         let next = AtomicUsize::new(0);
         let plan = crate::fail::Handoff::current();
@@ -411,7 +414,9 @@ pub fn decode_with_workers(
                             if i >= metas.len() {
                                 break;
                             }
-                            done.push((i, decode_frame(&metas[i], i, payload)));
+                            let mut frame = Sections::default();
+                            let res = decode_frame_into(&metas[i], i, payload, &mut frame);
+                            done.push((i, res.map(|()| frame)));
                         }
                         done
                     })
@@ -429,15 +434,7 @@ pub fn decode_with_workers(
         // so diagnostics are deterministic regardless of worker
         // interleaving.
         for slot in slots {
-            match slot.expect("every frame decoded")? {
-                FramePayload::Attacks(v) => sections.attacks.extend(v),
-                FramePayload::Bots(v) => sections.bots.extend(v),
-                FramePayload::Botnets(v) => sections.botnets.extend(v),
-                FramePayload::Snapshots(family, v) => match sections.snaps.last_mut() {
-                    Some((f, acc)) if *f == family => acc.extend(v),
-                    _ => sections.snaps.push((family, v)),
-                },
-            }
+            sections.splice(slot.expect("every frame decoded")?);
         }
     }
 
@@ -450,7 +447,6 @@ pub fn decode_with_workers(
         builder.set_snapshots(family, SnapshotSeries::from_snapshots(series)?)?;
     }
     let stats = IngestStats {
-        version: FRAMED_VERSION,
         bytes: bytes.len(),
         frames: metas.len(),
         workers,
@@ -458,9 +454,9 @@ pub fn decode_with_workers(
     Ok((builder.build()?, stats))
 }
 
-/// Decodes one frame straight into the final section vectors — the
-/// serial path, where per-frame buffers and the splice copy would be
-/// pure overhead. The parallel path uses [`decode_frame`] instead.
+/// Decodes one frame onto the end of `sections`: the final section
+/// vectors on the serial path, or a frame's own sections on a decode
+/// worker.
 fn decode_frame_into(
     meta: &FrameMeta,
     idx: usize,
@@ -476,8 +472,12 @@ fn decode_frame_into(
         )));
     }
     let mut r = SliceReader::new(body);
+    // Every record is > 1 byte on the wire, so this caps preallocation
+    // from an untrusted count at the frame size.
+    let cap = meta.count.min(body.len());
     match meta.kind {
         KIND_ATTACKS => {
+            sections.attacks.reserve(cap);
             for _ in 0..meta.count {
                 let a = get_attack(&mut r)?;
                 a.validate()?;
@@ -485,6 +485,7 @@ fn decode_frame_into(
             }
         }
         KIND_BOTS => {
+            sections.bots.reserve(cap);
             for _ in 0..meta.count {
                 let b = get_bot(&mut r)?;
                 b.validate()?;
@@ -492,6 +493,7 @@ fn decode_frame_into(
             }
         }
         KIND_BOTNETS => {
+            sections.botnets.reserve(cap);
             for _ in 0..meta.count {
                 let b = get_botnet(&mut r)?;
                 b.validate()?;
@@ -505,6 +507,7 @@ fn decode_frame_into(
                 sections.snaps.push((family, Vec::new()));
             }
             let acc = &mut sections.snaps.last_mut().expect("family run started").1;
+            acc.reserve(cap);
             for _ in 0..meta.count {
                 acc.push(get_snapshot(&mut r, family)?);
             }
@@ -519,66 +522,6 @@ fn decode_frame_into(
     Ok(())
 }
 
-fn decode_frame(meta: &FrameMeta, idx: usize, payload: &[u8]) -> Result<FramePayload, SchemaError> {
-    crate::fail::check(crate::fail::INGEST_FRAMED_FRAME)?;
-    // The directory contiguity check proved this range is in bounds.
-    let body = &payload[meta.offset..meta.offset + meta.len];
-    if checksum64(body) != meta.checksum {
-        return Err(SchemaError::Codec(format!(
-            "frame {idx}: checksum mismatch"
-        )));
-    }
-    let mut r = SliceReader::new(body);
-    // Every record is > 1 byte on the wire, so this caps preallocation
-    // from an untrusted count at the frame size.
-    let cap = meta.count.min(body.len());
-    let payload = match meta.kind {
-        KIND_ATTACKS => {
-            let mut v = Vec::with_capacity(cap);
-            for _ in 0..meta.count {
-                let a = get_attack(&mut r)?;
-                a.validate()?;
-                v.push(a);
-            }
-            FramePayload::Attacks(v)
-        }
-        KIND_BOTS => {
-            let mut v = Vec::with_capacity(cap);
-            for _ in 0..meta.count {
-                let b = get_bot(&mut r)?;
-                b.validate()?;
-                v.push(b);
-            }
-            FramePayload::Bots(v)
-        }
-        KIND_BOTNETS => {
-            let mut v = Vec::with_capacity(cap);
-            for _ in 0..meta.count {
-                let b = get_botnet(&mut r)?;
-                b.validate()?;
-                v.push(b);
-            }
-            FramePayload::Botnets(v)
-        }
-        _ => {
-            let family = Family::from_index(meta.family as usize)
-                .ok_or_else(|| SchemaError::Codec(format!("frame {idx}: bad family index")))?;
-            let mut v = Vec::with_capacity(cap);
-            for _ in 0..meta.count {
-                v.push(get_snapshot(&mut r, family)?);
-            }
-            FramePayload::Snapshots(family, v)
-        }
-    };
-    if r.left() > 0 {
-        return Err(SchemaError::Codec(format!(
-            "frame {idx}: {} trailing bytes",
-            r.left()
-        )));
-    }
-    Ok(payload)
-}
-
 fn worker_count() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
@@ -586,7 +529,6 @@ fn worker_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec;
     use crate::geo::{CountryCode, LatLon};
     use crate::ids::BotnetId;
     use crate::ip::IpAddr4;
@@ -648,34 +590,23 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_matches_v1_decode() {
+    fn round_trip_matches_the_encoded_dataset() {
         let ds = sample_dataset();
-        let v1 = codec::decode(&codec::encode(&ds)).unwrap();
         for frame_len in [1, 2, 3, 1_000_000] {
             let bytes = encode_with(&ds, frame_len);
-            let (v2, stats) = decode_with_stats(&bytes).unwrap();
-            assert_same(&v1, &v2);
+            let (serial, stats) = decode_with_workers(&bytes, 1).unwrap();
+            assert_same(&ds, &serial);
             // Force the scoped-thread path even on a 1-core host.
-            let (v2_par, par_stats) = decode_with_workers(&bytes, 4).unwrap();
-            assert_same(&v1, &v2_par);
-            assert!(par_stats.workers >= 1 && par_stats.workers <= 4);
-            assert_eq!(stats.version, FRAMED_VERSION);
+            let (par, par_stats) = decode_with_workers(&bytes, 4).unwrap();
+            assert_same(&ds, &par);
+            assert!(par_stats.workers > 1 && par_stats.workers <= 4);
+            assert_eq!(stats.workers, 1);
             assert_eq!(stats.bytes, bytes.len());
             if frame_len == 1_000_000 {
                 // One frame per non-empty section.
                 assert_eq!(stats.frames, 4);
             }
         }
-    }
-
-    #[test]
-    fn decode_any_reads_both_versions() {
-        let ds = sample_dataset();
-        let v1 = codec::decode_any(&codec::encode(&ds)).unwrap();
-        let v2 = codec::decode_any(&encode(&ds)).unwrap();
-        assert_same(&v1, &v2);
-        let (_, stats) = codec::decode_any_with_stats(&codec::encode(&ds)).unwrap();
-        assert_eq!((stats.version, stats.frames), (1, 1));
     }
 
     #[test]
@@ -748,16 +679,49 @@ mod tests {
         assert!(decode(&bytes).is_err());
     }
 
+    /// A valid container with its header's version field set to
+    /// `version`.
+    fn with_version(version: u16) -> Vec<u8> {
+        let mut bytes = encode(&sample_dataset()).to_vec();
+        bytes[4..6].copy_from_slice(&version.to_be_bytes());
+        bytes
+    }
+
     #[test]
     fn rejects_wrong_version() {
-        let bytes = codec::encode(&sample_dataset());
+        for found in [0, 1] {
+            let err = decode(&with_version(found)).unwrap_err();
+            assert!(matches!(
+                err,
+                SchemaError::UnsupportedVersion { found: f, supported: FRAMED_VERSION } if f == found
+            ));
+            assert!(
+                err.to_string().ends_with("(this build reads version 2)"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_future_version() {
         assert!(matches!(
-            decode(&bytes).unwrap_err(),
+            decode(&with_version(0xFFFF)).unwrap_err(),
             SchemaError::UnsupportedVersion {
-                found: 1,
+                found: 0xFFFF,
                 supported: FRAMED_VERSION
             }
         ));
+    }
+
+    #[test]
+    fn rejects_bad_magic() {
+        let err = decode(b"NOPE").unwrap_err();
+        assert!(matches!(err, SchemaError::Codec(_)));
+        // A full-length header fails on the magic, not on length.
+        let mut bytes = encode(&sample_dataset()).to_vec();
+        bytes[0] = b'X';
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
     #[test]

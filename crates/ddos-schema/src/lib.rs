@@ -21,12 +21,13 @@
 //!   snapshots the feed publishes per family;
 //! * [`dataset`] — an indexed in-memory container over all three schemas
 //!   with family/target/time access paths used by every analysis;
-//! * [`codec`] — a compact binary trace format (plus JSON via `serde`) so
-//!   generated traces can be persisted and shared;
-//! * [`framed`] — version 2 of that format: sections split into
-//!   checksummed frames decoded in parallel on scoped threads;
-//! * [`mmap`] — [`Dataset::open`], memory-mapped zero-copy loading of
-//!   either binary version;
+//! * [`codec`] — the compact binary record encoding (plus JSON via
+//!   `serde`) so generated traces can be persisted and shared;
+//! * [`framed`] — the one binary trace container (`DDTL` version 2):
+//!   sections split into checksummed frames decoded in parallel on
+//!   scoped threads;
+//! * [`mmap`] — [`Dataset::open`], memory-mapped zero-copy loading of a
+//!   trace file;
 //! * [`csv`] — a plain-text layout of the attack schema for importing
 //!   external data.
 //!

@@ -3,8 +3,7 @@
 //! [`Dataset::open`] maps a binary trace file read-only and decodes it
 //! in place: the framed v2 decoder walks zero-copy cursors over the
 //! mapping, so pages fault in lazily as the decode workers reach them
-//! instead of being read (and copied) up front. Version 1 traces are
-//! dispatched to the serial reference decoder over the same mapping.
+//! instead of being read (and copied) up front.
 //!
 //! The mapping itself comes from the vendored `memmap2` shim, which
 //! degrades to a buffered read when a real mapping is unavailable —
@@ -15,28 +14,27 @@ use std::path::Path;
 
 use memmap2::Mmap;
 
-use crate::codec;
 use crate::dataset::Dataset;
 use crate::error::SchemaError;
-use crate::framed::IngestStats;
+use crate::framed::{self, IngestStats};
 
 impl Dataset {
-    /// Opens a binary trace file (`DDTL` v1 or v2) via a read-only
-    /// memory map and decodes it.
+    /// Opens a binary trace file (the framed `DDTL` container) via a
+    /// read-only memory map and decodes it.
     pub fn open(path: impl AsRef<Path>) -> Result<Dataset, SchemaError> {
         Dataset::open_with_stats(path).map(|(ds, _)| ds)
     }
 
     /// Like [`Dataset::open`], also returning [`IngestStats`] for the
-    /// load (format version, bytes, frames, decode workers) so callers
-    /// can feed ingest telemetry.
+    /// load (bytes, frames, decode workers) so callers can feed ingest
+    /// telemetry.
     pub fn open_with_stats(path: impl AsRef<Path>) -> Result<(Dataset, IngestStats), SchemaError> {
         let path = path.as_ref();
         let io_err = |e: std::io::Error| SchemaError::Io(format!("{}: {e}", path.display()));
         crate::fail::check(crate::fail::INGEST_OPEN)?;
         let file = File::open(path).map_err(io_err)?;
         let map = Mmap::map(&file).map_err(io_err)?;
-        codec::decode_any_with_stats(&map)
+        framed::decode_with_stats(&map)
     }
 }
 
@@ -44,7 +42,6 @@ impl Dataset {
 mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
-    use crate::framed;
     use crate::ip::IpAddr4;
     use crate::record::test_fixtures::attack;
     use crate::time::{Timestamp, Window};
@@ -66,19 +63,15 @@ mod tests {
     }
 
     #[test]
-    fn open_reads_both_formats() {
+    fn open_reads_the_framed_container() {
         let ds = sample();
-        for (name, bytes) in [
-            ("v1.ddtl", codec::encode(&ds).to_vec()),
-            ("v2.ddtl", framed::encode(&ds).to_vec()),
-        ] {
-            let path = temp_path(name);
-            std::fs::write(&path, &bytes).unwrap();
-            let (back, stats) = Dataset::open_with_stats(&path).unwrap();
-            assert_eq!(back.attacks(), ds.attacks());
-            assert_eq!(stats.bytes, bytes.len());
-            std::fs::remove_file(&path).unwrap();
-        }
+        let bytes = framed::encode(&ds);
+        let path = temp_path("v2.ddtl");
+        std::fs::write(&path, &bytes).unwrap();
+        let (back, stats) = Dataset::open_with_stats(&path).unwrap();
+        assert_eq!(back.attacks(), ds.attacks());
+        assert_eq!(stats.bytes, bytes.len());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -261,8 +261,8 @@ mod tests {
         let n = ds.shards(Seconds(250)).len();
         let full = ds.epoch_prefix(Seconds(250), n);
         assert_eq!(
-            crate::codec::encode(&full),
-            crate::codec::encode(&ds),
+            crate::framed::encode(&full),
+            crate::framed::encode(&ds),
             "a full prefix must round-trip the dataset"
         );
     }

@@ -1,111 +1,21 @@
-//! Shared read-side primitives for the binary codecs.
+//! Read-side primitives for the binary codec.
 //!
-//! Two cursors read the `DDTL` wire encoding: the v1 decoder keeps the
-//! original `bytes::Bytes` path as the serial reference, and the framed
-//! v2 decoder reads through [`SliceReader`], a zero-copy cursor over a
-//! borrowed slice (typically a memory-mapped file) whose accessors are
-//! small enough to inline into the record decoders. Both implement
-//! [`WireBuf`], so each per-record decode function in [`crate::codec`]
-//! is written once and monomorphizes to a specialized body per cursor.
+//! The framed container's decoder reads the `DDTL` wire encoding
+//! through [`SliceReader`], a zero-copy cursor over a borrowed slice
+//! (typically a memory-mapped file) whose accessors are small enough
+//! to inline into the record decoders in [`crate::codec`].
 //!
 //! The contract every `take_*` call relies on: the caller has already
 //! established, via [`need`] (or a varint read, which checks per byte),
 //! that enough bytes remain. The decoders uphold this before every
-//! fixed-width read — `codec`'s truncation tests walk every prefix of
-//! an encoded trace through both cursors to prove it.
-
-use bytes::{Buf, Bytes};
+//! fixed-width read — `codec`'s truncation test walks every prefix of
+//! each encoded record, and `framed`'s every prefix of a container, to
+//! prove it.
 
 use crate::error::SchemaError;
 
-/// Read cursor over the binary wire encoding (network byte order).
-pub(crate) trait WireBuf {
-    /// Bytes left to consume.
-    fn left(&self) -> usize;
-    /// Reads one byte.
-    fn take_u8(&mut self) -> u8;
-    /// Reads a big-endian `u16`.
-    fn take_u16(&mut self) -> u16;
-    /// Reads a big-endian `u32`.
-    fn take_u32(&mut self) -> u32;
-    /// Reads a big-endian `u64`.
-    fn take_u64(&mut self) -> u64;
-    /// Reads a big-endian `i64`.
-    fn take_i64(&mut self) -> i64;
-    /// Reads a big-endian IEEE-754 `f64`.
-    fn take_f64(&mut self) -> f64;
-    /// Reads `dst.len()` bytes.
-    fn take_into(&mut self, dst: &mut [u8]);
-}
-
-/// Errors (without consuming) unless `n` bytes remain for `what`.
-pub(crate) fn need<B: WireBuf>(buf: &B, n: usize, what: &str) -> Result<(), SchemaError> {
-    if buf.left() < n {
-        Err(SchemaError::Codec(format!(
-            "truncated input: need {n} bytes for {what}, have {}",
-            buf.left()
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-/// Reads a LEB128 varint, checking availability byte by byte.
-pub(crate) fn get_varint<B: WireBuf>(buf: &mut B) -> Result<u64, SchemaError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if buf.left() == 0 {
-            return Err(SchemaError::Codec("truncated varint".into()));
-        }
-        let byte = buf.take_u8();
-        if shift >= 64 {
-            return Err(SchemaError::Codec("varint overflow".into()));
-        }
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-impl WireBuf for Bytes {
-    #[inline]
-    fn left(&self) -> usize {
-        self.remaining()
-    }
-    #[inline]
-    fn take_u8(&mut self) -> u8 {
-        self.get_u8()
-    }
-    #[inline]
-    fn take_u16(&mut self) -> u16 {
-        self.get_u16()
-    }
-    #[inline]
-    fn take_u32(&mut self) -> u32 {
-        self.get_u32()
-    }
-    #[inline]
-    fn take_u64(&mut self) -> u64 {
-        self.get_u64()
-    }
-    #[inline]
-    fn take_i64(&mut self) -> i64 {
-        self.get_i64()
-    }
-    #[inline]
-    fn take_f64(&mut self) -> f64 {
-        self.get_f64()
-    }
-    #[inline]
-    fn take_into(&mut self, dst: &mut [u8]) {
-        self.copy_to_slice(dst)
-    }
-}
-
-/// Zero-copy cursor over a borrowed byte slice.
+/// Zero-copy cursor over a borrowed byte slice, reading the wire
+/// encoding in network byte order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SliceReader<'a> {
     buf: &'a [u8],
@@ -124,6 +34,12 @@ impl<'a> SliceReader<'a> {
         self.pos
     }
 
+    /// Bytes left to consume.
+    #[inline]
+    pub(crate) fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     #[inline]
     fn array<const N: usize>(&mut self) -> [u8; N] {
         let a: [u8; N] = self.buf[self.pos..self.pos + N]
@@ -132,51 +48,92 @@ impl<'a> SliceReader<'a> {
         self.pos += N;
         a
     }
-}
 
-impl WireBuf for SliceReader<'_> {
+    /// Reads one byte.
     #[inline]
-    fn left(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    #[inline]
-    fn take_u8(&mut self) -> u8 {
+    pub(crate) fn take_u8(&mut self) -> u8 {
         let b = self.buf[self.pos];
         self.pos += 1;
         b
     }
+
+    /// Reads a big-endian `u16`.
     #[inline]
-    fn take_u16(&mut self) -> u16 {
+    pub(crate) fn take_u16(&mut self) -> u16 {
         u16::from_be_bytes(self.array())
     }
+
+    /// Reads a big-endian `u32`.
     #[inline]
-    fn take_u32(&mut self) -> u32 {
+    pub(crate) fn take_u32(&mut self) -> u32 {
         u32::from_be_bytes(self.array())
     }
+
+    /// Reads a big-endian `u64`.
     #[inline]
-    fn take_u64(&mut self) -> u64 {
+    pub(crate) fn take_u64(&mut self) -> u64 {
         u64::from_be_bytes(self.array())
     }
+
+    /// Reads a big-endian `i64`.
     #[inline]
-    fn take_i64(&mut self) -> i64 {
+    pub(crate) fn take_i64(&mut self) -> i64 {
         i64::from_be_bytes(self.array())
     }
+
+    /// Reads a big-endian IEEE-754 `f64`.
     #[inline]
-    fn take_f64(&mut self) -> f64 {
+    pub(crate) fn take_f64(&mut self) -> f64 {
         f64::from_bits(self.take_u64())
     }
+
+    /// Reads `dst.len()` bytes.
     #[inline]
-    fn take_into(&mut self, dst: &mut [u8]) {
+    pub(crate) fn take_into(&mut self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.buf[self.pos..self.pos + dst.len()]);
         self.pos += dst.len();
+    }
+}
+
+/// Errors (without consuming) unless `n` bytes remain for `what`.
+pub(crate) fn need(buf: &SliceReader<'_>, n: usize, what: &str) -> Result<(), SchemaError> {
+    if buf.left() < n {
+        Err(SchemaError::Codec(format!(
+            "truncated input: need {n} bytes for {what}, have {}",
+            buf.left()
+        )))
+    } else {
+        Ok(())
+    }
+}
+
+/// Reads a LEB128 varint, checking availability byte by byte.
+pub(crate) fn get_varint(buf: &mut SliceReader<'_>) -> Result<u64, SchemaError> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        if buf.left() == 0 {
+            return Err(SchemaError::Codec("truncated varint".into()));
+        }
+        let byte = buf.take_u8();
+        if shift >= 64 {
+            return Err(SchemaError::Codec("varint overflow".into()));
+        }
+        v |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::{BufMut, BytesMut};
+    use bytes::{Buf, BufMut, BytesMut};
 
+    /// `SliceReader` reads exactly what the `bytes` crate's own `Buf`
+    /// cursor reads from the stream its `BufMut` wrote.
     #[test]
     fn both_cursors_read_the_same_stream() {
         let mut w = BytesMut::new();
@@ -187,27 +144,22 @@ mod tests {
         w.put_i64(-5);
         w.put_f64(1.5);
         w.put_slice(b"xy");
-        let encoded = w.freeze().to_vec();
+        let mut bytes = w.freeze();
+        let encoded = bytes.to_vec();
 
-        let mut slice = SliceReader::new(&encoded);
-        let mut bytes = Bytes::copy_from_slice(&encoded);
-        fn drain<B: WireBuf>(b: &mut B) -> (u8, u16, u32, u64, i64, f64, [u8; 2]) {
-            let mut tail = [0u8; 2];
-            let out = (
-                b.take_u8(),
-                b.take_u16(),
-                b.take_u32(),
-                b.take_u64(),
-                b.take_i64(),
-                b.take_f64(),
-            );
-            b.take_into(&mut tail);
-            (out.0, out.1, out.2, out.3, out.4, out.5, tail)
-        }
-        assert_eq!(drain(&mut slice), drain(&mut bytes));
-        assert_eq!(slice.left(), 0);
-        assert_eq!(bytes.left(), 0);
-        assert_eq!(slice.pos(), encoded.len());
+        let mut r = SliceReader::new(&encoded);
+        assert_eq!(r.take_u8(), bytes.get_u8());
+        assert_eq!(r.take_u16(), bytes.get_u16());
+        assert_eq!(r.take_u32(), bytes.get_u32());
+        assert_eq!(r.take_u64(), bytes.get_u64());
+        assert_eq!(r.take_i64(), bytes.get_i64());
+        assert_eq!(r.take_f64().to_bits(), bytes.get_f64().to_bits());
+        let (mut tail, mut want) = ([0u8; 2], [0u8; 2]);
+        r.take_into(&mut tail);
+        bytes.copy_to_slice(&mut want);
+        assert_eq!(tail, want);
+        assert_eq!((r.left(), bytes.remaining()), (0, 0));
+        assert_eq!(r.pos(), encoded.len());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use ddos_analytics::Analysis;
 use ddos_failpoints::{names, FailPlan, ACTIVE};
-use ddos_schema::{codec, csv, framed, Dataset, Seconds};
+use ddos_schema::{csv, framed, Dataset, Seconds};
 
 use crate::conformance::report_digest;
 
@@ -57,32 +57,20 @@ pub fn inject_and_recover(name: &str, ds: &Dataset) -> Result<(), String> {
         names::INGEST_OPEN => {
             let path = crate::temp_trace_path("fault-open");
             std::fs::write(&path, framed::encode(ds)).map_err(|e| e.to_string())?;
-            let clean = codec::encode(&Dataset::open(&path).map_err(|e| e.to_string())?);
+            let clean = framed::encode(&Dataset::open(&path).map_err(|e| e.to_string())?);
             {
                 let _scope = FailPlan::new().fail_nth(name, 0).install();
                 expect_injected(Dataset::open(&path), name, "Dataset::open")?;
             }
-            let retried = codec::encode(&Dataset::open(&path).map_err(|e| e.to_string())?);
+            let retried = framed::encode(&Dataset::open(&path).map_err(|e| e.to_string())?);
             let _ = std::fs::remove_file(&path);
             if retried != clean {
                 return Err("Dataset::open retry diverged from the clean decode".into());
             }
         }
-        names::INGEST_V1_DECODE => {
-            let bytes = codec::encode(ds);
-            let clean = codec::encode(&codec::decode(&bytes).map_err(|e| e.to_string())?);
-            {
-                let _scope = FailPlan::new().fail_nth(name, 0).install();
-                expect_injected(codec::decode(&bytes), name, "codec::decode")?;
-            }
-            let retried = codec::encode(&codec::decode(&bytes).map_err(|e| e.to_string())?);
-            if retried != clean {
-                return Err("codec::decode retry diverged from the clean decode".into());
-            }
-        }
         names::INGEST_FRAMED_HEADER | names::INGEST_FRAMED_FRAME => {
             let bytes = framed::encode_with(ds, 64);
-            let clean = codec::encode(&framed::decode(&bytes).map_err(|e| e.to_string())?);
+            let clean = framed::encode(&framed::decode(&bytes).map_err(|e| e.to_string())?);
             for workers in [1, 4] {
                 let _scope = FailPlan::new().fail_always(name).install();
                 expect_injected(
@@ -91,25 +79,24 @@ pub fn inject_and_recover(name: &str, ds: &Dataset) -> Result<(), String> {
                     "framed::decode_with_workers",
                 )?;
             }
-            let retried = codec::encode(&framed::decode(&bytes).map_err(|e| e.to_string())?);
+            let retried = framed::encode(&framed::decode(&bytes).map_err(|e| e.to_string())?);
             if retried != clean {
                 return Err("framed::decode retry diverged from the clean decode".into());
             }
         }
         names::INGEST_CSV_CHUNK => {
             let text = csv::attacks_to_csv(ds.attacks());
-            let clean = csv::attacks_from_csv(&text).map_err(|e| e.to_string())?;
+            let clean = csv::attacks_from_csv_with(&text, 1).map_err(|e| e.to_string())?;
             {
                 let _scope = FailPlan::new().fail_always(name).install();
                 expect_injected(csv::attacks_from_csv(&text), name, "attacks_from_csv")?;
                 expect_injected(
-                    csv::attacks_from_csv_chunked_with(&text, 4),
+                    csv::attacks_from_csv_with(&text, 4),
                     name,
-                    "attacks_from_csv_chunked_with",
+                    "attacks_from_csv_with",
                 )?;
             }
-            let retried =
-                csv::attacks_from_csv_chunked_with(&text, 4).map_err(|e| e.to_string())?;
+            let retried = csv::attacks_from_csv_with(&text, 4).map_err(|e| e.to_string())?;
             if retried != clean {
                 return Err("chunked CSV retry diverged from the serial parse".into());
             }

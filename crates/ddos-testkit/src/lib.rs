@@ -3,16 +3,19 @@
 //!
 //! The workspace computes the same report in several ways — serial vs
 //! crossbeam scheduling, different job lengths in the context build,
-//! the monolithic build vs the epoch engine's incremental appends, v1
-//! vs framed-v2 vs memory-mapped ingest, and the dataset-scan baseline
-//! that shares no pass body with the rest. The paper's findings only
-//! hold if every combination agrees byte for byte. This crate makes
-//! that a first-class, reusable check instead of point-wise suites:
+//! the monolithic build vs the epoch engine's incremental appends, and
+//! in-memory vs framed round-trip vs memory-mapped ingest. The paper's
+//! findings only hold if every combination agrees byte for byte, and
+//! with the dataset-scan oracle that shares no pass body with the rest.
+//! This crate makes that a first-class, reusable check instead of
+//! point-wise suites:
 //!
+//! * [`oracle`] — [`baseline_report`], the one independent oracle: the
+//!   whole report assembled from the library's dataset scans.
 //! * [`variant`] — the lattice itself: a [`Cell`] names one point
 //!   (ingest × build × scheduler × kernels), [`matrix`] enumerates the
-//!   curated 15-cell coverage set, [`matrix_full`] the exhaustive
-//!   cross product for soak runs.
+//!   curated 13-cell coverage set, [`matrix_full`] the exhaustive
+//!   36-cell cross product for soak runs.
 //! * [`conformance`] — digest plumbing ([`report_digest`], the
 //!   committed [`golden_digest`]), the shared small trace, and the
 //!   assertion helpers the integration suites build on.
@@ -31,6 +34,7 @@
 
 pub mod conformance;
 pub mod faults;
+pub mod oracle;
 pub mod serve;
 pub mod soak;
 pub mod variant;
@@ -44,6 +48,7 @@ pub use conformance::{
     report_digest, small_dataset, small_trace,
 };
 pub use faults::inject_and_recover;
+pub use oracle::baseline_report;
 pub use serve::check_serve_conformance;
 pub use soak::{run_soak, SoakFailure, SoakOptions, SoakRound, SoakSummary};
 pub use variant::{matrix, matrix_full, Build, Cell, CellError, Ingest, Scheduler};

@@ -2,11 +2,12 @@
 //!
 //! A [`Cell`] fixes one point on four axes — how the dataset is
 //! ingested, how the analysis context is built (the monolithic build,
-//! the dataset-scan baseline, or the epoch engine's incremental
-//! appends), how the pass scheduler runs, and which job-length
-//! [`KernelPolicy`] the monolithic context build uses. [`Cell::run`]
-//! executes that exact combination; the conformance driver then asserts
-//! every cell of a matrix serializes to the same bytes.
+//! the dataset-scan oracle [`crate::baseline_report`], or the epoch
+//! engine's incremental appends), how the pass scheduler runs, and
+//! which job-length [`KernelPolicy`] the monolithic context build
+//! uses. [`Cell::run`] executes that exact combination; the conformance
+//! driver then asserts every cell of a matrix serializes to the same
+//! bytes.
 //!
 //! [`matrix`] is the curated coverage set (every axis value exercised)
 //! that `tests/golden_report.rs` pins against the committed golden
@@ -17,15 +18,14 @@
 use std::fmt;
 
 use ddos_analytics::{Analysis, AnalysisReport, KernelPolicy, PipelineError};
-use ddos_schema::{codec, framed, Dataset, SchemaError, Seconds};
+use ddos_schema::{framed, Dataset, SchemaError, Seconds};
+use ddos_stats::ArimaSpec;
 
 /// How the dataset reaches the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ingest {
     /// Analyze the in-memory dataset as-is.
     Native,
-    /// Round-trip through the v1 serial codec first.
-    V1RoundTrip,
     /// Round-trip through the framed v2 container with an explicit
     /// frame length and decode worker count.
     V2RoundTrip {
@@ -44,8 +44,8 @@ pub enum Ingest {
 pub enum Build {
     /// One-shot context build (the `Analysis` builder's default).
     Monolithic,
-    /// The dataset-scan oracle (`Analysis::baseline`); ignores the
-    /// scheduler and kernel axes by construction.
+    /// The dataset-scan oracle ([`crate::baseline_report`]); ignores
+    /// the scheduler and kernel axes by construction.
     Baseline,
     /// One-epoch-at-a-time appends through the epoch engine
     /// (`Analysis::epochs`).
@@ -81,7 +81,7 @@ pub struct Cell {
 /// pipeline's (only reachable under an installed `FailPlan`).
 #[derive(Debug)]
 pub enum CellError {
-    /// Ingest (codec/framed/mmap) failure.
+    /// Ingest (framed decode or mmap) failure.
     Schema(SchemaError),
     /// Pipeline (scheduler/epoch fold) failure.
     Pipeline(PipelineError),
@@ -114,7 +114,6 @@ impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ingest = match self.ingest {
             Ingest::Native => "native".to_string(),
-            Ingest::V1RoundTrip => "v1".to_string(),
             Ingest::V2RoundTrip { frame_len, workers } => {
                 format!("v2(frame={frame_len},workers={workers})")
             }
@@ -152,10 +151,6 @@ impl Cell {
         let ingested;
         let ds = match self.ingest {
             Ingest::Native => ds,
-            Ingest::V1RoundTrip => {
-                ingested = codec::decode(&codec::encode(ds))?;
-                &ingested
-            }
             Ingest::V2RoundTrip { frame_len, workers } => {
                 let bytes = framed::encode_with(ds, frame_len);
                 ingested = framed::decode_with_workers(&bytes, workers)?.0;
@@ -175,7 +170,7 @@ impl Cell {
         let base = || Analysis::new(ds).parallel(parallel);
         let report = match self.build {
             Build::Monolithic => base().kernels(self.kernels).try_run()?,
-            Build::Baseline => Analysis::new(ds).baseline().try_run()?,
+            Build::Baseline => crate::baseline_report(ds, ArimaSpec::DEFAULT),
             Build::Incremental { epoch_len_s } => base().epochs(Seconds(epoch_len_s)).try_run()?,
         };
         Ok(report)
@@ -210,8 +205,7 @@ const KERNELS: [KernelPolicy; 3] = [
     KernelPolicy::Chunked(3),
 ];
 
-const INGESTS: [Ingest; 4] = [
-    Ingest::V1RoundTrip,
+const INGESTS: [Ingest; 3] = [
     Ingest::V2RoundTrip {
         frame_len: 1,
         workers: 4,
@@ -233,14 +227,14 @@ fn native(build: Build, scheduler: Scheduler, kernels: KernelPolicy) -> Cell {
     }
 }
 
-/// The curated coverage matrix: 15 cells touching every value of every
+/// The curated coverage matrix: 13 cells touching every value of every
 /// axis, cheap enough for `cargo test` on every push.
 ///
 /// * the monolithic build under every job length (scheduler
 ///   alternating), and weekly incremental appends under both
 ///   schedulers, on the native dataset — 5 cells;
 /// * every non-native ingest × both schedulers on the default
-///   build/kernels — 8 cells;
+///   build/kernels — 6 cells;
 /// * the dataset-scan baseline and incremental appends of a ragged
 ///   epoch length — 2 more.
 pub fn matrix() -> Vec<Cell> {
@@ -288,8 +282,8 @@ pub fn matrix() -> Vec<Cell> {
 
 /// The exhaustive lattice: every ingest × every build × both
 /// schedulers, with the monolithic build also × every job length (plus
-/// one baseline per ingest). Soak rounds opt into this; it is too slow
-/// for per-push CI.
+/// one baseline per ingest): 36 cells. Soak rounds opt into this; it is
+/// too slow for per-push CI.
 pub fn matrix_full() -> Vec<Cell> {
     let mut cells = Vec::new();
     let ingests = [Ingest::Native]
@@ -331,10 +325,9 @@ mod tests {
     #[test]
     fn matrix_meets_the_coverage_floor() {
         let cells = matrix();
-        assert!(cells.len() >= 15, "matrix has {} cells", cells.len());
+        assert!(cells.len() >= 13, "matrix has {} cells", cells.len());
         // Every axis value appears somewhere.
         assert!(cells.iter().any(|c| c.ingest == Ingest::Native));
-        assert!(cells.iter().any(|c| c.ingest == Ingest::V1RoundTrip));
         assert!(cells.iter().any(|c| c.ingest == Ingest::V2Mmap));
         assert!(cells
             .iter()
@@ -370,7 +363,7 @@ mod tests {
     fn full_matrix_is_a_superset_scale() {
         let full = matrix_full();
         // Every curated cell except the ragged epoch length is in the
-        // exhaustive lattice, and the lattice is several times larger.
+        // exhaustive lattice.
         for cell in matrix() {
             if cell.build
                 != (Build::Incremental {
@@ -380,6 +373,11 @@ mod tests {
                 assert!(full.contains(&cell), "full lattice lacks `{cell}`");
             }
         }
-        assert!(full.len() >= matrix().len() * 3);
+        // Exactly the cross product. Per ingest (native and the three
+        // framed round trips): the monolithic build under both
+        // schedulers × every job length, weekly appends under both
+        // schedulers, and one baseline — 4 × 9 = 36 cells.
+        let per_ingest = 2 * KERNELS.len() + 2 + 1;
+        assert_eq!(full.len(), (1 + INGESTS.len()) * per_ingest);
     }
 }

@@ -1,4 +1,4 @@
-//! Trace persistence round trip (the `DDTL` binary format and JSON).
+//! Trace persistence round trip (the framed `DDTL` container and JSON).
 //!
 //! Generates a trace, writes it in both formats, reloads the binary, and
 //! verifies the round trip — the workflow for sharing generated
@@ -8,7 +8,7 @@
 //! cargo run --release --example trace_export [dir]
 //! ```
 
-use ddos_schema::codec;
+use ddos_schema::{codec, framed};
 use ddos_sim::{generate, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Binary trace.
     let bin_path = format!("{dir}/trace.ddtl");
-    let bytes = codec::encode(ds);
+    let bytes = framed::encode(ds);
     std::fs::write(&bin_path, &bytes)?;
     println!("wrote {} ({} KiB)", bin_path, bytes.len() / 1024);
 
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Reload and verify.
-    let reloaded = codec::decode(&std::fs::read(&bin_path)?)?;
+    let reloaded = framed::decode(&std::fs::read(&bin_path)?)?;
     assert_eq!(reloaded.attacks(), ds.attacks(), "binary round trip");
     assert_eq!(reloaded.bots(), ds.bots(), "bot records round trip");
     println!(

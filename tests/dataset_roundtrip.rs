@@ -1,11 +1,11 @@
-//! Persistence round-trips: the binary trace codec and JSON interchange
-//! over full generated datasets, plus property tests on arbitrary
-//! records.
+//! Persistence round-trips: the framed binary container and JSON
+//! interchange over full generated datasets, plus property tests on
+//! arbitrary records.
 
 use ddos_schema::record::{AttackRecord, Location};
 use ddos_schema::{
-    codec, Asn, BotnetId, CityId, CountryCode, DatasetBuilder, DdosId, Family, IpAddr4, LatLon,
-    OrgId, Protocol, Timestamp, Window,
+    codec, framed, Asn, BotnetId, CityId, CountryCode, DatasetBuilder, DdosId, Family, IpAddr4,
+    LatLon, OrgId, Protocol, Timestamp, Window,
 };
 use ddos_sim::{generate, SimConfig};
 use proptest::prelude::*;
@@ -15,8 +15,8 @@ fn generated_trace_binary_round_trip() {
     let mut config = SimConfig::small();
     config.snapshots = true;
     let trace = generate(&config);
-    let bytes = codec::encode(&trace.dataset);
-    let back = codec::decode(&bytes).expect("decode own encoding");
+    let bytes = framed::encode(&trace.dataset);
+    let back = framed::decode(&bytes).expect("decode own encoding");
     assert_eq!(back.attacks(), trace.dataset.attacks());
     assert_eq!(back.bots(), trace.dataset.bots());
     assert_eq!(back.botnets(), trace.dataset.botnets());
@@ -45,7 +45,7 @@ fn binary_encoding_is_much_denser_than_json() {
     let mut config = SimConfig::small();
     config.snapshots = false;
     let trace = generate(&config);
-    let bytes = codec::encode(&trace.dataset).len();
+    let bytes = framed::encode(&trace.dataset).len();
     let json = codec::to_json(&trace.dataset).len();
     assert!(
         bytes * 3 < json,
@@ -93,7 +93,7 @@ fn regression_single_extreme_record_round_trips() {
     let mut builder = DatasetBuilder::new(window);
     builder.push_attack(attack).unwrap();
     let ds = builder.build().unwrap();
-    let back = codec::decode(&codec::encode(&ds)).unwrap();
+    let back = framed::decode(&framed::encode(&ds)).unwrap();
     assert_eq!(back.attacks(), ds.attacks());
     let back_json = codec::from_json(&codec::to_json(&ds)).unwrap();
     assert_eq!(back_json.attacks(), ds.attacks());
@@ -161,7 +161,7 @@ proptest! {
             }
         }
         let ds = builder.build().unwrap();
-        let back = codec::decode(&codec::encode(&ds)).unwrap();
+        let back = framed::decode(&framed::encode(&ds)).unwrap();
         prop_assert_eq!(back.attacks(), ds.attacks());
         let back_json = codec::from_json(&codec::to_json(&ds)).unwrap();
         prop_assert_eq!(back_json.attacks(), ds.attacks());
@@ -174,15 +174,15 @@ proptest! {
         pos in any::<usize>(),
     ) {
         // Random bytes.
-        let _ = codec::decode(&bytes);
+        let _ = framed::decode(&bytes);
         // A real header with corrupted tail.
         let window = Window::new(Timestamp(0), Timestamp(1_000)).unwrap();
         let ds = DatasetBuilder::new(window).build().unwrap();
-        let mut valid = codec::encode(&ds).to_vec();
+        let mut valid = framed::encode(&ds).to_vec();
         if !valid.is_empty() {
             let i = pos % valid.len();
             valid[i] ^= flip;
-            let _ = codec::decode(&valid);
+            let _ = framed::decode(&valid);
         }
         bytes.clear();
     }

@@ -4,8 +4,8 @@
 //!
 //! * **Bit identity** — the framed v2 container (serial, forced
 //!   multi-worker, any frame length, memory-mapped from disk) decodes
-//!   to exactly the dataset the v1 serial codec decodes to, proven by
-//!   re-encoding both through the v1 codec and comparing bytes.
+//!   to exactly the in-memory dataset it encoded, proven by re-encoding
+//!   both into one frame per section and comparing bytes.
 //! * **No panics on corrupt input** — flipped payload bytes, truncated
 //!   directories, and overlapping frame offsets are reported as
 //!   `Err(SchemaError)`, never a panic or a silently wrong dataset.
@@ -18,14 +18,15 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use ddos_schema::{codec, csv, framed, Dataset, SchemaError};
+use ddos_schema::{csv, framed, Dataset, SchemaError};
 use ddos_sim::{generate, SimConfig};
 use proptest::prelude::*;
 
-/// The canonical fingerprint: identical v1 encodings mean identical
-/// records in identical order.
+/// The canonical fingerprint: identical one-frame-per-section
+/// encodings mean an identical window and identical records in
+/// identical order.
 fn fingerprint(ds: &Dataset) -> bytes::Bytes {
-    codec::encode(ds)
+    framed::encode_with(ds, usize::MAX)
 }
 
 proptest! {
@@ -35,7 +36,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn framed_decode_is_bit_identical_to_v1(
+    fn framed_decode_is_bit_identical_to_the_dataset(
         seed in 0u64..(1u64 << 48),
         scale in 0.002f64..0.006,
         snapshots in any::<bool>(),
@@ -54,29 +55,24 @@ proptest! {
         };
         let ds = generate(&cfg).dataset;
         let want = fingerprint(&ds);
-        prop_assert_eq!(&fingerprint(&codec::decode(&want).unwrap()), &want);
 
         // Frame length 1 maximizes frame count (every cross-frame seam
         // exercised); a larger-than-section length collapses each
         // section to a single frame.
         for frame_len in [1, framed::DEFAULT_FRAME_LEN, usize::MAX] {
             let v2 = framed::encode_with(&ds, frame_len);
-            let serial = framed::decode(&v2).unwrap();
+            let (serial, _) = framed::decode_with_workers(&v2, 1).unwrap();
             prop_assert_eq!(&fingerprint(&serial), &want);
             let (threaded, _) = framed::decode_with_workers(&v2, 4).unwrap();
             prop_assert_eq!(&fingerprint(&threaded), &want);
         }
 
-        // The mmap path reads the same bytes back off disk, for both
-        // container versions.
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("ingest_prop_{seed:x}.ddtl"));
-        for encoded in [want.to_vec(), framed::encode(&ds).to_vec()] {
-            std::fs::write(&path, &encoded).unwrap();
-            let opened = Dataset::open(&path).unwrap();
-            prop_assert_eq!(&fingerprint(&opened), &want);
-        }
+        // The mmap path reads the same bytes back off disk.
+        let path = std::env::temp_dir().join(format!("ingest_prop_{seed:x}.ddtl"));
+        std::fs::write(&path, framed::encode(&ds)).unwrap();
+        let opened = Dataset::open(&path);
         let _ = std::fs::remove_file(&path);
+        prop_assert_eq!(&fingerprint(&opened.unwrap()), &want);
     }
 }
 
@@ -225,27 +221,34 @@ fn overlapping_frame_offsets_are_rejected() {
     }
 }
 
+/// The retired unframed stream (version 1) and any future version are
+/// rejected the same way by the decoder and by `Dataset::open`.
 #[test]
 fn wrong_versions_are_cross_rejected() {
-    let ds = generate(&SimConfig {
-        scale: 0.002,
-        snapshots: false,
-        ..SimConfig::small()
-    })
-    .dataset;
-    let v1 = codec::encode(&ds);
-    let v2 = framed::encode(&ds);
-    assert!(matches!(
-        framed::decode(&v1),
-        Err(SchemaError::UnsupportedVersion { found: 1, .. })
-    ));
-    assert!(matches!(
-        codec::decode(&v2),
-        Err(SchemaError::UnsupportedVersion { found: 2, .. })
-    ));
-    // The sniffing entry point accepts both.
-    assert_eq!(&fingerprint(&codec::decode_any(&v1).unwrap()), &v1);
-    assert_eq!(&fingerprint(&codec::decode_any(&v2).unwrap()), &v1);
+    let clean = small_v2();
+    let path =
+        std::env::temp_dir().join(format!("ingest_wrong_version_{}.ddtl", std::process::id()));
+    for found in [1u16, 3] {
+        // A version-1 header is the same magic, version field and window
+        // as the framed container's.
+        let mut bad = clean.to_vec();
+        bad[4..6].copy_from_slice(&found.to_be_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        let opened = Dataset::open(&path);
+        let _ = std::fs::remove_file(&path);
+        for (entry, got) in [
+            ("framed::decode", framed::decode(&bad)),
+            ("Dataset::open", opened),
+        ] {
+            match got {
+                Err(SchemaError::UnsupportedVersion {
+                    found: f,
+                    supported: 2,
+                }) if f == found => {}
+                other => panic!("{entry} on version {found}: {:?}", other.map(|_| ())),
+            }
+        }
+    }
 }
 
 // ----------------------------------------- structured container fuzzing
@@ -392,9 +395,9 @@ fn small_csv() -> &'static str {
 #[test]
 fn csv_round_trips_the_small_trace() {
     let ds = generate(&SimConfig::small()).dataset;
-    let serial = csv::attacks_from_csv(small_csv()).expect("serial CSV parse");
+    let serial = csv::attacks_from_csv_with(small_csv(), 1).expect("serial CSV parse");
     assert!(serial == ds.attacks(), "serial CSV parse diverged");
-    let chunked = csv::attacks_from_csv_chunked_with(small_csv(), 4).expect("chunked CSV parse");
+    let chunked = csv::attacks_from_csv_with(small_csv(), 4).expect("chunked CSV parse");
     assert!(chunked == ds.attacks(), "chunked CSV parse diverged");
 }
 
@@ -428,8 +431,8 @@ proptest! {
             first_bad_line = Some(first_bad_line.map_or(lineno, |l| l.min(lineno)));
         }
         let text = mutated.join("\n");
-        let serial = csv::attacks_from_csv(&text);
-        let chunked = csv::attacks_from_csv_chunked_with(&text, workers);
+        let serial = csv::attacks_from_csv_with(&text, 1);
+        let chunked = csv::attacks_from_csv_with(&text, workers);
         match first_bad_line {
             None => {
                 prop_assert_eq!(

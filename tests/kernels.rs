@@ -1,8 +1,8 @@
 //! Pass-body equivalence property suite (DESIGN.md §12).
 //!
 //! Every pass has one body over the shared context, and the dataset-scan
-//! pipeline behind `Analysis::baseline()` shares none of them: it is the
-//! one independent oracle. The golden-report suite pins the two together
+//! pipeline behind `ddos_testkit::baseline_report` shares none of them:
+//! it is the one independent oracle. The golden-report suite pins the two together
 //! on the canonical trace; this suite extends that to arbitrary simulated
 //! traces and adversarial job lengths in the context build — length 1
 //! (every attack its own job), a length that never divides the input
@@ -59,7 +59,7 @@ proptest! {
         };
         let trace = generate(&cfg);
         let ds = &trace.dataset;
-        let want = serde_json::to_string(&Analysis::new(ds).baseline().run())
+        let want = serde_json::to_string(&ddos_testkit::baseline_report(ds, ArimaSpec::DEFAULT))
             .expect("report serializes");
         for policy in [
             KernelPolicy::Auto,
