@@ -1,36 +1,33 @@
 //! Benches for the analysis-context build — the join+distance kernel
-//! that dominates pipeline wall time — on the columnar substrate
-//! (sorted `BotTable` + CSR `SourceTable` + `dispersion_precomp`),
-//! serial and parallel.
+//! that dominates pipeline wall time — as one append of a one-epoch
+//! fold (radix-sorted bot keys, the CSR `SourceTable` sweep and
+//! `dispersion_precomp`), serial and parallel.
 
 use bench::bench_trace;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ddos_analytics::{AnalysisContext, BotTable, SourceTable};
+use ddos_analytics::{AnalysisContext, KernelPolicy};
+use ddos_obs::Obs;
 use ddos_stats::ArimaSpec;
 
 fn bench_context(c: &mut Criterion) {
     let trace = bench_trace();
     let ds = &trace.dataset;
+    let obs = Obs::disabled();
     let mut g = c.benchmark_group("context_build");
     g.sample_size(10);
-    g.bench_function("columnar_serial", |b| {
-        b.iter(|| black_box(AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false)))
-    });
-    g.bench_function("columnar_parallel", |b| {
-        b.iter(|| black_box(AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, true)))
-    });
-    g.finish();
-
-    let mut g = c.benchmark_group("columnar_substrate");
-    g.sample_size(10);
-    g.bench_function("bot_table_build", |b| b.iter(|| BotTable::build(ds)));
-    let bots = BotTable::build(ds);
-    g.bench_function("source_table_serial", |b| {
-        b.iter(|| SourceTable::build(ds, &bots, false))
-    });
-    g.bench_function("source_table_parallel", |b| {
-        b.iter(|| SourceTable::build(ds, &bots, true))
-    });
+    for (name, parallel) in [("columnar_serial", false), ("columnar_parallel", true)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(AnalysisContext::build_kernels(
+                    ds,
+                    ArimaSpec::DEFAULT,
+                    parallel,
+                    KernelPolicy::Auto,
+                    &obs,
+                ))
+            })
+        });
+    }
     g.finish();
 }
 

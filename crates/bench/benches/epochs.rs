@@ -1,11 +1,11 @@
-//! Benches for the epoch engine: appending every epoch to an empty
-//! fold, the whole incremental run, and the marginal cost of appending
-//! one epoch to a grown fold — against the monolithic context build and
-//! pipeline.
+//! Benches for the epoch engine: appending every weekly epoch to an
+//! empty fold against the one-shot build's one-epoch fold, the whole
+//! incremental run against the batch pipeline, and the marginal cost of
+//! appending one epoch to a grown fold.
 
 use bench::bench_trace;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ddos_analytics::{Analysis, AnalysisContext, EpochContext, PipelineOptions};
+use ddos_analytics::{Analysis, AnalysisContext, EpochContext, KernelPolicy, PipelineOptions};
 use ddos_obs::Obs;
 use ddos_schema::Seconds;
 use ddos_stats::ArimaSpec;
@@ -20,12 +20,20 @@ fn bench_epochs(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("epoch_context");
     g.sample_size(10);
-    g.bench_function("monolithic_build", |b| {
-        b.iter(|| black_box(AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false)))
+    g.bench_function("one_epoch_fold", |b| {
+        b.iter(|| {
+            black_box(AnalysisContext::build_kernels(
+                ds,
+                ArimaSpec::DEFAULT,
+                false,
+                KernelPolicy::Auto,
+                &obs,
+            ))
+        })
     });
     g.bench_function("append_all", |b| {
         b.iter(|| {
-            let mut fold = EpochContext::new(ds.window(), false);
+            let mut fold = EpochContext::new(ds.window(), false, KernelPolicy::Auto);
             for shard in &shards {
                 fold.append(shard, &obs);
             }
@@ -49,7 +57,7 @@ fn bench_epochs(c: &mut Criterion) {
     // fold, so the time includes that copy; the `epoch/*` spans of a
     // traced perfbench run time the append alone.
     if let Some((last, prefix)) = shards.split_last() {
-        let mut fold = EpochContext::new(ds.window(), false);
+        let mut fold = EpochContext::new(ds.window(), false, KernelPolicy::Auto);
         for shard in prefix {
             fold.append(shard, &obs);
         }

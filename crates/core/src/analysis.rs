@@ -114,9 +114,9 @@ impl<'d> Analysis<'d> {
         self
     }
 
-    /// Sets the job length of the monolithic context build's per-family
-    /// resolution (see [`KernelPolicy`]). Report bytes are identical for
-    /// every policy.
+    /// Sets the job length of the per-family resolution, which every
+    /// context build reads, one-shot or appended (see [`KernelPolicy`]).
+    /// Report bytes are identical for every policy.
     pub fn kernels(mut self, kernels: KernelPolicy) -> Analysis<'d> {
         self.opts = self.opts.kernels(kernels);
         self
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn over_runs_the_scheduler_without_telemetry() {
         let ds = tiny();
-        let ctx = AnalysisContext::build(&ds, ArimaSpec::DEFAULT);
+        let ctx = AnalysisContext::new(&ds);
         let report = Analysis::over(&ctx).parallel(false).run();
         assert!(report.telemetry.is_empty());
         let json = |r: &AnalysisReport| serde_json::to_string(r).unwrap();
@@ -237,7 +237,7 @@ mod tests {
     #[should_panic(expected = "prebuilt context")]
     fn engine_selectors_reject_a_prebuilt_context() {
         let ds = tiny();
-        let ctx = AnalysisContext::build(&ds, ArimaSpec::DEFAULT);
+        let ctx = AnalysisContext::new(&ds);
         let _ = Analysis::over(&ctx).epochs(Seconds(1_000)).try_run();
     }
 

@@ -9,28 +9,35 @@
 //! once and borrowed by every pass.
 //!
 //! Since the columnar substrate ([`crate::columnar`]) the build itself is
-//! the hot kernel treated as such: the `Botlist` becomes a [`BotTable`]
-//! (sorted IP column + precomputed trig), the attack→source join becomes
-//! a [`SourceTable`] (every source list as dense `u32` dictionary ids),
-//! the per-snapshot dispersion runs through the `*_precomp` kernels of
-//! `ddos-geo` that read cached `sin`/`cos` instead of recomputing each
-//! bot's trigonometry per attack-participation, and the per-family
-//! resolution fans out on scoped threads in deterministic jobs whose
-//! length [`KernelPolicy`] sets.
+//! the hot kernel treated as such: the attack→source join becomes a
+//! [`SourceTable`] (every source list as dense `u32` dictionary ids, the
+//! bots numbered in IP order from a radix sort), the per-snapshot
+//! dispersion runs through the `*_precomp` kernels of `ddos-geo` that
+//! read cached `sin`/`cos` instead of recomputing each bot's
+//! trigonometry per attack-participation, and the per-family resolution
+//! fans out on a worker pool in deterministic jobs whose length
+//! [`KernelPolicy`] sets.
+//!
+//! # One build
+//!
+//! There is one way to build a context: the epoch fold
+//! ([`crate::epoch::EpochContext`]). A one-shot build
+//! ([`AnalysisContext::build_kernels`]) is one append of a one-epoch
+//! slicing, moved into an owned context; a running fold lends its
+//! columns to each mid-stream context as [`Cow::Borrowed`], so that
+//! context copies nothing.
 //!
 //! # The covered records
 //!
-//! A context covers a *prefix* of the trace: the monolithic build covers
-//! all of it, and an epoch fold ([`crate::epoch::EpochContext`]) covers
-//! the epochs appended so far. The monolithic build owns its columns;
-//! the fold lends its own as [`Cow::Borrowed`], so a mid-stream context
-//! copies nothing. Pass bodies read raw records only through
-//! [`AnalysisContext::attacks`], a slice borrowed from the dataset's
-//! attack list that ends where the covered prefix ends, and Table III
-//! only through [`AnalysisContext::summary`]. The dataset itself is a
-//! private field, so no pass can reach records past the prefix: a fold
-//! at any watermark answers exactly like a fresh build over the same
-//! epochs, with no copy of the prefix made.
+//! A context covers a *prefix* of the trace: a one-shot build covers
+//! all of it, and a running fold the epochs appended so far. Pass
+//! bodies read raw records only through [`AnalysisContext::attacks`], a
+//! slice borrowed from the dataset's attack list that ends where the
+//! covered prefix ends, and Table III only through
+//! [`AnalysisContext::summary`]. The dataset itself is a private field,
+//! so no pass can reach records past the prefix: a fold at any
+//! watermark answers exactly like a fresh build over the same epochs,
+//! with no copy of the prefix made.
 //!
 //! # Invariants
 //!
@@ -49,10 +56,11 @@
 //!   [`FamilyDispersion::compute`] produces; its `bot_grid` counts, per
 //!   window week and country, exactly the distinct resolvable bots of
 //!   its attacks that week.
-//! * Serial, parallel, and any-job-length builds are **bit-identical**:
-//!   jobs merge in (family, job) order, and the precomp kernels evaluate
-//!   the exact scalar expressions (see `ddos_geo::trig`). The
-//!   pipeline-equivalence suite enforces this with
+//! * Serial, parallel, any-job-length and any-partition builds are
+//!   **bit-identical** in every analysis input: jobs merge in (family,
+//!   job) order, and the precomp kernels evaluate the exact scalar
+//!   expressions (see `ddos_geo::trig`). The pipeline-equivalence and
+//!   epoch suites enforce this with
 //!   [`AnalysisContext::assert_same_analysis`]; the unit tests below hold
 //!   the dispersion series and the shift classification of the grids to
 //!   the dataset scans.
@@ -69,9 +77,8 @@ use ddos_schema::{
 };
 use ddos_stats::ArimaSpec;
 
-use crate::columnar::{
-    chunk_ranges, fan_out, radix_sort_by_ip, worker_count, BotTable, SourceTable, NO_BOT,
-};
+use crate::columnar::{SourceTable, NO_BOT};
+use crate::epoch::EpochContext;
 use crate::kernels::{cc_slot, KernelPolicy, CC_SLOTS};
 use crate::source::dispersion::FamilyDispersion;
 
@@ -129,22 +136,18 @@ impl FamilyContext {
 
     /// Appends one resolution job over `indices`: each attack's start
     /// and dispersion snapshot in job order, and the job's first
-    /// sightings counted into the grid through `marks`.
-    ///
-    /// `marks` holds, per dictionary id, the tag of the (family, week)
-    /// that last counted it; this family's week `w` is `tag_base + w`.
-    /// A family's jobs arrive in attack order and its starts are
-    /// non-decreasing, so an id's sightings arrive by non-decreasing week
-    /// and one mark per id dedups them exactly, across jobs (any job
-    /// length) and across appends (ragged epochs that split a week).
+    /// sightings counted into the grid through `marks`. A family's jobs
+    /// arrive in attack order and its starts are non-decreasing, so an
+    /// id's sightings arrive by non-decreasing week and one mark per id
+    /// dedups them exactly, across jobs (any job length) and across
+    /// appends (ragged epochs that split a week, see [`WeekMarks`]).
     pub(crate) fn absorb(
         &mut self,
         window: Window,
         starts: &[Timestamp],
         indices: &[u32],
         chunk: FamilyChunk,
-        marks: &mut [u32],
-        tag_base: u32,
+        marks: &mut WeekMarks<'_>,
     ) {
         for (&ai, snap) in indices.iter().zip(chunk.snaps) {
             let start = starts[ai as usize];
@@ -154,13 +157,67 @@ impl FamilyContext {
             }
         }
         for (id, cell) in chunk.firsts {
-            let tag = tag_base + cell / CC_SLOTS as u32;
-            let mark = &mut marks[id as usize];
-            if *mark != tag {
-                *mark = tag;
+            if marks.count(cell / CC_SLOTS as u32, id) {
                 self.bot_grid[cell as usize] += 1;
             }
         }
+    }
+}
+
+/// The ids a family's grid counted in its latest week.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OpenWeek {
+    week: u32,
+    ids: Vec<u32>,
+}
+
+/// The marks one family's jobs of an append count their first
+/// sightings through: the fold's one mark buffer, in which this family's
+/// week `w` is `tag_base + w` under a tag range of its own, and the ids
+/// of its open week. A fresh range leaves the family's marks of earlier
+/// appends behind, so claiming one restores its open week's marks: the
+/// append may continue that week (an epoch boundary that splits it).
+pub(crate) struct WeekMarks<'m> {
+    tags: &'m mut [u32],
+    tag_base: u32,
+    open: &'m mut OpenWeek,
+}
+
+impl<'m> WeekMarks<'m> {
+    /// Claims a fresh tag range of `stamp` for a family whose latest
+    /// week is `open`, and restores that week's marks.
+    pub(crate) fn claim(
+        stamp: &'m mut WeekStamp,
+        dict_len: usize,
+        num_weeks: usize,
+        open: &'m mut OpenWeek,
+    ) -> WeekMarks<'m> {
+        let (tag_base, tags) = stamp.begin(dict_len, num_weeks);
+        for &id in &open.ids {
+            tags[id as usize] = tag_base + open.week;
+        }
+        WeekMarks {
+            tags,
+            tag_base,
+            open,
+        }
+    }
+
+    /// Marks `id` as counted in `week`, the family's latest week so
+    /// far; whether it was not yet.
+    fn count(&mut self, week: u32, id: u32) -> bool {
+        let tag = self.tag_base + week;
+        let mark = &mut self.tags[id as usize];
+        if *mark == tag {
+            return false;
+        }
+        *mark = tag;
+        if week != self.open.week {
+            self.open.week = week;
+            self.open.ids.clear();
+        }
+        self.open.ids.push(id);
+        true
     }
 }
 
@@ -182,20 +239,19 @@ fn push_snap(window: Window, dispersion: &mut FamilyDispersion, start: Timestamp
 }
 
 /// Everything the analysis passes share, built once per covered prefix:
-/// owned by a monolithic build, borrowed from an epoch fold.
+/// owned by a one-shot build, borrowed from a running epoch fold.
 #[derive(Debug)]
 pub struct AnalysisContext<'a> {
     /// The dataset the covered records are borrowed from. Private: a
     /// fold's dataset holds records past the covered prefix.
-    dataset: &'a Dataset,
+    pub(crate) dataset: &'a Dataset,
     /// The covered attacks, in trace order: all of `dataset.attacks()`
-    /// for a monolithic build, the appended epochs' prefix of it for a
-    /// fold.
+    /// for a one-shot build, the appended epochs' prefix of it for a
+    /// running fold.
     pub attacks: &'a [AttackRecord],
-    /// Table III's counts when the builder already has them (an epoch
-    /// fold grows them per epoch); `None` has [`AnalysisContext::summary`]
-    /// scan the dataset instead.
-    summary: Option<DatasetSummary>,
+    /// Table III's counts over the covered records, which the fold
+    /// grows per epoch.
+    pub(crate) summary: DatasetSummary,
     /// ARIMA order for the prediction pass.
     pub spec: ArimaSpec,
     /// The trace-wide attack→source join: every attack's source list as
@@ -208,10 +264,11 @@ pub struct AnalysisContext<'a> {
     /// Per-target attack histories, sorted by target IP.
     pub target_timelines: Cow<'a, [TargetTimeline]>,
     /// Per-family precomputation in [`Family::ACTIVE`] order.
-    families: Cow<'a, [FamilyContext]>,
+    pub(crate) families: Cow<'a, [FamilyContext]>,
 }
 
-/// A reusable last-seen-week stamp buffer, one slot per dictionary id.
+/// A reusable last-seen-week stamp buffer, one slot per dictionary id:
+/// each resolution worker's, and the fold's merge marks.
 ///
 /// Each job gets a fresh, disjoint tag range (`tag_base + week`), so
 /// the buffer is valid across jobs without re-zeroing — a worker
@@ -223,9 +280,10 @@ pub(crate) struct WeekStamp {
 }
 
 impl WeekStamp {
-    /// Starts a new job: sizes the buffer on first use and claims an
-    /// unused tag range. Tag 0 is reserved as "never stamped".
-    fn begin(&mut self, dict_len: usize, num_weeks: usize) -> u32 {
+    /// Starts a new job: sizes the buffer to the dictionary, claims an
+    /// unused tag range and lends the buffer. Tag 0 is reserved as
+    /// "never stamped".
+    pub(crate) fn begin(&mut self, dict_len: usize, num_weeks: usize) -> (u32, &mut [u32]) {
         if self.tags.len() < dict_len {
             self.tags.resize(dict_len, 0);
         }
@@ -240,7 +298,7 @@ impl WeekStamp {
         }
         let base = self.next_base;
         self.next_base += span;
-        base
+        (base, &mut self.tags)
     }
 }
 
@@ -255,10 +313,9 @@ pub(crate) struct FamilyChunk {
     firsts: Vec<(u32, u32)>,
 }
 
-/// The id-indexed columns a family resolution job reads. The batch
-/// build's [`BotTable`] rows and the epoch fold's bot columns are both
-/// indexed by dictionary id (a resolved id is its own bot row), so both
-/// builds resolve through this one sweep.
+/// The id-indexed columns a family resolution job reads: the epoch
+/// fold's bot columns, indexed by dictionary id (a resolved id is its
+/// own bot row).
 #[derive(Clone, Copy)]
 pub(crate) struct Resolver<'c> {
     /// The trace window: weeks and days are always global.
@@ -296,8 +353,7 @@ impl Resolver<'_> {
             snaps: Vec::with_capacity(attack_indices.len()),
             firsts: Vec::new(),
         };
-        let tag_base = stamp.begin(sources.dict_len(), self.window.num_weeks());
-        let tags = &mut stamp.tags[..];
+        let (tag_base, tags) = stamp.begin(sources.dict_len(), self.window.num_weeks());
         let mut rows: Vec<u32> = Vec::new();
         for &ai in attack_indices {
             let ai = ai as usize;
@@ -357,54 +413,24 @@ impl Resolver<'_> {
 }
 
 impl<'a> AnalysisContext<'a> {
-    /// Builds the context with the default ARIMA order.
+    /// Builds the context with the default ARIMA order, the family jobs
+    /// on a worker pool.
     pub fn new(dataset: &'a Dataset) -> AnalysisContext<'a> {
-        Self::build(dataset, ArimaSpec::DEFAULT)
+        Self::build_kernels(
+            dataset,
+            ArimaSpec::DEFAULT,
+            true,
+            KernelPolicy::Auto,
+            &Obs::disabled(),
+        )
     }
 
-    /// Builds the context on the columnar substrate with the build
-    /// phases parallelized (see [`AnalysisContext::build_opts`]).
-    pub fn build(dataset: &'a Dataset, spec: ArimaSpec) -> AnalysisContext<'a> {
-        Self::build_opts(dataset, spec, true)
-    }
-
-    /// Builds the context on the columnar substrate.
-    ///
-    /// Phases: (1) the [`BotTable`] (sort + one trig precompute per
-    /// distinct bot), (2) the [`SourceTable`] CSR join (data-parallel
-    /// over disjoint output slices when `parallel`), (3) the global
-    /// per-attack vectors and target timelines, (4) per-family source
-    /// resolution — each family's attack list is cut into jobs that
-    /// scoped worker threads drain from a shared queue, and the job
-    /// results merge in (family, job) order, so the output is
-    /// bit-identical to the serial build.
-    pub fn build_opts(
-        dataset: &'a Dataset,
-        spec: ArimaSpec,
-        parallel: bool,
-    ) -> AnalysisContext<'a> {
-        Self::build_obs(dataset, spec, parallel, &Obs::disabled())
-    }
-
-    /// [`AnalysisContext::build_opts`] with the build stages telemetered
-    /// into `obs`: one `context/<stage>` span per phase, gauges for the
-    /// table sizes, a `context/chunk_us` histogram of per-job
-    /// resolution time, and `geo/dispersion_*` counters of kernel work.
-    /// Recording is relaxed-atomic handles on the worker paths, so the
-    /// built context is bit-identical with telemetry on, off, serial,
-    /// or parallel.
-    pub fn build_obs(
-        dataset: &'a Dataset,
-        spec: ArimaSpec,
-        parallel: bool,
-        obs: &Obs,
-    ) -> AnalysisContext<'a> {
-        Self::build_kernels(dataset, spec, parallel, KernelPolicy::Auto, obs)
-    }
-
-    /// [`AnalysisContext::build_obs`] with an explicit [`KernelPolicy`]:
-    /// the length of the per-family resolution jobs. Every policy builds
-    /// a bit-identical context. This is the only reader of the policy.
+    /// Builds the context in one append of a one-epoch fold
+    /// ([`EpochContext::append`]), recording the build phases into
+    /// `obs`, and moves the fold's columns into the context. With
+    /// `parallel` set, the source sweep and the family jobs run on a
+    /// pool of one worker per core; `policy` sets the family jobs'
+    /// length. Every setting builds a bit-identical context.
     pub fn build_kernels(
         dataset: &'a Dataset,
         spec: ArimaSpec,
@@ -412,163 +438,11 @@ impl<'a> AnalysisContext<'a> {
         policy: KernelPolicy,
         obs: &Obs,
     ) -> AnalysisContext<'a> {
-        let bot_span = obs.span("context/bot_table");
-        let bot_table = BotTable::build(dataset);
-        drop(bot_span);
-        let src_span = obs.span("context/source_table");
-        let sources = SourceTable::build(dataset, &bot_table, parallel);
-        drop(src_span);
-        let window = dataset.window();
-        let attacks = dataset.attacks();
-        obs.gauge("context/attacks").set(attacks.len() as u64);
-        obs.gauge("context/bots").set(bot_table.len() as u64);
-        obs.gauge("context/source_dict_ips")
-            .set(sources.dict_len() as u64);
-        obs.gauge("context/participations")
-            .set(sources.participations() as u64);
-        obs.gauge("context/unresolved_sources")
-            .set(sources.unresolved_total());
-
-        let timeline_span = obs.span("context/timelines");
-        let mut durations = Vec::with_capacity(attacks.len());
-        let mut all_starts = Vec::with_capacity(attacks.len());
-        for a in attacks {
-            durations.push(a.duration().as_f64());
-            all_starts.push(a.start);
+        let mut fold = EpochContext::new(dataset.window(), parallel, policy);
+        for epoch in dataset.shards(dataset.window().length()) {
+            fold.append(&epoch, obs);
         }
-        // Target timelines columnar-style: radix-sort packed
-        // `(target, index)` keys and slice the runs, instead of a hash
-        // map of growing vectors. The stable sort keeps each target's
-        // attack indices ascending — the same order the hash-map build
-        // produces after its final sort by target.
-        let mut keyed: Vec<u64> = attacks
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (u64::from(a.target_ip.value()) << 32) | i as u64)
-            .collect();
-        radix_sort_by_ip(&mut keyed);
-        let mut target_timelines: Vec<TargetTimeline> = Vec::new();
-        let mut run = 0;
-        while run < keyed.len() {
-            let target = (keyed[run] >> 32) as u32;
-            let mut end = run;
-            while end < keyed.len() && (keyed[end] >> 32) as u32 == target {
-                end += 1;
-            }
-            target_timelines.push(TargetTimeline {
-                target: IpAddr4(target),
-                attacks: keyed[run..end].iter().map(|&k| k as u32 as usize).collect(),
-            });
-            run = end;
-        }
-        drop(timeline_span);
-
-        let num_weeks = window.num_weeks();
-
-        // Per-family fan-out: the big families split into enough jobs to
-        // keep every worker busy; a shared counter hands them out.
-        let family_span = obs.span("context/family_resolution");
-        let kernel = KernelCounters::default();
-        let chunk_hist = obs.histogram("context/chunk_us");
-        let mut jobs: Vec<(usize, &[u32])> = Vec::new();
-        for (slot, family) in Family::ACTIVE.into_iter().enumerate() {
-            let indices = dataset.attack_indices_of(family);
-            let pieces = match policy {
-                KernelPolicy::Auto if parallel => worker_count(),
-                KernelPolicy::Auto => 1,
-                KernelPolicy::Chunked(len) => indices.len().div_ceil(len.max(1)),
-            };
-            for r in chunk_ranges(indices.len(), pieces) {
-                jobs.push((slot, &indices[r]));
-            }
-        }
-        let workers = if parallel {
-            worker_count().min(jobs.len()).max(1)
-        } else {
-            1
-        };
-        obs.gauge("context/family_jobs").set(jobs.len() as u64);
-        obs.gauge("context/workers").set(workers as u64);
-        let resolver = Resolver {
-            window,
-            starts: &all_starts,
-            sources: &sources,
-            trigs: bot_table.trigs(),
-            countries: bot_table.countries(),
-        };
-        // Each worker owns one reusable week-stamp buffer across all the
-        // jobs it drains ([`WeekStamp`] hands every job a fresh tag
-        // range, so no re-zeroing between jobs).
-        let mut stamps: Vec<WeekStamp> = (0..workers).map(|_| WeekStamp::default()).collect();
-        let chunks = fan_out(jobs.len(), &mut stamps, |j, stamp| {
-            let t0 = obs.now_us();
-            let chunk = resolver.resolve(jobs[j].1, stamp, &kernel);
-            chunk_hist.record(obs.now_us().saturating_sub(t0));
-            chunk
-        });
-
-        // Deterministic merge in (family, job) order: jobs are slot-major,
-        // so each family's jobs concatenate in its trace order. One mark
-        // per id, tagged per (family, week), dedups the jobs' first
-        // sightings.
-        let mut families: Vec<FamilyContext> = Family::ACTIVE
-            .into_iter()
-            .map(|family| FamilyContext::empty(family, num_weeks))
-            .collect();
-        let mut marks = vec![0u32; sources.dict_len()];
-        for (&(slot, indices), chunk) in jobs.iter().zip(chunks) {
-            let tag_base = (slot * num_weeks) as u32 + 1;
-            families[slot].absorb(window, &all_starts, indices, chunk, &mut marks, tag_base);
-        }
-        drop(family_span);
-        obs.counter("geo/dispersion_snapshots")
-            .add(kernel.snapshots());
-        obs.counter("geo/dispersion_points").add(kernel.points());
-        obs.counter("geo/dispersion_degenerate")
-            .add(kernel.degenerate());
-
-        AnalysisContext {
-            dataset,
-            attacks,
-            summary: None,
-            spec,
-            sources: Cow::Owned(sources),
-            durations: Cow::Owned(durations),
-            all_starts: Cow::Owned(all_starts),
-            target_timelines: Cow::Owned(target_timelines),
-            families: Cow::Owned(families),
-        }
-    }
-
-    /// Assembles a context from parts borrowed from the epoch fold
-    /// ([`crate::epoch::EpochContext`]), covering the first `attacks`
-    /// records of `dataset` with Table III's counts already counted.
-    /// Callers are responsible for upholding the module invariants; the
-    /// epoch equivalence suite pins the fold's output bit-equal to
-    /// [`AnalysisContext::build`] over the same records.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        dataset: &'a Dataset,
-        attacks: usize,
-        summary: DatasetSummary,
-        spec: ArimaSpec,
-        sources: &'a SourceTable,
-        durations: &'a [f64],
-        all_starts: &'a [Timestamp],
-        target_timelines: &'a [TargetTimeline],
-        families: &'a [FamilyContext],
-    ) -> AnalysisContext<'a> {
-        AnalysisContext {
-            dataset,
-            attacks: &dataset.attacks()[..attacks],
-            summary: Some(summary),
-            spec,
-            sources: Cow::Borrowed(sources),
-            durations: Cow::Borrowed(durations),
-            all_starts: Cow::Borrowed(all_starts),
-            target_timelines: Cow::Borrowed(target_timelines),
-            families: Cow::Borrowed(families),
-        }
+        fold.into_context(dataset, spec)
     }
 
     /// The trace window. Day and week bucketing is always against the
@@ -577,11 +451,9 @@ impl<'a> AnalysisContext<'a> {
         self.dataset.window()
     }
 
-    /// Table III's distinct counts over the covered records: the fold's
-    /// counts, or for a monolithic build a scan of the dataset
-    /// ([`Dataset::summary`]) run when the `summary` pass asks.
+    /// Table III's distinct counts over the covered records.
     pub fn summary(&self) -> DatasetSummary {
-        self.summary.unwrap_or_else(|| self.dataset.summary())
+        self.summary
     }
 
     /// The per-family slots, in [`Family::ACTIVE`] order.
@@ -608,7 +480,7 @@ impl<'a> AnalysisContext<'a> {
     /// Asserts that `self` and `other` carry the same analysis inputs,
     /// with the dispersion series compared **bit-for-bit**. Used by the
     /// equivalence suites to hold the parallel, forced-job-length, and
-    /// epoch-folded builds to the serial build.
+    /// many-epoch builds to the serial one-shot build.
     ///
     /// # Panics
     ///
@@ -740,19 +612,20 @@ mod tests {
             attack(Family::Pandora, 4, 900, 700, 2),
             attack(Family::Optima, 5, 1_500, 300, 2),
         ]);
-        let serial = AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, false);
-        let parallel = AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, true);
-        serial.assert_same_analysis(&parallel);
-        // One job per attack, and one job per family.
-        for policy in [KernelPolicy::Chunked(1), KernelPolicy::Chunked(100)] {
-            let chunked = AnalysisContext::build_kernels(
+        let build = |parallel, policy| {
+            AnalysisContext::build_kernels(
                 &ds,
                 ArimaSpec::DEFAULT,
-                true,
+                parallel,
                 policy,
                 &Obs::disabled(),
-            );
-            serial.assert_same_analysis(&chunked);
+            )
+        };
+        let serial = build(false, KernelPolicy::Auto);
+        serial.assert_same_analysis(&build(true, KernelPolicy::Auto));
+        // One job per attack, and one job per family.
+        for policy in [KernelPolicy::Chunked(1), KernelPolicy::Chunked(100)] {
+            serial.assert_same_analysis(&build(true, policy));
         }
     }
 
@@ -764,9 +637,9 @@ mod tests {
             attack(Family::Pandora, 3, 900, 700, 2),
         ]);
         let obs = Obs::enabled();
-        let instrumented = AnalysisContext::build_obs(&ds, ArimaSpec::DEFAULT, true, &obs);
-        let quiet = AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, true);
-        instrumented.assert_same_analysis(&quiet);
+        let instrumented =
+            AnalysisContext::build_kernels(&ds, ArimaSpec::DEFAULT, true, KernelPolicy::Auto, &obs);
+        instrumented.assert_same_analysis(&AnalysisContext::new(&ds));
         let t = obs.finish(true);
         for stage in [
             "context/bot_table",

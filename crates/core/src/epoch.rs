@@ -9,33 +9,46 @@
 //! at a cost that follows the epoch, not the prefix. Passes read the
 //! fold through a borrowed view ([`EpochContext::to_context`]), which
 //! the [`crate::pipeline::IncrementalPipeline`] hands them after each
-//! append.
+//! append. It is also the one-shot build: [`AnalysisContext::build_kernels`]
+//! is one append of a one-epoch slicing.
 //!
 //! # Appending
 //!
-//! The fold reproduces [`AnalysisContext::build`] **bit-identically**,
-//! for any partition of the trace into epochs, because:
+//! The fold reproduces the one-shot build's analysis inputs
+//! **bit-identically**, for any partition of the trace into epochs,
+//! because:
 //!
 //! * Attacks are globally sorted by `(start, id)` and epochs are
 //!   assigned by start time, so each shard's attacks are the next
 //!   contiguous global index range and per-attack vectors extend.
 //! * Every IP the fold has seen, as a bot or as a source, gets one
-//!   dictionary id in arrival order and keeps it. The bot columns are
-//!   indexed by that id, a source-only IP holding a placeholder row, so
-//!   an earlier attack's id slice is never rewritten.
-//! * An epoch's bot records go in by ascending roster position. A new
-//!   IP appends a row, a known IP's row is overwritten only by a greater
-//!   position (the monolithic last-wins rule), and a source-only IP is
-//!   promoted in place. The survivor's trigonometry comes from the same
-//!   coordinates the monolithic build reads, so its cached bits match.
-//! * An epoch's attacks are interned serially, in arrival order, and
-//!   then resolved against the whole table by the batch build's own
-//!   resolver ([`crate::context`]): each family's slice of the epoch is
-//!   cut into jobs that run on the build's worker pool (on the calling
-//!   thread alone for a serial fold), and the jobs merge in (family,
-//!   job) order. Each family keeps one mark per dictionary id, the week
-//!   (+ 1) that last counted it, so its `week × country` bot grid counts
-//!   every bot once per week even when an epoch boundary splits a week.
+//!   dictionary id and keeps it. Each append numbers its new bot IPs in
+//!   IP order, then its new unresolvable sources in IP order, so a
+//!   one-epoch fold numbers like a sorted batch join. The bot columns
+//!   are indexed by that id, a source-only IP holding a placeholder
+//!   row, so an earlier attack's id slice is never rewritten.
+//! * An epoch's bot records are radix-sorted as `(ip, roster position)`
+//!   keys and collapse to the last record of each IP. A new IP appends
+//!   a row, a known IP's row is overwritten only by a greater position
+//!   (the roster's last-wins rule), and a source-only IP is promoted in
+//!   place. The survivor's trigonometry comes from its own coordinates,
+//!   so its cached bits match whatever the partition.
+//! * Known IPs are found through an `IpMap` index of the earlier
+//!   appends' ids. The second append builds it, and each later append
+//!   first indexes the ids of the one before, so a one-epoch fold never
+//!   builds it.
+//! * The epoch's sources resolve on the fold's worker pool (on the
+//!   calling thread alone for a serial fold): each worker looks a
+//!   source up in its own direct-mapped cache, which it keeps across
+//!   appends because ids never change, then in the index, then among
+//!   the epoch's sorted new bots. Each family's slice of the epoch is
+//!   then cut into jobs ([`KernelPolicy`]) that the resolver of
+//!   [`crate::context`] runs on the same pool, and the jobs merge in
+//!   (family, job) order, through one mark buffer under a fresh tag
+//!   range per family. Each family keeps the ids it counted in its
+//!   latest week and restores their marks before its next merge, so its
+//!   `week × country` bot grid counts every bot once per week even when
+//!   an epoch boundary splits a week.
 //! * When a row that existed before the append changed attributes or
 //!   was promoted, one scan of the id column finds the earlier attacks
 //!   that reference it. Each recounts its unresolved sources, and each
@@ -57,18 +70,24 @@
 //! and the golden-report suite pins the epoch engine to the batch
 //! digest.
 
-use std::collections::hash_map::Entry;
+use std::borrow::Cow;
 
 use ddos_geo::{KernelCounters, PointTrig};
 use ddos_obs::Obs;
 use ddos_schema::{
-    AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, Family, IpAddr4, LatLon,
-    SummarySets, Timestamp, Window,
+    AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, DatasetSummary, Family, IpAddr4,
+    LatLon, SummarySets, Timestamp, Window,
 };
 use ddos_stats::ArimaSpec;
 
-use crate::columnar::{chunk_ranges, fan_out, worker_count, SourceTable, NO_BOT};
-use crate::context::{AnalysisContext, FamilyContext, Resolver, TargetTimeline, WeekStamp};
+use crate::columnar::{
+    beside, chunk_ranges, fan_out, last_per_ip, radix_sort_by_ip, worker_count, ResolveCache,
+    SourceTable, NO_BOT,
+};
+use crate::context::{
+    AnalysisContext, FamilyContext, OpenWeek, Resolver, TargetTimeline, WeekMarks, WeekStamp,
+};
+use crate::kernels::KernelPolicy;
 use crate::util::IpMap;
 
 /// The country of a source-only id's placeholder row (never read: the
@@ -122,18 +141,71 @@ struct BotColumns {
 }
 
 impl BotColumns {
-    fn push(&mut self, position: u32, bot: Option<&BotRecord>) {
+    fn push(&mut self, position: u32, bot: &BotRecord) {
         self.positions.push(position);
-        match bot {
-            Some(b) => {
-                self.countries.push(b.location.country);
-                self.trig.push(PointTrig::new(b.location.coords));
-            }
-            None => {
-                self.countries.push(NO_COUNTRY);
-                self.trig.push(PointTrig::new(LatLon::default()));
+        self.countries.push(bot.location.country);
+        self.trig.push(PointTrig::new(bot.location.coords));
+    }
+
+    /// Appends `n` source-only placeholder rows.
+    fn pad(&mut self, n: usize) {
+        let len = self.positions.len() + n;
+        self.positions.resize(len, NO_BOT);
+        self.countries.resize(len, NO_COUNTRY);
+        self.trig.resize(len, PointTrig::new(LatLon::default()));
+    }
+
+    /// Joins an epoch's bot records in: radix-sorted `(ip, position)`
+    /// keys, one per IP (the last wins). The new IPs are interned in IP
+    /// order; a known one, found through `index`, is promoted or
+    /// overwritten by a later record. Returns the bot rows appended or
+    /// promoted and the earlier ids whose row changed.
+    fn join(
+        &mut self,
+        shard: &DatasetShard<'_>,
+        index: &IpMap<u32>,
+        sources: &mut SourceTable,
+    ) -> (usize, Vec<u32>) {
+        let mut keys: Vec<u64> = shard
+            .bots()
+            .map(|(position, b)| (u64::from(b.ip.value()) << 32) | u64::from(position))
+            .collect();
+        last_per_ip(&mut keys);
+        // At most one new row per key: room for all of them up front, so
+        // no column doubles past its size while a one-epoch fold fills it.
+        sources.reserve(keys.len());
+        self.positions.reserve(keys.len());
+        self.countries.reserve(keys.len());
+        self.trig.reserve(keys.len());
+        let records = shard.dataset().bots();
+        let mut appended = 0;
+        let mut stale = Vec::new();
+        for key in keys {
+            let position = key as u32;
+            let b = &records[position as usize];
+            let Some(&id) = index.get(&b.ip) else {
+                sources.intern(b.ip, true);
+                self.push(position, b);
+                appended += 1;
+                continue;
+            };
+            // Every indexed id predates the append, so an earlier attack
+            // may reference it.
+            let current = self.positions[id as usize];
+            let changed = if current == NO_BOT {
+                self.set(id, position, b);
+                sources.promote(id);
+                appended += 1;
+                true
+            } else {
+                position > current && self.set(id, position, b)
+            };
+            if changed {
+                stale.push(id);
             }
         }
+        self.rows += appended;
+        (appended, stale)
     }
 
     /// Overwrites row `id` with `bot`; whether its country or
@@ -159,27 +231,33 @@ impl BotColumns {
 pub struct EpochContext {
     /// The *global* trace window (week/day bucketing is always global).
     window: Window,
-    /// One week-stamp buffer per family-resolution worker: one per core
-    /// for a parallel fold, one for a serial fold. Kept across appends,
-    /// so an append stamps into warm buffers instead of zeroing fresh
-    /// ones.
+    /// How an append cuts each family's attacks into resolution jobs.
+    policy: KernelPolicy,
+    /// One week-stamp buffer per pool worker: one per core for a
+    /// parallel fold, one for a serial fold. Kept across appends, so an
+    /// append stamps into warm buffers instead of zeroing fresh ones.
     stamps: Vec<WeekStamp>,
+    /// One source-resolve cache per pool worker, kept across appends
+    /// like the stamps.
+    caches: Vec<ResolveCache>,
     /// Duration of each covered attack.
     durations: Vec<f64>,
     /// Start of each covered attack.
     starts: Vec<Timestamp>,
     /// Per-target timelines, sorted by target, carrying global indices.
     timelines: Vec<TargetTimeline>,
-    /// IP → dictionary id, for every IP seen as a bot or as a source.
+    /// IP → dictionary id for the ids of the earlier appends: empty
+    /// through the first append, then caught up at the start of each.
     index: IpMap<u32>,
     sources: SourceTable,
     bots: BotColumns,
     /// One per [`Family::ACTIVE`] entry, in final shape.
     families: Vec<FamilyContext>,
-    /// Beside each family: per dictionary id, the week + 1 in which the
-    /// family's grid last counted it (0: never), grown to the dictionary
-    /// as the family's jobs merge.
-    marks: Vec<Vec<u32>>,
+    /// The merge's mark buffer: per dictionary id, the tag of the
+    /// (append, family, week) that last counted it.
+    marks: WeekStamp,
+    /// Beside each family: the ids its grid counted in its latest week.
+    open: Vec<OpenWeek>,
     /// Table III's small distinct sets over the covered attacks and the
     /// bot records first seen in the covered epochs.
     summary: SummarySets,
@@ -187,13 +265,17 @@ pub struct EpochContext {
 
 impl EpochContext {
     /// Starts an empty fold over a trace window. With `parallel` set,
-    /// each append resolves its families on a pool of scoped workers;
-    /// otherwise on the calling thread. The fold is the same either way.
-    pub fn new(window: Window, parallel: bool) -> EpochContext {
+    /// each append sweeps its sources and resolves its families on a
+    /// pool of one worker per core; otherwise on the calling thread.
+    /// `policy` sets the length of the family jobs. The fold is the same
+    /// either way.
+    pub fn new(window: Window, parallel: bool, policy: KernelPolicy) -> EpochContext {
         let workers = if parallel { worker_count() } else { 1 };
         EpochContext {
             window,
-            stamps: (0..workers).map(|_| WeekStamp::default()).collect(),
+            policy,
+            stamps: vec![WeekStamp::default(); workers],
+            caches: vec![ResolveCache::default(); workers],
             durations: Vec::new(),
             starts: Vec::new(),
             timelines: Vec::new(),
@@ -204,12 +286,17 @@ impl EpochContext {
                 .into_iter()
                 .map(|family| FamilyContext::empty(family, window.num_weeks()))
                 .collect(),
-            marks: vec![Vec::new(); Family::ACTIVE.len()],
+            marks: WeekStamp::default(),
+            open: vec![OpenWeek::default(); Family::ACTIVE.len()],
             summary: SummarySets::default(),
         }
     }
 
     /// Appends the next epoch of a borrowed shard in place.
+    ///
+    /// The `epoch/build` span holds the `context/bot_table`,
+    /// `context/source_table` and `context/family_resolution` phases,
+    /// and `epoch/merge` holds `context/timelines`.
     ///
     /// # Panics
     ///
@@ -221,73 +308,68 @@ impl EpochContext {
         assert_eq!(attack_base, self.len(), "epochs must arrive in order");
         let attacks = shard.attacks();
         let build = obs.span("epoch/build");
-        let known = self.sources.dict_len();
 
-        // The epoch's bot records, by ascending roster position, copied
-        // out of the roster first: they are scattered across it, and one
-        // loop of independent loads gathers them far faster than the
-        // dependent hash work below would fetch them one by one.
-        let epoch_bots: Vec<(u32, BotRecord)> = shard.bots().map(|(p, b)| (p, *b)).collect();
-        let mut appended_bots = 0;
-        let mut attackers_grew = false;
-        let mut stale: Vec<u32> = Vec::new();
-        for &(position, ref b) in &epoch_bots {
-            attackers_grew |= self.summary.insert_bot(b);
-            let id = match self.index.entry(b.ip) {
-                Entry::Vacant(slot) => {
-                    slot.insert(self.sources.intern(b.ip, true));
-                    self.bots.push(position, Some(b));
-                    appended_bots += 1;
-                    continue;
-                }
-                Entry::Occupied(slot) => *slot.get(),
-            };
-            let current = self.bots.positions[id as usize];
-            let changed = if current == NO_BOT {
-                self.bots.set(id, position, b);
-                self.sources.promote(id);
-                appended_bots += 1;
-                true
-            } else {
-                position > current && self.bots.set(id, position, b)
-            };
-            // Only rows that existed before the append can be referenced
-            // by an earlier attack.
-            if changed && (id as usize) < known {
-                stale.push(id);
-            }
+        let bot_span = obs.span("context/bot_table");
+        let known = self.sources.dict_len();
+        self.index.reserve(known - self.index.len());
+        for id in self.index.len()..known {
+            self.index.insert(self.sources.ip_of(id as u32), id as u32);
         }
-        self.bots.rows += appended_bots;
-        attackers_grew |= appended_bots > 0;
+        // On a pool, Table III's sets and the per-attack columns fill on
+        // a second worker while this one joins the bot records.
+        let (index, sources, bots) = (&self.index, &mut self.sources, &mut self.bots);
+        let (summary, durations, starts) =
+            (&mut self.summary, &mut self.durations, &mut self.starts);
+        let (sets_grew, (appended_bots, stale)) = beside(
+            self.caches.len() > 1,
+            || {
+                let mut grew = false;
+                for (_, b) in shard.bots() {
+                    grew |= summary.insert_bot(b);
+                }
+                for a in attacks {
+                    summary.insert_attack(a);
+                    durations.push(a.duration().as_f64());
+                    starts.push(a.start);
+                }
+                grew
+            },
+            || bots.join(shard, index, sources),
+        );
+        let attackers_grew = sets_grew || appended_bots > 0;
         let reresolved = if stale.is_empty() {
             Vec::new()
         } else {
             self.find_stale(attack_base, known, &stale)
         };
+        drop(bot_span);
 
-        // The epoch's attacks, interned in arrival order.
-        let mut ids = Vec::new();
-        for a in attacks {
-            self.summary.insert_attack(a);
-            self.durations.push(a.duration().as_f64());
-            self.starts.push(a.start);
-            ids.clear();
-            for &ip in &a.sources {
-                ids.push(*self.index.entry(ip).or_insert_with(|| {
-                    self.bots.push(NO_BOT, None);
-                    self.sources.intern(ip, false)
-                }));
-            }
-            self.sources.push_attack(ids.iter().copied());
-        }
+        let source_span = obs.span("context/source_table");
+        let misses = self
+            .sources
+            .append_attacks(attacks, known, &self.index, &mut self.caches);
+        self.bots.pad(misses);
+        drop(source_span);
 
+        let family_span = obs.span("context/family_resolution");
         let kernel = KernelCounters::default();
-        self.resolve_families(dataset, attack_base, &reresolved, &kernel);
+        self.resolve_families(dataset, attack_base, &reresolved, &kernel, obs);
+        drop(family_span);
         drop(build);
 
         let merge = obs.span("epoch/merge");
+        let timeline_span = obs.span("context/timelines");
         self.splice_timelines(attack_base, attacks);
+        drop(timeline_span);
         drop(merge);
+        obs.gauge("context/attacks").set(self.len() as u64);
+        obs.gauge("context/bots").set(self.bots.rows as u64);
+        obs.gauge("context/source_dict_ips")
+            .set(self.sources.dict_len() as u64);
+        obs.gauge("context/participations")
+            .set(self.sources.participations() as u64);
+        obs.gauge("context/unresolved_sources")
+            .set(self.sources.unresolved_total());
         obs.counter("geo/dispersion_snapshots")
             .add(kernel.snapshots());
         obs.counter("geo/dispersion_points").add(kernel.points());
@@ -331,6 +413,7 @@ impl EpochContext {
         attack_base: usize,
         reresolved: &[u32],
         kernel: &KernelCounters,
+        obs: &Obs,
     ) {
         let attack_end = self.len();
         let mut dirty = [false; Family::ACTIVE.len()];
@@ -340,22 +423,30 @@ impl EpochContext {
                 dirty[family.index()] = true;
             }
         }
-        let pieces = self.stamps.len();
+        let workers = self.stamps.len();
         let mut jobs: Vec<(usize, &[u32])> = Vec::new();
         for (slot, family) in Family::ACTIVE.into_iter().enumerate() {
             let all = dataset.attack_indices_of(family);
             let all = &all[..all.partition_point(|&i| (i as usize) < attack_end)];
             let todo = if dirty[slot] {
                 self.families[slot].clear();
-                self.marks[slot].fill(0);
+                self.open[slot] = OpenWeek::default();
                 all
             } else {
                 &all[all.partition_point(|&i| (i as usize) < attack_base)..]
+            };
+            let pieces = match self.policy {
+                KernelPolicy::Auto => workers,
+                KernelPolicy::Chunked(len) => todo.len().div_ceil(len.max(1)),
             };
             for r in chunk_ranges(todo.len(), pieces) {
                 jobs.push((slot, &todo[r]));
             }
         }
+        obs.gauge("context/family_jobs").set(jobs.len() as u64);
+        obs.gauge("context/workers")
+            .set(workers.min(jobs.len()).max(1) as u64);
+        let chunk_hist = obs.histogram("context/chunk_us");
         let resolver = Resolver {
             window: self.window,
             starts: &self.starts,
@@ -364,31 +455,38 @@ impl EpochContext {
             countries: &self.bots.countries,
         };
         let chunks = fan_out(jobs.len(), &mut self.stamps, |j, stamp| {
-            resolver.resolve(jobs[j].1, stamp, kernel)
+            let t0 = obs.now_us();
+            let chunk = resolver.resolve(jobs[j].1, stamp, kernel);
+            chunk_hist.record(obs.now_us().saturating_sub(t0));
+            chunk
         });
-        let dict_len = self.sources.dict_len();
-        for (&(slot, indices), chunk) in jobs.iter().zip(chunks) {
-            let marks = &mut self.marks[slot];
-            marks.resize(dict_len, 0);
-            self.families[slot].absorb(self.window, &self.starts, indices, chunk, marks, 1);
+        let (dict_len, num_weeks) = (self.sources.dict_len(), self.window.num_weeks());
+        let mut merged = jobs.iter().zip(chunks).peekable();
+        while let Some(&(&(slot, _), _)) = merged.peek() {
+            let mut marks =
+                WeekMarks::claim(&mut self.marks, dict_len, num_weeks, &mut self.open[slot]);
+            while let Some((&(_, indices), chunk)) = merged.next_if(|job| job.0 .0 == slot) {
+                self.families[slot].absorb(self.window, &self.starts, indices, chunk, &mut marks);
+            }
         }
     }
 
     /// Extends existing targets' timelines in place and merges new
     /// targets in by target IP.
     fn splice_timelines(&mut self, attack_base: usize, attacks: &[AttackRecord]) {
-        let mut keyed: Vec<(IpAddr4, usize)> = attacks
-            .iter()
-            .enumerate()
-            .map(|(k, a)| (a.target_ip, attack_base + k))
+        // `(target << 32) | global index`, radix-sorted: each target's
+        // run lists its new attacks in ascending order.
+        let mut keyed: Vec<u64> = (attack_base..)
+            .zip(attacks)
+            .map(|(i, a)| (u64::from(a.target_ip.value()) << 32) | i as u64)
             .collect();
-        keyed.sort_unstable();
+        radix_sort_by_ip(&mut keyed);
         let mut fresh: Vec<TargetTimeline> = Vec::new();
         let mut run = 0;
         while run < keyed.len() {
-            let target = keyed[run].0;
-            let end = run + keyed[run..].partition_point(|&(t, _)| t == target);
-            let indices = keyed[run..end].iter().map(|&(_, i)| i);
+            let target = IpAddr4((keyed[run] >> 32) as u32);
+            let end = run + keyed[run..].partition_point(|&k| k >> 32 == u64::from(target.value()));
+            let indices = keyed[run..end].iter().map(|&k| k as u32 as usize);
             match self.timelines.binary_search_by_key(&target, |t| t.target) {
                 Ok(p) => self.timelines[p].attacks.extend(indices),
                 Err(_) => fresh.push(TargetTimeline {
@@ -425,32 +523,55 @@ impl EpochContext {
         self.starts.is_empty()
     }
 
+    /// Table III over the covered records: the fold's sets, bot rows and
+    /// timelines.
+    fn table_iii(&self) -> DatasetSummary {
+        self.summary
+            .summary(self.len(), self.bots.rows, self.timelines.len())
+    }
+
     /// Lends the fold to the passes as an analysis context, mid-stream
     /// or complete. The context covers exactly the appended epochs: its
     /// attack slice is borrowed from `dataset` and ends with the last
     /// appended epoch, every column is borrowed from the fold, and Table
     /// III comes from the fold's sets, bot rows and timelines. Passes
-    /// over it therefore answer
-    /// exactly like a fresh build over [`Dataset::epoch_prefix`] of the
-    /// same epochs, with nothing copied.
+    /// over it therefore answer exactly like a fresh build over
+    /// [`Dataset::epoch_prefix`] of the same epochs, with nothing
+    /// copied.
     ///
     /// # Panics
     ///
     /// If the fold comes from another trace.
     pub fn to_context<'a>(&'a self, dataset: &'a Dataset, spec: ArimaSpec) -> AnalysisContext<'a> {
         assert_eq!(self.window, dataset.window(), "fold from another trace");
-        AnalysisContext::from_parts(
+        AnalysisContext {
             dataset,
-            self.len(),
-            self.summary
-                .summary(self.len(), self.bots.rows, self.timelines.len()),
+            attacks: &dataset.attacks()[..self.len()],
+            summary: self.table_iii(),
             spec,
-            &self.sources,
-            &self.durations,
-            &self.starts,
-            &self.timelines,
-            &self.families,
-        )
+            sources: Cow::Borrowed(&self.sources),
+            durations: Cow::Borrowed(&self.durations),
+            all_starts: Cow::Borrowed(&self.starts),
+            target_timelines: Cow::Borrowed(&self.timelines),
+            families: Cow::Borrowed(&self.families),
+        }
+    }
+
+    /// Moves the fold's columns into an owned context, the last step of
+    /// the one-shot build ([`AnalysisContext::build_kernels`]).
+    pub(crate) fn into_context(self, dataset: &Dataset, spec: ArimaSpec) -> AnalysisContext<'_> {
+        assert_eq!(self.window, dataset.window(), "fold from another trace");
+        AnalysisContext {
+            dataset,
+            attacks: &dataset.attacks()[..self.len()],
+            summary: self.table_iii(),
+            spec,
+            sources: Cow::Owned(self.sources),
+            durations: Cow::Owned(self.durations),
+            all_starts: Cow::Owned(self.starts),
+            target_timelines: Cow::Owned(self.timelines),
+            families: Cow::Owned(self.families),
+        }
     }
 }
 
@@ -501,7 +622,7 @@ mod tests {
         let ds = b.build().unwrap();
         let len = Seconds::days(2);
         let obs = Obs::disabled();
-        let mut fold = EpochContext::new(ds.window(), false);
+        let mut fold = EpochContext::new(ds.window(), false, KernelPolicy::Auto);
         let mut grew = Vec::new();
         for (k, shard) in ds.shards(len).iter().enumerate() {
             grew.push(fold.append(shard, &obs).attackers_grew);
@@ -521,13 +642,95 @@ mod tests {
         assert_eq!(table.victims.ips, 3);
     }
 
+    /// One bot record of `ip(last)` in `cc`, first seen on `day`.
+    fn bot(last: u8, cc: &str, day: i64) -> BotRecord {
+        BotRecord {
+            ip: ip(last),
+            botnet: BotnetId(1),
+            family: Family::Pandora,
+            location: location(cc, 1),
+            first_seen: Timestamp(day * 86_400),
+            last_seen: Timestamp(day * 86_400),
+        }
+    }
+
+    /// `ds` appended as a one-epoch slicing, as the one-shot build does.
+    fn one_epoch(ds: &Dataset, parallel: bool) -> EpochContext {
+        let mut fold = EpochContext::new(ds.window(), parallel, KernelPolicy::Auto);
+        for shard in ds.shards(ds.window().length()) {
+            fold.append(&shard, &Obs::disabled());
+        }
+        fold
+    }
+
+    #[test]
+    fn a_one_epoch_fold_numbers_bots_then_misses_in_ip_order() {
+        let mut b = DatasetBuilder::new(window());
+        // Out of IP order; IP 4 twice, its last record in DE.
+        for (last, cc) in [(9, "RU"), (4, "RU"), (7, "US"), (4, "DE")] {
+            b.push_bot(bot(last, cc, 0)).unwrap();
+        }
+        for (id, sources) in [(1, vec![12, 7, 30, 9]), (2, vec![4, 2, 12])] {
+            let mut a = attack(Family::Pandora, id, id as i64 * 100, 60, 1);
+            a.sources = sources.into_iter().map(ip).collect();
+            b.push_attack(a).unwrap();
+        }
+        let ds = b.build().unwrap();
+        for parallel in [false, true] {
+            let fold = one_epoch(&ds, parallel);
+            let dict: Vec<IpAddr4> = (0..fold.sources.dict_len() as u32)
+                .map(|id| fold.sources.ip_of(id))
+                .collect();
+            assert_eq!(dict, [4, 7, 9, 2, 12, 30].map(ip), "bots, then misses");
+            let rows: Vec<u32> = (0..6).map(|id| fold.sources.bot_row(id)).collect();
+            assert_eq!(rows, [0, 1, 2, NO_BOT, NO_BOT, NO_BOT]);
+            assert_eq!(fold.sources.ids_of(0), [4, 1, 5, 2]);
+            assert_eq!(fold.sources.ids_of(1), [0, 3, 4]);
+            assert_eq!(fold.bots.rows, 3);
+            assert_eq!(fold.bots.positions[0], 3, "the last record of IP 4");
+            assert_eq!(fold.bots.countries[0], CountryCode::literal("DE"));
+        }
+    }
+
+    #[test]
+    fn only_a_second_append_builds_the_index() {
+        let mut b = DatasetBuilder::new(window());
+        for (last, day) in [(1, 0), (2, 0), (3, 6)] {
+            b.push_bot(bot(last, "RU", day)).unwrap();
+        }
+        for (id, day, sources) in [(1, 0, vec![1, 5]), (2, 6, vec![2, 3, 5, 6])] {
+            let mut a = attack(Family::Pandora, id, day * 86_400, 60, 1);
+            a.sources = sources.into_iter().map(ip).collect();
+            b.push_attack(a).unwrap();
+        }
+        let ds = b.build().unwrap();
+        let obs = Obs::disabled();
+        let mut fold = EpochContext::new(ds.window(), false, KernelPolicy::Auto);
+        let shards = ds.shards(Seconds::days(5));
+        assert_eq!(shards.len(), 2);
+        fold.append(&shards[0], &obs);
+        assert!(fold.index.is_empty(), "one append builds no index");
+        let known = fold.sources.dict_len() as u32;
+        assert_eq!(known, 3, "bots 1 and 2, source 5");
+        fold.append(&shards[1], &obs);
+        let indexed: Vec<(IpAddr4, u32)> = (0..known)
+            .map(|id| (fold.sources.ip_of(id), fold.index[&fold.sources.ip_of(id)]))
+            .collect();
+        assert_eq!(indexed, [(ip(1), 0), (ip(2), 1), (ip(5), 2)]);
+        assert_eq!(fold.index.len(), 3, "the second append's own ids wait");
+        // The second epoch found its known IPs through the index: bot 2
+        // and source 5 kept their ids, bot 3 and source 6 are new.
+        assert_eq!(fold.sources.ids_of(1), [1, 3, 2, 4]);
+    }
+
     proptest! {
         /// Appended tables resolve every source exactly like the
-        /// monolithic last-wins join, however a roster's conflicting
-        /// duplicates and first sightings fall across epochs: each
+        /// last-wins join, however a roster's conflicting duplicates and
+        /// first sightings fall across epochs, one epoch included: each
         /// attack's id slice round-trips its sources, an id is a bot row
         /// iff its IP has a record, and the row holds the last record's
-        /// country and coordinates.
+        /// country and coordinates. A serial and a pooled fold build the
+        /// same dictionary, row and id columns.
         #[test]
         fn appended_tables_match_monolithic(
             roster in proptest::collection::vec(
@@ -562,34 +765,42 @@ mod tests {
             let ds = b.build().unwrap();
             let index = BotIndex::build(&ds);
             let obs = Obs::disabled();
-            let mut fold = EpochContext::new(ds.window(), true);
-            for shard in ds.shards(Seconds::days(epoch_days)) {
-                fold.append(&shard, &obs);
-            }
-            for (i, a) in ds.attacks().iter().enumerate() {
-                let ids = fold.sources.ids_of(i);
-                let back: Vec<IpAddr4> = ids.iter().map(|&id| fold.sources.ip_of(id)).collect();
-                prop_assert_eq!(&back, &a.sources);
-                let mut misses = 0;
-                for &id in ids {
-                    let row = fold.sources.bot_row(id);
-                    match index.lookup(fold.sources.ip_of(id)) {
-                        Some((cc, coords)) => {
-                            prop_assert_eq!(row, id);
-                            prop_assert_eq!(fold.bots.countries[id as usize], cc);
-                            let trig = &fold.bots.trig[id as usize];
-                            prop_assert_eq!(trig.lat.to_bits(), coords.lat.to_bits());
-                            prop_assert_eq!(trig.lon.to_bits(), coords.lon.to_bits());
-                        }
-                        None => {
-                            prop_assert_eq!(row, NO_BOT);
-                            misses += 1;
+            for len in [Seconds::days(epoch_days), ds.window().length()] {
+                let folds = [false, true].map(|parallel| {
+                    let mut fold = EpochContext::new(ds.window(), parallel, KernelPolicy::Auto);
+                    for shard in ds.shards(len) {
+                        fold.append(&shard, &obs);
+                    }
+                    fold
+                });
+                prop_assert_eq!(&folds[0].sources, &folds[1].sources);
+                let fold = &folds[1];
+                for (i, a) in ds.attacks().iter().enumerate() {
+                    let ids = fold.sources.ids_of(i);
+                    let back: Vec<IpAddr4> =
+                        ids.iter().map(|&id| fold.sources.ip_of(id)).collect();
+                    prop_assert_eq!(&back, &a.sources);
+                    let mut misses = 0;
+                    for &id in ids {
+                        let row = fold.sources.bot_row(id);
+                        match index.lookup(fold.sources.ip_of(id)) {
+                            Some((cc, coords)) => {
+                                prop_assert_eq!(row, id);
+                                prop_assert_eq!(fold.bots.countries[id as usize], cc);
+                                let trig = &fold.bots.trig[id as usize];
+                                prop_assert_eq!(trig.lat.to_bits(), coords.lat.to_bits());
+                                prop_assert_eq!(trig.lon.to_bits(), coords.lon.to_bits());
+                            }
+                            None => {
+                                prop_assert_eq!(row, NO_BOT);
+                                misses += 1;
+                            }
                         }
                     }
+                    prop_assert_eq!(fold.sources.unresolved_in(i), misses);
                 }
-                prop_assert_eq!(fold.sources.unresolved_in(i), misses);
+                prop_assert_eq!(fold.bots.rows, index.len());
             }
-            prop_assert_eq!(fold.bots.rows, index.len());
         }
     }
 }

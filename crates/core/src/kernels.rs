@@ -2,16 +2,19 @@
 //! grid-based passes share.
 //!
 //! Every analysis pass has exactly one body (DESIGN.md §12). The one
-//! loop in the pipeline that really spreads chunks over threads is the
-//! context build's per-family source resolution, and [`KernelPolicy`]
-//! sets the length of its jobs. Every policy builds a bit-identical
-//! context, so the report bytes never depend on it.
+//! loop in the pipeline that cuts its work into jobs of a chosen length
+//! is the per-family source resolution of every context build, one-shot
+//! or appended, and [`KernelPolicy`] sets that length. Every policy
+//! builds a bit-identical context, so the report bytes never depend on
+//! it.
 
 use ddos_schema::CountryCode;
 
-/// How [`AnalysisContext::build_kernels`] cuts each family's attacks
-/// into resolution jobs for its scoped workers.
+/// How each [`EpochContext::append`] cuts a family's attacks into
+/// resolution jobs for its pool, in a one-shot build
+/// ([`AnalysisContext::build_kernels`]) as in the epoch engine.
 ///
+/// [`EpochContext::append`]: crate::epoch::EpochContext::append
 /// [`AnalysisContext::build_kernels`]: crate::context::AnalysisContext::build_kernels
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {

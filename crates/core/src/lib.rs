@@ -54,7 +54,7 @@ pub mod target;
 pub mod util;
 
 pub use analysis::Analysis;
-pub use columnar::{BotTable, SourceTable, NO_BOT};
+pub use columnar::{SourceTable, NO_BOT};
 pub use context::AnalysisContext;
 pub use epoch::{AppendDelta, EpochContext};
 pub use fault::PipelineError;

@@ -204,7 +204,7 @@ pub(crate) mod test_support {
         mut check: impl FnMut(usize, &Dataset, &AnalysisContext<'_>),
     ) {
         let obs = Obs::disabled();
-        let mut fold = EpochContext::new(ds.window(), true);
+        let mut fold = EpochContext::new(ds.window(), true, KernelPolicy::Auto);
         for (k, shard) in ds.shards(len).iter().enumerate() {
             fold.append(shard, &obs);
             let prefix = ds.epoch_prefix(len, k + 1);

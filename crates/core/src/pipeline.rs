@@ -72,10 +72,10 @@ pub struct PipelineOptions {
     /// code runs and the report bytes are identical (the conformance
     /// suite asserts this); only the telemetry artifact is empty.
     pub telemetry: bool,
-    /// The job length of the monolithic context build's per-family
-    /// resolution (see [`KernelPolicy`]); the epoch engine never reads
-    /// it. Report bytes are identical for every policy — the golden
-    /// suite and the kernel proptests pin this.
+    /// The job length of the per-family resolution in every context
+    /// build, one-shot or appended (see [`KernelPolicy`]). Report bytes
+    /// are identical for every policy — the golden suite and the kernel
+    /// proptests pin this.
     pub kernels: KernelPolicy,
 }
 
@@ -117,7 +117,7 @@ impl PipelineOptions {
         self
     }
 
-    /// Sets the context build's job-length policy.
+    /// Sets the context builds' job-length policy.
     pub fn kernels(mut self, kernels: KernelPolicy) -> PipelineOptions {
         self.kernels = kernels;
         self
@@ -176,9 +176,9 @@ pub struct AnalysisReport {
     pub telemetry: RunTelemetry,
 }
 
-/// The monolithic engine: one context build, one pass-scheduler run,
-/// recording into `obs`. The body behind `Analysis::try_run` (batch
-/// mode).
+/// The monolithic engine: one context build (a one-epoch fold), one
+/// pass-scheduler run, recording into `obs`. The body behind
+/// `Analysis::try_run` (batch mode).
 pub(crate) fn run_monolithic(
     ds: &Dataset,
     opts: PipelineOptions,
@@ -341,7 +341,7 @@ impl<'a> IncrementalPipeline<'a> {
             obs,
             shards: ds.shards(epoch_len),
             next: 0,
-            acc: EpochContext::new(ds.window(), opts.parallel),
+            acc: EpochContext::new(ds.window(), opts.parallel, opts.kernels),
             report: None,
             carries: passes::REGISTRY
                 .iter()
@@ -355,14 +355,8 @@ impl<'a> IncrementalPipeline<'a> {
         self.shards.len()
     }
 
-    /// Epochs appended so far.
-    pub fn appended(&self) -> usize {
-        self.next
-    }
-
-    /// The epoch watermark: how many epochs the state reflects — an
-    /// alias of [`IncrementalPipeline::appended`] under the name the
-    /// serve layer stamps on every query answer.
+    /// The epoch watermark: how many epochs have been appended, the
+    /// number the serve layer stamps on every query answer.
     pub fn watermark(&self) -> usize {
         self.next
     }

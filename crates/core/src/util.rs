@@ -81,13 +81,6 @@ impl BotIndex {
             .collect()
     }
 
-    /// Countries of every resolvable address in `ips`.
-    pub fn countries_of(&self, ips: &[IpAddr4]) -> Vec<CountryCode> {
-        ips.iter()
-            .filter_map(|ip| self.map.get(ip).map(|&(cc, _)| cc))
-            .collect()
-    }
-
     /// Number of indexed bots.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -138,7 +131,6 @@ mod tests {
         assert_eq!(coords.lat, 55.0);
         assert!(idx.lookup(other).is_none());
         assert_eq!(idx.coords_of(&[ip, other]).len(), 1);
-        assert_eq!(idx.countries_of(&[ip, other]), vec![cc]);
     }
 
     #[test]

@@ -70,9 +70,13 @@ impl<'a> DatasetShard<'a> {
 /// `epoch_len` ([`Window::epochs`]), clamped to the first and last
 /// epoch. The one assignment rule of [`Dataset::shards`] and
 /// [`Dataset::epoch_prefix`], so the engine and its test oracle agree
-/// on it exactly.
+/// on it exactly. A one-epoch slicing (the one-shot build's) divides
+/// nothing.
 fn clamped_epoch(window: Window, epoch_len: Seconds, epochs: usize, t: Timestamp) -> usize {
-    let last = epochs.saturating_sub(1) as i64;
+    if epochs <= 1 {
+        return 0;
+    }
+    let last = (epochs - 1) as i64;
     (t - window.start)
         .get()
         .div_euclid(epoch_len.get().max(1))

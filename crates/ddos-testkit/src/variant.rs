@@ -4,16 +4,19 @@
 //! ingested, how the analysis context is built (the monolithic build,
 //! the dataset-scan oracle [`crate::baseline_report`], or the epoch
 //! engine's incremental appends), how the pass scheduler runs, and
-//! which job-length [`KernelPolicy`] the monolithic context build
-//! uses. [`Cell::run`] executes that exact combination; the conformance
+//! which job-length [`KernelPolicy`] the context build uses.
+//! [`Cell::run`] executes that exact combination; the conformance
 //! driver then asserts every cell of a matrix serializes to the same
 //! bytes.
 //!
 //! [`matrix`] is the curated coverage set (every axis value exercised)
 //! that `tests/golden_report.rs` pins against the committed golden
 //! digest; [`matrix_full`] is the exhaustive cross product the soak
-//! loop can opt into. Only the monolithic build reads the kernel
-//! policy, so no other build is crossed with it.
+//! loop can opt into. Every context build reads the kernel policy: the
+//! monolithic build is one append of a one-epoch fold, and the epoch
+//! engine's appends cut their family jobs by the same rule. The lattice
+//! crosses only the monolithic build with it, so an incremental cell
+//! would run the same job cut on smaller epochs.
 
 use std::fmt;
 
@@ -73,7 +76,7 @@ pub struct Cell {
     pub build: Build,
     /// Scheduler axis.
     pub scheduler: Scheduler,
-    /// Job-length axis of the monolithic context build.
+    /// Job-length axis, crossed with the monolithic build only.
     pub kernels: KernelPolicy,
 }
 
@@ -167,9 +170,9 @@ impl Cell {
             }
         };
         let parallel = matches!(self.scheduler, Scheduler::Parallel);
-        let base = || Analysis::new(ds).parallel(parallel);
+        let base = || Analysis::new(ds).parallel(parallel).kernels(self.kernels);
         let report = match self.build {
-            Build::Monolithic => base().kernels(self.kernels).try_run()?,
+            Build::Monolithic => base().try_run()?,
             Build::Baseline => crate::baseline_report(ds, ArimaSpec::DEFAULT),
             Build::Incremental { epoch_len_s } => base().epochs(Seconds(epoch_len_s)).try_run()?,
         };
@@ -344,8 +347,8 @@ mod tests {
                 .iter()
                 .any(|c| c.build == Build::Monolithic && c.kernels == kernels));
         }
-        // Cells differing only in a policy their build never reads
-        // would just run the same pipeline twice.
+        // The job cut is one rule for every build; the lattice crosses
+        // it with the monolithic build only.
         assert!(cells
             .iter()
             .all(|c| c.build == Build::Monolithic || c.kernels == KernelPolicy::Auto));

@@ -65,7 +65,7 @@ fn mid_frame_faults_error_on_both_decode_paths() {
 fn incremental_append_retries_in_place_after_merge_fault() {
     let ds = small_dataset();
     let mut pipe = IncrementalPipeline::new(ds, serial(), WEEK);
-    let before = pipe.appended();
+    let before = pipe.watermark();
     {
         let _scope = FailPlan::new().fail_nth(names::EPOCH_MERGE, 0).install();
         let err = pipe
@@ -75,7 +75,7 @@ fn incremental_append_retries_in_place_after_merge_fault() {
             if failpoint == names::EPOCH_MERGE));
     }
     // Nothing was consumed: the failed append left the cursor alone.
-    assert_eq!(pipe.appended(), before);
+    assert_eq!(pipe.watermark(), before);
     // In-place retry of the same epoch, then drive to completion.
     assert_eq!(report_digest(&pipe.into_report()), golden_digest());
 }

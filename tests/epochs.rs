@@ -15,7 +15,7 @@
 use ddos_analytics::passes::REGISTRY;
 use ddos_analytics::{
     Analysis, AnalysisContext, AnalysisReport, AppendDelta, EpochContext, IncrementalPipeline,
-    PipelineOptions,
+    KernelPolicy, PipelineOptions,
 };
 use ddos_obs::Obs;
 use ddos_schema::record::Location;
@@ -38,7 +38,7 @@ fn fold_shards(
     parallel: bool,
 ) -> (EpochContext, Vec<AppendDelta>) {
     let obs = Obs::disabled();
-    let mut fold = EpochContext::new(ds.window(), parallel);
+    let mut fold = EpochContext::new(ds.window(), parallel, KernelPolicy::Auto);
     let deltas = ds
         .shards(epoch_len)
         .iter()
@@ -47,11 +47,22 @@ fn fold_shards(
     (fold, deltas)
 }
 
+/// A serial one-shot build: one append of a one-epoch fold.
+fn one_shot(ds: &Dataset) -> AnalysisContext<'_> {
+    AnalysisContext::build_kernels(
+        ds,
+        ArimaSpec::DEFAULT,
+        false,
+        KernelPolicy::Auto,
+        &Obs::disabled(),
+    )
+}
+
 /// Folding the trace epoch by epoch, serially and on a worker pool,
-/// matches the monolithic build on every analysis input, and the report
+/// matches the one-shot build on every analysis input, and the report
 /// serializes byte-identically.
 fn assert_fold_equals_build(ds: &Dataset, epoch_len: Seconds) {
-    let built = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
+    let built = one_shot(ds);
     let json = |ctx: &AnalysisContext| {
         serde_json::to_string(&Analysis::over(ctx).parallel(false).run())
             .expect("report serializes")
@@ -288,7 +299,7 @@ fn a_pass_fault_after_the_first_stage_keeps_the_carries_consistent() {
         );
         // And the last epoch faulted the same way: the flush finds
         // nothing new for the carries and emits the same sections.
-        while inc.appended() + 1 < inc.epochs() {
+        while inc.watermark() + 1 < inc.epochs() {
             inc.append_epoch();
         }
         {
@@ -407,7 +418,7 @@ fn append_promotes_cross_epoch_sources_and_arbitrates_duplicates() {
     );
     assert!(deltas[3].appended_bots > 0, "bot 9 was not promoted");
     let folded = folded.to_context(&ds, ArimaSpec::DEFAULT);
-    AnalysisContext::build_opts(&ds, ArimaSpec::DEFAULT, false).assert_same_analysis(&folded);
+    one_shot(&ds).assert_same_analysis(&folded);
 }
 
 /// An earlier attack's dictionary ids survive every later append, on a
@@ -425,7 +436,7 @@ fn appends_never_renumber_an_earlier_attacks_sources() {
         (&trace.dataset, Seconds::WEEK),
         (&edge_case_dataset(), Seconds::days(1)),
     ] {
-        let mut fold = EpochContext::new(ds.window(), true);
+        let mut fold = EpochContext::new(ds.window(), true, KernelPolicy::Auto);
         let mut seen: Vec<Vec<u32>> = Vec::new();
         for shard in ds.shards(len) {
             fold.append(&shard, &obs);
@@ -476,7 +487,7 @@ fn incremental_pipeline_matches_batch_and_reruns_every_pass() {
         stats.push(s);
     }
     assert!(inc.is_complete());
-    assert_eq!(inc.appended(), 5);
+    assert_eq!(inc.watermark(), 5);
     assert_eq!(stats.len(), 5);
     // The first append must fill every slot.
     assert_eq!(stats[0].reran.len(), REGISTRY.len());

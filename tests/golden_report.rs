@@ -43,14 +43,11 @@ fn every_pipeline_variant_matches_the_golden_digest() {
 #[test]
 fn off_lattice_variants_match_the_golden_digest() {
     let ds = small_dataset();
-    let serial = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-    let per_attack = AnalysisContext::build_kernels(
-        ds,
-        ArimaSpec::DEFAULT,
-        true,
-        KernelPolicy::Chunked(1),
-        &Obs::disabled(),
-    );
+    let build = |parallel, policy| {
+        AnalysisContext::build_kernels(ds, ArimaSpec::DEFAULT, parallel, policy, &Obs::disabled())
+    };
+    let serial = build(false, KernelPolicy::Auto);
+    let per_attack = build(true, KernelPolicy::Chunked(1));
     let variants: Vec<(&str, AnalysisReport)> = vec![
         (
             "parallel, telemetry off",

@@ -93,7 +93,7 @@ proptest! {
             ..SimConfig::small()
         };
         let trace = generate(&cfg);
-        let ctx = AnalysisContext::build(&trace.dataset, ArimaSpec::DEFAULT);
+        let ctx = AnalysisContext::new(&trace.dataset);
         let sweep = CollabAnalysis::compute_ctx(&ctx);
         let pairwise = CollabAnalysis::compute(&trace.dataset);
         prop_assert_eq!(

@@ -30,17 +30,12 @@ use proptest::prelude::*;
 /// checks the intermediate inputs, so a compensating double-bug cannot
 /// slip through.
 fn assert_context_builds_agree(ds: &Dataset) {
-    let serial = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, false);
-    let parallel = AnalysisContext::build_opts(ds, ArimaSpec::DEFAULT, true);
-    let per_attack = AnalysisContext::build_kernels(
-        ds,
-        ArimaSpec::DEFAULT,
-        true,
-        KernelPolicy::Chunked(1),
-        &Obs::disabled(),
-    );
-    serial.assert_same_analysis(&parallel);
-    serial.assert_same_analysis(&per_attack);
+    let build = |parallel, policy| {
+        AnalysisContext::build_kernels(ds, ArimaSpec::DEFAULT, parallel, policy, &Obs::disabled())
+    };
+    let serial = build(false, KernelPolicy::Auto);
+    serial.assert_same_analysis(&build(true, KernelPolicy::Auto));
+    serial.assert_same_analysis(&build(true, KernelPolicy::Chunked(1)));
 }
 
 #[test]
