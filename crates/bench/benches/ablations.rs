@@ -8,11 +8,9 @@
 
 use std::time::Instant;
 
-use bench::{bench_bots, bench_trace};
-use ddos_analytics::collab::concurrent::CollabAnalysis;
-use ddos_analytics::source::dispersion::FamilyDispersion;
-#[allow(unused_imports)]
+use bench::bench_trace;
 use ddos_analytics::util::BotIndex;
+use ddos_analytics::AnalysisReport;
 use ddos_geo::{dispersion, mean_distance_km};
 use ddos_schema::Family;
 use ddos_stats::timeseries::forecast::split_forecast;
@@ -20,9 +18,10 @@ use ddos_stats::ArimaSpec;
 
 fn main() {
     println!("=== ablations (DESIGN.md §6) ===\n");
+    let report = AnalysisReport::run(&bench_trace().dataset);
     ablation_dispersion_metric();
-    ablation_arima_order();
-    ablation_collab_window();
+    ablation_arima_order(&report);
+    ablation_collab_window(&report);
     ablation_index_vs_scan();
     println!("=== ablations done ===");
 }
@@ -40,7 +39,7 @@ fn ablation_dispersion_metric() {
     let mut config = ddos_sim::SimConfig::small();
     config.geo.jitter_km = 25.0;
     let trace = ddos_sim::generate(&config);
-    let bots = ddos_analytics::util::BotIndex::build(&trace.dataset);
+    let bots = BotIndex::build(&trace.dataset);
     for family in [Family::Pandora, Family::Dirtjumper] {
         let mut signed_small = 0usize;
         let mut mean_small = 0usize;
@@ -73,10 +72,13 @@ fn ablation_dispersion_metric() {
 /// ARIMA order grid on the Dirtjumper dispersion series: (2,1,1) is the
 /// default; the grid shows the similarity is not an artifact of one
 /// lucky order.
-fn ablation_arima_order() {
-    let ds = &bench_trace().dataset;
-    let bots = bench_bots();
-    let series = FamilyDispersion::compute(ds, bots, Family::Dirtjumper).asymmetric_values();
+fn ablation_arima_order(report: &AnalysisReport) {
+    let series = report
+        .dispersion
+        .iter()
+        .find(|d| d.family == Family::Dirtjumper)
+        .expect("dirtjumper qualifies for Fig. 9")
+        .asymmetric_values();
     println!(
         "-- ARIMA order grid (dirtjumper, {} points) --",
         series.len()
@@ -108,10 +110,10 @@ fn ablation_arima_order() {
 /// Sensitivity of the Table VI rule to its two windows: widening either
 /// inflates the pair counts — the paper's 60 s / 30 min choice sits
 /// before the false-positive blow-up.
-fn ablation_collab_window() {
+fn ablation_collab_window(report: &AnalysisReport) {
     let ds = &bench_trace().dataset;
     println!("-- collaboration window sensitivity --");
-    let base = CollabAnalysis::compute(ds);
+    let base = &report.collaborations;
     println!(
         "rule 60s/30min (paper): {} pairs, {} events",
         base.pairs.len(),

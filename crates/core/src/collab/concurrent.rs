@@ -9,9 +9,9 @@
 //! target) to reproduce Fig. 15's "average 2.19 botnets per
 //! collaboration".
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
-use ddos_schema::{AttackRecord, CountryCode, Dataset, Family, IpAddr4, Timestamp};
+use ddos_schema::{AttackRecord, CountryCode, Dataset, Family, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// Start-time window of the rule (seconds).
@@ -54,24 +54,12 @@ pub struct CollabAnalysis {
 }
 
 impl CollabAnalysis {
-    /// Detects all collaborations in the trace.
-    pub fn compute(ds: &Dataset) -> CollabAnalysis {
-        let attacks = ds.attacks();
-        // Group by target; windows are tiny relative to per-target lists.
-        let mut by_target: HashMap<IpAddr4, Vec<usize>> = HashMap::new();
-        for (i, a) in attacks.iter().enumerate() {
-            by_target.entry(a.target_ip).or_default().push(i);
-        }
-        let mut targets: Vec<_> = by_target.into_iter().collect();
-        targets.sort_by_key(|&(ip, _)| ip);
-        Self::detect(attacks, targets.iter().map(|(_, idxs)| idxs.as_slice()))
-    }
-
-    /// Context-based variant of [`CollabAnalysis::compute`]: runs the
-    /// sort-sweep detector (`CollabAnalysis::detect_sweep`) over the
-    /// per-target timelines already grouped and sorted in the analysis
-    /// context. `tests/kernels.rs` holds it byte-identical to the
-    /// pairwise scan on arbitrary traces.
+    /// The collaboration pass: runs the sort-sweep detector
+    /// (`CollabAnalysis::detect_sweep`) over the per-target timelines
+    /// already grouped and sorted in the analysis context. The testkit's
+    /// oracle detects pairs with a pairwise scan of its own, and
+    /// `tests/kernels.rs` holds the two byte-identical on arbitrary
+    /// traces.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> CollabAnalysis {
         let lists: Vec<&[usize]> = ctx
             .target_timelines
@@ -81,107 +69,16 @@ impl CollabAnalysis {
         Self::detect_sweep(ctx.attacks, &lists)
     }
 
-    /// The pairwise detection rule over per-target attack-index lists.
-    /// The lists must arrive sorted by target IP with indices ascending,
-    /// as the sweep's timelines are — which is what keeps the two
-    /// detectors byte-identical.
-    fn detect<'t>(
-        attacks: &[AttackRecord],
-        per_target: impl Iterator<Item = &'t [usize]>,
-    ) -> CollabAnalysis {
-        let mut pairs = Vec::new();
-
-        let mut parent: HashMap<usize, usize> = HashMap::new();
-        fn find(parent: &mut HashMap<usize, usize>, x: usize) -> usize {
-            let p = *parent.get(&x).unwrap_or(&x);
-            if p == x {
-                return x;
-            }
-            let root = find(parent, p);
-            parent.insert(x, root);
-            root
-        }
-
-        for idxs in per_target {
-            // idxs are in start order already (attacks() is sorted).
-            for (k, &i) in idxs.iter().enumerate() {
-                for &j in &idxs[k + 1..] {
-                    let (ai, aj) = (&attacks[i], &attacks[j]);
-                    if (aj.start - ai.start).get() > START_WINDOW_S {
-                        break;
-                    }
-                    if ai.botnet == aj.botnet {
-                        continue;
-                    }
-                    let ddur = (ai.duration().get() - aj.duration().get()).abs();
-                    if ddur > DURATION_WINDOW_S {
-                        continue;
-                    }
-                    pairs.push(CollabPair { a: i, b: j });
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent.insert(ri, rj);
-                    }
-                }
-            }
-        }
-
-        // Events: connected components.
-        let mut components: HashMap<usize, Vec<usize>> = HashMap::new();
-        let members: HashSet<usize> = pairs.iter().flat_map(|p| [p.a, p.b]).collect();
-        for &m in &members {
-            components.entry(find(&mut parent, m)).or_default().push(m);
-        }
-        let mut events: Vec<CollabEvent> = components
-            .into_values()
-            .map(|mut attacks_in| {
-                attacks_in.sort_unstable();
-                let botnets: HashSet<_> = attacks_in.iter().map(|&i| attacks[i].botnet).collect();
-                let mut families: Vec<Family> =
-                    attacks_in.iter().map(|&i| attacks[i].family).collect();
-                families.sort_unstable();
-                families.dedup();
-                CollabEvent {
-                    botnets: botnets.len(),
-                    families,
-                    attacks: attacks_in,
-                }
-            })
-            .collect();
-        events.sort_by_key(|e| e.attacks[0]);
-
-        // Table VI counts.
-        let mut intra_pairs: BTreeMap<Family, usize> = BTreeMap::new();
-        let mut inter_pairs: BTreeMap<Family, usize> = BTreeMap::new();
-        for p in &pairs {
-            let (fa, fb) = (attacks[p.a].family, attacks[p.b].family);
-            if fa == fb {
-                *intra_pairs.entry(fa).or_default() += 1;
-            } else {
-                *inter_pairs.entry(fa).or_default() += 1;
-                *inter_pairs.entry(fb).or_default() += 1;
-            }
-        }
-
-        CollabAnalysis {
-            pairs,
-            events,
-            intra_pairs,
-            inter_pairs,
-        }
-    }
-
     /// The sort-sweep detector. Per target the attack list is already
     /// sorted by start (global trace order), so a sliding window
     /// frontier `hi` — monotone because start gaps grow with the left
-    /// endpoint — enumerates exactly the pairs the pairwise scan's
-    /// `break` kept, in the same order. Components use an arena
+    /// endpoint — enumerates exactly the pairs a pairwise scan with an
+    /// early `break` keeps, in the same order. Components use an arena
     /// union-find over local positions (no hashing, no recursion), and
     /// members are gathered by one ascending position sweep, so each
-    /// event's attack list comes out sorted without the pairwise scan's
-    /// per-component re-sort. Events get one final sort on their least
-    /// attack index — the same sort [`CollabAnalysis::detect`] ends
-    /// with — so the output is byte-identical.
+    /// event's attack list comes out sorted without a per-component
+    /// re-sort. Events get one final sort on their least attack index,
+    /// so the output does not depend on the order components close in.
     fn detect_sweep(attacks: &[AttackRecord], per_target: &[&[usize]]) -> CollabAnalysis {
         let mut pairs = Vec::new();
         let mut events: Vec<CollabEvent> = Vec::new();
@@ -363,17 +260,8 @@ pub struct PairFocus {
 }
 
 impl PairFocus {
-    /// Analyzes the collaborations between two specific families.
-    pub fn compute(
-        ds: &Dataset,
-        analysis: &CollabAnalysis,
-        a: Family,
-        b: Family,
-    ) -> Option<PairFocus> {
-        Self::of_attacks(ds.attacks(), analysis, a, b)
-    }
-
-    /// [`PairFocus::compute`] over the attack slice `analysis` indexes.
+    /// Analyzes the collaborations between two specific families, over
+    /// the attack slice `analysis` indexes.
     pub fn of_attacks(
         attacks: &[AttackRecord],
         analysis: &CollabAnalysis,
@@ -433,8 +321,13 @@ impl PairFocus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overview::test_support::{attack, chunked_contexts, dataset};
+    use crate::context::AnalysisContext;
+    use crate::overview::test_support::{attack, dataset};
     use ddos_schema::BotnetId;
+
+    fn collaborations(ds: &Dataset) -> CollabAnalysis {
+        CollabAnalysis::compute_ctx(&AnalysisContext::new(ds))
+    }
 
     #[test]
     fn detects_intra_family_pairs() {
@@ -443,7 +336,7 @@ mod tests {
         a1.botnet = BotnetId(10);
         a2.botnet = BotnetId(11);
         let ds = dataset(vec![a1, a2]);
-        let c = CollabAnalysis::compute(&ds);
+        let c = collaborations(&ds);
         assert_eq!(c.pairs.len(), 1);
         assert_eq!(c.intra_pairs.get(&Family::Dirtjumper), Some(&1));
         assert!(c.inter_pairs.is_empty());
@@ -458,7 +351,7 @@ mod tests {
         let a1 = attack(Family::Dirtjumper, 1, 100, 600, 1);
         let a2 = attack(Family::Dirtjumper, 2, 130, 600, 1); // same botnet id
         let ds = dataset(vec![a1, a2]);
-        let c = CollabAnalysis::compute(&ds);
+        let c = collaborations(&ds);
         assert!(c.pairs.is_empty());
     }
 
@@ -470,12 +363,12 @@ mod tests {
         a1.botnet = BotnetId(10);
         a2.botnet = BotnetId(11);
         let ds = dataset(vec![a1.clone(), a2]);
-        assert!(CollabAnalysis::compute(&ds).pairs.is_empty());
+        assert!(collaborations(&ds).pairs.is_empty());
         // Durations 1,801 s apart: fails the duration window.
         let mut a3 = attack(Family::Dirtjumper, 3, 120, 600 + 1_801, 1);
         a3.botnet = BotnetId(12);
         let ds = dataset(vec![a1, a3]);
-        assert!(CollabAnalysis::compute(&ds).pairs.is_empty());
+        assert!(collaborations(&ds).pairs.is_empty());
     }
 
     #[test]
@@ -485,7 +378,7 @@ mod tests {
         a1.botnet = BotnetId(10);
         a2.botnet = BotnetId(11);
         let ds = dataset(vec![a1, a2]);
-        assert!(CollabAnalysis::compute(&ds).pairs.is_empty());
+        assert!(collaborations(&ds).pairs.is_empty());
     }
 
     #[test]
@@ -493,7 +386,7 @@ mod tests {
         let a1 = attack(Family::Dirtjumper, 1, 100, 600, 1);
         let a2 = attack(Family::Pandora, 2, 110, 700, 1);
         let ds = dataset(vec![a1, a2]);
-        let c = CollabAnalysis::compute(&ds);
+        let c = collaborations(&ds);
         assert_eq!(c.inter_pairs.get(&Family::Dirtjumper), Some(&1));
         assert_eq!(c.inter_pairs.get(&Family::Pandora), Some(&1));
         assert_eq!(c.events[0].families.len(), 2);
@@ -508,42 +401,12 @@ mod tests {
         a2.botnet = BotnetId(11);
         a3.botnet = BotnetId(12);
         let ds = dataset(vec![a1, a2, a3]);
-        let c = CollabAnalysis::compute(&ds);
+        let c = collaborations(&ds);
         // (1,2) and (2,3) qualify; (1,3) start 80 s apart does not — but
         // the union-find still merges all three into one event.
         assert_eq!(c.pairs.len(), 2);
         assert_eq!(c.events.len(), 1);
         assert_eq!(c.events[0].botnets, 3);
-    }
-
-    #[test]
-    fn sweep_matches_pairwise_for_every_chunking() {
-        // Chains, shared starts, duration-window rejections, and
-        // several interleaved targets.
-        let mut attacks_v = Vec::new();
-        let fams = [
-            Family::Dirtjumper,
-            Family::Pandora,
-            Family::Blackenergy,
-            Family::Nitol,
-        ];
-        for n in 0..28u8 {
-            let mut a = attack(
-                fams[(n % 4) as usize],
-                u64::from(n) + 1,
-                i64::from(n / 2) * 40,
-                600 + i64::from(n % 5) * 700,
-                n % 3,
-            );
-            a.botnet = BotnetId(u32::from(n % 7));
-            attacks_v.push(a);
-        }
-        let ds = dataset(attacks_v);
-        let expect = CollabAnalysis::compute(&ds);
-        assert!(!expect.pairs.is_empty(), "fixture must exercise pairs");
-        for (policy, ctx) in chunked_contexts(&ds) {
-            assert_eq!(CollabAnalysis::compute_ctx(&ctx), expect, "{policy:?}");
-        }
     }
 
     #[test]
@@ -553,12 +416,13 @@ mod tests {
         let a3 = attack(Family::Dirtjumper, 3, 9_000, 5_200, 2);
         let a4 = attack(Family::Pandora, 4, 9_030, 6_500, 2);
         let ds = dataset(vec![a1, a2, a3, a4]);
-        let c = CollabAnalysis::compute(&ds);
-        let focus = PairFocus::compute(&ds, &c, Family::Dirtjumper, Family::Pandora).unwrap();
-        assert_eq!(focus.unique_targets, 2);
-        assert_eq!(focus.series.len(), 2);
-        assert!((focus.mean_duration_a - 5_100.0).abs() < 1.0);
-        assert!((focus.mean_duration_b - 6_450.0).abs() < 1.0);
-        assert!(PairFocus::compute(&ds, &c, Family::Nitol, Family::Yzf).is_none());
+        let c = collaborations(&ds);
+        let focus = |a, b| PairFocus::of_attacks(ds.attacks(), &c, a, b);
+        let flagship = focus(Family::Dirtjumper, Family::Pandora).unwrap();
+        assert_eq!(flagship.unique_targets, 2);
+        assert_eq!(flagship.series.len(), 2);
+        assert!((flagship.mean_duration_a - 5_100.0).abs() < 1.0);
+        assert!((flagship.mean_duration_b - 6_450.0).abs() < 1.0);
+        assert!(focus(Family::Nitol, Family::Yzf).is_none());
     }
 }

@@ -6,9 +6,7 @@
 //! finds only intra-family chains, in four families, the longest being
 //! Ddoser's 22-attack chain.
 
-use std::collections::HashMap;
-
-use ddos_schema::{Dataset, Family, IpAddr4, Timestamp};
+use ddos_schema::{AttackRecord, Dataset, Family, IpAddr4, Timestamp};
 use ddos_stats::{descriptive, Ecdf};
 use serde::{Deserialize, Serialize};
 
@@ -53,24 +51,8 @@ pub struct MultistageAnalysis {
 }
 
 impl MultistageAnalysis {
-    /// Finds all chains in the trace.
-    pub fn compute(ds: &Dataset) -> MultistageAnalysis {
-        let attacks = ds.attacks();
-        let mut by_target: HashMap<IpAddr4, Vec<usize>> = HashMap::new();
-        for (i, a) in attacks.iter().enumerate() {
-            by_target.entry(a.target_ip).or_default().push(i);
-        }
-        let mut targets: Vec<_> = by_target.into_iter().collect();
-        targets.sort_by_key(|&(ip, _)| ip);
-        Self::detect(
-            attacks,
-            targets.iter().map(|&(ip, ref idxs)| (ip, idxs.as_slice())),
-        )
-    }
-
-    /// Context-based variant of [`MultistageAnalysis::compute`]:
-    /// consumes the per-target timelines already grouped and sorted in
-    /// the analysis context.
+    /// The multistage pass: the chaining rule over the per-target
+    /// timelines already grouped and sorted in the analysis context.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> MultistageAnalysis {
         Self::detect(
             ctx.attacks,
@@ -80,10 +62,11 @@ impl MultistageAnalysis {
         )
     }
 
-    /// The chaining rule over per-target attack-index lists (sorted by
-    /// target IP, indices ascending — both providers guarantee it).
-    fn detect<'t>(
-        attacks: &[ddos_schema::AttackRecord],
+    /// The chaining rule over per-target lists of indices into
+    /// `attacks`. The lists must arrive sorted by target IP with
+    /// indices ascending, as the context's timelines are.
+    pub fn detect<'t>(
+        attacks: &[AttackRecord],
         per_target: impl Iterator<Item = (IpAddr4, &'t [usize])>,
     ) -> MultistageAnalysis {
         let mut chains = Vec::new();
@@ -113,7 +96,7 @@ impl MultistageAnalysis {
     fn flush(
         chains: &mut Vec<Chain>,
         gaps: &mut Vec<i64>,
-        attacks: &[ddos_schema::AttackRecord],
+        attacks: &[AttackRecord],
         target: IpAddr4,
         current: &mut Vec<usize>,
     ) {
@@ -189,7 +172,12 @@ impl MultistageAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::AnalysisContext;
     use crate::overview::test_support::{attack, dataset};
+
+    fn chains(ds: &Dataset) -> MultistageAnalysis {
+        MultistageAnalysis::compute_ctx(&AnalysisContext::new(ds))
+    }
 
     #[test]
     fn back_to_back_attacks_form_a_chain() {
@@ -199,7 +187,7 @@ mod tests {
             attack(Family::Ddoser, 2, 165, 60, 1),
             attack(Family::Ddoser, 3, 230, 60, 1),
         ]);
-        let m = MultistageAnalysis::compute(&ds);
+        let m = chains(&ds);
         assert_eq!(m.chains.len(), 1);
         assert_eq!(m.longest().unwrap().len(), 3);
         assert!(m.longest().unwrap().is_intra_family());
@@ -215,7 +203,7 @@ mod tests {
             attack(Family::Darkshell, 1, 100, 60, 1),
             attack(Family::Darkshell, 2, 130, 60, 1),
         ]);
-        let m = MultistageAnalysis::compute(&ds);
+        let m = chains(&ds);
         assert_eq!(m.chains.len(), 1);
         assert_eq!(m.gaps, vec![-30]);
     }
@@ -226,7 +214,7 @@ mod tests {
             attack(Family::Ddoser, 1, 100, 60, 1),
             attack(Family::Ddoser, 2, 300, 60, 1), // gap 140 > 60
         ]);
-        let m = MultistageAnalysis::compute(&ds);
+        let m = chains(&ds);
         assert!(m.chains.is_empty());
         assert!(m.gaps.is_empty());
         assert!(m.gap_cdf().is_none());
@@ -239,7 +227,7 @@ mod tests {
             attack(Family::Ddoser, 1, 100, 60, 1),
             attack(Family::Ddoser, 2, 165, 60, 2),
         ]);
-        let m = MultistageAnalysis::compute(&ds);
+        let m = chains(&ds);
         assert!(m.chains.is_empty());
     }
 
@@ -249,7 +237,7 @@ mod tests {
             attack(Family::Ddoser, 1, 100, 60, 1),
             attack(Family::Nitol, 2, 165, 60, 1),
         ]);
-        let m = MultistageAnalysis::compute(&ds);
+        let m = chains(&ds);
         assert_eq!(m.chains.len(), 1);
         assert!(!m.chains[0].is_intra_family());
     }
@@ -261,7 +249,7 @@ mod tests {
             attack(Family::Ddoser, 2, 163, 60, 1), // gap 3
             attack(Family::Ddoser, 3, 232, 60, 1), // gap 9
         ]);
-        let m = MultistageAnalysis::compute(&ds);
+        let m = chains(&ds);
         let (mean, median, _) = m.gap_stats().unwrap();
         assert_eq!(mean, 6.0);
         assert_eq!(median, 6.0);
@@ -278,7 +266,7 @@ mod tests {
             attack(Family::Nitol, 4, 100, 60, 2),
             attack(Family::Nitol, 5, 165, 60, 2),
         ]);
-        let m = MultistageAnalysis::compute(&ds);
+        let m = chains(&ds);
         assert_eq!(m.chains.len(), 2);
         assert_eq!(m.chains[0].len(), 3);
         assert_eq!(m.chains[1].len(), 2);

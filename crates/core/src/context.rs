@@ -61,9 +61,9 @@
 //!   job) order, and the precomp kernels evaluate the exact scalar
 //!   expressions (see `ddos_geo::trig`). The pipeline-equivalence and
 //!   epoch suites enforce this with
-//!   [`AnalysisContext::assert_same_analysis`]; the unit tests below hold
-//!   the dispersion series and the shift classification of the grids to
-//!   the dataset scans.
+//!   [`AnalysisContext::assert_same_analysis`], and the testkit's oracle
+//!   tests hold the dispersion series and the shift classification of
+//!   the grids to its dataset scans.
 
 use std::borrow::Cow;
 
@@ -533,9 +533,6 @@ impl<'a> AnalysisContext<'a> {
 mod tests {
     use super::*;
     use crate::overview::test_support::{attack, dataset};
-    use crate::source::dispersion::qualifying_families;
-    use crate::source::shift::ShiftAnalysis;
-    use crate::util::BotIndex;
 
     #[test]
     fn vectors_follow_trace_order() {
@@ -578,29 +575,6 @@ mod tests {
         for family in &Family::ALL[Family::ACTIVE.len()..] {
             assert!(ctx.family(*family).is_none());
         }
-    }
-
-    #[test]
-    fn dispersion_matches_standalone_compute() {
-        let ds = dataset(vec![
-            attack(Family::Dirtjumper, 1, 100, 600, 1),
-            attack(Family::Pandora, 2, 120, 700, 1),
-        ]);
-        let ctx = AnalysisContext::new(&ds);
-        let bots = BotIndex::build(&ds);
-        for family in Family::ACTIVE {
-            let standalone = FamilyDispersion::compute(&ds, &bots, family);
-            assert_eq!(ctx.dispersion_of(family), Some(&standalone));
-        }
-        // And the shared join agrees with the standalone shift analysis.
-        assert_eq!(
-            ShiftAnalysis::compute_ctx(&ctx),
-            ShiftAnalysis::compute(&ds, &bots)
-        );
-        assert_eq!(
-            crate::source::dispersion::qualifying_families_ctx(&ctx),
-            qualifying_families(&ds, &bots)
-        );
     }
 
     #[test]

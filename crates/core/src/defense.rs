@@ -14,7 +14,7 @@
 //! * **Detection-latency window (§III-D)** — *"80% of the attacks have a
 //!   duration less than four hours ... Only [automatic detection] can
 //!   effectively respond in such a short time frame."*
-//!   [`detection_latency_sweep`] computes, for a grid of detection
+//!   [`latency_sweep_from_durations`] computes, for a grid of detection
 //!   latencies, the fraction of total attack-time that a defense
 //!   activating after that latency can still mitigate.
 
@@ -76,33 +76,11 @@ impl BlacklistState {
 }
 
 impl BlacklistSim {
-    /// Replays the trace: every target accumulates the sources of the
-    /// attacks it has already suffered; each later attack is scored by
-    /// how much of it the accumulated blacklist would pre-block.
-    pub fn run(ds: &Dataset) -> BlacklistSim {
-        let mut blacklists: HashMap<IpAddr4, HashSet<IpAddr4>> = HashMap::new();
-        let mut rounds: HashMap<IpAddr4, usize> = HashMap::new();
-        let mut hits = Vec::new();
-        for a in ds.attacks() {
-            let list = blacklists.entry(a.target_ip).or_default();
-            let round = rounds.entry(a.target_ip).or_insert(0);
-            if *round > 0 && !a.sources.is_empty() {
-                let known = a.sources.iter().filter(|ip| list.contains(ip)).count();
-                hits.push(BlacklistHit {
-                    target: a.target_ip,
-                    round: *round,
-                    coverage: known as f64 / a.sources.len() as f64,
-                    family: a.family,
-                });
-            }
-            list.extend(a.sources.iter().copied());
-            *round += 1;
-        }
-        BlacklistSim { hits }
-    }
-
-    /// The blacklist pass: [`BlacklistSim::run`] over the context,
-    /// extended from the replay `state` carried across appends.
+    /// The blacklist pass: replays the trace, extending the replay
+    /// `state` carried across appends. Every target accumulates the
+    /// sources of the attacks it has already suffered; each later
+    /// attack is scored by how much of it the accumulated blacklist
+    /// would pre-block.
     ///
     /// Each target's timeline replays independently (the blacklist of
     /// one target never influences another), and trace order is
@@ -227,19 +205,13 @@ pub struct LatencyPoint {
     pub missed_attacks: f64,
 }
 
-/// Sweeps detection latencies over the trace's attack durations.
+/// Sweeps detection latencies over a sample of attack durations (the
+/// latency pass reads the duration vector precomputed in the analysis
+/// context).
 ///
 /// A latency grid like `[60, 600, 3600, 4*3600, 24*3600]` contrasts an
 /// automatic responder (≈1 minute) with semi-automatic (≈1 hour) and
 /// manual (≈4 hours — the paper's detection-window discussion) handling.
-pub fn detection_latency_sweep(ds: &Dataset, latencies_s: &[f64]) -> Vec<LatencyPoint> {
-    let durations: Vec<f64> = ds.attacks().iter().map(|a| a.duration().as_f64()).collect();
-    latency_sweep_from_durations(&durations, latencies_s)
-}
-
-/// The sweep over an already-extracted duration sample (trace order) —
-/// lets the pipeline reuse the duration vector precomputed in the
-/// analysis context.
 pub fn latency_sweep_from_durations(durations: &[f64], latencies_s: &[f64]) -> Vec<LatencyPoint> {
     let total: f64 = durations.iter().sum();
     latencies_s
@@ -324,10 +296,19 @@ pub fn takedown_priority(ds: &Dataset, bots: &BotIndex, max_steps: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::AnalysisContext;
     use crate::overview::test_support::{attack, dataset};
 
     fn ip(last: u8) -> IpAddr4 {
         IpAddr4::from_octets(203, 0, 113, last)
+    }
+
+    fn blacklist(ds: &Dataset) -> BlacklistSim {
+        BlacklistSim::resume(&AnalysisContext::new(ds), &mut BlacklistState::default())
+    }
+
+    fn latency_sweep(ds: &Dataset, latencies_s: &[f64]) -> Vec<LatencyPoint> {
+        latency_sweep_from_durations(&AnalysisContext::new(ds).durations, latencies_s)
     }
 
     #[test]
@@ -339,7 +320,7 @@ mod tests {
         let mut a3 = attack(Family::Pandora, 3, 900, 10, 1);
         a3.sources = vec![ip(1), ip(2), ip(3), ip(4)]; // 3/4 known
         let ds = dataset(vec![a1, a2, a3]);
-        let sim = BlacklistSim::run(&ds);
+        let sim = blacklist(&ds);
         assert_eq!(sim.hits.len(), 2);
         assert_eq!(sim.hits[0].round, 1);
         assert!((sim.hits[0].coverage - 0.5).abs() < 1e-12);
@@ -350,60 +331,6 @@ mod tests {
         let by_round = sim.coverage_by_round(3);
         assert_eq!(by_round.len(), 2);
         assert_eq!(by_round[0], (1, 0.5, 1));
-    }
-
-    #[test]
-    fn ctx_replay_matches_ip_replay() {
-        // Interleaved targets with shared and unseen sources: the
-        // id-stamp replay must score exactly like the hash-set replay.
-        let mut a1 = attack(Family::Dirtjumper, 1, 100, 10, 1);
-        a1.sources = vec![ip(1), ip(2), ip(2)];
-        let mut a2 = attack(Family::Pandora, 2, 200, 10, 2);
-        a2.sources = vec![ip(2), ip(3)];
-        let mut a3 = attack(Family::Dirtjumper, 3, 300, 10, 1);
-        a3.sources = vec![ip(2), ip(4)];
-        let mut a4 = attack(Family::Pandora, 4, 400, 10, 2);
-        a4.sources = vec![ip(2), ip(3), ip(5)];
-        let ds = dataset(vec![a1, a2, a3, a4]);
-        let ctx = crate::context::AnalysisContext::new(&ds);
-        assert_eq!(
-            BlacklistSim::run(&ds),
-            BlacklistSim::resume(&ctx, &mut BlacklistState::default())
-        );
-    }
-
-    #[test]
-    fn carried_replay_matches_a_fresh_replay_at_every_watermark() {
-        use crate::context::AnalysisContext;
-        use crate::overview::test_support::{carry_fixture, for_each_watermark, CARRY_EPOCH};
-        let ds = carry_fixture();
-        let mut state = BlacklistState::default();
-        let mut watermarks = 0;
-        for_each_watermark(&ds, CARRY_EPOCH, |w, prefix, folded| {
-            let got = BlacklistSim::resume(folded, &mut state);
-            let fresh = AnalysisContext::new(prefix);
-            let expect = BlacklistSim::resume(&fresh, &mut BlacklistState::default());
-            assert_eq!(got, expect, "watermark {w}");
-            assert_eq!(got, BlacklistSim::run(prefix), "watermark {w}");
-            // Nothing new: the same hits again (the path a faulted pass
-            // run takes on its retry).
-            assert_eq!(BlacklistSim::resume(folded, &mut state), got);
-            watermarks += 1;
-        });
-        assert_eq!(watermarks, 3);
-        // Target 1's epoch-3 attack [1, 4, 4] against its epoch-1
-        // attack [1, 2]: one of three listings was blacklisted.
-        let target_1 = IpAddr4::from_octets(198, 51, 100, 1);
-        let hit = state.hits.iter().find(|h| h.target == target_1);
-        let hit = hit.expect("epoch 3 scored target 1");
-        assert_eq!((hit.round, hit.coverage), (1, 1.0 / 3.0));
-        // A context shorter than the state starts it over.
-        let first = ds.epoch_prefix(CARRY_EPOCH, 1);
-        let ctx = AnalysisContext::new(&first);
-        assert_eq!(
-            BlacklistSim::resume(&ctx, &mut state),
-            BlacklistSim::run(&first)
-        );
     }
 
     #[test]
@@ -423,7 +350,7 @@ mod tests {
             attack(Family::Dirtjumper, 1, 100, 10, 1),
             attack(Family::Dirtjumper, 2, 500, 10, 2), // different target
         ]);
-        let sim = BlacklistSim::run(&ds);
+        let sim = blacklist(&ds);
         assert!(sim.hits.is_empty());
         assert_eq!(sim.mean_coverage(), None);
     }
@@ -434,7 +361,7 @@ mod tests {
             attack(Family::Dirtjumper, 1, 100, 100, 1),
             attack(Family::Dirtjumper, 2, 500, 10_000, 2),
         ]);
-        let sweep = detection_latency_sweep(&ds, &[0.0, 60.0, 1_000.0, 20_000.0]);
+        let sweep = latency_sweep(&ds, &[0.0, 60.0, 1_000.0, 20_000.0]);
         assert_eq!(sweep[0].mitigable_fraction, 1.0);
         assert_eq!(sweep[0].missed_attacks, 0.0);
         // Monotone decreasing mitigation with latency.
@@ -499,9 +426,9 @@ mod tests {
     #[test]
     fn empty_trace_is_harmless() {
         let ds = dataset(vec![]);
-        let sim = BlacklistSim::run(&ds);
+        let sim = blacklist(&ds);
         assert!(sim.hits.is_empty());
-        let sweep = detection_latency_sweep(&ds, &[60.0]);
+        let sweep = latency_sweep(&ds, &[60.0]);
         assert_eq!(sweep[0].mitigable_fraction, 0.0);
     }
 }

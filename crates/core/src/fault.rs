@@ -7,8 +7,8 @@
 //! mid-run. The crate-internal `check` shim consults the seam and
 //! counts every injection on the [`ddos_obs::names::FAULTS_INJECTED`]
 //! counter, so fault tests can assert the error they saw was the one
-//! they scheduled. With the `failpoints` feature off (or in release
-//! builds), `check` compiles to `Ok(())`.
+//! they scheduled. In release builds the seam is inert
+//! (`ddos_failpoints::ACTIVE`), so `check` folds to `Ok(())`.
 
 use std::fmt;
 
@@ -44,24 +44,11 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-// Canonical names come from ddos-failpoints when the seam is compiled
-// in; the feature-off fallbacks only keep call sites compiling (the
-// stub `check` ignores its argument).
-#[cfg(feature = "failpoints")]
 pub(crate) use ddos_failpoints::names::{EPOCH_MERGE, SCHEDULER_PASS};
-
-#[cfg(not(feature = "failpoints"))]
-mod names_off {
-    pub const EPOCH_MERGE: &str = "epoch/merge";
-    pub const SCHEDULER_PASS: &str = "scheduler/pass";
-}
-#[cfg(not(feature = "failpoints"))]
-pub(crate) use names_off::*;
 
 /// Consult the failpoint `name`; `Err` when the installed plan
 /// schedules a failure for this hit. Every injection bumps the
 /// `faults/injected` counter on `obs` before surfacing.
-#[cfg(feature = "failpoints")]
 #[inline]
 pub(crate) fn check(name: &str, obs: &Obs) -> Result<(), PipelineError> {
     match ddos_failpoints::check(name) {
@@ -74,13 +61,6 @@ pub(crate) fn check(name: &str, obs: &Obs) -> Result<(), PipelineError> {
         }
         None => Ok(()),
     }
-}
-
-/// Feature-off stub: always succeeds, compiles to nothing.
-#[cfg(not(feature = "failpoints"))]
-#[inline(always)]
-pub(crate) fn check(_name: &str, _obs: &Obs) -> Result<(), PipelineError> {
-    Ok(())
 }
 
 /// Maps an error out of an infallible entry point. Reachable only when

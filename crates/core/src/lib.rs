@@ -19,15 +19,16 @@
 //! [`Analysis`] is the one entry point: a builder that names a dataset,
 //! picks an engine (monolithic or the epoch engine), and runs — every
 //! spelling serializes byte-identically, and so does the dataset-scan
-//! oracle the `ddos-testkit` crate assembles from this crate's scans
-//! (`ddos_testkit::baseline_report`). The `ddos-report` crate renders
+//! oracle the `ddos-testkit` crate assembles from scans of its own
+//! (`ddos_testkit::baseline_report`). Each report section has one public
+//! body here, the one its pass runs. The `ddos-report` crate renders
 //! the results as the paper's tables and figure series, the
 //! `ddos-serve` crate keeps an [`IncrementalPipeline`] resident and
 //! answers snapshot-isolated queries while epochs append, and the
 //! `bench` crate regenerates each artifact individually.
 //!
-//! The analyses are *pure*: they read the dataset (plus the shared joins
-//! built once in [`context`]) and never mutate it. The pass-based
+//! The analyses are *pure*: they read the covered records and the shared
+//! joins built once in [`context`], and never mutate them. The pass-based
 //! pipeline exploits this: [`passes`] registers every report section as
 //! a named pass over the [`context::AnalysisContext`] and schedules the
 //! independent ones on a pool of scoped workers, with a guarantee that the

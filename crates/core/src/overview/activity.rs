@@ -4,10 +4,9 @@
 //! attack volumes. For example, Dirtjumper presents most aggressiveness
 //! due to its constant activities and major contributions to the DDoS
 //! attacks. Blackenergy, on the other hand, only stays active for about
-//! 1/3 of the period."* This module quantifies exactly that, plus the
-//! population curves visible in the feed's hourly snapshots.
+//! 1/3 of the period."* This module quantifies exactly that.
 
-use ddos_schema::{Dataset, Family, Timestamp, Window};
+use ddos_schema::{Family, Timestamp, Window};
 use serde::{Deserialize, Serialize};
 
 use crate::context::AnalysisContext;
@@ -31,40 +30,37 @@ pub struct FamilyActivity {
     pub duty_cycle: f64,
 }
 
-/// Computes activity profiles for all active families, most aggressive
-/// (attack volume) first.
-pub fn activity_levels(ds: &Dataset) -> Vec<FamilyActivity> {
-    let window = ds.window();
-    ranked(
-        Family::ACTIVE
-            .into_iter()
-            .map(|family| profile(window, family, ds.attacks_of(family).map(|a| a.start)))
-            .collect(),
+/// The activity pass: [`activity_levels_of`] over the context's
+/// per-family start columns.
+pub fn activity_levels_ctx(ctx: &AnalysisContext) -> Vec<FamilyActivity> {
+    activity_levels_of(
+        ctx.window(),
+        ctx.families()
+            .iter()
+            .map(|fc| (fc.family, fc.starts.as_slice())),
     )
 }
 
-/// [`activity_levels`] over the context's per-family start columns.
-pub fn activity_levels_ctx(ctx: &AnalysisContext) -> Vec<FamilyActivity> {
-    let window = ctx.window();
-    ranked(
-        ctx.families()
-            .iter()
-            .map(|fc| profile(window, fc.family, fc.starts.iter().copied()))
-            .collect(),
-    )
+/// Activity profiles of the given families from their ascending attack
+/// start times, most aggressive (attack volume) first.
+pub fn activity_levels_of<'s>(
+    window: Window,
+    per_family: impl Iterator<Item = (Family, &'s [Timestamp])>,
+) -> Vec<FamilyActivity> {
+    let mut out: Vec<FamilyActivity> = per_family
+        .map(|(family, starts)| profile(window, family, starts))
+        .collect();
+    out.sort_by(|a, b| b.attacks.cmp(&a.attacks).then(a.family.cmp(&b.family)));
+    out
 }
 
 /// One family's profile from its attack start times.
-fn profile(
-    window: Window,
-    family: Family,
-    starts: impl Iterator<Item = Timestamp>,
-) -> FamilyActivity {
+fn profile(window: Window, family: Family, starts: &[Timestamp]) -> FamilyActivity {
     let mut days = std::collections::HashSet::new();
     let mut attacks = 0usize;
     let mut first = None;
     let mut last = None;
-    for start in starts {
+    for &start in starts {
         attacks += 1;
         if let Some(d) = window.day_index(start) {
             days.insert(d);
@@ -88,30 +84,15 @@ fn profile(
     }
 }
 
-/// Sorts profiles by attack volume, most aggressive first.
-fn ranked(mut out: Vec<FamilyActivity>) -> Vec<FamilyActivity> {
-    out.sort_by(|a, b| b.attacks.cmp(&a.attacks).then(a.family.cmp(&b.family)));
-    out
-}
-
-/// The per-snapshot population curve of one family (from the feed's
-/// hourly reports), `(instant, bots)` in time order. Empty when the
-/// dataset carries no snapshots for the family.
-pub fn population_series(ds: &Dataset, family: Family) -> Vec<(Timestamp, usize)> {
-    ds.snapshots(family)
-        .map(|series| {
-            series
-                .iter()
-                .map(|s| (s.taken_at, s.population()))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::overview::test_support::{attack, dataset};
+    use ddos_schema::Dataset;
+
+    fn activity_levels(ds: &Dataset) -> Vec<FamilyActivity> {
+        activity_levels_ctx(&AnalysisContext::new(ds))
+    }
 
     #[test]
     fn volumes_and_days_counted() {
@@ -141,12 +122,6 @@ mod tests {
         assert_eq!(optima.active_days, 0);
         assert_eq!(optima.first_day, None);
         assert_eq!(optima.attacks_per_active_day, 0.0);
-    }
-
-    #[test]
-    fn population_series_empty_without_snapshots() {
-        let ds = dataset(vec![]);
-        assert!(population_series(&ds, Family::Pandora).is_empty());
     }
 
     #[test]

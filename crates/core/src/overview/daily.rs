@@ -1,6 +1,6 @@
 //! Fig. 2 — the daily attack distribution.
 
-use ddos_schema::{AttackRecord, Dataset, Family, Timestamp, Window};
+use ddos_schema::{AttackRecord, Timestamp, Window};
 use serde::{Deserialize, Serialize};
 
 /// Daily attack counts over the observation window.
@@ -14,32 +14,11 @@ pub struct DailyDistribution {
 }
 
 impl DailyDistribution {
-    /// Buckets attack start times by window day.
-    pub fn compute(ds: &Dataset) -> DailyDistribution {
-        Self::of_attacks(ds.window(), ds.attacks())
-    }
-
-    /// [`DailyDistribution::compute`] over an attack slice, bucketed by
-    /// the days of `window`.
+    /// Buckets the start times of an attack slice by the days of
+    /// `window`.
     pub fn of_attacks(window: Window, attacks: &[AttackRecord]) -> DailyDistribution {
-        Self::filtered(window, attacks, None)
-    }
-
-    /// Same, restricted to one family.
-    pub fn compute_for(ds: &Dataset, family: Family) -> DailyDistribution {
-        Self::filtered(ds.window(), ds.attacks(), Some(family))
-    }
-
-    fn filtered(
-        window: Window,
-        attacks: &[AttackRecord],
-        family: Option<Family>,
-    ) -> DailyDistribution {
         let mut counts = vec![0usize; window.num_days()];
         for a in attacks {
-            if family.is_some_and(|f| f != a.family) {
-                continue;
-            }
             if let Some(d) = window.day_index(a.start) {
                 counts[d] += 1;
             }
@@ -97,6 +76,11 @@ impl DailyDistribution {
 mod tests {
     use super::*;
     use crate::overview::test_support::{attack, dataset};
+    use ddos_schema::{Dataset, Family};
+
+    fn daily(ds: &Dataset) -> DailyDistribution {
+        DailyDistribution::of_attacks(ds.window(), ds.attacks())
+    }
 
     #[test]
     fn buckets_by_day() {
@@ -105,7 +89,7 @@ mod tests {
             attack(Family::Dirtjumper, 2, 1_000, 60, 1),
             attack(Family::Pandora, 3, 86_400 + 5, 60, 2),
         ]);
-        let d = DailyDistribution::compute(&ds);
+        let d = daily(&ds);
         assert_eq!(d.counts[0], 2);
         assert_eq!(d.counts[1], 1);
         assert_eq!(d.counts[2], 0);
@@ -114,20 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn family_filter() {
-        let ds = dataset(vec![
-            attack(Family::Dirtjumper, 1, 100, 60, 1),
-            attack(Family::Pandora, 2, 200, 60, 2),
-        ]);
-        let d = DailyDistribution::compute_for(&ds, Family::Pandora);
-        assert_eq!(d.counts[0], 1);
-        assert_eq!(d.counts.iter().sum::<usize>(), 1);
-    }
-
-    #[test]
     fn series_dates_advance_daily() {
         let ds = dataset(vec![attack(Family::Yzf, 1, 0, 10, 1)]);
-        let d = DailyDistribution::compute(&ds);
+        let d = daily(&ds);
         let s = d.series();
         assert_eq!(s.len(), 10);
         assert_eq!((s[1].0 - s[0].0).get(), 86_400);
@@ -136,7 +109,7 @@ mod tests {
     #[test]
     fn empty_dataset_has_no_peak() {
         let ds = dataset(vec![]);
-        let d = DailyDistribution::compute(&ds);
+        let d = daily(&ds);
         assert_eq!(d.peak(), None);
         assert_eq!(d.mean_per_day(), 0.0);
     }
@@ -144,7 +117,7 @@ mod tests {
     #[test]
     fn autocorrelation_of_flat_series_is_none() {
         let ds = dataset(vec![]);
-        let d = DailyDistribution::compute(&ds);
+        let d = daily(&ds);
         // All-zero counts are constant: ACF undefined.
         assert!(d.autocorrelation(7).is_none());
     }

@@ -22,16 +22,9 @@ pub fn all_intervals(ds: &Dataset) -> Vec<i64> {
     starts_to_intervals(&starts)
 }
 
-/// Inter-attack intervals of attacks on one target, across families.
-pub fn target_intervals(ds: &Dataset, target: ddos_schema::IpAddr4) -> Vec<i64> {
-    let starts: Vec<Timestamp> = ds.attacks_on(target).map(|a| a.start).collect();
-    starts_to_intervals(&starts)
-}
-
 /// Consecutive differences of an ascending start-time series — the
-/// interval sample every variant above reduces to. Public so the
-/// pipeline can reuse the start vectors precomputed in the analysis
-/// context.
+/// interval sample both scans above reduce to, and the one the passes
+/// take of the start vectors precomputed in the analysis context.
 pub fn starts_to_intervals(starts: &[Timestamp]) -> Vec<i64> {
     starts.windows(2).map(|w| (w[1] - w[0]).get()).collect()
 }
@@ -156,46 +149,12 @@ pub struct ConcurrencyAnalysis {
 }
 
 impl ConcurrencyAnalysis {
-    /// Groups attacks by exact start instant; groups of ≥ 2 attacks are
-    /// concurrent events.
-    pub fn compute(ds: &Dataset) -> ConcurrencyAnalysis {
-        let mut by_start: BTreeMap<Timestamp, Vec<usize>> = BTreeMap::new();
-        for (i, a) in ds.attacks().iter().enumerate() {
-            by_start.entry(a.start).or_default().push(i);
-        }
-        let mut single = Vec::new();
-        let mut multi = Vec::new();
-        for (start, attacks) in by_start {
-            if attacks.len() < 2 {
-                continue;
-            }
-            let mut families: Vec<Family> =
-                attacks.iter().map(|&i| ds.attacks()[i].family).collect();
-            families.sort_unstable();
-            families.dedup();
-            let event = ConcurrentEvent {
-                start,
-                attacks,
-                families,
-            };
-            if event.is_single_family() {
-                single.push(event);
-            } else {
-                multi.push(event);
-            }
-        }
-        ConcurrencyAnalysis {
-            single_family_events: single,
-            multi_family_events: multi,
-        }
-    }
-
-    /// Context-based variant of [`ConcurrencyAnalysis::compute`].
+    /// The concurrency pass: groups attacks by exact start instant;
+    /// groups of ≥ 2 attacks are concurrent events.
     ///
     /// The trace is sorted by start time, so attacks sharing a start
-    /// instant form consecutive runs — a single linear scan replaces the
-    /// `BTreeMap` regrouping and yields the exact same events in the
-    /// exact same order.
+    /// instant form consecutive runs, and one linear scan yields the
+    /// events in start order.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> ConcurrencyAnalysis {
         let attacks = ctx.attacks;
         let mut single = Vec::new();
@@ -244,23 +203,6 @@ impl ConcurrencyAnalysis {
         fams
     }
 
-    /// Fraction of one family's attacks that are simultaneous with
-    /// another attack of the same family (the paper: "10% of the attacks
-    /// launched by Dirtjumper are simultaneous" — counting *events*
-    /// relative to attacks).
-    pub fn simultaneous_event_share(&self, ds: &Dataset, family: Family) -> f64 {
-        let total = ds.attacks_of(family).count();
-        if total == 0 {
-            return 0.0;
-        }
-        let events = self
-            .single_family_events
-            .iter()
-            .filter(|e| e.families[0] == family)
-            .count();
-        events as f64 / total as f64
-    }
-
     /// Multi-family event counts per family pair, most common first (the
     /// paper: Dirtjumper+Blackenergy 391, Dirtjumper+Pandora 338).
     pub fn pair_counts(&self) -> Vec<((Family, Family), usize)> {
@@ -294,17 +236,6 @@ mod tests {
         assert_eq!(family_intervals(&ds, Family::Dirtjumper), vec![0, 300]);
         assert_eq!(family_intervals(&ds, Family::Pandora), Vec::<i64>::new());
         assert_eq!(all_intervals(&ds), vec![0, 50, 250]);
-    }
-
-    #[test]
-    fn target_intervals_span_families() {
-        let ds = dataset(vec![
-            attack(Family::Dirtjumper, 1, 100, 10, 7),
-            attack(Family::Pandora, 2, 160, 10, 7),
-            attack(Family::Dirtjumper, 3, 400, 10, 8),
-        ]);
-        let ip = ddos_schema::IpAddr4::from_octets(198, 51, 100, 7);
-        assert_eq!(target_intervals(&ds, ip), vec![60]);
     }
 
     #[test]
@@ -405,7 +336,7 @@ mod tests {
             // Isolated attack.
             attack(Family::Yzf, 6, 900, 10, 5),
         ]);
-        let c = ConcurrencyAnalysis::compute(&ds);
+        let c = ConcurrencyAnalysis::compute_ctx(&crate::context::AnalysisContext::new(&ds));
         assert_eq!(c.single_family_events.len(), 1);
         assert_eq!(c.multi_family_events.len(), 1);
         assert_eq!(c.multi_family_events[0].families.len(), 3);
@@ -415,8 +346,5 @@ mod tests {
         assert!(pairs
             .iter()
             .any(|&((a, b), n)| a == Family::Dirtjumper && b == Family::Pandora && n == 1));
-        let share = c.simultaneous_event_share(&ds, Family::Dirtjumper);
-        assert!((share - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(c.simultaneous_event_share(&ds, Family::Nitol), 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Fig. 1 / Table II — attack transport popularity.
 
-use ddos_schema::{AttackRecord, Dataset, Family, Protocol};
+use ddos_schema::{AttackRecord, Family, Protocol};
 use serde::{Deserialize, Serialize};
 
 /// Attack counts per protocol across the whole trace (Fig. 1).
@@ -12,12 +12,7 @@ pub struct ProtocolPopularity {
 }
 
 impl ProtocolPopularity {
-    /// Counts attacks per protocol.
-    pub fn compute(ds: &Dataset) -> ProtocolPopularity {
-        Self::of_attacks(ds.attacks())
-    }
-
-    /// [`ProtocolPopularity::compute`] over an attack slice.
+    /// Counts the attacks of a slice per protocol.
     pub fn of_attacks(attacks: &[AttackRecord]) -> ProtocolPopularity {
         let mut counts = [0usize; Protocol::ALL.len()];
         for a in attacks {
@@ -65,15 +60,11 @@ pub struct ProtocolFamilyRow {
     pub attacks: usize,
 }
 
-/// Table II — protocol preferences of each botnet family.
+/// Table II — protocol preferences of each botnet family, over an
+/// attack slice.
 ///
 /// Rows are grouped by protocol in the paper's order, families
 /// alphabetical within a protocol, zero rows omitted.
-pub fn protocol_preferences(ds: &Dataset) -> Vec<ProtocolFamilyRow> {
-    protocol_preferences_of(ds.attacks())
-}
-
-/// [`protocol_preferences`] over an attack slice.
 pub fn protocol_preferences_of(attacks: &[AttackRecord]) -> Vec<ProtocolFamilyRow> {
     let mut counts = [[0usize; Family::ALL.len()]; Protocol::ALL.len()];
     for a in attacks {
@@ -109,7 +100,7 @@ mod tests {
         ];
         attacks[2].category = Protocol::Udp;
         let ds = dataset(attacks);
-        let pop = ProtocolPopularity::compute(&ds);
+        let pop = ProtocolPopularity::of_attacks(ds.attacks());
         assert_eq!(pop.dominant(), Some(Protocol::Http));
         assert_eq!(pop.counts[0], (Protocol::Http, 2));
         assert_eq!(pop.counts[1], (Protocol::Udp, 1));
@@ -119,7 +110,7 @@ mod tests {
     #[test]
     fn empty_dataset() {
         let ds = dataset(vec![]);
-        let pop = ProtocolPopularity::compute(&ds);
+        let pop = ProtocolPopularity::of_attacks(ds.attacks());
         assert!(pop.counts.is_empty());
         assert_eq!(pop.dominant(), None);
         assert_eq!(pop.connection_oriented_fraction(), 0.0);
@@ -134,7 +125,7 @@ mod tests {
         ];
         attacks[2].category = Protocol::Syn;
         let ds = dataset(attacks);
-        let rows = protocol_preferences(&ds);
+        let rows = protocol_preferences_of(ds.attacks());
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].protocol, Protocol::Http);
         assert_eq!(rows[0].family, Family::Blackenergy);
@@ -151,7 +142,7 @@ mod tests {
         ];
         attacks[1].category = Protocol::Tcp;
         let ds = dataset(attacks);
-        let pop = ProtocolPopularity::compute(&ds);
+        let pop = ProtocolPopularity::of_attacks(ds.attacks());
         assert_eq!(pop.counts, vec![(Protocol::Http, 1), (Protocol::Tcp, 1)]);
     }
 }

@@ -9,16 +9,15 @@
 //! dependencies, the parallel schedule produces a report byte-identical
 //! to the serial one; only the recorded telemetry differs.
 //!
-//! Each pass has exactly one body. Most bodies read the context's
-//! shared joins where the dataset scans (`ProtocolPopularity::compute`,
-//! `CollabAnalysis::compute` and the rest, which the testkit's
-//! `baseline_report` oracle assembles) rebuild them, and some run a
-//! faster algorithm than their scan (the dense shift and country grids,
-//! the sorted-gap recurrence scorer, the collaboration sort-sweep, the
-//! merged duration and interval samples, the id-stamp blacklist
-//! replay); the rest run the dataset scan's own loop over the context's
-//! borrowed attack slice. The baseline report is the one independent
-//! oracle every body that differs from its scan is tested against.
+//! Each pass has exactly one body, and it is the one public body of its
+//! section. Most bodies read the context's shared joins (the dense shift
+//! and country grids, the sorted-gap recurrence scorer, the
+//! collaboration sort-sweep, the merged duration and interval samples,
+//! the id-stamp blacklist replay); the count sections run a slice-level
+//! function over the context's borrowed attack slice or one of its
+//! columns. The testkit's `baseline_report` assembles the same report
+//! from dataset scans of its own, and is the one independent oracle
+//! every body is tested against.
 //!
 //! Four passes are *resumable* (`interval_stats`, `all_interval_stats`,
 //! `durations`, `blacklist`): their body extends a state
@@ -64,7 +63,8 @@
 //! context). Register it with `resumable!`, whose `run` is the body over
 //! an empty carry. Its output must not depend on the carry it is lent:
 //! a unit test folds a fixture epoch by epoch and holds the resumed
-//! output to a fresh run at every watermark. A state must not read
+//! output to a fresh run (and, in the testkit, to the oracle's scan) at
+//! every watermark. A state must not read
 //! resolved sources (bot rows, countries, coordinates): an append that
 //! re-resolves earlier attacks keeps every carry.
 

@@ -5,8 +5,9 @@
 //! pipeline: it builds the shared [`AnalysisContext`] once, executes the
 //! [`crate::passes::REGISTRY`] through the dependency-aware scheduler
 //! (in parallel by default), and assembles the report from the pass
-//! outputs. The original monolithic path — every analysis rescanning the
-//! dataset for itself — lives in the testkit
+//! outputs. Each section has one public body in this crate, the one its
+//! pass runs. The original monolithic path — every analysis rescanning
+//! the dataset for itself, with scans of its own — lives in the testkit
 //! (`ddos_testkit::baseline_report`) as the one independent oracle the
 //! equivalence tests hold every pass body to.
 //!

@@ -111,18 +111,10 @@ impl FamilyDispersion {
     }
 }
 
-/// Fig. 9 — dispersion CDFs of all qualifying families.
-pub fn qualifying_families(ds: &Dataset, bots: &BotIndex) -> Vec<FamilyDispersion> {
-    Family::ACTIVE
-        .into_iter()
-        .map(|f| FamilyDispersion::compute(ds, bots, f))
-        .filter(FamilyDispersion::qualifies_for_cdf)
-        .collect()
-}
-
-/// Context-based variant of [`qualifying_families`]: the per-family
-/// series were already built during context construction (sharing its
-/// single geolocation join), so this only filters and clones.
+/// Fig. 9 — the dispersion series of every qualifying family. The
+/// per-family series were already built during context construction
+/// (sharing its single geolocation join), so this only filters and
+/// clones.
 pub fn qualifying_families_ctx(ctx: &crate::context::AnalysisContext) -> Vec<FamilyDispersion> {
     ctx.families()
         .iter()
@@ -215,7 +207,8 @@ mod tests {
         let fd = FamilyDispersion::compute(&ds, &idx, Family::Pandora);
         assert_eq!(fd.active_days, 1);
         assert!(!fd.qualifies_for_cdf());
-        assert!(qualifying_families(&ds, &idx).is_empty());
+        let ctx = crate::context::AnalysisContext::new(&ds);
+        assert!(qualifying_families_ctx(&ctx).is_empty());
     }
 
     #[test]

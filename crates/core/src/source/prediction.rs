@@ -72,22 +72,9 @@ pub struct PredictionAnalysis {
 }
 
 impl PredictionAnalysis {
-    /// Runs the Table IV protocol over all active families.
-    pub fn compute(ds: &Dataset, bots: &BotIndex, spec: ArimaSpec) -> PredictionAnalysis {
-        let mut rows = Vec::new();
-        let mut excluded = Vec::new();
-        for family in Family::ACTIVE {
-            match predict_family(ds, bots, family, spec) {
-                Ok(row) => rows.push(row),
-                Err(reason) => excluded.push((family, reason)),
-            }
-        }
-        PredictionAnalysis { rows, excluded }
-    }
-
-    /// Context-based variant of [`PredictionAnalysis::compute`]: reads
-    /// each family's dispersion series from the context instead of
-    /// recomputing the geolocation join a second time.
+    /// The prediction pass: runs the Table IV protocol over every
+    /// active family, reading each family's dispersion series from the
+    /// context instead of recomputing the geolocation join.
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> PredictionAnalysis {
         let mut rows = Vec::new();
         let mut excluded = Vec::new();
@@ -252,8 +239,8 @@ mod tests {
     #[test]
     fn analysis_collects_exclusions_for_absent_families() {
         let ds = predictable_dataset();
-        let idx = BotIndex::build(&ds);
-        let analysis = PredictionAnalysis::compute(&ds, &idx, ArimaSpec::DEFAULT);
+        let ctx = crate::context::AnalysisContext::new(&ds);
+        let analysis = PredictionAnalysis::compute_ctx(&ctx);
         // Nothing qualifies in a 10-day window; every family is excluded.
         assert!(analysis.rows.is_empty());
         assert_eq!(analysis.excluded.len(), Family::ACTIVE.len());

@@ -7,7 +7,7 @@
 //! This module wraps the counts with the paper's reference values so
 //! reports and tests can show paper-vs-measured side by side.
 
-use ddos_schema::{Dataset, DatasetSummary};
+use ddos_schema::DatasetSummary;
 use serde::{Deserialize, Serialize};
 
 /// The paper's Table III values, for comparison columns.
@@ -44,11 +44,6 @@ pub struct SummaryComparison {
 }
 
 impl SummaryComparison {
-    /// Computes the measured summary and pairs it with the reference.
-    pub fn compute(ds: &Dataset) -> SummaryComparison {
-        Self::of(ds.summary())
-    }
-
     /// Pairs an already-counted summary with the reference.
     pub fn of(measured: DatasetSummary) -> SummaryComparison {
         SummaryComparison {
@@ -92,7 +87,7 @@ mod tests {
         use crate::overview::test_support::{attack, dataset};
         use ddos_schema::Family;
         let ds = dataset(vec![attack(Family::Dirtjumper, 1, 0, 10, 1)]);
-        let cmp = SummaryComparison::compute(&ds);
+        let cmp = SummaryComparison::of(ds.summary());
         assert_eq!(cmp.measured.attacks, 1);
         assert_eq!(cmp.paper.attacks, 50_704);
     }

@@ -5,9 +5,7 @@
 //! China, ...). A profile counts attacks by the target's country and
 //! ranks the result.
 
-use std::collections::HashMap;
-
-use ddos_schema::{CountryCode, Dataset, Family};
+use ddos_schema::{CountryCode, Family};
 use serde::{Deserialize, Serialize};
 
 use crate::kernels::{cc_of_slot, cc_slot, CC_SLOTS};
@@ -25,22 +23,6 @@ pub struct FamilyCountryProfile {
 }
 
 impl FamilyCountryProfile {
-    /// Counts this family's attacks per victim country.
-    pub fn compute(ds: &Dataset, family: Family) -> FamilyCountryProfile {
-        let mut counts: HashMap<CountryCode, usize> = HashMap::new();
-        for atk in ds.attacks() {
-            if atk.family == family {
-                *counts.entry(atk.target.country).or_insert(0) += 1;
-            }
-        }
-        let by_country = rank(counts);
-        FamilyCountryProfile {
-            family,
-            countries: by_country.len(),
-            by_country,
-        }
-    }
-
     /// The family's most-attacked country, if it attacked at all.
     pub fn favourite(&self) -> Option<CountryCode> {
         self.by_country.first().map(|&(cc, _)| cc)
@@ -52,30 +34,10 @@ impl FamilyCountryProfile {
     }
 }
 
-/// Table V for every active family, in `Family::ACTIVE` order.
-pub fn all_profiles(ds: &Dataset) -> Vec<FamilyCountryProfile> {
-    Family::ACTIVE
-        .into_iter()
-        .map(|family| FamilyCountryProfile::compute(ds, family))
-        .collect()
-}
-
-/// The overall top `k` victim countries across every family.
-pub fn overall_top_countries(ds: &Dataset, k: usize) -> Vec<(CountryCode, usize)> {
-    let mut counts: HashMap<CountryCode, usize> = HashMap::new();
-    for atk in ds.attacks() {
-        *counts.entry(atk.target.country).or_insert(0) += 1;
-    }
-    let mut ranked = rank(counts);
-    ranked.truncate(k);
-    ranked
-}
-
-/// The context path of [`all_profiles`]: one scan over the trace
-/// accumulates a dense `(family, country)` count grid, replacing the
-/// dataset path's one full-trace scan *per family*. Ranking then runs
-/// on the grid alone, with the same total order as [`all_profiles`] —
-/// identical profiles.
+/// Table V for every active family, in `Family::ACTIVE` order: one
+/// scan over the context's attacks accumulates a dense
+/// `(family, country)` count grid, and ranking then runs on the grid
+/// alone.
 pub fn all_profiles_ctx(ctx: &crate::context::AnalysisContext) -> Vec<FamilyCountryProfile> {
     // `Family::ACTIVE` lists the variants in discriminant order, so the
     // discriminant doubles as the row index.
@@ -99,8 +61,8 @@ pub fn all_profiles_ctx(ctx: &crate::context::AnalysisContext) -> Vec<FamilyCoun
         .collect()
 }
 
-/// The context path of [`overall_top_countries`]: the same dense count
-/// grid over a single country row.
+/// The overall top `k` victim countries across every family: the same
+/// dense count grid over a single country row.
 pub fn overall_top_countries_ctx(
     ctx: &crate::context::AnalysisContext,
     k: usize,
@@ -114,15 +76,8 @@ pub fn overall_top_countries_ctx(
     ranked
 }
 
-fn rank(counts: HashMap<CountryCode, usize>) -> Vec<(CountryCode, usize)> {
-    let mut ranked: Vec<(CountryCode, usize)> = counts.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    ranked
-}
-
-/// Ranks the non-zero cells of a dense country row with the exact
-/// comparator of [`rank`] — same `(country, count)` set, same total
-/// order, so the output matches the hash-map path entry for entry.
+/// Ranks the non-zero cells of a dense country row: by count
+/// descending, ties broken by country code, so the order is total.
 fn rank_dense(row: &[u32]) -> Vec<(CountryCode, usize)> {
     let mut ranked: Vec<(CountryCode, usize)> = row
         .iter()
@@ -137,7 +92,8 @@ fn rank_dense(row: &[u32]) -> Vec<(CountryCode, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overview::test_support::{attack, chunked_contexts, dataset};
+    use crate::context::AnalysisContext;
+    use crate::overview::test_support::{attack, dataset};
 
     #[test]
     fn profile_counts_and_ranks() {
@@ -146,13 +102,15 @@ mod tests {
             attack(Family::Dirtjumper, 2, 200, 60, 2),
             attack(Family::Pandora, 3, 300, 60, 3),
         ]);
-        let p = FamilyCountryProfile::compute(&ds, Family::Dirtjumper);
+        let profiles = all_profiles_ctx(&AnalysisContext::new(&ds));
+        let profile = |f: Family| profiles.iter().find(|p| p.family == f).unwrap();
+        let p = profile(Family::Dirtjumper);
         assert_eq!(p.by_country.iter().map(|&(_, n)| n).sum::<usize>(), 2);
         assert_eq!(p.countries, p.by_country.len());
         assert!(p.favourite().is_some());
         assert!(p.top(1).len() == 1);
 
-        let empty = FamilyCountryProfile::compute(&ds, Family::Nitol);
+        let empty = profile(Family::Nitol);
         assert!(empty.favourite().is_none());
         assert!(empty.top(5).is_empty());
     }
@@ -163,37 +121,14 @@ mod tests {
             attack(Family::Dirtjumper, 1, 100, 60, 1),
             attack(Family::Pandora, 2, 200, 60, 1),
         ]);
-        let top = overall_top_countries(&ds, 5);
+        let top = overall_top_countries_ctx(&AnalysisContext::new(&ds), 5);
         assert_eq!(top.iter().map(|&(_, n)| n).sum::<usize>(), 2);
-    }
-
-    #[test]
-    fn dense_kernels_match_hash_ranking_for_every_chunking() {
-        // Ties (two countries with one attack each) exercise the
-        // comparator's country-code tiebreak.
-        let ds = dataset(vec![
-            attack(Family::Dirtjumper, 1, 100, 60, 1),
-            attack(Family::Dirtjumper, 2, 200, 60, 1),
-            attack(Family::Dirtjumper, 3, 300, 60, 2),
-            attack(Family::Pandora, 4, 400, 60, 3),
-            attack(Family::Yzf, 5, 500, 60, 2),
-        ]);
-        let expect_profiles = serde_json::to_string(&all_profiles(&ds)).unwrap();
-        let expect_top = overall_top_countries(&ds, 3);
-        for (policy, ctx) in chunked_contexts(&ds) {
-            assert_eq!(
-                serde_json::to_string(&all_profiles_ctx(&ctx)).unwrap(),
-                expect_profiles,
-                "{policy:?}"
-            );
-            assert_eq!(overall_top_countries_ctx(&ctx, 3), expect_top, "{policy:?}");
-        }
     }
 
     #[test]
     fn profiles_cover_active_families() {
         let ds = dataset(vec![attack(Family::Dirtjumper, 1, 100, 60, 1)]);
-        let profiles = all_profiles(&ds);
+        let profiles = all_profiles_ctx(&AnalysisContext::new(&ds));
         assert_eq!(profiles.len(), Family::ACTIVE.len());
     }
 }

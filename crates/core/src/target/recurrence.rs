@@ -6,9 +6,7 @@
 //! the next start as `last start + median gap so far` and scores the
 //! prediction against the actual start.
 
-use std::collections::HashMap;
-
-use ddos_schema::{Dataset, Family, IpAddr4, Timestamp};
+use ddos_schema::{Family, IpAddr4, Timestamp};
 use ddos_stats::descriptive::{median, quantile_sorted};
 use ddos_stats::ecdf::Ecdf;
 use serde::{Deserialize, Serialize};
@@ -64,45 +62,11 @@ pub struct RecurrenceAnalysis {
 }
 
 impl RecurrenceAnalysis {
-    /// Builds trains for every target with at least [`MIN_TRAIN_LEN`]
-    /// attacks, optionally restricted to attacks starting in
-    /// `[window.0, window.1)`, and scores the median-gap predictor on
-    /// each.
-    pub fn compute(ds: &Dataset, window: Option<(Timestamp, Timestamp)>) -> RecurrenceAnalysis {
-        let mut by_target: HashMap<IpAddr4, TargetTrain> = HashMap::new();
-        // Dataset attacks are sorted by start time, so each train's
-        // starts come out ascending without re-sorting.
-        for atk in ds.attacks() {
-            if let Some((lo, hi)) = window {
-                if atk.start < lo || atk.start >= hi {
-                    continue;
-                }
-            }
-            let train = by_target
-                .entry(atk.target_ip)
-                .or_insert_with(|| TargetTrain {
-                    target: atk.target_ip,
-                    starts: Vec::new(),
-                    families: Vec::new(),
-                });
-            train.starts.push(atk.start);
-            if !train.families.contains(&atk.family) {
-                train.families.push(atk.family);
-            }
-        }
-        let mut trains: Vec<TargetTrain> = by_target
-            .into_values()
-            .filter(|t| t.len() >= MIN_TRAIN_LEN)
-            .collect();
-        trains.sort_by(|a, b| b.len().cmp(&a.len()).then(a.target.cmp(&b.target)));
-        let outcomes = score_trains(&trains);
-        RecurrenceAnalysis { trains, outcomes }
-    }
-
-    /// Context-based variant of [`RecurrenceAnalysis::compute`] over the
-    /// whole window: builds the trains from the per-target timelines
-    /// already grouped in the analysis context, and scores them with the
-    /// sorted-gap walk (`score_trains_sorted`).
+    /// The recurrence pass: builds a train for every target with at
+    /// least [`MIN_TRAIN_LEN`] attacks from the per-target timelines
+    /// already grouped in the analysis context, and scores the
+    /// median-gap predictor on each with the sorted-gap walk
+    /// (`score_trains_sorted`).
     pub fn compute_ctx(ctx: &crate::context::AnalysisContext) -> RecurrenceAnalysis {
         let attacks = ctx.attacks;
         let mut trains: Vec<TargetTrain> = ctx
@@ -166,42 +130,14 @@ impl RecurrenceAnalysis {
     }
 }
 
-/// Walks every train with the median-gap predictor and scores each
-/// prediction (trains must already be in their final sorted order).
-fn score_trains(trains: &[TargetTrain]) -> Vec<PredictionOutcome> {
-    let mut outcomes = Vec::new();
-    for train in trains {
-        let gaps: Vec<f64> = train
-            .starts
-            .windows(2)
-            .map(|w| (w[1].0 - w[0].0) as f64)
-            .collect();
-        for i in (MIN_TRAIN_LEN - 1)..train.len() {
-            let median_gap = median(&gaps[..i - 1]).expect("i >= 3 gives >= 2 gaps");
-            let predicted = Timestamp(train.starts[i - 1].0 + median_gap.round() as i64);
-            let actual = train.starts[i];
-            let abs_error_s = (actual.0 - predicted.0).abs() as f64;
-            outcomes.push(PredictionOutcome {
-                target: train.target,
-                predicted,
-                actual,
-                abs_error_s,
-                // Relative to the typical gap; the max(1.0) floor keeps
-                // the ratio finite for back-to-back attacks (a
-                // non-finite value would not survive JSON).
-                relative_error: abs_error_s / median_gap.max(1.0),
-            });
-        }
-    }
-    outcomes
-}
-
-/// Scores the same walk as [`score_trains`] but keeps the gap prefix in
-/// one incrementally maintained sorted buffer instead of re-cloning and
-/// re-sorting it at every step. `score_trains`'s `median(&gaps[..i-1])`
-/// reads values by rank from the ascending prefix multiset; insertion by
-/// `partition_point` maintains exactly that multiset, so every median
-/// (duplicates included) is bit-identical.
+/// Walks every train (in its final sorted order) with the median-gap
+/// predictor and scores each prediction: after `i ≥ 3` attacks the next
+/// start is predicted as `last start + median of the gaps so far`. The
+/// gap prefix lives in one incrementally maintained sorted buffer
+/// instead of being re-cloned and re-sorted at every step: insertion by
+/// `partition_point` maintains exactly the ascending prefix multiset, so
+/// every median (duplicates included) is bit-identical to a re-sorting
+/// walk's.
 fn score_trains_sorted(trains: &[TargetTrain]) -> Vec<PredictionOutcome> {
     let mut outcomes = Vec::new();
     let mut sorted: Vec<f64> = Vec::new();
@@ -224,6 +160,9 @@ fn score_trains_sorted(trains: &[TargetTrain]) -> Vec<PredictionOutcome> {
                 predicted,
                 actual,
                 abs_error_s,
+                // Relative to the typical gap; the max(1.0) floor keeps
+                // the ratio finite for back-to-back attacks (a
+                // non-finite value would not survive JSON).
                 relative_error: abs_error_s / median_gap.max(1.0),
             });
         }
@@ -234,7 +173,13 @@ fn score_trains_sorted(trains: &[TargetTrain]) -> Vec<PredictionOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overview::test_support::{attack, chunked_contexts, dataset};
+    use crate::context::AnalysisContext;
+    use crate::overview::test_support::{attack, dataset};
+    use ddos_schema::Dataset;
+
+    fn recurrence(ds: &Dataset) -> RecurrenceAnalysis {
+        RecurrenceAnalysis::compute_ctx(&AnalysisContext::new(ds))
+    }
 
     fn periodic_ds() -> Dataset {
         // Target 1: attacked every 1000 s, 6 times — perfectly
@@ -256,7 +201,7 @@ mod tests {
 
     #[test]
     fn trains_respect_min_len() {
-        let rec = RecurrenceAnalysis::compute(&periodic_ds(), None);
+        let rec = recurrence(&periodic_ds());
         assert_eq!(rec.trains.len(), 1);
         assert_eq!(rec.hottest_target().unwrap().len(), 6);
         assert_eq!(
@@ -267,7 +212,7 @@ mod tests {
 
     #[test]
     fn periodic_train_predicts_exactly() {
-        let rec = RecurrenceAnalysis::compute(&periodic_ds(), None);
+        let rec = recurrence(&periodic_ds());
         // 6 attacks → predictions for indices 3, 4, 5.
         assert_eq!(rec.outcomes.len(), 3);
         for o in &rec.outcomes {
@@ -281,44 +226,12 @@ mod tests {
 
     #[test]
     fn empty_dataset_yields_nothing() {
-        let rec = RecurrenceAnalysis::compute(&dataset(vec![]), None);
+        let rec = recurrence(&dataset(vec![]));
         assert!(rec.trains.is_empty());
         assert!(rec.outcomes.is_empty());
         assert!(rec.hottest_target().is_none());
         assert!(rec.error_cdf().is_none());
         assert!(rec.median_abs_error().is_none());
         assert_eq!(rec.fraction_within(1.0), 0.0);
-    }
-
-    #[test]
-    fn kernel_scorer_matches_reference_for_every_chunking() {
-        // Irregular gaps (duplicates, zero gaps, mixed magnitudes)
-        // across trains of different lengths.
-        let trains: [(u8, &[i64]); 3] = [
-            (1, &[0, 10, 10, 35, 36, 90, 90, 1_000]),
-            (2, &[5, 1_005, 2_005, 3_200, 3_200]),
-            (3, &[0, 1, 2, 3]),
-        ];
-        let mut attacks = Vec::new();
-        for (target, starts) in trains {
-            for &start in starts {
-                let id = attacks.len() as u64 + 1;
-                attacks.push(attack(Family::Dirtjumper, id, start, 60, target));
-            }
-        }
-        let ds = dataset(attacks);
-        let expect = serde_json::to_string(&RecurrenceAnalysis::compute(&ds, None)).unwrap();
-        for (policy, ctx) in chunked_contexts(&ds) {
-            let got = serde_json::to_string(&RecurrenceAnalysis::compute_ctx(&ctx)).unwrap();
-            assert_eq!(got, expect, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn window_restricts_trains() {
-        let rec =
-            RecurrenceAnalysis::compute(&periodic_ds(), Some((Timestamp(0), Timestamp(3_500))));
-        // Only 3 of target 1's attacks start before 3500 s.
-        assert!(rec.trains.is_empty());
     }
 }

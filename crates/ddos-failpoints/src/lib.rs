@@ -22,11 +22,11 @@
 //!   in each worker, so a plan reaches exactly the operation under test.
 //! * **Release-inert** — [`ACTIVE`] is `cfg!(debug_assertions)`; in
 //!   release builds [`check`] is a constant-folded `None`, [`Handoff`]
-//!   is zero-sized, and the seam costs nothing, even when the
-//!   `failpoints` cargo feature is unified into a release graph by a
-//!   test-only dependent. The `const` assert below makes "injection
-//!   compiled out of release binaries" a compile-time guarantee rather
-//!   than a convention.
+//!   is zero-sized, and the seam costs nothing. `ddos-schema` and
+//!   `ddos-analytics` depend on this crate unconditionally, with no
+//!   cargo feature, so there is one seam and no stub to drift from it.
+//!   The `const` assert below makes "injection compiled out of release
+//!   binaries" a compile-time guarantee rather than a convention.
 
 #![forbid(unsafe_code)]
 

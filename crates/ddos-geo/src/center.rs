@@ -52,34 +52,6 @@ pub fn geographic_center(points: &[LatLon]) -> Option<LatLon> {
     Some(LatLon::new_unchecked(lat.clamp(-90.0, 90.0), lon))
 }
 
-/// [`geographic_center`] over a precomputed trig batch.
-///
-/// The accumulation evaluates exactly the scalar kernel's expressions
-/// (`cos(lat)·cos(lon)`, `cos(lat)·sin(lon)`, `sin(lat)`, summed in
-/// slice order), so the result is bit-identical. The loop body is pure
-/// multiply-add over contiguous columns, so LLVM can unroll and
-/// vectorize the three accumulations.
-pub fn geographic_center_precomp(points: &[PointTrig]) -> Option<LatLon> {
-    if points.is_empty() {
-        return None;
-    }
-    let (mut x, mut y, mut z) = (0.0f64, 0.0f64, 0.0f64);
-    for p in points {
-        x += p.cos_lat * p.cos_lon;
-        y += p.cos_lat * p.sin_lon;
-        z += p.sin_lat;
-    }
-    let n = points.len() as f64;
-    let (x, y, z) = (x / n, y / n, z / n);
-    let norm = (x * x + y * y + z * z).sqrt();
-    if norm < 1e-12 {
-        return None;
-    }
-    let lat = (z / norm).clamp(-1.0, 1.0).asin().to_degrees();
-    let lon = y.atan2(x).to_degrees();
-    Some(LatLon::new_unchecked(lat.clamp(-90.0, 90.0), lon))
-}
-
 /// Signed haversine distance from `center` to `point`, in kilometers.
 ///
 /// The magnitude is the great-circle distance; the sign follows the
@@ -165,12 +137,6 @@ impl Dispersion {
     pub fn value(&self) -> f64 {
         self.signed_sum_km.abs()
     }
-
-    /// Whether the population is geographically symmetric under the
-    /// paper's metric (sum within `tol_km` of zero).
-    pub fn is_symmetric(&self, tol_km: f64) -> bool {
-        self.signed_sum_km.abs() <= tol_km
-    }
 }
 
 /// Computes the paper's dispersion metric for a set of bot locations.
@@ -186,39 +152,18 @@ pub fn dispersion(points: &[LatLon]) -> Option<Dispersion> {
     })
 }
 
-/// [`dispersion`] over a precomputed trig batch — the hot kernel of the
-/// analysis context build. One snapshot costs one center pass plus one
-/// signed-distance pass over the slice; all per-point trigonometry
-/// comes from the cache.
+/// [`dispersion`] over *rows of a shared trig column* — the hot kernel
+/// of the analysis context build: `rows[i]` indexes `col`, and the
+/// computation visits rows in list order. One snapshot costs one center
+/// pass plus one signed-distance pass over the rows; all per-point
+/// trigonometry comes from the cache, and no `PointTrig` buffer is
+/// gathered per snapshot.
 ///
-/// Bit-identical to `dispersion(&points.map(PointTrig::point))`: the
+/// Bit-identical to `dispersion(&rows.map(|r| col[r].point()))`: the
 /// center accumulation, the per-point distances, and the signed sum all
 /// evaluate the scalar kernels' exact expressions in the same order
-/// (the property tests below assert this on arbitrary point sets).
-pub fn dispersion_precomp(points: &[PointTrig]) -> Option<Dispersion> {
-    let center = geographic_center_precomp(points)?;
-    let ct = CenterTrig::new(center);
-    let mut signed_sum_km = 0.0f64;
-    for p in points {
-        signed_sum_km += signed_distance_km_precomp(&ct, p);
-    }
-    Some(Dispersion {
-        center,
-        signed_sum_km,
-        count: points.len(),
-    })
-}
-
-/// [`dispersion_precomp`] over *rows of a shared trig column* instead
-/// of a gathered slice: `rows[i]` indexes `col`, and the computation
-/// visits rows in list order.
-///
-/// This lets a caller that already holds point ids skip materializing
-/// a `PointTrig` buffer per snapshot — the center pass pulls each row
-/// into cache and the distance pass re-reads it hot. Bit-identical to
-/// `dispersion_precomp(&rows.map(|r| col[r]).collect())`: identical
-/// expressions evaluated in identical order, only the load addresses
-/// differ (the property test below asserts this).
+/// (the property tests below assert this on arbitrary point sets and
+/// row lists).
 ///
 /// # Panics
 /// If any row index is out of bounds for `col`.
@@ -418,7 +363,6 @@ mod tests {
         let pts = [p(20.0, 20.0), p(20.0, 40.0), p(25.0, 25.0), p(25.0, 35.0)];
         let d = dispersion(&pts).unwrap();
         assert!(d.value() < 30.0, "signed sum {}", d.signed_sum_km);
-        assert!(d.is_symmetric(30.0));
         // The conventional mean distance is decidedly non-zero.
         let mean = mean_distance_km(&pts).unwrap();
         assert!(mean > 300.0, "mean distance {mean}");
@@ -489,14 +433,13 @@ mod tests {
             let n = lats.len().min(lons.len());
             let pts: Vec<LatLon> = (0..n).map(|i| p(lats[i], lons[i])).collect();
             let trig: Vec<PointTrig> = pts.iter().map(|&q| PointTrig::new(q)).collect();
-            let scalar_center = geographic_center(&pts);
-            let cached_center = geographic_center_precomp(&trig);
-            prop_assert_eq!(
-                scalar_center.map(|c| (c.lat.to_bits(), c.lon.to_bits())),
-                cached_center.map(|c| (c.lat.to_bits(), c.lon.to_bits()))
-            );
+            let rows: Vec<u32> = (0..n as u32).collect();
             let scalar = dispersion(&pts);
-            let cached = dispersion_precomp(&trig);
+            let cached = dispersion_precomp_indexed(&trig, &rows);
+            prop_assert_eq!(
+                geographic_center(&pts).map(|c| (c.lat.to_bits(), c.lon.to_bits())),
+                cached.map(|d| (d.center.lat.to_bits(), d.center.lon.to_bits()))
+            );
             prop_assert_eq!(scalar.is_some(), cached.is_some());
             if let (Some(s), Some(c)) = (scalar, cached) {
                 prop_assert_eq!(s.signed_sum_km.to_bits(), c.signed_sum_km.to_bits());
@@ -515,12 +458,11 @@ mod tests {
             // A column of distinct points and an arbitrary row list
             // (duplicates and any order allowed).
             let n = lats.len().min(lons.len());
-            let col: Vec<PointTrig> =
-                (0..n).map(|i| PointTrig::new(p(lats[i], lons[i]))).collect();
+            let pts: Vec<LatLon> = (0..n).map(|i| p(lats[i], lons[i])).collect();
+            let col: Vec<PointTrig> = pts.iter().map(|&q| PointTrig::new(q)).collect();
             let rows: Vec<u32> = picks.iter().map(|&k| (k % n) as u32).collect();
-            let gathered: Vec<PointTrig> =
-                rows.iter().map(|&r| col[r as usize]).collect();
-            let a = dispersion_precomp(&gathered);
+            let gathered: Vec<LatLon> = rows.iter().map(|&r| pts[r as usize]).collect();
+            let a = dispersion(&gathered);
             let b = dispersion_precomp_indexed(&col, &rows);
             prop_assert_eq!(a.is_some(), b.is_some());
             if let (Some(a), Some(b)) = (a, b) {

@@ -250,11 +250,6 @@ pub fn lookup(code: CountryCode) -> Option<&'static CountryInfo> {
         .map(|i| &COUNTRIES[i])
 }
 
-/// Index of a country in [`COUNTRIES`] by code.
-pub fn index_of(code: CountryCode) -> Option<usize> {
-    COUNTRIES.binary_search_by(|c| c.code.cmp(&code)).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,13 +303,6 @@ mod tests {
             assert!(lookup(cc).is_some(), "missing {code}");
         }
         assert!(lookup("XX".parse().unwrap()).is_none());
-    }
-
-    #[test]
-    fn index_of_matches_lookup() {
-        let us = "US".parse().unwrap();
-        let i = index_of(us).unwrap();
-        assert_eq!(COUNTRIES[i].code, us);
     }
 
     #[test]

@@ -422,15 +422,6 @@ impl GeoDb {
         self.ip_in_org_inner(org, mix64(k))
     }
 
-    /// Organizations homed in one city.
-    pub fn orgs_in_city(&self, city: CityId) -> impl Iterator<Item = &OrgInfo> + '_ {
-        self.city_orgs
-            .get(city.0 as usize)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.orgs[i as usize])
-    }
-
     /// Deterministically picks the `k`-th pseudo-random address homed in
     /// one city (spreading over the city's organizations).
     ///
@@ -636,18 +627,6 @@ mod tests {
             assert_eq!(loc.coords, db.city(city).unwrap().coords);
         }
         assert!(db.ip_in_city(CityId(u32::MAX), 0).is_none());
-    }
-
-    #[test]
-    fn orgs_in_city_belong_to_city() {
-        let db = small_db();
-        let city = db.cities_in(CountryCode::literal("US"))[0].id;
-        let mut n = 0;
-        for org in db.orgs_in_city(city) {
-            assert_eq!(org.city, city);
-            n += 1;
-        }
-        assert!(n >= 1);
     }
 
     #[test]

@@ -42,20 +42,6 @@ pub fn distance_km_precomp(center: &CenterTrig, point: &PointTrig) -> f64 {
     2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
 }
 
-/// Initial bearing from `a` to `b` in degrees, `[0, 360)`.
-///
-/// Used by the center module to classify a point as east/west of the
-/// center when assigning the paper's distance sign.
-pub fn initial_bearing_deg(a: LatLon, b: LatLon) -> f64 {
-    let (lat1, lon1) = (a.lat_rad(), a.lon_rad());
-    let (lat2, lon2) = (b.lat_rad(), b.lon_rad());
-    let dlon = lon2 - lon1;
-    let y = dlon.sin() * lat2.cos();
-    let x = lat1.cos() * lat2.sin() - lat1.sin() * lat2.cos() * dlon.cos();
-    let deg = y.atan2(x).to_degrees();
-    (deg + 360.0) % 360.0
-}
-
 /// Destination point at `distance_km` from `origin` along `bearing_deg`.
 ///
 /// Used by the world synthesizer to scatter cities around a country
@@ -114,15 +100,6 @@ mod tests {
         let b = p(0.0, 180.0);
         let d = distance_km(a, b);
         assert!((d - std::f64::consts::PI * EARTH_RADIUS_KM).abs() < 1.0);
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let origin = p(0.0, 0.0);
-        assert!((initial_bearing_deg(origin, p(10.0, 0.0)) - 0.0).abs() < 1e-9);
-        assert!((initial_bearing_deg(origin, p(0.0, 10.0)) - 90.0).abs() < 1e-9);
-        assert!((initial_bearing_deg(origin, p(-10.0, 0.0)) - 180.0).abs() < 1e-9);
-        assert!((initial_bearing_deg(origin, p(0.0, -10.0)) - 270.0).abs() < 1e-9);
     }
 
     #[test]

@@ -36,10 +36,9 @@ mod rng;
 pub mod trig;
 
 pub use center::{
-    dispersion, dispersion_precomp, dispersion_precomp_indexed, dispersion_precomp_indexed_counted,
-    dispersion_precomp_indexed_presummed, geographic_center, geographic_center_precomp,
-    mean_distance_km, signed_distance_km, signed_distance_km_precomp, CenterSum, Dispersion,
-    KernelCounters,
+    dispersion, dispersion_precomp_indexed, dispersion_precomp_indexed_counted,
+    dispersion_precomp_indexed_presummed, geographic_center, mean_distance_km, signed_distance_km,
+    signed_distance_km_precomp, CenterSum, Dispersion, KernelCounters,
 };
 pub use country::{CountryInfo, COUNTRIES};
 pub use geodb::{CityInfo, GeoConfig, GeoDb, OrgInfo, OrgKind};

@@ -230,18 +230,6 @@ impl RunTelemetry {
         }
         out
     }
-
-    /// The slowest span under `prefix`, if any.
-    pub fn slowest_under(&self, prefix: &str) -> Option<&SpanRecord> {
-        self.spans
-            .iter()
-            .filter(|s| {
-                s.path.len() > prefix.len() + 1
-                    && s.path.starts_with(prefix)
-                    && s.path.as_bytes()[prefix.len()] == b'/'
-            })
-            .max_by_key(|s| s.duration_us())
-    }
 }
 
 #[cfg(test)]
@@ -327,6 +315,5 @@ mod tests {
         assert!(s.contains("context/attacks"));
         assert!(s.contains("scheduler/wait_us"));
         assert!(s.contains("total"));
-        assert_eq!(t.slowest_under("nothing"), None);
     }
 }

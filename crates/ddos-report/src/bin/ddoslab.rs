@@ -86,11 +86,12 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
-                config.scale = it
-                    .next()
-                    .ok_or("--scale takes a value")?
+                let raw = it.next().ok_or("--scale takes a value")?;
+                config.scale = raw
                     .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| format!("bad --scale {raw:?}: want a positive number"))?;
             }
             "--seed" => config.seed = parse_seed(it.next().ok_or("--seed takes a value")?)?,
             "--no-snapshots" => config.snapshots = false,

@@ -90,3 +90,25 @@ fn generate_rejects_a_format_flag_before_generating() {
     assert!(out.stdout.is_empty(), "generate printed {out:?}");
     assert!(!path.exists(), "generate wrote {}", path.display());
 }
+
+/// A scale that is not a finite positive number fails with one stderr
+/// line naming the flag, before anything is generated or written.
+#[test]
+fn generate_rejects_a_scale_that_is_not_a_positive_number() {
+    let path = std::env::temp_dir().join(format!("ddoslab-cli-{}-scale.ddtl", std::process::id()));
+    for scale in ["-1", "nan", "0", "inf"] {
+        let out = ddoslab(&[
+            "generate",
+            "--scale",
+            scale,
+            "--out",
+            path.to_str().unwrap(),
+        ]);
+        assert!(!out.status.success(), "generate accepted --scale {scale}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "--scale {scale}: {err}");
+        assert!(err.contains("--scale"), "--scale {scale}: {err}");
+        assert!(out.stdout.is_empty(), "generate printed {out:?}");
+        assert!(!path.exists(), "generate wrote {}", path.display());
+    }
+}

@@ -152,7 +152,6 @@ pub struct Dataset {
     snapshots: BTreeMap<Family, SnapshotSeries>,
     by_family: HashMap<Family, Vec<u32>>,
     by_target: HashMap<IpAddr4, Vec<u32>>,
-    by_botnet: HashMap<BotnetId, Vec<u32>>,
     /// Sorted distinct target IPs, built on first [`Dataset::targets`]
     /// call and reset whenever the indexes are rebuilt.
     targets: OnceLock<Vec<IpAddr4>>,
@@ -203,7 +202,6 @@ impl<'de> Deserialize<'de> for Dataset {
             snapshots: wire.snapshots,
             by_family: HashMap::new(),
             by_target: HashMap::new(),
-            by_botnet: HashMap::new(),
             targets: OnceLock::new(),
         };
         ds.attacks.sort_by_key(|a| (a.start, a.id));
@@ -272,27 +270,6 @@ impl Dataset {
             .map(move |&i| &self.attacks[i as usize])
     }
 
-    /// Attacks launched by one botnet generation, in start order.
-    pub fn attacks_by_botnet(&self, botnet: BotnetId) -> impl Iterator<Item = &AttackRecord> {
-        self.by_botnet
-            .get(&botnet)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.attacks[i as usize])
-    }
-
-    /// Attacks that *start* inside `[from, to)`, in start order
-    /// (binary search over the globally sorted attack list).
-    pub fn attacks_between(
-        &self,
-        from: crate::time::Timestamp,
-        to: crate::time::Timestamp,
-    ) -> &[AttackRecord] {
-        let lo = self.attacks.partition_point(|a| a.start < from);
-        let hi = self.attacks.partition_point(|a| a.start < to);
-        &self.attacks[lo..hi]
-    }
-
     /// Distinct target IPs, in address order. Built lazily on first call
     /// and cached for the lifetime of the dataset (the record set is
     /// immutable after construction).
@@ -342,13 +319,11 @@ impl Dataset {
     pub(crate) fn rebuild_indexes(&mut self) {
         self.by_family.clear();
         self.by_target.clear();
-        self.by_botnet.clear();
         self.targets = OnceLock::new();
         for (i, atk) in self.attacks.iter().enumerate() {
             let i = i as u32;
             self.by_family.entry(atk.family).or_default().push(i);
             self.by_target.entry(atk.target_ip).or_default().push(i);
-            self.by_botnet.entry(atk.botnet).or_default().push(i);
         }
     }
 }
@@ -499,7 +474,6 @@ impl DatasetBuilder {
             snapshots: self.snapshots,
             by_family: HashMap::new(),
             by_target: HashMap::new(),
-            by_botnet: HashMap::new(),
             targets: OnceLock::new(),
         };
         ds.attacks.sort_by_key(|a| (a.start, a.id));
@@ -529,25 +503,8 @@ mod tests {
         assert_eq!(ds.attacks_of(Family::Dirtjumper).count(), 2);
         assert_eq!(ds.attacks_of(Family::Optima).count(), 0);
         assert_eq!(ds.attacks_on(ds.attacks()[0].target_ip).count(), 2);
-        assert_eq!(ds.attacks_by_botnet(BotnetId(7)).count(), 2);
         assert_eq!(ds.targets().len(), 1);
         assert_eq!(ds.len(), 2);
-    }
-
-    #[test]
-    fn attacks_between_is_a_half_open_slice() {
-        let mut b = DatasetBuilder::new(window());
-        for (id, start) in [(1, 100), (2, 500), (3, 500), (4, 900)] {
-            b.push_attack(attack(id, start)).unwrap();
-        }
-        let ds = b.build().unwrap();
-        assert_eq!(ds.attacks_between(Timestamp(100), Timestamp(900)).len(), 3);
-        assert_eq!(ds.attacks_between(Timestamp(101), Timestamp(500)).len(), 0);
-        assert_eq!(ds.attacks_between(Timestamp(500), Timestamp(501)).len(), 2);
-        assert_eq!(ds.attacks_between(Timestamp(0), Timestamp(10_000)).len(), 4);
-        assert!(ds
-            .attacks_between(Timestamp(901), Timestamp(902))
-            .is_empty());
     }
 
     #[test]

@@ -68,11 +68,6 @@ pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 /// Hash map using [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// A [`FastSet`] pre-sized for `n` insertions.
-pub fn fast_set<T>(n: usize) -> FastSet<T> {
-    FastSet::with_capacity_and_hasher(n, Default::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +96,7 @@ mod tests {
 
     #[test]
     fn set_behaves_like_std_for_membership() {
-        let mut set = fast_set::<u32>(4);
+        let mut set = FastSet::<u32>::default();
         assert!(set.insert(7));
         assert!(!set.insert(7));
         assert!(set.contains(&7));

@@ -72,13 +72,6 @@ impl Protocol {
     pub fn is_connection_oriented(self) -> bool {
         matches!(self, Protocol::Http | Protocol::Tcp | Protocol::Syn)
     }
-
-    /// Whether the transport could in principle carry reflection or
-    /// amplification attacks (UDP-based). The paper verifies its dataset
-    /// contains none.
-    pub fn supports_reflection(self) -> bool {
-        matches!(self, Protocol::Udp)
-    }
 }
 
 impl fmt::Display for Protocol {
@@ -125,15 +118,6 @@ mod tests {
         assert!(Protocol::Syn.is_connection_oriented());
         assert!(!Protocol::Udp.is_connection_oriented());
         assert!(!Protocol::Icmp.is_connection_oriented());
-    }
-
-    #[test]
-    fn only_udp_supports_reflection() {
-        let reflective: Vec<_> = Protocol::ALL
-            .into_iter()
-            .filter(|p| p.supports_reflection())
-            .collect();
-        assert_eq!(reflective, vec![Protocol::Udp]);
     }
 
     #[test]

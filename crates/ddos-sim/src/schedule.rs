@@ -92,12 +92,6 @@ impl IntervalSampler {
         60 // calibrated weights always leave positive mass; defensive only
     }
 
-    /// The calibrated fraction of *attacks* that are simultaneous
-    /// (interval-mixture weight 0).
-    pub fn concurrent_attack_fraction(&self) -> f64 {
-        self.concurrent_fraction
-    }
-
     /// Probability that a scheduling event is a simultaneous *burst*,
     /// derived so that bursts of mean length [`Self::MEAN_BURST`] yield
     /// the calibrated fraction of simultaneous attacks. The paper's §III-B
@@ -126,12 +120,6 @@ impl IntervalSampler {
 pub fn sample_duration(profile: &FamilyProfile, rng: &mut Rng) -> Seconds {
     let ln = LogNormal::from_median(profile.cal.duration_median_s, profile.cal.duration_sigma);
     Seconds(ln.sample(rng).clamp(10.0, MAX_DURATION_S).round() as i64)
-}
-
-/// Samples an attack magnitude (number of participating bot IPs).
-pub fn sample_magnitude(profile: &FamilyProfile, rng: &mut Rng) -> usize {
-    let ln = LogNormal::from_median(profile.cal.magnitude_median, 0.8);
-    (ln.sample(rng).round() as usize).clamp(4, 500)
 }
 
 /// Distributes `total` attacks over the family's active days.
@@ -365,16 +353,6 @@ mod tests {
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!(mean > 2.0 * median, "mean {mean} vs median {median}");
         assert!(xs.iter().all(|&x| x <= MAX_DURATION_S));
-    }
-
-    #[test]
-    fn magnitudes_are_bounded() {
-        let p = profile(Family::Blackenergy);
-        let mut rng = Rng::new(5);
-        for _ in 0..5_000 {
-            let m = sample_magnitude(&p, &mut rng);
-            assert!((4..=500).contains(&m));
-        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Descriptive statistics: the moments and quantiles the paper quotes.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
@@ -71,42 +69,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Five-number-plus summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (0 when `count < 2`).
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median.
-    pub median: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarizes a sample; `None` for empty input.
-    pub fn from_slice(xs: &[f64]) -> Option<Summary> {
-        if xs.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in summary input"));
-        Some(Summary {
-            count: sorted.len(),
-            mean: mean(&sorted).expect("non-empty"),
-            std_dev: std_dev(&sorted).unwrap_or(0.0),
-            min: sorted[0],
-            median: quantile_sorted(&sorted, 0.5),
-            max: sorted[sorted.len() - 1],
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +81,6 @@ mod tests {
         assert_eq!(variance(&[1.0]), None);
         assert_eq!(median(&[]), None);
         assert_eq!(quantile(&[], 0.5), None);
-        assert!(Summary::from_slice(&[]).is_none());
     }
 
     #[test]
@@ -147,26 +108,6 @@ mod tests {
     fn quantile_handles_unsorted_input() {
         let xs = [9.0, 1.0, 5.0];
         assert_eq!(median(&xs), Some(5.0));
-    }
-
-    #[test]
-    fn summary_matches_parts() {
-        let xs = [3.0, 1.0, 2.0];
-        let s = Summary::from_slice(&xs).unwrap();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 2.0);
-        assert_eq!(s.max, 3.0);
-        assert!((s.std_dev - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_observation_summary() {
-        let s = Summary::from_slice(&[42.0]).unwrap();
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.mean, 42.0);
-        assert_eq!(s.median, 42.0);
     }
 
     proptest! {

@@ -3,8 +3,8 @@
 //! These are the generative building blocks `ddos-sim` uses to reproduce
 //! the paper's marginals: log-normal bodies for durations and intervals,
 //! Pareto tails for the rare multi-week gaps, Zipf for target popularity,
-//! categorical draws for protocol and country preferences, Poisson for
-//! per-day attack counts, and mixtures to compose them.
+//! categorical draws for protocol and country preferences, and mixtures
+//! to compose them.
 
 use crate::rng::Rng;
 
@@ -83,33 +83,6 @@ impl LogNormal {
 impl Distribution for LogNormal {
     fn sample(&self, rng: &mut Rng) -> f64 {
         (self.mu + self.sigma * Normal::standard(rng)).exp()
-    }
-}
-
-/// Exponential distribution with rate `lambda`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    /// Rate parameter (must be > 0).
-    pub lambda: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential; panics on a non-positive rate.
-    pub fn new(lambda: f64) -> Exponential {
-        assert!(lambda > 0.0 && lambda.is_finite(), "bad lambda");
-        Exponential { lambda }
-    }
-
-    /// Exponential with the given mean.
-    pub fn from_mean(mean: f64) -> Exponential {
-        Exponential::new(1.0 / mean)
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        // Inverse CDF; 1-u avoids ln(0).
-        -(1.0 - rng.f64()).ln() / self.lambda
     }
 }
 
@@ -217,41 +190,6 @@ impl Categorical {
     }
 }
 
-/// Poisson distribution (Knuth's product method; fine for the λ ≤ ~50 the
-/// generator uses for per-hour event counts).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    /// Rate (mean) parameter, > 0.
-    pub lambda: f64,
-}
-
-impl Poisson {
-    /// Creates a Poisson; panics on a non-positive rate.
-    pub fn new(lambda: f64) -> Poisson {
-        assert!(lambda > 0.0 && lambda.is_finite(), "bad lambda");
-        Poisson { lambda }
-    }
-
-    /// Samples a count.
-    pub fn sample_count(&self, rng: &mut Rng) -> u64 {
-        if self.lambda > 30.0 {
-            // Normal approximation for large λ, clamped at zero.
-            let n = Normal::new(self.lambda, self.lambda.sqrt());
-            return n.sample(rng).round().max(0.0) as u64;
-        }
-        let l = (-self.lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= rng.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-}
-
 /// A weighted mixture of component distributions.
 pub struct Mixture {
     weights: Categorical,
@@ -334,13 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let xs = draw(&Exponential::from_mean(100.0), 50_000, 3);
-        assert!((mean(&xs).unwrap() - 100.0).abs() < 3.0);
-        assert!(xs.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
     fn pareto_respects_minimum_and_is_heavy() {
         let xs = draw(&Pareto::new(10.0, 1.5), 50_000, 4);
         assert!(xs.iter().all(|&x| x >= 10.0));
@@ -379,20 +310,6 @@ mod tests {
         assert!(Categorical::new(&[0.0, 0.0]).is_none());
         assert!(Categorical::new(&[-1.0, 2.0]).is_none());
         assert!(Categorical::new(&[f64::NAN]).is_none());
-    }
-
-    #[test]
-    fn poisson_mean_small_and_large_lambda() {
-        for lambda in [0.5, 4.0, 60.0] {
-            let p = Poisson::new(lambda);
-            let mut rng = Rng::new(7);
-            let n = 30_000;
-            let m: f64 = (0..n).map(|_| p.sample_count(&mut rng) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (m - lambda).abs() < lambda.max(1.0) * 0.05,
-                "λ={lambda} m={m}"
-            );
-        }
     }
 
     #[test]

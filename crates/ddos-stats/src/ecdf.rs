@@ -83,34 +83,6 @@ impl Ecdf {
         }
         pts
     }
-
-    /// Samples the CDF at `k` evenly spaced x positions between min and
-    /// max — used to lay several family CDFs over a common grid (Fig. 5).
-    pub fn sample_grid(&self, k: usize) -> Vec<(f64, f64)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        if k == 1 || self.min() == self.max() {
-            return vec![(self.max(), 1.0)];
-        }
-        let (lo, hi) = (self.min(), self.max());
-        (0..k)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (k - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
-    }
-
-    /// Kolmogorov–Smirnov distance to another ECDF (sup of |F₁−F₂| over
-    /// the pooled sample points).
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
-        let mut d: f64 = 0.0;
-        for &x in self.sorted.iter().chain(other.sorted.iter()) {
-            d = d.max((self.eval(x) - other.eval(x)).abs());
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -162,32 +134,6 @@ mod tests {
         assert_eq!(pts[1], (2.0, 1.0));
     }
 
-    #[test]
-    fn sample_grid_spans_range() {
-        let e = Ecdf::new(&[0.0, 10.0]).unwrap();
-        let grid = e.sample_grid(11);
-        assert_eq!(grid.len(), 11);
-        assert_eq!(grid[0].0, 0.0);
-        assert_eq!(grid[10], (10.0, 1.0));
-        assert!(Ecdf::new(&[5.0]).unwrap().sample_grid(4) == vec![(5.0, 1.0)]);
-        assert!(e.sample_grid(0).is_empty());
-    }
-
-    #[test]
-    fn ks_distance_identical_is_zero() {
-        let e1 = Ecdf::new(&[1.0, 2.0, 3.0]).unwrap();
-        let e2 = Ecdf::new(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(e1.ks_distance(&e2), 0.0);
-    }
-
-    #[test]
-    fn ks_distance_disjoint_is_one() {
-        let e1 = Ecdf::new(&[1.0, 2.0]).unwrap();
-        let e2 = Ecdf::new(&[10.0, 20.0]).unwrap();
-        assert_eq!(e1.ks_distance(&e2), 1.0);
-        assert_eq!(e2.ks_distance(&e1), 1.0);
-    }
-
     proptest! {
         #[test]
         fn eval_is_monotone(xs in proptest::collection::vec(-1e6f64..1e6, 1..100),
@@ -203,17 +149,6 @@ mod tests {
             let f = e.eval(x);
             prop_assert!((0.0..=1.0).contains(&f));
             prop_assert_eq!(e.eval(e.max()), 1.0);
-        }
-
-        #[test]
-        fn ks_is_symmetric_metric(xs in proptest::collection::vec(-100.0f64..100.0, 1..40),
-                                  ys in proptest::collection::vec(-100.0f64..100.0, 1..40)) {
-            let e1 = Ecdf::new(&xs).unwrap();
-            let e2 = Ecdf::new(&ys).unwrap();
-            let d12 = e1.ks_distance(&e2);
-            let d21 = e2.ks_distance(&e1);
-            prop_assert!((d12 - d21).abs() < 1e-12);
-            prop_assert!((0.0..=1.0).contains(&d12));
         }
     }
 }

@@ -119,16 +119,6 @@ impl Histogram {
             .map(|&c| c as f64 / total as f64)
             .collect()
     }
-
-    /// Index and count of the fullest bin, if any observation landed.
-    pub fn mode_bin(&self) -> Option<(usize, u64)> {
-        self.counts
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by_key(|&(_, c)| c)
-            .filter(|&(_, c)| c > 0)
-    }
 }
 
 #[cfg(test)]
@@ -187,14 +177,8 @@ mod tests {
         assert_eq!(centers[0].1, 2);
         let f = h.fractions();
         assert!((f[0] - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(h.mode_bin(), Some((0, 2)));
-    }
-
-    #[test]
-    fn empty_histogram_mode_is_none() {
-        let h = Histogram::linear(&[], 0.0, 1.0, 3).unwrap();
-        assert_eq!(h.mode_bin(), None);
-        assert_eq!(h.fractions(), vec![0.0, 0.0, 0.0]);
+        let empty = Histogram::linear(&[], 0.0, 1.0, 3).unwrap();
+        assert_eq!(empty.fractions(), vec![0.0, 0.0, 0.0]);
     }
 
     proptest! {

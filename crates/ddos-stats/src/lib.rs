@@ -8,7 +8,7 @@
 //! The authors used an off-the-shelf stats stack; this crate is that
 //! substrate, built from scratch:
 //!
-//! * [`descriptive`] — means, variances, medians, quantiles, summaries;
+//! * [`descriptive`] — means, variances, medians and quantiles;
 //! * [`ecdf`] — empirical CDFs with evaluation and quantiles;
 //! * [`histogram`] — linear and logarithmic binning;
 //! * [`similarity`] — cosine and Pearson similarity;
@@ -17,9 +17,8 @@
 //! * [`rng`] — a seedable xoshiro256++ generator (stable across `rand`
 //!   versions, interoperable through `rand_core::RngCore`);
 //! * [`dist`] — the samplers the trace generator needs (normal,
-//!   log-normal, exponential, Pareto, Zipf, categorical, Poisson,
-//!   mixtures);
-//! * [`timeseries`] — ACF/PACF, differencing, Nelder–Mead, and
+//!   log-normal, Pareto, Zipf, categorical, mixtures);
+//! * [`timeseries`] — ACF, differencing, Nelder–Mead, and
 //!   ARIMA(p,d,q) fitting by conditional sum of squares with Yule–Walker
 //!   initialization, plus train/test forecast evaluation.
 
@@ -35,7 +34,6 @@ pub mod rng;
 pub mod similarity;
 pub mod timeseries;
 
-pub use descriptive::Summary;
 pub use ecdf::Ecdf;
 pub use histogram::Histogram;
 pub use rng::Rng;

@@ -48,11 +48,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Uniform float in `[-1, 1)`.
-    pub fn next_signed_f64(&mut self) -> f64 {
-        self.next_f64() * 2.0 - 1.0
-    }
 }
 
 /// Stateless 64-bit mix of a key — used to derive stable per-entity jitter
@@ -128,11 +123,6 @@ impl Rng {
     pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo <= hi);
         lo + self.below(hi - lo + 1)
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    pub fn f64_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -291,8 +281,6 @@ mod tests {
         for _ in 0..1000 {
             let f = r.next_f64();
             assert!((0.0..1.0).contains(&f));
-            let s = r.next_signed_f64();
-            assert!((-1.0..1.0).contains(&s));
         }
     }
 

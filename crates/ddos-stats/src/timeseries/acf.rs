@@ -1,4 +1,4 @@
-//! Autocorrelation (ACF) and partial autocorrelation (PACF).
+//! Autocorrelation (ACF) and the Yule–Walker AR estimates built on it.
 
 /// Sample autocorrelation at lags `0..=max_lag`.
 ///
@@ -25,47 +25,6 @@ pub fn acf(xs: &[f64], max_lag: usize) -> Option<Vec<f64>> {
         out.push(ck / c0);
     }
     Some(out)
-}
-
-/// Partial autocorrelation at lags `1..=max_lag` via the Durbin–Levinson
-/// recursion on the sample ACF.
-pub fn pacf(xs: &[f64], max_lag: usize) -> Option<Vec<f64>> {
-    let rho = acf(xs, max_lag)?;
-    if max_lag == 0 {
-        return Some(Vec::new());
-    }
-    let mut pacf_vals = Vec::with_capacity(max_lag);
-    let mut phi_prev: Vec<f64> = Vec::new();
-    for k in 1..=max_lag {
-        let phi_kk = if k == 1 {
-            rho[1]
-        } else {
-            let num = rho[k]
-                - phi_prev
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &p)| p * rho[k - 1 - j])
-                    .sum::<f64>();
-            let den = 1.0
-                - phi_prev
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &p)| p * rho[j + 1])
-                    .sum::<f64>();
-            if den.abs() < 1e-12 {
-                return Some(pacf_vals);
-            }
-            num / den
-        };
-        let mut phi_new = Vec::with_capacity(k);
-        for j in 0..k - 1 {
-            phi_new.push(phi_prev[j] - phi_kk * phi_prev[k - 2 - j]);
-        }
-        phi_new.push(phi_kk);
-        phi_prev = phi_new;
-        pacf_vals.push(phi_kk);
-    }
-    Some(pacf_vals)
 }
 
 /// Yule–Walker AR(p) coefficient estimates from the sample ACF, via the
@@ -139,16 +98,6 @@ mod tests {
         assert!(acf(&[1.0], 0).is_none());
         assert!(acf(&[2.0, 2.0, 2.0], 1).is_none(), "constant series");
         assert!(acf(&[1.0, 2.0], 5).is_none(), "lag beyond length");
-    }
-
-    #[test]
-    fn pacf_of_ar1_cuts_off_after_lag_one() {
-        let xs = ar1_series(0.7, 20_000, 3);
-        let p = pacf(&xs, 4).unwrap();
-        assert!((p[0] - 0.7).abs() < 0.05, "lag1 {}", p[0]);
-        for (i, &v) in p[1..].iter().enumerate() {
-            assert!(v.abs() < 0.1, "lag{} {v}", i + 2);
-        }
     }
 
     #[test]

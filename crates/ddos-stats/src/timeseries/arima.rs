@@ -263,66 +263,6 @@ impl ArimaModel {
         integrate(&w_hat, history, spec.d)
     }
 
-    /// ψ-weights of the ARMA part (the MA(∞) expansion): `psi[0] = 1`,
-    /// `psi[j] = θ_j + Σ φ_i·psi[j−i]`. The h-step forecast variance of
-    /// the *differenced* process is `σ² Σ_{j<h} ψ_j²`.
-    fn psi_weights(&self, horizon: usize) -> Vec<f64> {
-        let mut psi = vec![0.0; horizon];
-        if horizon == 0 {
-            return psi;
-        }
-        psi[0] = 1.0;
-        for j in 1..horizon {
-            let mut v = *self.theta.get(j - 1).unwrap_or(&0.0);
-            for (i, &p) in self.phi.iter().enumerate() {
-                if j > i {
-                    v += p * psi[j - 1 - i];
-                }
-            }
-            psi[j] = v;
-        }
-        psi
-    }
-
-    /// Multi-step forecast with symmetric prediction intervals:
-    /// `(lower, point, upper)` per horizon step, at `z` standard errors
-    /// (1.96 ≈ 95%).
-    ///
-    /// Interval widths use the ψ-weight variance of the ARIMA process
-    /// (differencing integrates the weights, so a random-walk model's
-    /// interval grows like √h, as it must).
-    pub fn forecast_with_bounds(
-        &self,
-        history: &[f64],
-        horizon: usize,
-        z: f64,
-    ) -> Option<Vec<(f64, f64, f64)>> {
-        let points = self.forecast(history, horizon)?;
-        // ψ-weights of the differenced (ARMA) process...
-        let mut psi = self.psi_weights(horizon);
-        // ...integrated d times: each integration replaces ψ with its
-        // cumulative sums (the forecast of the original series is a d-fold
-        // cumulative sum of differenced forecasts).
-        for _ in 0..self.spec.d {
-            let mut acc = 0.0;
-            for w in psi.iter_mut() {
-                acc += *w;
-                *w = acc;
-            }
-        }
-        let mut var = 0.0;
-        let out = points
-            .into_iter()
-            .zip(&psi)
-            .map(|(point, &w)| {
-                var += self.sigma2 * w * w;
-                let half = z * var.sqrt();
-                (point - half, point, point + half)
-            })
-            .collect();
-        Some(out)
-    }
-
     /// Rolling one-step-ahead predictions over `test`, conditioning each
     /// step on the *actual* history up to that point (the paper's
     /// evaluation protocol for Figs. 12–13: fit once on the first half,
@@ -657,64 +597,6 @@ mod tests {
             .sum::<f64>()
             / test.len() as f64;
         assert!(mae < 2.0, "mae {mae}");
-    }
-
-    #[test]
-    fn psi_weights_of_ar1_decay_geometrically() {
-        let model = ArimaModel {
-            spec: ArimaSpec::new(1, 0, 0),
-            mean: 0.0,
-            phi: vec![0.8],
-            theta: vec![],
-            sigma2: 1.0,
-        };
-        let psi = model.psi_weights(5);
-        for (j, &w) in psi.iter().enumerate() {
-            assert!((w - 0.8f64.powi(j as i32)).abs() < 1e-12, "psi[{j}] = {w}");
-        }
-    }
-
-    #[test]
-    fn forecast_bounds_widen_with_horizon() {
-        let xs = ar1(0.8, 3_000, 21);
-        let fit = ArimaModel::fit(&xs, ArimaSpec::new(1, 0, 0)).unwrap();
-        let bounds = fit.model.forecast_with_bounds(&xs, 30, 1.96).unwrap();
-        assert_eq!(bounds.len(), 30);
-        for w in bounds.windows(2) {
-            let (w0, w1) = (w[0].2 - w[0].0, w[1].2 - w[1].0);
-            assert!(w1 >= w0 - 1e-9, "interval shrank: {w0} -> {w1}");
-        }
-        // AR(1) interval converges to ±z·σ/√(1−φ²) ≈ ±3.27 for φ=0.8.
-        let last_half = (bounds[29].2 - bounds[29].0) / 2.0;
-        let expected = 1.96 * (fit.model.sigma2 / (1.0 - 0.8f64 * 0.8)).sqrt();
-        assert!(
-            (last_half / expected - 1.0).abs() < 0.15,
-            "{last_half} vs {expected}"
-        );
-        // Bounds bracket the point forecast symmetrically.
-        for &(lo, mid, hi) in &bounds {
-            assert!(lo <= mid && mid <= hi);
-            assert!(((hi - mid) - (mid - lo)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn random_walk_bounds_grow_like_sqrt_h() {
-        let noise = Normal::new(0.0, 1.0);
-        let mut rng = Rng::new(22);
-        let mut x = 0.0;
-        let xs: Vec<f64> = (0..3_000)
-            .map(|_| {
-                x += noise.sample(&mut rng);
-                x
-            })
-            .collect();
-        let fit = ArimaModel::fit(&xs, ArimaSpec::new(0, 1, 0)).unwrap();
-        let bounds = fit.model.forecast_with_bounds(&xs, 100, 1.0).unwrap();
-        let h1 = (bounds[0].2 - bounds[0].0) / 2.0;
-        let h100 = (bounds[99].2 - bounds[99].0) / 2.0;
-        // Random-walk std at horizon 100 is 10x the one-step std.
-        assert!((h100 / h1 - 10.0).abs() < 0.5, "ratio {}", h100 / h1);
     }
 
     #[test]

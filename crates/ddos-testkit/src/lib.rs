@@ -11,7 +11,11 @@
 //! point-wise suites:
 //!
 //! * [`oracle`] — [`baseline_report`], the one independent oracle: the
-//!   whole report assembled from the library's dataset scans.
+//!   whole report assembled from dataset scans that live here, not in
+//!   the library, with the unit tests that hold each pass body to its
+//!   scan.
+//! * [`fixtures`] — the hand-built miniature datasets those tests and
+//!   the library's unit tests share.
 //! * [`variant`] — the lattice itself: a [`Cell`] names one point
 //!   (ingest × build × scheduler × kernels), [`matrix`] enumerates the
 //!   curated 13-cell coverage set, [`matrix_full`] the exhaustive
@@ -34,6 +38,7 @@
 
 pub mod conformance;
 pub mod faults;
+pub mod fixtures;
 pub mod oracle;
 pub mod serve;
 pub mod soak;

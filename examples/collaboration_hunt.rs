@@ -1,16 +1,15 @@
 //! Collaboration hunting (§V, Table VI, Figs. 15–18).
 //!
-//! Detects concurrent collaborations (same target, starts within 60 s,
-//! durations within 30 min, different botnets) and multistage chains,
-//! then prints the Table VI breakdown and the flagship
-//! Dirtjumper×Pandora pairing.
+//! Reads the report's concurrent collaborations (same target, starts
+//! within 60 s, durations within 30 min, different botnets) and
+//! multistage chains, then prints the Table VI breakdown and the
+//! flagship Dirtjumper×Pandora pairing.
 //!
 //! ```sh
 //! cargo run --release --example collaboration_hunt
 //! ```
 
-use ddos_analytics::collab::concurrent::{CollabAnalysis, PairFocus};
-use ddos_analytics::collab::multistage::MultistageAnalysis;
+use ddos_analytics::AnalysisReport;
 use ddos_schema::Family;
 use ddos_sim::{generate, SimConfig};
 
@@ -20,9 +19,9 @@ fn main() {
         scale: 0.2,
         ..SimConfig::default()
     });
-    let ds = &trace.dataset;
+    let report = AnalysisReport::run(&trace.dataset);
 
-    let collab = CollabAnalysis::compute(ds);
+    let collab = &report.collaborations;
     println!("== concurrent collaborations (Table VI) ==");
     println!(
         "{} qualifying pairs clustered into {} events\n",
@@ -44,7 +43,7 @@ fn main() {
         println!("\ndirtjumper: {avg:.2} botnets per event on average (paper 2.19)");
     }
 
-    if let Some(focus) = PairFocus::compute(ds, &collab, Family::Dirtjumper, Family::Pandora) {
+    if let Some(focus) = &report.flagship_pair {
         println!("\n== dirtjumper x pandora (Fig. 16) ==");
         println!(
             "{} events | {} unique targets | {} countries | {} orgs | {} ASes",
@@ -60,7 +59,7 @@ fn main() {
         );
     }
 
-    let chains = MultistageAnalysis::compute(ds);
+    let chains = &report.multistage;
     println!("\n== multistage chains (§V-B) ==");
     println!(
         "{} chains over {} chained attacks; families: {:?}",

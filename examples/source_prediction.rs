@@ -1,16 +1,16 @@
 //! Source prediction walkthrough (§IV-A, Table IV, Figs. 12–13).
 //!
-//! Computes a family's geolocation dispersion series, fits an ARIMA
-//! model on the first half, and prints rolling one-step predictions for
-//! the held-out half next to the ground truth.
+//! Runs the report with the chosen ARIMA order, then prints a family's
+//! geolocation dispersion series and its Table IV row: the model fitted
+//! on the first half, and rolling one-step predictions for the held-out
+//! half next to the ground truth.
 //!
 //! ```sh
 //! cargo run --release --example source_prediction [family] [p d q]
 //! ```
 
-use ddos_analytics::source::dispersion::FamilyDispersion;
-use ddos_analytics::source::prediction::predict_family;
-use ddos_analytics::util::BotIndex;
+use ddos_analytics::source::dispersion::MIN_ACTIVE_DAYS;
+use ddos_analytics::Analysis;
 use ddos_schema::Family;
 use ddos_sim::{generate, SimConfig};
 use ddos_stats::ArimaSpec;
@@ -31,18 +31,25 @@ fn main() {
         scale: 0.2,
         ..SimConfig::default()
     });
-    let bots = BotIndex::build(&trace.dataset);
+    let report = Analysis::new(&trace.dataset).spec(spec).run();
 
-    let dispersion = FamilyDispersion::compute(&trace.dataset, &bots, family);
-    println!(
-        "{family}: {} dispersion snapshots over {} active days; {:.1}% symmetric",
-        dispersion.series.len(),
-        dispersion.active_days,
-        dispersion.symmetric_fraction() * 100.0
-    );
+    match report.dispersion.iter().find(|d| d.family == family) {
+        Some(dispersion) => println!(
+            "{family}: {} dispersion snapshots over {} active days; {:.1}% symmetric",
+            dispersion.series.len(),
+            dispersion.active_days,
+            dispersion.symmetric_fraction() * 100.0
+        ),
+        None => println!("{family}: active on fewer than {MIN_ACTIVE_DAYS} days (not in Fig. 9)"),
+    }
 
-    match predict_family(&trace.dataset, &bots, family, spec) {
-        Ok(row) => {
+    let excluded = report
+        .prediction
+        .excluded
+        .iter()
+        .find(|&&(f, _)| f == family);
+    match (report.prediction.row(family), excluded) {
+        (Some(row), _) => {
             let e = &row.forecast.eval;
             println!("\nmodel: {spec}");
             println!(
@@ -63,9 +70,10 @@ fn main() {
                 );
             }
         }
-        Err(why) => {
+        (None, Some((_, why))) => {
             println!("\n{family} is excluded from prediction: {why:?}");
             println!("(the paper excludes Darkshell for the same reason)");
         }
+        (None, None) => println!("\n{family} is not an active family"),
     }
 }

@@ -7,8 +7,8 @@
 //! cargo run --release --example target_profiling [family]
 //! ```
 
-use ddos_analytics::target::country::{all_profiles, overall_top_countries};
 use ddos_analytics::target::organization::{widest_presence, OrgAnalysis};
+use ddos_analytics::AnalysisReport;
 use ddos_schema::Family;
 use ddos_sim::{generate, SimConfig};
 
@@ -24,9 +24,10 @@ fn main() {
         ..SimConfig::default()
     });
     let ds = &trace.dataset;
+    let report = AnalysisReport::run(ds);
 
     println!("== Table V: country-level preferences ==");
-    for profile in all_profiles(ds) {
+    for profile in &report.target_countries {
         if profile.by_country.is_empty() {
             continue;
         }
@@ -44,7 +45,7 @@ fn main() {
     }
 
     println!("\noverall top victims:");
-    for (cc, n) in overall_top_countries(ds, 5) {
+    for (cc, n) in &report.overall_targets {
         println!("  {cc}: {n}");
     }
 

@@ -1,22 +1,30 @@
 //! Invariant checks: every structured result the analyses report must
 //! internally satisfy the rules it claims to implement, on a full
-//! generated trace and on adversarial hand-built datasets.
+//! generated trace. Each check reads its section of one report.
 
-use ddos_analytics::collab::concurrent::{CollabAnalysis, DURATION_WINDOW_S, START_WINDOW_S};
-use ddos_analytics::collab::multistage::{MultistageAnalysis, CHAIN_MARGIN_S};
-use ddos_analytics::defense::BlacklistSim;
-use ddos_analytics::overview::daily::DailyDistribution;
-use ddos_analytics::target::recurrence::{RecurrenceAnalysis, MIN_TRAIN_LEN};
+use std::sync::OnceLock;
+
+use ddos_analytics::collab::concurrent::{DURATION_WINDOW_S, START_WINDOW_S};
+use ddos_analytics::collab::multistage::CHAIN_MARGIN_S;
+use ddos_analytics::defense::latency_sweep_from_durations;
+use ddos_analytics::target::recurrence::MIN_TRAIN_LEN;
 use ddos_analytics::util::BotIndex;
+use ddos_analytics::AnalysisReport;
 use ddos_geo::distance_km;
 use ddos_schema::Family;
 // The canonical small trace is generated once per process by the
 // testkit and shared with every other suite that analyzes it.
 use ddos_testkit::small_dataset as ds;
 
+/// The report of the canonical small trace, with the default options.
+fn report() -> &'static AnalysisReport {
+    static REPORT: OnceLock<AnalysisReport> = OnceLock::new();
+    REPORT.get_or_init(|| AnalysisReport::run(ds()))
+}
+
 #[test]
 fn every_collab_pair_satisfies_the_rule() {
-    let c = CollabAnalysis::compute(ds());
+    let c = &report().collaborations;
     let attacks = ds().attacks();
     assert!(!c.pairs.is_empty());
     for p in &c.pairs {
@@ -36,7 +44,7 @@ fn every_collab_pair_satisfies_the_rule() {
 
 #[test]
 fn collab_events_partition_their_members() {
-    let c = CollabAnalysis::compute(ds());
+    let c = &report().collaborations;
     let mut seen = std::collections::HashSet::new();
     for e in &c.events {
         assert!(e.attacks.len() >= 2);
@@ -53,7 +61,7 @@ fn collab_events_partition_their_members() {
 
 #[test]
 fn every_chain_link_satisfies_the_margin() {
-    let m = MultistageAnalysis::compute(ds());
+    let m = &report().multistage;
     let attacks = ds().attacks();
     assert!(!m.chains.is_empty());
     let mut seen = std::collections::HashSet::new();
@@ -78,7 +86,7 @@ fn every_chain_link_satisfies_the_margin() {
 
 #[test]
 fn concurrency_events_share_exact_starts() {
-    let c = ddos_analytics::overview::intervals::ConcurrencyAnalysis::compute(ds());
+    let c = &report().concurrency;
     let attacks = ds().attacks();
     for e in c.single_family_events.iter().chain(&c.multi_family_events) {
         assert!(e.attacks.len() >= 2);
@@ -120,14 +128,14 @@ fn dispersion_is_bounded_by_geometry() {
 
 #[test]
 fn daily_counts_conserve_attacks() {
-    let d = DailyDistribution::compute(ds());
+    let d = &report().daily;
     let total: usize = d.counts.iter().sum();
     assert_eq!(total, ds().len(), "every attack starts inside the window");
 }
 
 #[test]
 fn recurrence_trains_are_sorted_and_sized() {
-    let r = RecurrenceAnalysis::compute(ds(), None);
+    let r = &report().recurrence;
     assert!(!r.trains.is_empty());
     for train in &r.trains {
         assert!(train.len() >= MIN_TRAIN_LEN);
@@ -144,7 +152,7 @@ fn recurrence_trains_are_sorted_and_sized() {
 
 #[test]
 fn blacklist_rounds_and_coverage_are_sane() {
-    let sim = BlacklistSim::run(ds());
+    let sim = &report().blacklist;
     assert!(!sim.hits.is_empty());
     for h in &sim.hits {
         assert!((0.0..=1.0).contains(&h.coverage), "coverage {}", h.coverage);
@@ -173,10 +181,10 @@ fn interval_stats_are_internally_consistent() {
 
 #[test]
 fn latency_sweep_is_monotone_on_real_data() {
-    let sweep = ddos_analytics::defense::detection_latency_sweep(
-        ds(),
-        &[0.0, 60.0, 600.0, 3_600.0, 14_400.0, 86_400.0],
-    );
+    let durations = report().durations.as_ref().unwrap();
+    let durations: Vec<f64> = durations.series.iter().map(|&(_, d)| d).collect();
+    let sweep =
+        latency_sweep_from_durations(&durations, &[0.0, 60.0, 600.0, 3_600.0, 14_400.0, 86_400.0]);
     assert_eq!(sweep[0].mitigable_fraction, 1.0);
     for w in sweep.windows(2) {
         assert!(w[0].mitigable_fraction >= w[1].mitigable_fraction);
@@ -205,7 +213,7 @@ fn asn_analysis_is_consistent_with_summary() {
 
 #[test]
 fn activity_levels_rank_dirtjumper_first() {
-    let levels = ddos_analytics::overview::activity::activity_levels(ds());
+    let levels = &report().activity;
     assert_eq!(levels[0].family, Family::Dirtjumper);
     // Dirtjumper is constantly active (duty near 1.0 at any scale).
     assert!(levels[0].duty_cycle > 0.8, "{}", levels[0].duty_cycle);

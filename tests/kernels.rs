@@ -32,8 +32,8 @@ fn report_json(ds: &ddos_schema::Dataset, kernels: KernelPolicy, parallel: bool)
 proptest! {
     // Trace generation and six full pipeline runs per case dominate the
     // cost; a handful of configurations across seeds, scales, and
-    // injection toggles covers the bodies (the unit tests in each module
-    // already pin crafted fixtures against their dataset scans).
+    // injection toggles covers the bodies (the testkit's oracle unit
+    // tests already pin crafted fixtures against the dataset scans).
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The default report and every forced job length — including 1 and
@@ -76,9 +76,9 @@ proptest! {
     }
 
     /// The sort-sweep concurrent-attack detector reproduces the
-    /// pairwise dataset scan exactly on arbitrary traces (the unit
-    /// suite pins crafted chain/window fixtures; this covers simulated
-    /// collaboration injection).
+    /// oracle's pairwise dataset scan exactly on arbitrary traces (the
+    /// testkit's unit suite pins crafted chain/window fixtures; this
+    /// covers simulated collaboration injection).
     #[test]
     fn sweep_matches_pairwise_on_arbitrary_traces(
         seed in 0u64..(1u64 << 48),
@@ -95,7 +95,8 @@ proptest! {
         let trace = generate(&cfg);
         let ctx = AnalysisContext::new(&trace.dataset);
         let sweep = CollabAnalysis::compute_ctx(&ctx);
-        let pairwise = CollabAnalysis::compute(&trace.dataset);
+        let pairwise =
+            ddos_testkit::baseline_report(&trace.dataset, ArimaSpec::DEFAULT).collaborations;
         prop_assert_eq!(
             serde_json::to_string(&sweep).expect("collab serializes"),
             serde_json::to_string(&pairwise).expect("collab serializes")

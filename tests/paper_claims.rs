@@ -4,24 +4,21 @@
 //! These assertions are deliberately *bands*, not exact numbers: the
 //! trace is synthetic and scaled down (20% volume here), so we verify
 //! who wins, rough factors, and where crossovers fall — the same bar
-//! EXPERIMENTS.md applies to the full-scale run.
+//! EXPERIMENTS.md applies to the full-scale run. Each claim reads its
+//! section of one report of the trace, as `repro` does.
 
 use std::sync::OnceLock;
 
-use ddos_analytics::collab::concurrent::{CollabAnalysis, PairFocus};
-use ddos_analytics::collab::multistage::MultistageAnalysis;
 use ddos_analytics::overview::daily::DailyDistribution;
-use ddos_analytics::overview::duration::DurationAnalysis;
-use ddos_analytics::overview::intervals::{self, ConcurrencyAnalysis};
+use ddos_analytics::overview::intervals;
 use ddos_analytics::source::dispersion::FamilyDispersion;
-use ddos_analytics::source::prediction::{predict_family, Exclusion};
-use ddos_analytics::source::shift::ShiftAnalysis;
-use ddos_analytics::target::country::{overall_top_countries, FamilyCountryProfile};
+use ddos_analytics::source::prediction::Exclusion;
+use ddos_analytics::target::country::FamilyCountryProfile;
 use ddos_analytics::target::organization::widest_presence;
 use ddos_analytics::util::BotIndex;
-use ddos_schema::{Dataset, Family};
+use ddos_analytics::AnalysisReport;
+use ddos_schema::{AttackRecord, Dataset, Family};
 use ddos_sim::{generate, GeneratedTrace, SimConfig};
-use ddos_stats::ArimaSpec;
 
 /// A 20%-scale trace: big enough for the statistical claims, small
 /// enough for CI.
@@ -39,16 +36,35 @@ fn ds() -> &'static Dataset {
     &trace().dataset
 }
 
-fn bots() -> &'static BotIndex {
-    static IDX: OnceLock<BotIndex> = OnceLock::new();
-    IDX.get_or_init(|| BotIndex::build(ds()))
+/// The report of the 20% trace, with the default options.
+fn report() -> &'static AnalysisReport {
+    static REPORT: OnceLock<AnalysisReport> = OnceLock::new();
+    REPORT.get_or_init(|| AnalysisReport::run(ds()))
+}
+
+/// One qualifying family's dispersion series (Fig. 9).
+fn dispersion(family: Family) -> &'static FamilyDispersion {
+    report()
+        .dispersion
+        .iter()
+        .find(|d| d.family == family)
+        .unwrap_or_else(|| panic!("{family} qualifies for Fig. 9"))
+}
+
+/// One family's Table V profile.
+fn country_profile(family: Family) -> &'static FamilyCountryProfile {
+    report()
+        .target_countries
+        .iter()
+        .find(|p| p.family == family)
+        .unwrap_or_else(|| panic!("{family} has a Table V profile"))
 }
 
 // ---------------------------------------------------------------- §III-A
 
 #[test]
 fn daily_peak_is_the_dirtjumper_spike_day() {
-    let d = DailyDistribution::compute(ds());
+    let d = &report().daily;
     let (day, peak) = d.peak().unwrap();
     // §III-A: the max day is 2012-08-30 (day index 1), Dirtjumper-driven.
     assert_eq!(day, 1, "peak on day {day}");
@@ -56,13 +72,14 @@ fn daily_peak_is_the_dirtjumper_spike_day() {
         peak as f64 > 3.0 * d.mean_per_day(),
         "peak {peak} not an outlier"
     );
-    let dj = DailyDistribution::compute_for(ds(), Family::Dirtjumper);
+    let dirtjumper: Vec<AttackRecord> = ds().attacks_of(Family::Dirtjumper).cloned().collect();
+    let dj = DailyDistribution::of_attacks(ds().window(), &dirtjumper);
     assert_eq!(dj.peak().unwrap().0, 1);
 }
 
 #[test]
 fn no_weekly_periodicity() {
-    let d = DailyDistribution::compute(ds());
+    let d = &report().daily;
     // §III-A: no diurnal/weekly pattern. Lag-7 autocorrelation ≈ 0.
     let ac = d.autocorrelation(7).unwrap();
     assert!(ac.abs() < 0.35, "lag-7 autocorrelation {ac}");
@@ -113,7 +130,7 @@ fn interval_modes_match_fig_4() {
 
 #[test]
 fn concurrency_split_single_vs_multi_family() {
-    let c = ConcurrencyAnalysis::compute(ds());
+    let c = &report().concurrency;
     let single = c.single_family_events.len();
     let multi = c.multi_family_events.len();
     // Paper full scale: 3,692 vs 956 (ratio ≈ 3.9). At 20% scale we
@@ -130,8 +147,7 @@ fn concurrency_split_single_vs_multi_family() {
 
 #[test]
 fn dirtjumper_partners_dominate_multi_family_events() {
-    let c = ConcurrencyAnalysis::compute(ds());
-    let pairs = c.pair_counts();
+    let pairs = report().concurrency.pair_counts();
     // §III-B: the two most common combinations are Dirtjumper with
     // Blackenergy and Dirtjumper with Pandora.
     assert!(pairs.len() >= 2);
@@ -159,7 +175,7 @@ fn dirtjumper_partners_dominate_multi_family_events() {
 
 #[test]
 fn durations_are_heavy_tailed_with_four_hour_p80() {
-    let d = DurationAnalysis::compute(ds()).unwrap();
+    let d = report().durations.as_ref().unwrap();
     // Paper: mean 10,308 s vs median 1,766 s (heavy right tail).
     assert!(
         d.mean > 2.0 * d.median,
@@ -181,8 +197,7 @@ fn durations_are_heavy_tailed_with_four_hour_p80() {
 
 #[test]
 fn sources_are_regionalized() {
-    let s = ShiftAnalysis::compute(ds(), bots());
-    let ratio = s.regionalization_ratio().unwrap();
+    let ratio = report().shifts.regionalization_ratio().unwrap();
     // Fig. 8 plots existing-country shifts on a 10^4 axis and
     // new-country shifts on 10^3: about an order of magnitude apart.
     assert!(ratio > 5.0, "regionalization ratio {ratio}");
@@ -190,9 +205,9 @@ fn sources_are_regionalized() {
 
 #[test]
 fn symmetric_fractions_match_the_paper_ordering() {
-    let pandora = FamilyDispersion::compute(ds(), bots(), Family::Pandora);
-    let blackenergy = FamilyDispersion::compute(ds(), bots(), Family::Blackenergy);
-    let dirtjumper = FamilyDispersion::compute(ds(), bots(), Family::Dirtjumper);
+    let pandora = dispersion(Family::Pandora);
+    let blackenergy = dispersion(Family::Blackenergy);
+    let dirtjumper = dispersion(Family::Dirtjumper);
     // §IV-A: 76.7% for Pandora, 89.5% for Blackenergy; Fig. 9 shows >40%
     // zeros for Dirtjumper.
     assert!(
@@ -215,8 +230,8 @@ fn symmetric_fractions_match_the_paper_ordering() {
 
 #[test]
 fn pandora_dispersion_is_smaller_than_blackenergy() {
-    let pandora = FamilyDispersion::compute(ds(), bots(), Family::Pandora);
-    let blackenergy = FamilyDispersion::compute(ds(), bots(), Family::Blackenergy);
+    let pandora = dispersion(Family::Pandora);
+    let blackenergy = dispersion(Family::Blackenergy);
     let pm = pandora.asymmetric_mean().unwrap();
     let bm = blackenergy.asymmetric_mean().unwrap();
     // Fig. 10 vs Fig. 11: Pandora ≈ 566 km, Blackenergy ≈ 4,304 km —
@@ -229,7 +244,9 @@ fn dirtjumper_prediction_is_accurate() {
     // Table IV: similarity 0.848 for Dirtjumper at full scale. At 20%
     // the series is ~6,900 values; the fitted model must stay well above
     // an uninformed baseline.
-    let row = predict_family(ds(), bots(), Family::Dirtjumper, ArimaSpec::DEFAULT)
+    let row = report()
+        .prediction
+        .row(Family::Dirtjumper)
         .expect("dirtjumper qualifies");
     assert!(
         row.forecast.eval.cosine > 0.70,
@@ -249,20 +266,26 @@ fn dirtjumper_prediction_is_accurate() {
 #[test]
 fn sparse_families_are_excluded_from_prediction() {
     // Darkshell: the paper drops it ("not enough data points").
-    let err = predict_family(ds(), bots(), Family::Darkshell, ArimaSpec::DEFAULT).unwrap_err();
+    let p = &report().prediction;
+    let err = p
+        .excluded
+        .iter()
+        .find(|&&(f, _)| f == Family::Darkshell)
+        .map(|&(_, why)| why)
+        .expect("darkshell is excluded");
     assert!(matches!(
         err,
         Exclusion::TooFewActiveDays { .. } | Exclusion::SeriesTooShort { .. }
     ));
     // Aldibot has almost no attacks at all.
-    assert!(predict_family(ds(), bots(), Family::Aldibot, ArimaSpec::DEFAULT).is_err());
+    assert!(p.row(Family::Aldibot).is_none());
 }
 
 // ---------------------------------------------------------------- §IV-B
 
 #[test]
 fn top_victim_countries_match_table_v() {
-    let top = overall_top_countries(ds(), 5);
+    let top = &report().overall_targets;
     let codes: Vec<&str> = top.iter().map(|(cc, _)| cc.as_str()).collect();
     // Paper: USA, Russia, Germany, Ukraine, Netherlands (in that order).
     assert_eq!(codes[0], "US", "top5 {codes:?}");
@@ -284,7 +307,7 @@ fn family_favourites_match_table_v() {
         // EXPERIMENTS.md instead).
         (Family::Pandora, "RU"),
     ] {
-        let p = FamilyCountryProfile::compute(ds(), family);
+        let p = country_profile(family);
         assert_eq!(
             p.favourite().unwrap().as_str(),
             fav,
@@ -300,7 +323,7 @@ fn family_favourites_match_table_v() {
         (Family::Yzf, "RU", 2),
         (Family::Blackenergy, "NL", 3),
     ] {
-        let p = FamilyCountryProfile::compute(ds(), family);
+        let p = country_profile(family);
         let top: Vec<&str> = p.top(k).iter().map(|(cc, _)| cc.as_str()).collect();
         assert!(top.contains(&fav), "{family}: {fav} not in top {k} {top:?}");
     }
@@ -317,7 +340,7 @@ fn dirtjumper_attacks_the_most_organizations() {
 
 #[test]
 fn collaboration_structure_matches_table_vi() {
-    let c = CollabAnalysis::compute(ds());
+    let c = &report().collaborations;
     // Dirtjumper has the most intra-family pairs.
     let dj = *c.intra_pairs.get(&Family::Dirtjumper).unwrap_or(&0);
     assert!(dj > 0);
@@ -341,8 +364,7 @@ fn collaboration_structure_matches_table_vi() {
 
 #[test]
 fn flagship_pair_has_paper_like_shape() {
-    let c = CollabAnalysis::compute(ds());
-    let focus = PairFocus::compute(ds(), &c, Family::Dirtjumper, Family::Pandora).unwrap();
+    let focus = report().flagship_pair.as_ref().unwrap();
     // §V-A: 96 unique targets in 16 countries at full scale — scaled
     // down here, but plural on both axes.
     assert!(
@@ -372,7 +394,7 @@ fn flagship_pair_has_paper_like_shape() {
 
 #[test]
 fn chains_are_intra_family_and_in_the_right_families() {
-    let m = MultistageAnalysis::compute(ds());
+    let m = &report().multistage;
     assert!(!m.chains.is_empty());
     let intra = m.chains.iter().filter(|c| c.is_intra_family()).count();
     // §V-B: "only intra-family collaborations were involved".
@@ -405,7 +427,7 @@ fn chains_are_intra_family_and_in_the_right_families() {
 
 #[test]
 fn activity_levels_quantify_s3a() {
-    let levels = ddos_analytics::overview::activity::activity_levels(ds());
+    let levels = &report().activity;
     assert_eq!(levels[0].family, Family::Dirtjumper);
     let be = levels
         .iter()
@@ -421,7 +443,7 @@ fn activity_levels_quantify_s3a() {
 
 #[test]
 fn next_attack_prediction_is_usable() {
-    let r = ddos_analytics::target::recurrence::RecurrenceAnalysis::compute(ds(), None);
+    let r = &report().recurrence;
     assert!(r.outcomes.len() > 50, "{} outcomes", r.outcomes.len());
     // Accuracy must be judged against each target's own attack cadence
     // (per-target gaps span minutes to weeks): count predictions that
@@ -441,7 +463,7 @@ fn next_attack_prediction_is_usable() {
 
 #[test]
 fn blacklist_warmup_pays_off() {
-    let sim = ddos_analytics::defense::BlacklistSim::run(ds());
+    let sim = &report().blacklist;
     let mean = sim.mean_coverage().unwrap();
     // Bot pools persist per family, so repeat attacks reuse sources.
     assert!(mean > 0.2, "mean coverage {mean}");
@@ -455,7 +477,7 @@ fn blacklist_warmup_pays_off() {
 
 #[test]
 fn takedown_priority_is_front_loaded() {
-    let steps = ddos_analytics::defense::takedown_priority(ds(), bots(), 10);
+    let steps = ddos_analytics::defense::takedown_priority(ds(), &BotIndex::build(ds()), 10);
     assert!(steps.len() >= 5);
     // Regionalization (Fig. 8): the top three countries host most of the
     // attack participation.
@@ -465,8 +487,7 @@ fn takedown_priority_is_front_loaded() {
 
 #[test]
 fn chain_gaps_match_fig_17() {
-    let m = MultistageAnalysis::compute(ds());
-    let cdf = m.gap_cdf().unwrap();
+    let cdf = report().multistage.gap_cdf().unwrap();
     // Fig. 17: ≈65% under 10 s, ≈80% under 30 s.
     assert!(cdf.eval(10.0) > 0.5, "under-10s {}", cdf.eval(10.0));
     assert!(cdf.eval(30.0) > 0.7, "under-30s {}", cdf.eval(30.0));
