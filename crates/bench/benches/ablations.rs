@@ -22,7 +22,6 @@ fn main() {
     ablation_dispersion_metric();
     ablation_arima_order(&report);
     ablation_collab_window(&report);
-    ablation_index_vs_scan();
     println!("=== ablations done ===");
 }
 
@@ -144,32 +143,4 @@ fn ablation_collab_window(report: &AnalysisReport) {
         println!("start window {window_s:>4}s: {candidates} same-target candidate pairs");
     }
     println!();
-}
-
-/// Dataset index vs linear scan for per-target lookups.
-fn ablation_index_vs_scan() {
-    let ds = &bench_trace().dataset;
-    let targets = ds.targets();
-    let sample: Vec<_> = targets.iter().step_by(targets.len() / 200 + 1).collect();
-    println!(
-        "-- per-target lookup: index vs linear scan ({} targets) --",
-        sample.len()
-    );
-    let t0 = Instant::now();
-    let mut hits = 0usize;
-    for &&t in &sample {
-        hits += ds.attacks_on(t).count();
-    }
-    let indexed = t0.elapsed();
-    let t1 = Instant::now();
-    let mut hits_scan = 0usize;
-    for &&t in &sample {
-        hits_scan += ds.attacks().iter().filter(|a| a.target_ip == t).count();
-    }
-    let scanned = t1.elapsed();
-    assert_eq!(hits, hits_scan);
-    println!(
-        "indexed {indexed:?} vs scan {scanned:?} ({:.0}x speedup, {hits} attacks touched)\n",
-        scanned.as_secs_f64() / indexed.as_secs_f64().max(1e-9)
-    );
 }

@@ -25,9 +25,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use ddos_schema::hashing::FastMap;
 use ddos_schema::{AttackRecord, IpAddr4};
-
-use crate::util::IpMap;
 
 /// Sentinel "row" for source IPs absent from the `Botlist`.
 pub const NO_BOT: u32 = u32::MAX;
@@ -319,7 +318,7 @@ impl SourceTable {
         &mut self,
         attacks: &[AttackRecord],
         fresh: usize,
-        index: &IpMap<u32>,
+        index: &FastMap<IpAddr4, u32>,
         caches: &mut [ResolveCache],
     ) -> usize {
         let first = self.unresolved.len();
@@ -564,7 +563,7 @@ mod tests {
             table.intern(ip(last), true);
         }
         let mut caches = vec![ResolveCache::default(); workers];
-        table.append_attacks(ds.attacks(), 0, &IpMap::default(), &mut caches);
+        table.append_attacks(ds.attacks(), 0, &FastMap::default(), &mut caches);
         table
     }
 

@@ -33,7 +33,7 @@
 //!   (the roster's last-wins rule), and a source-only IP is promoted in
 //!   place. The survivor's trigonometry comes from its own coordinates,
 //!   so its cached bits match whatever the partition.
-//! * Known IPs are found through an `IpMap` index of the earlier
+//! * Known IPs are found through a `FastMap` index of the earlier
 //!   appends' ids. The second append builds it, and each later append
 //!   first indexes the ids of the one before, so a one-epoch fold never
 //!   builds it.
@@ -74,6 +74,7 @@ use std::borrow::Cow;
 
 use ddos_geo::{KernelCounters, PointTrig};
 use ddos_obs::Obs;
+use ddos_schema::hashing::FastMap;
 use ddos_schema::{
     AttackRecord, BotRecord, CountryCode, Dataset, DatasetShard, DatasetSummary, Family, IpAddr4,
     LatLon, SummarySets, Timestamp, Window,
@@ -88,7 +89,6 @@ use crate::context::{
     AnalysisContext, FamilyContext, OpenWeek, Resolver, TargetTimeline, WeekMarks, WeekStamp,
 };
 use crate::kernels::KernelPolicy;
-use crate::util::IpMap;
 
 /// The country of a source-only id's placeholder row (never read: the
 /// id's bot row is [`NO_BOT`]).
@@ -163,7 +163,7 @@ impl BotColumns {
     fn join(
         &mut self,
         shard: &DatasetShard<'_>,
-        index: &IpMap<u32>,
+        index: &FastMap<IpAddr4, u32>,
         sources: &mut SourceTable,
     ) -> (usize, Vec<u32>) {
         let mut keys: Vec<u64> = shard
@@ -248,7 +248,7 @@ pub struct EpochContext {
     timelines: Vec<TargetTimeline>,
     /// IP → dictionary id for the ids of the earlier appends: empty
     /// through the first append, then caught up at the start of each.
-    index: IpMap<u32>,
+    index: FastMap<IpAddr4, u32>,
     sources: SourceTable,
     bots: BotColumns,
     /// One per [`Family::ACTIVE`] entry, in final shape.
@@ -279,7 +279,7 @@ impl EpochContext {
             durations: Vec::new(),
             starts: Vec::new(),
             timelines: Vec::new(),
-            index: IpMap::default(),
+            index: FastMap::default(),
             sources: SourceTable::default(),
             bots: BotColumns::default(),
             families: Family::ACTIVE
@@ -404,9 +404,11 @@ impl EpochContext {
     }
 
     /// Resolves the covered attacks past `attack_base` family by family
-    /// and merges them into the family slots. A family with a
+    /// and merges them into the family slots. One pass over the epoch's
+    /// attacks cuts each family's slice of it. A family with a
     /// `reresolved` attack is cleared first and resolves all of its
-    /// covered attacks instead.
+    /// covered attacks instead, so the pass then starts at the first
+    /// covered attack.
     fn resolve_families(
         &mut self,
         dataset: &Dataset,
@@ -415,26 +417,33 @@ impl EpochContext {
         kernel: &KernelCounters,
         obs: &Obs,
     ) {
-        let attack_end = self.len();
+        let attacks = &dataset.attacks()[..self.len()];
         let mut dirty = [false; Family::ACTIVE.len()];
         for &i in reresolved {
-            let family = dataset.attacks()[i as usize].family;
+            let family = attacks[i as usize].family;
             if family.is_active() {
                 dirty[family.index()] = true;
             }
         }
+        let first = if dirty.contains(&true) {
+            0
+        } else {
+            attack_base
+        };
+        let mut todo: Vec<Vec<u32>> = vec![Vec::new(); Family::ACTIVE.len()];
+        for (i, a) in (first..).zip(&attacks[first..]) {
+            let slot = a.family.index();
+            if a.family.is_active() && (i >= attack_base || dirty[slot]) {
+                todo[slot].push(i as u32);
+            }
+        }
         let workers = self.stamps.len();
         let mut jobs: Vec<(usize, &[u32])> = Vec::new();
-        for (slot, family) in Family::ACTIVE.into_iter().enumerate() {
-            let all = dataset.attack_indices_of(family);
-            let all = &all[..all.partition_point(|&i| (i as usize) < attack_end)];
-            let todo = if dirty[slot] {
+        for (slot, todo) in todo.iter().enumerate() {
+            if dirty[slot] {
                 self.families[slot].clear();
                 self.open[slot] = OpenWeek::default();
-                all
-            } else {
-                &all[all.partition_point(|&i| (i as usize) < attack_base)..]
-            };
+            }
             let pieces = match self.policy {
                 KernelPolicy::Auto => workers,
                 KernelPolicy::Chunked(len) => todo.len().div_ceil(len.max(1)),

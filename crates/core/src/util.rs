@@ -1,68 +1,24 @@
 //! Shared joins and helpers used across the analyses.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
-
+use ddos_schema::hashing::FastMap;
 use ddos_schema::{CountryCode, Dataset, IpAddr4, LatLon};
-
-/// A hasher specialized for [`IpAddr4`] keys (a `u32` newtype): one
-/// Fibonacci multiply plus an xor-shift, instead of SipHash. The context
-/// build and the defense simulations perform millions of IP map
-/// operations per trace; HashDoS resistance buys nothing against a fixed
-/// research dataset, so they trade it for throughput.
-///
-/// Hash maps keyed this way have a different iteration order than
-/// SipHash maps — only use [`IpMap`]/[`IpSet`] where results are
-/// independent of iteration order (membership tests, or maps that get
-/// sorted before anything order-sensitive reads them).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IpHasher(u64);
-
-impl Hasher for IpHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // Mix the previous state in so composite keys still distribute.
-        let x = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 29);
-    }
-}
-
-/// Hash map keyed by [`IpAddr4`] using [`IpHasher`].
-pub type IpMap<V> = HashMap<IpAddr4, V, BuildHasherDefault<IpHasher>>;
-
-/// Hash set of [`IpAddr4`] using [`IpHasher`].
-pub type IpSet = HashSet<IpAddr4, BuildHasherDefault<IpHasher>>;
 
 /// The `Botlist` join: bot IP → (country, coordinates).
 ///
 /// Built once and shared; the source analyses resolve every attack's
 /// participants through it (the paper's feed geolocates at collection
-/// time, so the mapping is stable — §II-D). Keyed through [`IpMap`] —
-/// this is exactly the hot map [`IpHasher`] was built for; lookups are
-/// membership-style and never iterate, so the hasher's different
-/// iteration order is unobservable.
+/// time, so the mapping is stable — §II-D). Keyed through a
+/// [`FastMap`]: lookups are membership-style and never iterate, so the
+/// fast hasher's different iteration order is unobservable.
 #[derive(Debug, Clone, Default)]
 pub struct BotIndex {
-    map: IpMap<(CountryCode, LatLon)>,
+    map: FastMap<IpAddr4, (CountryCode, LatLon)>,
 }
 
 impl BotIndex {
     /// Builds the index from a dataset's bot records.
     pub fn build(ds: &Dataset) -> BotIndex {
-        let mut map = IpMap::with_capacity_and_hasher(ds.bots().len(), Default::default());
+        let mut map = FastMap::with_capacity_and_hasher(ds.bots().len(), Default::default());
         for bot in ds.bots() {
             map.insert(bot.ip, (bot.location.country, bot.location.coords));
         }
@@ -131,33 +87,6 @@ mod tests {
         assert_eq!(coords.lat, 55.0);
         assert!(idx.lookup(other).is_none());
         assert_eq!(idx.coords_of(&[ip, other]).len(), 1);
-    }
-
-    #[test]
-    fn ip_hasher_distributes_and_mixes_state() {
-        use std::hash::Hash;
-        // Same key → same hash; different keys → (here) different hashes.
-        let hash_of = |ip: IpAddr4| {
-            let mut h = IpHasher::default();
-            ip.hash(&mut h);
-            h.finish()
-        };
-        let a = IpAddr4::from_octets(203, 0, 113, 1);
-        let b = IpAddr4::from_octets(203, 0, 113, 2);
-        assert_eq!(hash_of(a), hash_of(a));
-        assert_ne!(hash_of(a), hash_of(b));
-
-        // The map behaves like a std map for membership.
-        let mut set = IpSet::default();
-        assert!(set.insert(a));
-        assert!(!set.insert(a));
-        assert!(set.contains(&a));
-        assert!(!set.contains(&b));
-        let mut map: IpMap<u32> = IpMap::default();
-        map.insert(a, 1);
-        map.insert(b, 2);
-        assert_eq!(map.get(&a), Some(&1));
-        assert_eq!(map.len(), 2);
     }
 
     #[test]

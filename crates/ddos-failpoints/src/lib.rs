@@ -2,17 +2,17 @@
 //!
 //! Hot paths (ingest, the epoch fold, the pass scheduler) consult named
 //! *failpoints* — [`check`] calls keyed by the constants in [`names`] —
-//! and a test installs a seeded [`FailPlan`] describing which hits of
-//! which failpoint should fail. The injected failure surfaces to the
+//! and a test installs a [`FailPlan`] describing which hits of which
+//! failpoint should fail. The injected failure surfaces to the
 //! caller as an ordinary `Err` through the crate-local error type of
 //! whichever layer hit it; nothing here panics or unwinds.
 //!
 //! Three properties the testkit relies on:
 //!
-//! * **Deterministic** — a plan is a pure function of its builder calls
-//!   and seed. `fail_nth` arms fire on an exact hit index; probability
-//!   arms hash `(seed, name, hit)` so the same plan replays the same
-//!   schedule on every run and platform.
+//! * **Deterministic** — a plan is a pure function of its builder calls:
+//!   a `fail_nth` arm fires on an exact hit index and a `fail_always`
+//!   arm on every hit, so the same plan replays the same schedule on
+//!   every run and platform.
 //! * **Thread-scoped** — [`FailPlan::install`] installs the plan for
 //!   the calling thread only, so concurrently running `cargo test`
 //!   threads never observe each other's plans. The returned
@@ -102,9 +102,6 @@ enum Rule {
     Nth(u64),
     /// Fail every hit.
     Always,
-    /// Fail each hit independently with probability `p`, decided by a
-    /// deterministic hash of `(seed, name, hit)`.
-    Probability(f64),
 }
 
 struct Arm {
@@ -113,26 +110,7 @@ struct Arm {
 }
 
 struct PlanState {
-    seed: u64,
     arms: HashMap<String, Vec<Arm>>,
-}
-
-/// SplitMix64: tiny, seedable, and good enough to decorrelate
-/// `(seed, name, hit)` triples for probability arms.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn name_hash(name: &str) -> u64 {
-    // FNV-1a 64, matching the digest hash used elsewhere in the repo.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 impl PlanState {
@@ -144,12 +122,6 @@ impl PlanState {
             let fail = match arm.rule {
                 Rule::Nth(n) => hit == n,
                 Rule::Always => true,
-                Rule::Probability(p) => {
-                    let h = splitmix64(self.seed ^ name_hash(name) ^ hit.wrapping_mul(0x9E37));
-                    // Top 53 bits -> uniform in [0, 1).
-                    let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-                    u < p
-                }
             };
             if fail && fired.is_none() {
                 fired = Some(Injected {
@@ -170,28 +142,19 @@ impl PlanState {
     }
 }
 
-/// A seeded, schedule-driven fault plan. Build one with the `fail_*`
-/// methods, then [`install`](Self::install) it for the duration of the
-/// operation under test.
+/// A schedule-driven fault plan. Build one with the `fail_*` methods,
+/// then [`install`](Self::install) it for the duration of the operation
+/// under test.
 #[derive(Default)]
 pub struct FailPlan {
-    seed: u64,
     arms: HashMap<String, Vec<Arm>>,
 }
 
 impl FailPlan {
-    /// An empty plan (seed 0). Installing it makes every failpoint
-    /// succeed while still counting hits for arms added later.
+    /// An empty plan. Installing it makes every failpoint succeed while
+    /// still counting hits for arms added later.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty plan whose probability arms draw from `seed`.
-    pub fn seeded(seed: u64) -> Self {
-        Self {
-            seed,
-            arms: HashMap::new(),
-        }
     }
 
     fn arm(mut self, name: &str, rule: Rule) -> Self {
@@ -215,12 +178,6 @@ impl FailPlan {
         self.arm(name, Rule::Always)
     }
 
-    /// Fail each hit of `name` independently with probability `p`,
-    /// decided deterministically from the plan seed.
-    pub fn fail_with_probability(self, name: &str, p: f64) -> Self {
-        self.arm(name, Rule::Probability(p))
-    }
-
     /// Install the plan on the calling thread and return the guard that
     /// keeps it active. Other threads are unaffected: a clean run on
     /// another thread never consumes an armed fault. Worker threads of
@@ -228,10 +185,7 @@ impl FailPlan {
     /// [`Handoff`]. In release builds the plan installs but [`check`]
     /// never consults it ([`ACTIVE`]).
     pub fn install(self) -> FailScope {
-        let state = Arc::new(PlanState {
-            seed: self.seed,
-            arms: self.arms,
-        });
+        let state = Arc::new(PlanState { arms: self.arms });
         let prev = PLAN.with(|p| p.replace(Some(Arc::clone(&state))));
         FailScope {
             state,
@@ -370,33 +324,6 @@ mod tests {
         assert_eq!((first.hit, second.hit), (0, 1));
         assert_eq!(first.name, names::INGEST_OPEN);
         assert!(first.to_string().contains("injected fault at ingest/open"));
-    }
-
-    #[test]
-    fn probability_schedule_is_deterministic() {
-        let run = || {
-            let _scope = FailPlan::seeded(42)
-                .fail_with_probability(names::INGEST_FRAMED_FRAME, 0.3)
-                .install();
-            (0..64)
-                .map(|_| check(names::INGEST_FRAMED_FRAME).is_some())
-                .collect::<Vec<bool>>()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same seed must replay the same schedule");
-        assert!(a.iter().any(|&f| f), "p=0.3 over 64 hits should fire");
-        assert!(!a.iter().all(|&f| f), "p=0.3 should not always fire");
-
-        let other = {
-            let _scope = FailPlan::seeded(43)
-                .fail_with_probability(names::INGEST_FRAMED_FRAME, 0.3)
-                .install();
-            (0..64)
-                .map(|_| check(names::INGEST_FRAMED_FRAME).is_some())
-                .collect::<Vec<bool>>()
-        };
-        assert_ne!(a, other, "different seeds should differ somewhere");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! The indexed in-memory dataset joining all three schemas.
+//! The in-memory dataset joining all three schemas.
 //!
 //! The paper "associate\[s\] three schemas to create a comprehensive dataset
-//! with a focus on the DDoS attacks" (§II-A); [`Dataset`] is that join,
-//! with the access paths every analysis needs: attacks in global start
-//! order, per-family, per-target, and per-botnet indexes, and per-family
-//! snapshot series.
+//! with a focus on the DDoS attacks" (§II-A); [`Dataset`] is that join:
+//! the validated records, attacks in global `(start, id)` order, and
+//! per-family snapshot series. It builds no index over them; the epoch
+//! fold of `ddos-analytics` groups the attacks by family and by target.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +18,7 @@ use crate::ids::{Asn, BotnetId, CityId, OrgId};
 use crate::ip::IpAddr4;
 use crate::protocol::Protocol;
 use crate::record::{AttackRecord, BotRecord, BotnetRecord, Location};
-use crate::snapshot::SnapshotSeries;
+use crate::snapshot::{HourlySnapshot, SnapshotSeries};
 use crate::time::Window;
 
 /// Summary counters for one side (attackers or victims) of the trace,
@@ -92,9 +91,8 @@ impl SideSets {
 /// few thousand cities, organizations and ASes against 304k distinct
 /// bot IPs), so a fold inserts into one set per column as records
 /// arrive. The IP counts come from the caller, which already keys its
-/// records by IP: [`Dataset::summary`] sort-dedups the bot IPs and
-/// counts [`Dataset::targets`], and the epoch fold counts its bot rows
-/// and target timelines.
+/// records by IP: [`Dataset::summary`] sort-dedups the bot and target
+/// IPs, and the epoch fold counts its bot rows and target timelines.
 #[derive(Debug, Clone, Default)]
 pub struct SummarySets {
     attackers: SideSets,
@@ -137,76 +135,68 @@ impl SummarySets {
     }
 }
 
-/// The joined, indexed trace.
+/// The joined trace: its validated records.
 ///
 /// Construction goes through [`DatasetBuilder`], which validates every
-/// record and builds the indexes once; the dataset itself is immutable.
-/// Serde support round-trips the records and rebuilds the indexes on
-/// deserialization.
-#[derive(Debug, Clone)]
+/// record and sorts the attacks; the dataset itself is immutable and
+/// holds nothing but the records. Serde support round-trips the records,
+/// and deserialization builds through the same [`DatasetBuilder`] and
+/// [`SnapshotSeries::from_snapshots`] as the framed decode, so a JSON
+/// trace passes exactly the checks a binary one does.
+#[derive(Debug, Clone, Serialize)]
 pub struct Dataset {
     window: Window,
     attacks: Vec<AttackRecord>,
     bots: Vec<BotRecord>,
     botnets: Vec<BotnetRecord>,
     snapshots: BTreeMap<Family, SnapshotSeries>,
-    by_family: HashMap<Family, Vec<u32>>,
-    by_target: HashMap<IpAddr4, Vec<u32>>,
-    /// Sorted distinct target IPs, built on first [`Dataset::targets`]
-    /// call and reset whenever the indexes are rebuilt.
-    targets: OnceLock<Vec<IpAddr4>>,
 }
 
-/// Wire representation of [`Dataset`]: the records without the indexes.
-#[derive(Serialize, Deserialize)]
+/// Wire representation of [`Dataset`]: its serialized fields, unchecked,
+/// with each snapshot series as its raw list.
+#[derive(Deserialize)]
 struct DatasetWire {
     window: Window,
     attacks: Vec<AttackRecord>,
     bots: Vec<BotRecord>,
     botnets: Vec<BotnetRecord>,
-    snapshots: BTreeMap<Family, SnapshotSeries>,
+    snapshots: BTreeMap<Family, SeriesWire>,
 }
 
-impl Serialize for Dataset {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut s = serializer.serialize_struct("Dataset", 5)?;
-        s.serialize_field("window", &self.window)?;
-        s.serialize_field("attacks", &self.attacks)?;
-        s.serialize_field("bots", &self.bots)?;
-        s.serialize_field("botnets", &self.botnets)?;
-        s.serialize_field("snapshots", &self.snapshots)?;
-        s.end()
+/// Wire representation of a [`SnapshotSeries`], which is deserialized
+/// only through [`SnapshotSeries::from_snapshots`].
+#[derive(Deserialize)]
+struct SeriesWire {
+    snapshots: Vec<HourlySnapshot>,
+}
+
+impl DatasetWire {
+    /// Builds the records the way `framed::decode` does, each one
+    /// validated on the way in.
+    fn build(self) -> Result<Dataset, SchemaError> {
+        let mut builder = DatasetBuilder::new(self.window).allow_out_of_window();
+        builder.extend_attacks(self.attacks)?;
+        for bot in self.bots {
+            builder.push_bot(bot)?;
+        }
+        for botnet in self.botnets {
+            builder.push_botnet(botnet)?;
+        }
+        for (family, series) in self.snapshots {
+            builder.set_snapshots(family, SnapshotSeries::from_snapshots(series.snapshots)?)?;
+        }
+        builder.build()
     }
 }
 
 impl<'de> Deserialize<'de> for Dataset {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error;
-        let wire = DatasetWire::deserialize(deserializer)?;
-        // Deserialized data is untrusted: enforce the same invariants the
-        // builder does, so a hand-edited JSON file cannot smuggle in
-        // records that would break downstream analyses.
-        let mut seen = HashSet::with_capacity(wire.attacks.len());
-        for atk in &wire.attacks {
-            atk.validate().map_err(D::Error::custom)?;
-            if !seen.insert(atk.id) {
-                return Err(D::Error::custom(format!("duplicate attack id {}", atk.id)));
-            }
-        }
-        let mut ds = Dataset {
-            window: wire.window,
-            attacks: wire.attacks,
-            bots: wire.bots,
-            botnets: wire.botnets,
-            snapshots: wire.snapshots,
-            by_family: HashMap::new(),
-            by_target: HashMap::new(),
-            targets: OnceLock::new(),
-        };
-        ds.attacks.sort_by_key(|a| (a.start, a.id));
-        ds.rebuild_indexes();
-        Ok(ds)
+        // Deserialized data is untrusted: it passes the builder's checks,
+        // so a hand-edited JSON file cannot smuggle in records that would
+        // break downstream analyses.
+        DatasetWire::deserialize(deserializer)?
+            .build()
+            .map_err(serde::de::Error::custom)
     }
 }
 
@@ -245,40 +235,10 @@ impl Dataset {
         self.snapshots.keys().copied()
     }
 
-    /// Attacks launched by one family, in start order.
+    /// Attacks launched by one family, in start order: a scan of
+    /// [`Dataset::attacks`].
     pub fn attacks_of(&self, family: Family) -> impl Iterator<Item = &AttackRecord> {
-        self.by_family
-            .get(&family)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.attacks[i as usize])
-    }
-
-    /// Indices into [`Dataset::attacks`] of one family's attacks,
-    /// ascending (the index slice behind [`Dataset::attacks_of`]). Lets
-    /// batch consumers join an attack against other per-index columns.
-    pub fn attack_indices_of(&self, family: Family) -> &[u32] {
-        self.by_family.get(&family).map_or(&[], Vec::as_slice)
-    }
-
-    /// Attacks against one target IP, in start order.
-    pub fn attacks_on(&self, target: IpAddr4) -> impl Iterator<Item = &AttackRecord> {
-        self.by_target
-            .get(&target)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.attacks[i as usize])
-    }
-
-    /// Distinct target IPs, in address order. Built lazily on first call
-    /// and cached for the lifetime of the dataset (the record set is
-    /// immutable after construction).
-    pub fn targets(&self) -> &[IpAddr4] {
-        self.targets.get_or_init(|| {
-            let mut t: Vec<IpAddr4> = self.by_target.keys().copied().collect();
-            t.sort_unstable();
-            t
-        })
+        self.attacks.iter().filter(move |a| a.family == family)
     }
 
     /// Number of attacks.
@@ -297,10 +257,10 @@ impl Dataset {
     ///
     /// Attacker-side counts are taken over the bot records (the `Botlist`
     /// join), victim-side counts over the attack targets. Every call is a
-    /// full scan of both record lists, and the distinct attacker IPs are
-    /// a sort-dedup of the bot IPs; the epoch fold grows the same
-    /// [`SummarySets`] as epochs arrive and counts its IPs from its own
-    /// tables instead.
+    /// full scan of both record lists, and the distinct attacker and
+    /// victim IPs are sort-dedups of the bot and target IPs; the epoch
+    /// fold grows the same [`SummarySets`] as epochs arrive and counts
+    /// its IPs from its own tables instead.
     pub fn summary(&self) -> DatasetSummary {
         let mut sets = SummarySets::default();
         for bot in &self.bots {
@@ -309,22 +269,16 @@ impl Dataset {
         for atk in &self.attacks {
             sets.insert_attack(atk);
         }
-        let mut bot_ips: Vec<IpAddr4> = self.bots.iter().map(|b| b.ip).collect();
-        bot_ips.sort_unstable();
-        bot_ips.dedup();
-        sets.summary(self.attacks.len(), bot_ips.len(), self.targets().len())
-    }
-
-    /// Rebuilds the (serde-skipped) indexes; used after deserialization.
-    pub(crate) fn rebuild_indexes(&mut self) {
-        self.by_family.clear();
-        self.by_target.clear();
-        self.targets = OnceLock::new();
-        for (i, atk) in self.attacks.iter().enumerate() {
-            let i = i as u32;
-            self.by_family.entry(atk.family).or_default().push(i);
-            self.by_target.entry(atk.target_ip).or_default().push(i);
-        }
+        let distinct = |mut ips: Vec<IpAddr4>| {
+            ips.sort_unstable();
+            ips.dedup();
+            ips.len()
+        };
+        sets.summary(
+            self.attacks.len(),
+            distinct(self.bots.iter().map(|b| b.ip).collect()),
+            distinct(self.attacks.iter().map(|a| a.target_ip).collect()),
+        )
     }
 }
 
@@ -446,7 +400,7 @@ impl DatasetBuilder {
         Ok(self)
     }
 
-    /// Finishes the build: checks id uniqueness, sorts, builds indexes.
+    /// Finishes the build: checks id uniqueness and sorts the attacks.
     pub fn build(self) -> Result<Dataset, SchemaError> {
         let mut seen = HashSet::with_capacity(self.attacks.len());
         for atk in &self.attacks {
@@ -466,19 +420,15 @@ impl DatasetBuilder {
                 )));
             }
         }
-        let mut ds = Dataset {
+        let mut attacks = self.attacks;
+        attacks.sort_by_key(|a| (a.start, a.id));
+        Ok(Dataset {
             window: self.window,
-            attacks: self.attacks,
+            attacks,
             bots: self.bots,
             botnets: self.botnets,
             snapshots: self.snapshots,
-            by_family: HashMap::new(),
-            by_target: HashMap::new(),
-            targets: OnceLock::new(),
-        };
-        ds.attacks.sort_by_key(|a| (a.start, a.id));
-        ds.rebuild_indexes();
-        Ok(ds)
+        })
     }
 }
 
@@ -502,8 +452,6 @@ mod tests {
         assert_eq!(ds.attacks()[0].id, DdosId(1));
         assert_eq!(ds.attacks_of(Family::Dirtjumper).count(), 2);
         assert_eq!(ds.attacks_of(Family::Optima).count(), 0);
-        assert_eq!(ds.attacks_on(ds.attacks()[0].target_ip).count(), 2);
-        assert_eq!(ds.targets().len(), 1);
         assert_eq!(ds.len(), 2);
     }
 
@@ -575,7 +523,6 @@ mod tests {
 
     #[test]
     fn snapshot_family_mismatch_rejected() {
-        use crate::snapshot::HourlySnapshot;
         let series = SnapshotSeries::from_snapshots(vec![HourlySnapshot {
             family: Family::Pandora,
             taken_at: Timestamp(3_600),
@@ -603,6 +550,73 @@ mod tests {
         let bad = json.replace("\"end\":1600", "\"end\":1");
         assert_ne!(bad, json, "fixture layout changed");
         assert!(serde_json::from_str::<Dataset>(&bad).is_err());
+
+        // The other records pass the builder's checks too: a valid bot,
+        // botnet and two snapshot series, each edited below into a
+        // record the builder rejects.
+        let botnet = BotnetRecord {
+            id: BotnetId(7),
+            family: Family::Dirtjumper,
+            binary_hash: [0; 20],
+            controller: IpAddr4::from_octets(192, 0, 2, 1),
+            enrolled_bots: 1,
+            first_seen: Timestamp(0),
+            last_seen: Timestamp(10),
+        };
+        let snapshot = |family, taken_at| HourlySnapshot {
+            family,
+            taken_at: Timestamp(taken_at),
+            bots: vec![],
+        };
+        let mut b = DatasetBuilder::new(window());
+        b.push_attack(attack(1, 1_000)).unwrap();
+        b.push_bot(BotRecord {
+            ip: IpAddr4::from_octets(203, 0, 113, 5),
+            botnet: BotnetId(7),
+            family: Family::Dirtjumper,
+            location: crate::record::test_fixtures::location(),
+            first_seen: Timestamp(0),
+            last_seen: Timestamp(20),
+        })
+        .unwrap();
+        b.push_botnet(botnet.clone()).unwrap();
+        for family in [Family::Pandora, Family::Nitol] {
+            let series = SnapshotSeries::from_snapshots(vec![snapshot(family, 3_600)]).unwrap();
+            b.set_snapshots(family, series).unwrap();
+        }
+        let valid = serde_json::to_string(&b.build().unwrap()).unwrap();
+        serde_json::from_str::<Dataset>(&valid).unwrap();
+        let rejects = |from: &str, to: &str, why: &str| {
+            assert!(valid.contains(from), "fixture layout changed: {from}");
+            let err = serde_json::from_str::<Dataset>(&valid.replacen(from, to, 1)).unwrap_err();
+            assert!(err.to_string().contains(why), "{why}: {err}");
+        };
+        // A bot last seen before it was first seen.
+        rejects(
+            "\"last_seen\":20",
+            "\"last_seen\":-1",
+            "bot 203.0.113.5: last_seen precedes first_seen",
+        );
+        // A botnet record listed twice.
+        let listed = serde_json::to_string(&botnet).unwrap();
+        rejects(
+            "\"botnets\":[",
+            &format!("\"botnets\":[{listed},"),
+            "duplicate botnet id",
+        );
+        // A Nitol series filed under the Pandora key.
+        let json_of =
+            |family, taken_at| serde_json::to_string(&snapshot(family, taken_at)).unwrap();
+        let pandora = json_of(Family::Pandora, 3_600);
+        let nitol = json_of(Family::Nitol, 3_600);
+        rejects(&pandora, &nitol, "series for nitol installed under pandora");
+        // A series that mixes Pandora and Nitol snapshots.
+        let later = json_of(Family::Nitol, 7_200);
+        rejects(
+            &pandora,
+            &format!("{pandora},{later}"),
+            "mixes families pandora and nitol",
+        );
     }
 
     #[test]

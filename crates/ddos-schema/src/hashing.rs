@@ -1,8 +1,10 @@
 //! A fast hasher for the schema's small copy keys.
 //!
-//! [`Dataset::summary`](crate::Dataset::summary) and the index builders
-//! perform millions of set/map operations over fixed-width keys the
-//! process generated itself — ids, addresses, two-letter country codes.
+//! Table III's distinct sets ([`SummarySets`](crate::SummarySets)) and
+//! the IP maps of `ddos-analytics` (the epoch fold's index of known IPs,
+//! the source table's sweep and the `Botlist` join) perform millions of
+//! set/map operations over fixed-width keys the process generated
+//! itself — ids, addresses, two-letter country codes.
 //! HashDoS resistance buys nothing against a fixed research trace, so
 //! [`FastHasher`] trades SipHash for one multiply plus an xor-shift per
 //! word (the classic Fibonacci-hash mix).

@@ -19,8 +19,8 @@
 //!   bucketing;
 //! * [`snapshot`] — the hourly, 24-hour-cumulative botnet population
 //!   snapshots the feed publishes per family;
-//! * [`dataset`] — an indexed in-memory container over all three schemas
-//!   with family/target/time access paths used by every analysis;
+//! * [`dataset`] — the in-memory container over all three schemas: the
+//!   validated records, attacks in start order, read by every analysis;
 //! * [`codec`] — the compact binary record encoding (plus JSON via
 //!   `serde`) so generated traces can be persisted and shared;
 //! * [`framed`] — the one binary trace container (`DDTL` version 2):

@@ -68,7 +68,11 @@ impl HourlySnapshot {
 }
 
 /// A time-ordered series of snapshots for a single family.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// It has no `Deserialize` of its own: a dataset deserializes each
+/// series through [`SnapshotSeries::from_snapshots`], so a series read
+/// from JSON is checked like one built in memory.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SnapshotSeries {
     snapshots: Vec<HourlySnapshot>,
 }

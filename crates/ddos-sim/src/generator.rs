@@ -1010,8 +1010,8 @@ mod tests {
         let window = t.dataset.window();
         let mut shared = 0;
         for a in t.dataset.attacks_of(Family::Dirtjumper) {
-            let partnered = t.dataset.attacks_on(a.target_ip).any(|b| {
-                b.family == Family::Pandora
+            let partnered = t.dataset.attacks_of(Family::Pandora).any(|b| {
+                b.target_ip == a.target_ip
                     && (b.start - a.start).get().abs() <= 60
                     && (a.duration().get() - b.duration().get()).abs() <= 1_800
             });

@@ -110,53 +110,7 @@ pub struct ArimaFit {
     pub converged: bool,
 }
 
-impl ArimaFit {
-    /// Akaike information criterion of the fit (lower is better); `None`
-    /// for degenerate (perfect or empty) fits.
-    pub fn aic(&self, n: usize) -> Option<f64> {
-        crate::timeseries::diagnostics::aic(self.sse, n, self.model.spec.num_params())
-    }
-}
-
 impl ArimaModel {
-    /// Fits every order in `p <= max_p`, `d <= max_d`, `q <= max_q` and
-    /// returns the fit with the lowest AIC.
-    ///
-    /// Errors with the last fit failure if no order fits at all.
-    pub fn auto_fit(
-        series: &[f64],
-        max_p: usize,
-        max_d: usize,
-        max_q: usize,
-    ) -> Result<ArimaFit, ArimaError> {
-        let mut best: Option<(f64, ArimaFit)> = None;
-        let mut last_err = ArimaError::TooShort {
-            needed: 8,
-            got: series.len(),
-        };
-        for d in 0..=max_d {
-            for p in 0..=max_p {
-                for q in 0..=max_q {
-                    if p + q == 0 {
-                        continue;
-                    }
-                    match ArimaModel::fit(series, ArimaSpec::new(p, d, q)) {
-                        Ok(fit) => {
-                            let n = series.len().saturating_sub(d);
-                            let score = fit.aic(n).unwrap_or(f64::NEG_INFINITY);
-                            // A NEG_INFINITY score (perfect fit) always wins.
-                            if best.as_ref().map_or(true, |(s, _)| score < *s) {
-                                best = Some((score, fit));
-                            }
-                        }
-                        Err(e) => last_err = e,
-                    }
-                }
-            }
-        }
-        best.map(|(_, fit)| fit).ok_or(last_err)
-    }
-
     /// Fits the model to `series` by CSS.
     ///
     /// Needs at least `d + max(p, q) + 8` observations. Constant series
@@ -331,9 +285,9 @@ fn innovations_for(z: &[f64], phi: &[f64], theta: &[f64]) -> Vec<f64> {
 
 /// Conditional sum of squares for a parameter vector `[phi.., theta..]`.
 ///
-/// Orders with `p, q <= 3` (the default order, [`ArimaModel::auto_fit`]'s
-/// usual grid) run [`css_fixed`]; larger orders run [`css_loop`]. Both
-/// return the same bits.
+/// Orders with `p, q <= 3` (the default order and the ablation grid)
+/// run [`css_fixed`]; larger orders run [`css_loop`]. Both return the
+/// same bits.
 fn css(z: &[f64], spec: ArimaSpec, params: &[f64]) -> f64 {
     macro_rules! dispatch {
         ($($p:literal: [$($q:literal)*])*) => {
@@ -597,37 +551,6 @@ mod tests {
             .sum::<f64>()
             / test.len() as f64;
         assert!(mae < 2.0, "mae {mae}");
-    }
-
-    #[test]
-    fn aic_ranks_orders_sanely() {
-        let xs = ar1(0.7, 2_000, 11);
-        let small = ArimaModel::fit(&xs, ArimaSpec::new(1, 0, 0)).unwrap();
-        let big = ArimaModel::fit(&xs, ArimaSpec::new(3, 0, 3)).unwrap();
-        let a_small = small.aic(xs.len()).unwrap();
-        let a_big = big.aic(xs.len()).unwrap();
-        // The true model is AR(1); the over-parameterized fit cannot beat
-        // it by more than its parameter penalty.
-        assert!(a_small < a_big + 1.0, "{a_small} vs {a_big}");
-    }
-
-    #[test]
-    fn auto_fit_finds_a_reasonable_order() {
-        let xs = ar1(0.7, 2_000, 12);
-        let fit = ArimaModel::auto_fit(&xs, 2, 1, 2).unwrap();
-        // Whatever the chosen order, the one-step innovations must be
-        // close to the true noise variance (1.0).
-        assert!(
-            (fit.model.sigma2 - 1.0).abs() < 0.15,
-            "σ² {}",
-            fit.model.sigma2
-        );
-        assert!(fit.model.spec.p <= 2 && fit.model.spec.q <= 2);
-    }
-
-    #[test]
-    fn auto_fit_errors_on_short_series() {
-        assert!(ArimaModel::auto_fit(&[1.0, 2.0], 2, 1, 2).is_err());
     }
 
     /// Bit-level comparison of the dispatched objective with the

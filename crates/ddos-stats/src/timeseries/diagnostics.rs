@@ -1,22 +1,10 @@
-//! Model diagnostics: information criteria and residual whiteness.
+//! Model diagnostics: residual whiteness.
 //!
-//! Supports the ARIMA order-selection ablation: AIC ranks candidate
-//! orders, the Ljung–Box test checks that a fitted model's one-step
-//! innovations are white (no autocorrelation structure left to model).
+//! The Ljung–Box test checks that a fitted model's one-step innovations
+//! are white (no autocorrelation structure left to model); the Table IV
+//! report prints it for each family's forecast errors.
 
 use crate::timeseries::acf::acf;
-
-/// Akaike information criterion for a Gaussian CSS fit:
-/// `n·ln(SSE/n) + 2·(k + 1)` (the `+1` counts the innovation variance).
-///
-/// Returns `None` for empty series or non-positive SSE (a perfect fit
-/// has no meaningful likelihood under the Gaussian approximation).
-pub fn aic(sse: f64, n: usize, k: usize) -> Option<f64> {
-    if n == 0 || sse <= 0.0 {
-        return None;
-    }
-    Some(n as f64 * (sse / n as f64).ln() + 2.0 * (k as f64 + 1.0))
-}
 
 /// Result of a Ljung–Box whiteness test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,17 +160,6 @@ mod tests {
         assert!((chi_square_sf(18.307, 10.0) - 0.05).abs() < 2e-3);
         assert_eq!(chi_square_sf(0.0, 3.0), 1.0);
         assert!(chi_square_sf(1e6, 3.0) < 1e-12);
-    }
-
-    #[test]
-    fn aic_prefers_smaller_sse_and_penalizes_params() {
-        let a = aic(100.0, 500, 1).unwrap();
-        let b = aic(90.0, 500, 1).unwrap();
-        assert!(b < a, "smaller SSE must score better");
-        let c = aic(100.0, 500, 5).unwrap();
-        assert!(c > a, "extra parameters must cost");
-        assert_eq!(aic(0.0, 10, 1), None);
-        assert_eq!(aic(5.0, 0, 1), None);
     }
 
     #[test]

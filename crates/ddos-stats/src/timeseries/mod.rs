@@ -15,8 +15,7 @@
 //!   forecasts;
 //! * [`forecast`] — train/test evaluation producing the paper's Table IV
 //!   statistics;
-//! * [`diagnostics`] — AIC order selection and Ljung–Box residual
-//!   whiteness tests.
+//! * [`diagnostics`] — Ljung–Box residual whiteness tests.
 
 pub mod acf;
 pub mod arima;
